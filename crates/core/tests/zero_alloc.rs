@@ -3,32 +3,48 @@
 //! Installs a counting global allocator (each integration test is its
 //! own binary, so the allocator is private to this test) and asserts
 //! that a warmed [`PreparedObserver`] performs **zero** heap
-//! allocations across many consecutive micro-batches — the invariant
-//! the `forward` eval gates end to end and the `hot_path_alloc`
-//! analyzer rule guards textually.
+//! allocations across many consecutive micro-batches — on an MLP and on
+//! the paper's convolutional Network 1 — the invariant the `forward`
+//! eval gates end to end and the `hot_path_alloc` analyzer rule guards
+//! textually.
 
 use naps_core::batch::ObservationPlan;
 use naps_core::prepared::PreparedObserver;
 use naps_core::NeuronSelection;
-use naps_nn::{Dense, Layer, ModelSnapshot, Relu, Sequential};
+use naps_nn::{mnist_net, Dense, Layer, ModelSnapshot, Relu, Sequential, MNIST_MONITOR_LAYER};
 use naps_tensor::Tensor;
+use rand::rngs::StdRng;
+use rand::SeedableRng;
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
 /// Counts every allocation event while delegating to [`System`].
 struct CountingAllocator;
 
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    /// Allocation events of the current thread: the harness runs tests
+    /// on parallel threads, so each test counts only its own.
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn count_one() {
+    // A const-initialised, drop-free thread local never allocates on
+    // access; `try_with` tolerates a thread that is being torn down.
+    let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+}
+
+/// Allocation events of the calling thread so far.
+fn allocations() -> u64 {
+    ALLOCATIONS.with(Cell::get)
+}
 
 // SAFETY: every method delegates verbatim to the System allocator,
-// which upholds the GlobalAlloc contract; the counter is a Relaxed
-// atomic add with no other side effect.
+// which upholds the GlobalAlloc contract; the counter is a thread-local
+// add with no other side effect.
 unsafe impl GlobalAlloc for CountingAllocator {
     // SAFETY: counting wrapper around System::alloc; the caller's contract is forwarded unchanged.
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        // ordering: relaxed — monotone event counter, read while the
-        // measured region is single-threaded.
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_one();
         // SAFETY: same layout contract as our own caller's.
         unsafe { System.alloc(layout) }
     }
@@ -41,16 +57,14 @@ unsafe impl GlobalAlloc for CountingAllocator {
 
     // SAFETY: counting wrapper around System::realloc; the caller's contract is forwarded unchanged.
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        // ordering: relaxed — monotone event counter (see alloc).
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_one();
         // SAFETY: same contract as our own caller's.
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 
     // SAFETY: counting wrapper around System::alloc_zeroed; the caller's contract is forwarded unchanged.
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        // ordering: relaxed — monotone event counter (see alloc).
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_one();
         // SAFETY: same layout contract as our own caller's.
         unsafe { System.alloc_zeroed(layout) }
     }
@@ -119,17 +133,56 @@ fn warmed_observer_allocates_nothing_in_steady_state() {
     // Steady state: many consecutive micro-batches, including smaller
     // ones (shrinking must reuse, never reallocate), with the exact
     // allocation count pinned at zero.
-    let before = ALLOCATIONS.load(Ordering::Relaxed); // ordering: relaxed — quiescent read
+    let before = allocations();
     for round in 0..100 {
         let take = [8usize, 3, 1, 5][round % 4];
         let rows = observer.observe(&prepared, &inputs[..take], taps.iter().copied());
         assert_eq!(rows.len(), take);
         std::hint::black_box(rows);
     }
-    let after = ALLOCATIONS.load(Ordering::Relaxed); // ordering: relaxed — quiescent read
+    let after = allocations();
     assert_eq!(
         after - before,
         0,
         "a warmed PreparedObserver must not touch the allocator in steady state"
+    );
+}
+
+/// Network 1 — conv, max pooling, dense — observed at its first pooling
+/// layer and at the monitored fc(40) ReLU.
+#[test]
+fn warmed_conv_observer_allocates_nothing_in_steady_state() {
+    let snapshot = ModelSnapshot::capture(&mnist_net(&mut StdRng::seed_from_u64(3)))
+        .expect("Network 1 captures");
+    let plan = ObservationPlan::new(vec![2, MNIST_MONITOR_LAYER]);
+    let prepared = snapshot.prepare(&plan);
+    let pooled = NeuronSelection::from_indices((0..40 * 12 * 12).step_by(97).collect(), 40 * 144);
+    let monitored = NeuronSelection::all(40);
+    let taps = [(2usize, &pooled), (MNIST_MONITOR_LAYER, &monitored)];
+    let inputs: Vec<Tensor> = (0..4)
+        .map(|p| {
+            Tensor::from_vec(
+                vec![28 * 28],
+                (0..28 * 28)
+                    .map(|i| ((p * 784 + i) as f32 * 0.11).sin().max(0.0))
+                    .collect(),
+            )
+        })
+        .collect();
+    let mut observer = PreparedObserver::new();
+    std::hint::black_box(observer.observe(&prepared, &inputs, taps.iter().copied()));
+
+    let before = allocations();
+    for round in 0..8 {
+        let take = [4usize, 1, 3, 2][round % 4];
+        let rows = observer.observe(&prepared, &inputs[..take], taps.iter().copied());
+        assert_eq!(rows.len(), take);
+        std::hint::black_box(rows);
+    }
+    let after = allocations();
+    assert_eq!(
+        after - before,
+        0,
+        "a warmed conv PreparedObserver must not touch the allocator in steady state"
     );
 }

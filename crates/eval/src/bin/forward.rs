@@ -1,12 +1,13 @@
 //! Measures the allocation-free prepared serving forward pass against
-//! the allocating baseline on the serving fixture and writes
-//! `results/forward.json` (per-micro-batch-size QPS, allocations per
-//! batch on each path).  The binary installs a counting global
-//! allocator so allocations-per-request is measured, not estimated.
-//! Exits non-zero when the prepared path allocates at all in steady
-//! state, when the single-row speedup falls below 1.3x, or when any
-//! prepared row diverges from the allocating path — the hot path must
-//! stay allocation-free, worthwhile, and bit-identical.
+//! the allocating baseline on the dense serving fixture and on the
+//! paper's conv Network 1, and writes `results/forward.json`
+//! (per-micro-batch-size QPS, allocations per batch on each path).  The
+//! binary installs a counting global allocator so
+//! allocations-per-request is measured, not estimated.  Exits non-zero
+//! when the prepared path allocates at all in steady state on either
+//! fixture, when the dense single-row speedup falls below 1.3x, or when
+//! any prepared row diverges from the allocating path — the hot path
+//! must stay allocation-free, worthwhile, and bit-identical.
 //! Usage: `cargo run --release -p naps-eval --bin forward [--full]`.
 
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -78,7 +79,7 @@ fn main() {
     }
     if result.single_row_speedup < 1.3 {
         failures.push(format!(
-            "single-row speedup {:.2}x is below the 1.3x floor",
+            "dense single-row speedup {:.2}x is below the 1.3x floor",
             result.single_row_speedup
         ));
     }

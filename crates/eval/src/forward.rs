@@ -1,28 +1,35 @@
 //! The allocation-free serving forward pass vs. the allocating baseline.
 //!
-//! PR 10's tentpole makes `check_batch`'s front half — pack the batch,
-//! run the plan-observed forward pass, extract per-row patterns —
-//! compute-bound instead of allocator-bound: weights are pre-packed once
-//! at freeze/publish/load ([`naps_nn::PreparedModel`]), and each engine
-//! worker owns a [`naps_core::prepared::PreparedObserver`] whose batch /
-//! carry / pattern storage is refilled in place across micro-batches.
+//! `check_batch`'s front half — pack the batch, run the plan-observed
+//! forward pass, extract per-row patterns — is compute-bound instead of
+//! allocator-bound: weights are pre-packed once at freeze/publish/load
+//! ([`naps_nn::PreparedModel`]), and each engine worker owns a
+//! [`naps_core::prepared::PreparedObserver`] whose batch / carry /
+//! pattern storage is refilled in place across micro-batches.
 //!
-//! This experiment drives both paths over the shared serving fixture at
-//! the engine's micro-batch sizes, measures rows per second before and
-//! after, counts heap allocations per micro-batch on each path via the
-//! driving binary's counting global allocator, and verifies the prepared
-//! rows are **identical** to the allocating path's on the whole
-//! workload.  It writes `results/forward.json`; the driving binary exits
-//! non-zero when the prepared path allocates at all in steady state,
-//! when the single-row speedup falls below 1.3x, or on any divergence.
+//! This experiment drives both paths over two fixtures at the engine's
+//! micro-batch sizes — the shared dense serving fixture and the paper's
+//! convolutional Network 1 ([`naps_nn::mnist_net`], monitored at fc(40))
+//! — measures rows per second before and after, counts heap allocations
+//! per micro-batch on each path via the driving binary's counting global
+//! allocator, and verifies the prepared rows are **identical** to the
+//! allocating path's on the whole workload.  It writes
+//! `results/forward.json`; the driving binary exits non-zero when the
+//! prepared path allocates at all in steady state on either fixture,
+//! when the dense single-row speedup falls below 1.3x, or on any
+//! divergence.
 
 use crate::config::RunConfig;
 use crate::report::{rule, write_json};
 use naps_bench::serving_fixture;
 use naps_core::prepared::PreparedObserver;
-use naps_nn::ModelSnapshot;
+use naps_core::{BddZone, MonitorBuilder};
+use naps_data::digits;
+use naps_nn::{mnist_net, ModelSnapshot, Sequential, MNIST_MONITOR_LAYER};
 use naps_serve::{FrozenLayeredMonitor, FrozenMonitor};
 use naps_tensor::Tensor;
+use rand::rngs::StdRng;
+use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
 use std::time::Instant;
 
@@ -46,22 +53,37 @@ pub struct ForwardRow {
     pub identical: bool,
 }
 
+/// Both paths on one model.
+#[derive(Debug, Clone, Serialize, Deserialize)]
+pub struct ForwardFixture {
+    /// Which model: `"dense"` (the serving fixture) or `"mnist_net"`.
+    pub model: String,
+    /// Probe rows driven through each path per timed pass.
+    pub workload: usize,
+    /// One row per micro-batch size.
+    pub rows: Vec<ForwardRow>,
+    /// Prepared-path allocations across every steady-state micro-batch
+    /// of this fixture.
+    pub steady_state_allocs: u64,
+    /// Whether every batch size agreed on every row.
+    pub all_identical: bool,
+}
+
 /// The full before/after comparison the binary gates on.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct ForwardEval {
     /// Version of this JSON result shape (bump on breaking change).
     pub schema_version: u32,
-    /// Probe rows driven through each path per timed pass.
-    pub workload: usize,
-    /// One row per micro-batch size.
-    pub rows: Vec<ForwardRow>,
+    /// The dense serving fixture, then Network 1.
+    pub fixtures: Vec<ForwardFixture>,
     /// Total prepared-path allocations across every steady-state timed
-    /// micro-batch (the hard gate: zero).
+    /// micro-batch of every fixture (the hard gate: zero).
     pub steady_state_allocs: u64,
-    /// The gated speedup: micro-batches of one row, the latency-bound
-    /// serving case where the allocator dominates the forward pass.
+    /// The gated speedup: dense micro-batches of one row, the
+    /// latency-bound serving case where the allocator dominates the
+    /// forward pass.
     pub single_row_speedup: f64,
-    /// Whether every batch size agreed on every row.
+    /// Whether every fixture agreed on every row.
     pub all_identical: bool,
 }
 
@@ -73,33 +95,111 @@ fn time_rows_per_sec<T>(rows: usize, repeats: usize, mut f: impl FnMut() -> T) -
     (repeats * rows) as f64 / start.elapsed().as_secs_f64()
 }
 
-/// Runs the allocating-vs-prepared comparison and writes
-/// `results/forward.json`.  `alloc_count` reads the driving binary's
-/// counting global allocator (monotone allocation events); the library
-/// cannot own the `#[global_allocator]` itself.
+/// Runs the allocating-vs-prepared comparison on both fixtures and
+/// writes `results/forward.json`.  `alloc_count` reads the driving
+/// binary's counting global allocator (monotone allocation events); the
+/// library cannot own the `#[global_allocator]` itself.
 pub fn run(cfg: &RunConfig, alloc_count: fn() -> u64) -> ForwardEval {
     println!("== Allocation-free prepared forward pass vs allocating baseline ==");
     let (probes_n, repeats) = if cfg.full { (1920, 9) } else { (480, 4) };
-    let (monitor, mut model, probes) = serving_fixture(6, probes_n, cfg.seed);
-    let frozen = FrozenLayeredMonitor::from_single(FrozenMonitor::freeze(&monitor));
+    let (monitor, model, probes) = serving_fixture(6, probes_n, cfg.seed);
+    let dense = compare(
+        "dense",
+        &monitor,
+        model,
+        &probes,
+        &[1, 4, 16],
+        repeats,
+        alloc_count,
+    );
 
+    // Network 1, untrained (the forward pass costs the same), monitored
+    // at fc(40) from its own predictions on clean digits.
+    let (train_per_class, probes_per_class, repeats) =
+        if cfg.full { (6, 10, 3) } else { (2, 4, 1) };
+    let mut rng = StdRng::seed_from_u64(cfg.seed);
+    let mut net = mnist_net(&mut rng);
+    let train = digits::generate(train_per_class, digits::DigitStyle::clean(), &mut rng);
+    let labels = predictions(&mut net, &train.samples);
+    let monitor = MonitorBuilder::new(MNIST_MONITOR_LAYER, 1).build::<BddZone>(
+        &mut net,
+        &train.samples,
+        &labels,
+        10,
+    );
+    let probes = digits::generate(probes_per_class, digits::DigitStyle::hard(), &mut rng);
+    let conv = compare(
+        "mnist_net",
+        &monitor,
+        net,
+        &probes.samples,
+        &[1, 8, 32],
+        repeats,
+        alloc_count,
+    );
+
+    let single_row_speedup = dense
+        .rows
+        .iter()
+        .find(|r| r.batch_size == 1)
+        .map_or(0.0, |r| r.speedup);
+    let fixtures = vec![dense, conv];
+    let steady_state_allocs = fixtures.iter().map(|f| f.steady_state_allocs).sum();
+    let all_identical = fixtures.iter().all(|f| f.all_identical);
+    println!(
+        "[dense single-row speedup {single_row_speedup:.2}x, steady-state prepared \
+         allocations {steady_state_allocs}, all identical: {all_identical}]"
+    );
+
+    let result = ForwardEval {
+        schema_version: 2,
+        fixtures,
+        steady_state_allocs,
+        single_row_speedup,
+        all_identical,
+    };
+    write_json(&cfg.out_dir, "forward", &result);
+    result
+}
+
+/// The model's own argmax per sample.
+fn predictions(net: &mut Sequential, samples: &[Tensor]) -> Vec<usize> {
+    samples
+        .iter()
+        .map(|x| net.predict(&x.clone().reshape(vec![1, x.len()]))[0])
+        .collect()
+}
+
+/// Drives the allocating and the prepared observe path over `probes` in
+/// micro-batches of each size: identity first, then allocations per
+/// micro-batch, then rows per second.
+fn compare(
+    name: &str,
+    monitor: &naps_core::Monitor<BddZone>,
+    mut model: Sequential,
+    probes: &[Tensor],
+    batch_sizes: &[usize],
+    repeats: usize,
+    alloc_count: fn() -> u64,
+) -> ForwardFixture {
+    let frozen = FrozenLayeredMonitor::from_single(FrozenMonitor::freeze(monitor));
     // The cold half, once: capture the frozen weights and pre-pack them
     // against the monitor's observation plan — exactly what the engine
-    // does per replica at construction/publish/load.
-    let snapshot = ModelSnapshot::capture(&model).expect("the serving fixture is an MLP");
+    // does per replica at construction.
+    let snapshot = ModelSnapshot::capture(&model).expect("built-in layers capture");
     let prepared = snapshot.prepare(frozen.plan());
     let mut observer = PreparedObserver::new();
 
-    let batch_sizes = [1usize, 4, 16];
     let mut rows = Vec::new();
     let mut steady_state_allocs = 0u64;
+    println!("-- {name}: {} probe rows --", probes.len());
     rule(78);
     println!(
         "{:>6} {:>14} {:>14} {:>8} {:>12} {:>12} {:>6}",
         "batch", "alloc qps", "prepared qps", "speedup", "allocs/b", "prep allocs", "same"
     );
     rule(78);
-    for &bs in &batch_sizes {
+    for &bs in batch_sizes {
         let batches: Vec<&[Tensor]> = probes.chunks(bs).collect();
         let n_batches = batches.len();
 
@@ -164,25 +264,12 @@ pub fn run(cfg: &RunConfig, alloc_count: fn() -> u64) -> ForwardEval {
         });
     }
     rule(78);
-
-    let single_row_speedup = rows
-        .iter()
-        .find(|r| r.batch_size == 1)
-        .map_or(0.0, |r| r.speedup);
     let all_identical = rows.iter().all(|r| r.identical);
-    println!(
-        "[single-row speedup {single_row_speedup:.2}x, steady-state prepared \
-         allocations {steady_state_allocs}, all identical: {all_identical}]"
-    );
-
-    let result = ForwardEval {
-        schema_version: 1,
+    ForwardFixture {
+        model: name.to_owned(),
         workload: probes.len(),
         rows,
         steady_state_allocs,
-        single_row_speedup,
         all_identical,
-    };
-    write_json(&cfg.out_dir, "forward", &result);
-    result
+    }
 }

@@ -10,7 +10,8 @@
 //!   malformed frame is logged, counted, and drops *its own* connection
 //!   — nothing else.
 //! * **Every accepted request is answered.**  "Accepted" means a frame
-//!   decoded into a [`proto::Request`]; from that instant a
+//!   decoded into a [`proto::Request`] before shutdown began (a reader
+//!   stops before accepting once it sees the flag); from that instant a
 //!   [`ResponseGuard`] exists whose destructor writes a typed
 //!   `WorkerLost` rejection if no verdict (or other rejection) was
 //!   written first.  Connection teardown and gateway shutdown both wait
@@ -30,7 +31,7 @@ use naps_sync::thread::{self, JoinHandle};
 use naps_sync::{Arc, Condvar, Mutex};
 use naps_tensor::Tensor;
 use std::collections::HashMap;
-use std::io::Write;
+use std::io::{Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::time::{Duration, Instant};
 
@@ -273,7 +274,11 @@ impl Gateway {
 
     /// Graceful drain: stop accepting connections and frames, answer
     /// every already-accepted request (verdict or typed error), join
-    /// every thread, and return the final counters.
+    /// every thread, and return the final counters.  Each connection
+    /// then reads and drops the frames its peer pipelined past the
+    /// shutdown point before closing, so the close does not reset
+    /// verdicts the peer has not read yet; connections do this in
+    /// parallel, for at most one second each.
     pub fn shutdown(mut self) -> GatewayStats {
         self.shutdown_impl();
         self.stats()
@@ -502,10 +507,14 @@ fn handle_connection(inner: &Arc<Inner>, mut stream: TcpStream, id: u64, peer: S
                 break;
             }
         };
-        serve_request(inner, &conn, req);
+        // Once shutdown begins, stop before accepting: a frame decoded
+        // after the flag is never accepted (the peer sees the connection
+        // close), and everything accepted before it is submitted and
+        // answered with its verdict as it drains below.
         if inner.shutting_down.load(Ordering::SeqCst) {
-            break; // stop reading; anything already accepted drains below
+            break;
         }
+        serve_request(inner, &conn, req);
     }
 
     // Drain: every accepted request resolves its guard (verdict, typed
@@ -520,7 +529,30 @@ fn handle_connection(inner: &Arc<Inner>, mut stream: TcpStream, id: u64, peer: S
         in_flight = guard;
     }
     drop(in_flight);
+    if inner.shutting_down.load(Ordering::SeqCst) {
+        discard_unread(&mut stream);
+    }
     let _ = stream.shutdown(Shutdown::Both);
+}
+
+/// Longest a connection spends discarding unread input at shutdown.
+const DISCARD_LIMIT: Duration = Duration::from_secs(1);
+
+/// Reads and drops whatever the peer pipelined past the shutdown point.
+/// Closing a socket with unread input resets the connection, and a reset
+/// can destroy verdicts already written but not yet read by the peer.
+/// The shutdown sweep shuts this socket's read half (it runs right after
+/// the flag this reader saw), so reads stop at the end of the queued
+/// input; [`DISCARD_LIMIT`] bounds a peer that keeps sending.
+fn discard_unread(stream: &mut TcpStream) {
+    let deadline = Instant::now() + DISCARD_LIMIT;
+    let mut sink = [0u8; 4096];
+    while Instant::now() < deadline {
+        match stream.read(&mut sink) {
+            Ok(0) | Err(_) => break,
+            Ok(_) => {}
+        }
+    }
 }
 
 /// Accepts one decoded request: accounts it, submits it without
@@ -542,10 +574,6 @@ fn serve_request(inner: &Arc<Inner>, conn: &Arc<Conn>, req: Request) {
         // ordering: relaxed — monotone stat counter
         .fetch_add(1, Ordering::Relaxed);
     let guard = ResponseGuard::new(Arc::clone(conn), id, kind);
-    if inner.shutting_down.load(Ordering::SeqCst) {
-        guard.respond(&Response::Rejected(Rejection::ShuttingDown));
-        return;
-    }
     let tensor = Tensor::from_vec(vec![input.len()], input);
     // The guard travels to whichever side ends up answering: into the
     // worker callback on success, back to this thread on a typed

@@ -4,18 +4,15 @@
 //! malformed frame or mid-request disconnect drops one connection and
 //! nothing else; graceful shutdown answers everything accepted.
 
-use naps_core::{GradedQuery, MonitorBuilder};
+use naps_core::GradedQuery;
 use naps_gateway::{
     ClientError, Gateway, GatewayClient, GatewayConfig, Rejection, RequestKind, Response, WireError,
 };
-use naps_nn::{Dense, Layer, Relu, Sequential};
-use naps_serve::{EngineConfig, FrozenMonitor, MonitorEngine};
+use naps_serve::{EngineConfig, MonitorEngine};
 use naps_tensor::Tensor;
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 use std::io::{Read, Write};
 use std::net::TcpStream;
-use std::sync::Arc;
+use std::sync::{mpsc, Arc};
 use std::time::{Duration, Instant};
 
 const CLASSES: usize = 4;
@@ -135,70 +132,21 @@ fn concurrent_soak_loses_nothing_and_matches_in_process_verdicts() {
     assert_eq!(stats.write_errors, 0);
 }
 
-/// An identity layer whose forward pass sleeps — pins the single worker
-/// so the bounded queue observably fills.
-#[derive(Debug)]
-struct SlowLayer {
-    features: usize,
-}
-
-impl Layer for SlowLayer {
-    fn forward(&mut self, x: &Tensor, _train: bool) -> Tensor {
-        // naps-lint: allow(test_flakiness, "simulates a slow model so the bounded queue observably fills; a workload, not a synchronization point")
-        std::thread::sleep(Duration::from_millis(30));
-        x.clone()
-    }
-
-    fn backward(&mut self, grad_out: &Tensor) -> Tensor {
-        grad_out.clone()
-    }
-
-    fn output_len(&self) -> usize {
-        self.features
-    }
-
-    fn label(&self) -> String {
-        "slow".to_owned()
-    }
-
-    fn as_any(&self) -> &dyn std::any::Any {
-        self
-    }
-}
-
-fn slow_model() -> Sequential {
-    let mut rng = StdRng::seed_from_u64(5);
-    Sequential::new(vec![
-        Box::new(SlowLayer { features: 2 }),
-        Box::new(Dense::new(2, 8, &mut rng)),
-        Box::new(Relu::new()),
-        Box::new(Dense::new(8, CLASSES, &mut rng)),
-    ])
-}
-
 #[test]
 fn full_queue_sheds_with_typed_saturated_response() {
-    // One worker judging one request at a time, 30 ms each, queue of 2:
-    // a burst of 16 pipelined requests must shed most of itself.
-    let mut net = slow_model();
-    let xs: Vec<Tensor> = (0..12)
-        .map(|i| Tensor::from_vec(vec![2], vec![(i as f32).cos(), (i as f32).sin()]))
-        .collect();
-    let ys: Vec<usize> = (0..12).map(|i| i % CLASSES).collect();
-    let monitor = MonitorBuilder::new(2, 1).build(&mut net, &xs, &ys, CLASSES);
-    let frozen = FrozenMonitor::shard_by_class(&monitor, 1);
-    let engine = Arc::new(
-        MonitorEngine::with_replicas(
-            frozen,
-            vec![slow_model()],
-            EngineConfig {
-                workers: 1,
-                max_batch: 1,
-                queue_capacity: 2,
-            },
-        )
-        .expect("engine"),
-    );
+    // One worker, a queue of 2: an in-process request whose completion
+    // callback parks the worker pins it, so a burst of 16 pipelined wire
+    // requests must shed most of itself.
+    let (engine, xs) = fixture_engine(1, 2);
+    let (parked_tx, parked) = mpsc::channel();
+    let (release, release_rx) = mpsc::channel::<()>();
+    engine
+        .submit_with(xs[0].clone(), move |_| {
+            let _ = parked_tx.send(());
+            let _ = release_rx.recv();
+        })
+        .expect("submit the parking request");
+    parked.recv().expect("the worker parks");
     let gateway =
         Gateway::bind(Arc::clone(&engine), "127.0.0.1:0", GatewayConfig::default()).expect("bind");
 
@@ -212,6 +160,10 @@ fn full_queue_sheds_with_typed_saturated_response() {
                 .expect("send"),
         );
     }
+    // The head of the burst is queued behind the parked worker; release
+    // it once the full queue has shed.
+    eventually(|| gateway.stats().shed >= 1, "the full queue sheds");
+    drop(release);
     let mut ok = 0usize;
     let mut shed = 0usize;
     let mut seen = Vec::new();

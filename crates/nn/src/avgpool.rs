@@ -5,6 +5,7 @@
 //! monitor targets; having both lets the examples and ablations vary the
 //! backbone without leaving the crate.
 
+use crate::kernels::{self, PoolDims};
 use crate::layer::Layer;
 use naps_tensor::Tensor;
 
@@ -24,10 +25,7 @@ use naps_tensor::Tensor;
 /// ```
 #[derive(Debug, Clone)]
 pub struct AvgPool2d {
-    c: usize,
-    h: usize,
-    w: usize,
-    k: usize,
+    pub(crate) dims: PoolDims,
     last_batch: usize,
 }
 
@@ -38,61 +36,29 @@ impl AvgPool2d {
     ///
     /// Panics if `k` is zero or exceeds the spatial extent.
     pub fn new(c: usize, h: usize, w: usize, k: usize) -> Self {
-        assert!(k > 0 && k <= h && k <= w, "invalid pooling window {k}");
         AvgPool2d {
-            c,
-            h,
-            w,
-            k,
+            dims: PoolDims::new(c, h, w, k),
             last_batch: 0,
         }
     }
 
     /// Pooled output height.
     pub fn out_h(&self) -> usize {
-        self.h / self.k
+        self.dims.out_h()
     }
 
     /// Pooled output width.
     pub fn out_w(&self) -> usize {
-        self.w / self.k
+        self.dims.out_w()
     }
 }
 
 impl Layer for AvgPool2d {
+    // Training and inference pool alike, through the shared kernel.
     fn forward(&mut self, x: &Tensor, _train: bool) -> Tensor {
-        let batch = x.shape()[0];
-        let in_len = self.c * self.h * self.w;
-        assert_eq!(
-            x.shape()[1],
-            in_len,
-            "pool expected {in_len} input features, got {:?}",
-            x.shape()
-        );
-        self.last_batch = batch;
-        let (oh, ow) = (self.out_h(), self.out_w());
-        let out_len = self.c * oh * ow;
-        let inv = 1.0 / (self.k * self.k) as f32;
-        let mut out = Tensor::zeros(vec![batch, out_len]);
-        for s in 0..batch {
-            let row = x.row(s);
-            let orow = &mut out.data_mut()[s * out_len..(s + 1) * out_len];
-            for c in 0..self.c {
-                for oy in 0..oh {
-                    for ox in 0..ow {
-                        let mut sum = 0.0f32;
-                        for dy in 0..self.k {
-                            for dx in 0..self.k {
-                                let y = oy * self.k + dy;
-                                let xx = ox * self.k + dx;
-                                sum += row[c * self.h * self.w + y * self.w + xx];
-                            }
-                        }
-                        orow[c * oh * ow + oy * ow + ox] = sum * inv;
-                    }
-                }
-            }
-        }
+        let mut out = Tensor::default();
+        kernels::avg_pool_into(x, self.dims, &mut out);
+        self.last_batch = x.shape()[0];
         out
     }
 
@@ -100,24 +66,25 @@ impl Layer for AvgPool2d {
         assert!(self.last_batch > 0, "backward called before forward");
         let batch = grad_out.shape()[0];
         assert_eq!(batch, self.last_batch, "batch size changed");
-        let in_len = self.c * self.h * self.w;
+        let PoolDims { c: chans, h, w, k } = self.dims;
+        let in_len = self.dims.in_len();
         let (oh, ow) = (self.out_h(), self.out_w());
-        let out_len = self.c * oh * ow;
+        let out_len = self.dims.out_len();
         assert_eq!(grad_out.shape()[1], out_len, "gradient width mismatch");
-        let inv = 1.0 / (self.k * self.k) as f32;
+        let inv = 1.0 / (k * k) as f32;
         let mut grad_in = Tensor::zeros(vec![batch, in_len]);
         for s in 0..batch {
             let grow = grad_out.row(s);
             let irow = &mut grad_in.data_mut()[s * in_len..(s + 1) * in_len];
-            for c in 0..self.c {
+            for c in 0..chans {
                 for oy in 0..oh {
                     for ox in 0..ow {
                         let g = grow[c * oh * ow + oy * ow + ox] * inv;
-                        for dy in 0..self.k {
-                            for dx in 0..self.k {
-                                let y = oy * self.k + dy;
-                                let xx = ox * self.k + dx;
-                                irow[c * self.h * self.w + y * self.w + xx] += g;
+                        for dy in 0..k {
+                            for dx in 0..k {
+                                let y = oy * k + dy;
+                                let xx = ox * k + dx;
+                                irow[c * h * w + y * w + xx] += g;
                             }
                         }
                     }
@@ -128,11 +95,11 @@ impl Layer for AvgPool2d {
     }
 
     fn output_len(&self) -> usize {
-        self.c * self.out_h() * self.out_w()
+        self.dims.out_len()
     }
 
     fn label(&self) -> String {
-        format!("AvgPool({}x{})", self.k, self.k)
+        format!("AvgPool({}x{})", self.dims.k, self.dims.k)
     }
 
     fn as_any(&self) -> &dyn std::any::Any {

@@ -1,5 +1,6 @@
 //! 2-D convolution lowered to matrix products via `im2col`.
 
+use crate::kernels;
 use crate::layer::{Layer, ParamGrad};
 use naps_tensor::{col2im, im2col_into, xavier_uniform, ConvDims, Tensor};
 use rand::Rng;
@@ -18,22 +19,24 @@ pub struct Conv2d {
     b: Tensor,
     grad_w: Tensor,
     grad_b: Tensor,
-    /// Cached im2col patch matrices, one per sample of the last batch
-    /// (training only — inference reuses the scratch instead).
+    /// Cached im2col patch matrices, one per sample of the last training
+    /// batch (inference runs the shared output-stationary kernel instead).
     cached_patches: Vec<Tensor>,
     /// Reused forward-pass workspace (allocation-free after warm-up).
     scratch: ConvScratch,
 }
 
-/// Per-layer forward scratch: the sample view, its im2col patch matrix,
-/// the GEMM output, and the `w^T` panel packed once per call instead of
-/// once per sample inside `matmul_bt`.
+/// Per-layer forward scratch.  Training: the sample view, its im2col
+/// patch matrix, the GEMM output, and the `w^T` panel packed once per
+/// call instead of once per sample inside `matmul_bt`.  Inference: the
+/// per-sample `im2colᵀ` lowering.
 #[derive(Debug, Clone, Default)]
 struct ConvScratch {
     sample: Tensor,
     patches: Tensor,
     y: Tensor,
     wt: Tensor,
+    lowered: Tensor,
 }
 
 impl Conv2d {
@@ -72,10 +75,68 @@ impl Conv2d {
     pub fn out_len(&self) -> usize {
         self.out_c * self.dims.rows()
     }
+
+    /// A convolution with the given kernel `w` (`[out_c, in_c*k*k]`) and
+    /// bias `b` (`[out_c]`) — e.g. restored from a snapshot.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the kernel does not fit the geometry or the parameter
+    /// shapes disagree with it.
+    pub fn from_parts(dims: ConvDims, w: Tensor, b: Tensor) -> Self {
+        check_parts(dims, &w, &b);
+        let out_c = b.len();
+        Conv2d {
+            dims,
+            out_c,
+            grad_w: Tensor::zeros(w.shape().to_vec()),
+            grad_b: Tensor::zeros(vec![out_c]),
+            w,
+            b,
+            cached_patches: Vec::new(),
+            scratch: ConvScratch::default(),
+        }
+    }
+
+    /// Kernel weights `[out_c, in_c*k*k]`.
+    pub fn weights(&self) -> &Tensor {
+        &self.w
+    }
+
+    /// Bias `[out_c]`.
+    pub fn bias(&self) -> &Tensor {
+        &self.b
+    }
+}
+
+/// Checks a convolution's parameters against its geometry — the
+/// restore and prepare paths run it on snapshot input.
+///
+/// # Panics
+///
+/// Panics if the kernel does not fit the geometry, `b` is not `[out_c]`
+/// or `w` is not `[out_c, in_c*k*k]`.
+pub(crate) fn check_parts(dims: ConvDims, w: &Tensor, b: &Tensor) {
+    dims.validate();
+    let out_c = b.len();
+    assert_eq!(b.shape(), &[out_c], "conv bias must be [out_c]");
+    assert_eq!(
+        w.shape(),
+        &[out_c, dims.cols()],
+        "conv kernel must be [out_c, in_c*k*k] = [{out_c}, {}]",
+        dims.cols()
+    );
 }
 
 impl Layer for Conv2d {
     fn forward(&mut self, x: &Tensor, train: bool) -> Tensor {
+        self.cached_patches.clear();
+        if !train {
+            let mut out = Tensor::default();
+            let lowered = &mut self.scratch.lowered;
+            kernels::conv2d_into(x, self.dims, &self.w, &self.b, lowered, &mut out);
+            return out;
+        }
         let batch = x.shape()[0];
         let in_len = self.dims.in_c * self.dims.in_h * self.dims.in_w;
         assert_eq!(
@@ -86,7 +147,6 @@ impl Layer for Conv2d {
         );
         let rows = self.dims.rows();
         let mut out = Tensor::zeros(vec![batch, self.out_len()]);
-        self.cached_patches.clear();
         // Pack `w^T` once per call — `matmul_bt` would re-pack it per
         // sample.  Same transpose + same GEMM, so bit-identical results.
         self.w.transpose_into(&mut self.scratch.wt);
@@ -108,10 +168,8 @@ impl Layer for Conv2d {
                     dst[base + c * rows + r] = y.at2(r, c) + bias;
                 }
             }
-            if train {
-                // Backward needs each sample's owned patch matrix.
-                self.cached_patches.push(self.scratch.patches.clone());
-            }
+            // Backward needs each sample's owned patch matrix.
+            self.cached_patches.push(self.scratch.patches.clone());
         }
         out
     }

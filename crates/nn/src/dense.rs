@@ -45,9 +45,8 @@ impl Dense {
     ///
     /// Panics if `w` is not `[in, out]` or `b` is not `[out]`.
     pub fn from_parts(w: Tensor, b: Tensor) -> Self {
-        assert_eq!(w.shape().len(), 2, "weights must be 2-D");
+        check_parts(&w, &b);
         let (in_features, out_features) = (w.shape()[0], w.shape()[1]);
-        assert_eq!(b.shape(), &[out_features], "bias must be [out]");
         Dense {
             grad_w: Tensor::zeros(vec![in_features, out_features]),
             grad_b: Tensor::zeros(vec![out_features]),
@@ -78,6 +77,17 @@ impl Dense {
     pub fn out_features(&self) -> usize {
         self.out_features
     }
+}
+
+/// Checks that `w` is `[in, out]` and `b` is `[out]` — the restore and
+/// prepare paths run it on snapshot input.
+///
+/// # Panics
+///
+/// Panics if either shape is wrong.
+pub(crate) fn check_parts(w: &Tensor, b: &Tensor) {
+    assert_eq!(w.shape().len(), 2, "weights must be 2-D");
+    assert_eq!(b.shape(), &[w.shape()[1]], "bias must be [out]");
 }
 
 impl Layer for Dense {

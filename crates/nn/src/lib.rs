@@ -41,6 +41,7 @@ mod avgpool;
 mod conv;
 mod dense;
 mod dropout;
+mod kernels;
 mod layer;
 mod leaky;
 mod loss;

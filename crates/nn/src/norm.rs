@@ -1,5 +1,6 @@
 //! Per-channel batch normalisation (`BN(·)` in the paper's Table I).
 
+use crate::kernels;
 use crate::layer::{Layer, ParamGrad};
 use naps_tensor::Tensor;
 
@@ -12,15 +13,15 @@ use naps_tensor::Tensor;
 #[derive(Debug, Clone)]
 pub struct BatchNorm2d {
     c: usize,
-    hw: usize,
-    eps: f32,
+    pub(crate) hw: usize,
+    pub(crate) eps: f32,
     momentum: f32,
-    gamma: Tensor,
-    beta: Tensor,
+    pub(crate) gamma: Tensor,
+    pub(crate) beta: Tensor,
     grad_gamma: Tensor,
     grad_beta: Tensor,
-    running_mean: Vec<f32>,
-    running_var: Vec<f32>,
+    pub(crate) running_mean: Vec<f32>,
+    pub(crate) running_var: Vec<f32>,
     // Forward cache for backward.
     cached_xhat: Option<Tensor>,
     cached_inv_std: Vec<f32>,
@@ -29,57 +30,113 @@ pub struct BatchNorm2d {
 impl BatchNorm2d {
     /// A batch-norm layer over `c` channels of `h*w`-pixel maps.
     pub fn new(c: usize, h: usize, w: usize) -> Self {
+        Self::from_stats(
+            h * w,
+            1e-5,
+            Tensor::ones(vec![c]),
+            Tensor::zeros(vec![c]),
+            vec![0.0; c],
+            vec![1.0; c],
+        )
+    }
+
+    /// A layer in inference-ready state from its per-channel parameters
+    /// and running statistics (the snapshot restore path).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the per-channel vectors disagree in length.
+    pub(crate) fn from_stats(
+        hw: usize,
+        eps: f32,
+        gamma: Tensor,
+        beta: Tensor,
+        running_mean: Vec<f32>,
+        running_var: Vec<f32>,
+    ) -> Self {
+        check_stats(&gamma, &beta, &running_mean, &running_var);
+        let c = running_mean.len();
         BatchNorm2d {
             c,
-            hw: h * w,
-            eps: 1e-5,
+            hw,
+            eps,
             momentum: 0.1,
-            gamma: Tensor::ones(vec![c]),
-            beta: Tensor::zeros(vec![c]),
+            gamma,
+            beta,
             grad_gamma: Tensor::zeros(vec![c]),
             grad_beta: Tensor::zeros(vec![c]),
-            running_mean: vec![0.0; c],
-            running_var: vec![1.0; c],
+            running_mean,
+            running_var,
             cached_xhat: None,
             cached_inv_std: vec![0.0; c],
         }
     }
 }
 
+/// Checks that `gamma` and `beta` are `[c]` and `running_var` has `c`
+/// entries, `c = running_mean.len()` — the restore and prepare paths run
+/// it on snapshot input.
+///
+/// # Panics
+///
+/// Panics if any of them disagrees.
+pub(crate) fn check_stats(
+    gamma: &Tensor,
+    beta: &Tensor,
+    running_mean: &[f32],
+    running_var: &[f32],
+) {
+    let c = running_mean.len();
+    assert_eq!(gamma.shape(), &[c], "batch-norm gamma must be [c] = [{c}]");
+    assert_eq!(beta.shape(), &[c], "batch-norm beta must be [c] = [{c}]");
+    assert_eq!(
+        running_var.len(),
+        c,
+        "batch-norm running variance must have c = {c} entries"
+    );
+}
+
 impl Layer for BatchNorm2d {
     fn forward(&mut self, x: &Tensor, train: bool) -> Tensor {
-        let batch = x.shape()[0];
+        if !train {
+            for (inv, &var) in self.cached_inv_std.iter_mut().zip(&self.running_var) {
+                *inv = kernels::inv_std(var, self.eps);
+            }
+            // Backward needs a training pass's batch statistics.
+            self.cached_xhat = None;
+            let mut out = Tensor::default();
+            kernels::batch_norm_into(
+                x,
+                self.hw,
+                &self.running_mean,
+                &self.cached_inv_std,
+                self.gamma.data(),
+                self.beta.data(),
+                &mut out,
+            );
+            return out;
+        }
         let in_len = self.c * self.hw;
-        assert_eq!(
-            x.shape()[1],
-            in_len,
-            "batchnorm expected {in_len} input features, got {:?}",
-            x.shape()
-        );
+        let batch = kernels::batch_of(x, in_len, "batchnorm");
         let m = (batch * self.hw) as f32;
         let mut out = x.clone();
         let mut xhat = Tensor::zeros(vec![batch, in_len]);
         for ch in 0..self.c {
-            let (mean, var) = if train {
-                let mut sum = 0.0f32;
-                let mut sq = 0.0f32;
-                for s in 0..batch {
-                    for &v in &x.row(s)[ch * self.hw..(ch + 1) * self.hw] {
-                        sum += v;
-                        sq += v * v;
-                    }
+            let mut sum = 0.0f32;
+            let mut sq = 0.0f32;
+            for s in 0..batch {
+                for &v in &x.row(s)[ch * self.hw..(ch + 1) * self.hw] {
+                    sum += v;
+                    sq += v * v;
                 }
-                let mean = sum / m;
-                let var = (sq / m - mean * mean).max(0.0);
-                self.running_mean[ch] =
-                    (1.0 - self.momentum) * self.running_mean[ch] + self.momentum * mean;
-                self.running_var[ch] =
-                    (1.0 - self.momentum) * self.running_var[ch] + self.momentum * var;
-                (mean, var)
-            } else {
-                (self.running_mean[ch], self.running_var[ch])
-            };
-            let inv_std = 1.0 / (var + self.eps).sqrt();
+            }
+            let mean = sum / m;
+            let var = (sq / m - mean * mean).max(0.0);
+            self.running_mean[ch] =
+                (1.0 - self.momentum) * self.running_mean[ch] + self.momentum * mean;
+            self.running_var[ch] =
+                (1.0 - self.momentum) * self.running_var[ch] + self.momentum * var;
+            let inv_std = kernels::inv_std(var, self.eps);
             self.cached_inv_std[ch] = inv_std;
             let g = self.gamma.data()[ch];
             let b = self.beta.data()[ch];

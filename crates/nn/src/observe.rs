@@ -7,15 +7,14 @@
 //! on a serving hot path where only the monitored layers matter.  An
 //! [`ObservationPlan`] names the layers to keep, and
 //! [`Sequential::forward_observe_plan`](crate::Sequential::forward_observe_plan)
-//! /
-//! [`ModelSnapshot::forward_observe_plan`](crate::ModelSnapshot::forward_observe_plan)
-//! run one packed forward pass that retains **only** those layers'
+//! runs one packed forward pass that retains **only** those layers'
 //! outputs (plus the logits): no unobserved layer's activation is ever
 //! retained, so the live set is the planned layers plus the one tensor
-//! currently flowing — not the whole depth of the network.
+//! currently flowing — not the whole depth of the network.  Serving
+//! runs the same plan through [`crate::PreparedModel`], allocation-free
+//! and bit-identical to this path.
 
 use crate::sequential::Sequential;
-use crate::serialize::{LayerSnapshot, ModelSnapshot};
 use naps_tensor::Tensor;
 
 /// A sorted, deduplicated set of layer indices whose activations a
@@ -62,8 +61,8 @@ impl ObservationPlan {
         self.layers.is_empty()
     }
 
-    /// Position of `layer` in the observed-output list returned by the
-    /// `forward_observe_plan` methods, `None` when the layer is not in
+    /// Position of `layer` in the observed-output list of a planned
+    /// forward pass, `None` when the layer is not in
     /// the plan.
     pub fn position(&self, layer: usize) -> Option<usize> {
         self.layers.binary_search(&layer).ok()
@@ -139,86 +138,6 @@ impl Sequential {
     }
 }
 
-impl ModelSnapshot {
-    /// The stateless counterpart of
-    /// [`Sequential::forward_observe_plan`]: runs the snapshotted
-    /// network on a batch through `&self` — no activation caches are
-    /// written, so one snapshot can serve any number of threads without
-    /// replication — and keeps only the planned layers' outputs plus the
-    /// logits.
-    ///
-    /// Inference-time semantics are bit-identical to restoring the
-    /// snapshot and calling the `Sequential` path with `train = false`
-    /// (dropout is inert, so the layer is an identity here).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the plan names a layer `>= self.layers.len()`.
-    pub fn forward_observe_plan(
-        &self,
-        x: &Tensor,
-        plan: &ObservationPlan,
-    ) -> (Vec<Tensor>, Tensor) {
-        if let Some(deepest) = plan.max_layer() {
-            assert!(
-                deepest < self.layers.len(),
-                "plan observes layer {deepest} of a {}-layer snapshot",
-                self.layers.len()
-            );
-        }
-        if self.layers.is_empty() {
-            return (Vec::new(), x.clone());
-        }
-        let mut observed: Vec<Tensor> = Vec::with_capacity(plan.len());
-        // As in the live path: the input is borrowed until the first layer
-        // produces an owned output — no upfront clone of the batch.
-        let mut carry: Option<Tensor> = None;
-        for (i, layer) in self.layers.iter().enumerate() {
-            let input = carry.as_ref().or_else(|| observed.last()).unwrap_or(x);
-            let out = snapshot_layer_forward(layer, input);
-            if plan.observes(i) {
-                carry = None;
-                observed.push(out);
-            } else {
-                carry = Some(out);
-            }
-        }
-        let logits = match carry {
-            Some(t) => t,
-            // naps-lint: allow(typed_errors, "carry is None only when the final layer was observed, i.e. its output was pushed onto observed")
-            None => observed.last().cloned().expect("observed last layer"),
-        };
-        (observed, logits)
-    }
-}
-
-/// Inference-mode forward of one snapshotted layer, matching the live
-/// layer's `forward(.., train = false)` arithmetic exactly.
-fn snapshot_layer_forward(layer: &LayerSnapshot, x: &Tensor) -> Tensor {
-    match layer {
-        LayerSnapshot::Dense { w, b } => {
-            let mut y = x.matmul(w);
-            let out = w.shape()[1];
-            let bias = b.data();
-            for r in 0..y.shape()[0] {
-                let row = &mut y.data_mut()[r * out..(r + 1) * out];
-                for (v, &bv) in row.iter_mut().zip(bias) {
-                    *v += bv;
-                }
-            }
-            y
-        }
-        LayerSnapshot::Relu => x.map(|v| v.max(0.0)),
-        LayerSnapshot::LeakyRelu { slope } => {
-            let slope = *slope;
-            x.map(move |v| if v > 0.0 { v } else { slope * v })
-        }
-        // Dropout is inert at inference; Flatten never reshapes (data is
-        // already flat `[batch, features]`).
-        LayerSnapshot::Dropout { .. } | LayerSnapshot::Flatten { .. } => x.clone(),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -268,49 +187,6 @@ mod tests {
             net.forward_observe_plan(&x, &ObservationPlan::single(last), false);
         assert_eq!(observed.len(), 1);
         assert_eq!(observed[0], logits);
-    }
-
-    #[test]
-    fn snapshot_plan_matches_live_model() {
-        let mut net = net();
-        let snap = ModelSnapshot::capture(&net).expect("MLP captures");
-        let x = Tensor::from_vec(vec![2, 3], vec![1.0, -0.5, 0.25, -2.0, 0.75, 0.0]);
-        for layers in [vec![1], vec![1, 3], vec![0, 4]] {
-            let plan = ObservationPlan::new(layers);
-            let (live_obs, live_logits) = net.forward_observe_plan(&x, &plan, false);
-            let (snap_obs, snap_logits) = snap.forward_observe_plan(&x, &plan);
-            assert_eq!(live_obs, snap_obs);
-            assert_eq!(live_logits, snap_logits);
-        }
-    }
-
-    #[test]
-    fn snapshot_plan_covers_every_layer_variant() {
-        use crate::dense::Dense;
-        use crate::dropout::Dropout;
-        use crate::layer::{Flatten, Layer};
-        use crate::leaky::LeakyRelu;
-        let layers: Vec<Box<dyn Layer>> = vec![
-            Box::new(Flatten::new(2)),
-            Box::new(Dense::from_parts(
-                Tensor::from_vec(vec![2, 3], vec![1., -1., 0.5, 0.25, 2., -0.75]),
-                Tensor::from_vec(vec![3], vec![0.1, -0.2, 0.3]),
-            )),
-            Box::new(LeakyRelu::new(0.1)),
-            Box::new(Dropout::new(0.4, 3)),
-            Box::new(Dense::from_parts(
-                Tensor::from_vec(vec![3, 2], vec![1., 0., -1., 2., 0.5, 0.5]),
-                Tensor::zeros(vec![2]),
-            )),
-        ];
-        let mut net = Sequential::new(layers);
-        let snap = ModelSnapshot::capture(&net).expect("captures");
-        let x = Tensor::from_vec(vec![2, 2], vec![0.6, -1.4, 2.2, 0.0]);
-        let plan = ObservationPlan::new(vec![0, 1, 2, 3, 4]);
-        let (live_obs, live_logits) = net.forward_observe_plan(&x, &plan, false);
-        let (snap_obs, snap_logits) = snap.forward_observe_plan(&x, &plan);
-        assert_eq!(live_obs, snap_obs);
-        assert_eq!(live_logits, snap_logits);
     }
 
     #[test]

@@ -1,16 +1,14 @@
 //! Non-overlapping max pooling (`MaxPool` in the paper's Table I).
 
+use crate::kernels::{self, PoolDims};
 use crate::layer::Layer;
 use naps_tensor::{max_pool2d, max_pool2d_backward, Tensor};
 
 /// 2-D max pooling with window = stride = `k` over `[c, h, w]` feature maps.
 #[derive(Debug, Clone)]
 pub struct MaxPool2d {
-    c: usize,
-    h: usize,
-    w: usize,
-    k: usize,
-    /// Per-sample argmax indices from the last forward pass.
+    pub(crate) dims: PoolDims,
+    /// Per-sample argmax indices from the last training forward pass.
     cached_argmax: Vec<Vec<usize>>,
 }
 
@@ -21,43 +19,38 @@ impl MaxPool2d {
     ///
     /// Panics if `k` is zero or exceeds the spatial extent.
     pub fn new(c: usize, h: usize, w: usize, k: usize) -> Self {
-        assert!(k > 0 && k <= h && k <= w, "invalid pooling window {k}");
         MaxPool2d {
-            c,
-            h,
-            w,
-            k,
+            dims: PoolDims::new(c, h, w, k),
             cached_argmax: Vec::new(),
         }
     }
 
     /// Pooled output height.
     pub fn out_h(&self) -> usize {
-        self.h / self.k
+        self.dims.out_h()
     }
 
     /// Pooled output width.
     pub fn out_w(&self) -> usize {
-        self.w / self.k
+        self.dims.out_w()
     }
 }
 
 impl Layer for MaxPool2d {
-    fn forward(&mut self, x: &Tensor, _train: bool) -> Tensor {
-        let batch = x.shape()[0];
-        let in_len = self.c * self.h * self.w;
-        assert_eq!(
-            x.shape()[1],
-            in_len,
-            "pool expected {in_len} input features, got {:?}",
-            x.shape()
-        );
-        let out_len = self.c * self.out_h() * self.out_w();
-        let mut out = Tensor::zeros(vec![batch, out_len]);
+    fn forward(&mut self, x: &Tensor, train: bool) -> Tensor {
         self.cached_argmax.clear();
+        if !train {
+            let mut out = Tensor::default();
+            kernels::max_pool_into(x, self.dims, &mut out);
+            return out;
+        }
+        let PoolDims { c, h, w, k } = self.dims;
+        let batch = kernels::batch_of(x, self.dims.in_len(), "pool");
+        let out_len = self.dims.out_len();
+        let mut out = Tensor::zeros(vec![batch, out_len]);
         for s in 0..batch {
-            let sample = Tensor::from_vec(vec![self.c, self.h, self.w], x.row(s).to_vec());
-            let (pooled, arg) = max_pool2d(&sample, self.c, self.h, self.w, self.k);
+            let sample = Tensor::from_vec(vec![c, h, w], x.row(s).to_vec());
+            let (pooled, arg) = max_pool2d(&sample, c, h, w, k);
             out.data_mut()[s * out_len..(s + 1) * out_len].copy_from_slice(pooled.data());
             self.cached_argmax.push(arg);
         }
@@ -71,8 +64,7 @@ impl Layer for MaxPool2d {
         );
         let batch = grad_out.shape()[0];
         assert_eq!(batch, self.cached_argmax.len(), "batch size changed");
-        let in_len = self.c * self.h * self.w;
-        let out_len = self.c * self.out_h() * self.out_w();
+        let (in_len, out_len) = (self.dims.in_len(), self.dims.out_len());
         let mut grad_in = Tensor::zeros(vec![batch, in_len]);
         for s in 0..batch {
             let g = Tensor::from_vec(vec![out_len], grad_out.row(s).to_vec());
@@ -83,7 +75,7 @@ impl Layer for MaxPool2d {
     }
 
     fn output_len(&self) -> usize {
-        self.c * self.out_h() * self.out_w()
+        self.dims.out_len()
     }
 
     fn label(&self) -> String {

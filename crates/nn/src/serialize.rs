@@ -3,17 +3,24 @@
 //! the companion of [`naps_core`-style] monitor snapshots, so a monitored
 //! network ships as two JSON files.
 //!
-//! Convolutional models are supported through their full parameter set;
-//! stateful training caches are not captured (snapshots restore in
-//! inference-ready state).
+//! Every built-in layer is supported — dense, convolution, max/average
+//! pooling, batch norm (with its running statistics), the activations,
+//! dropout and flatten — so both of the paper's networks round-trip.
+//! Stateful training caches are not captured: snapshots restore in
+//! inference-ready state.  A custom [`Layer`] implementation cannot be
+//! captured ([`SnapshotError::UnsupportedLayer`]).
 
+use crate::avgpool::AvgPool2d;
+use crate::conv::Conv2d;
 use crate::dense::Dense;
 use crate::dropout::Dropout;
 use crate::layer::{Flatten, Layer};
 use crate::leaky::LeakyRelu;
+use crate::norm::BatchNorm2d;
+use crate::pool::MaxPool2d;
 use crate::relu::Relu;
 use crate::sequential::Sequential;
-use naps_tensor::Tensor;
+use naps_tensor::{ConvDims, Tensor};
 use serde::{Deserialize, Serialize};
 use std::error::Error;
 use std::fmt;
@@ -46,9 +53,78 @@ pub enum LayerSnapshot {
         /// Features per sample.
         features: usize,
     },
+    /// 2-D convolution, no padding.
+    Conv2d {
+        /// Input geometry, kernel side and stride.
+        dims: ConvDims,
+        /// Kernel `[out_c, in_c*k*k]`.
+        w: Tensor,
+        /// Bias `[out_c]`.
+        b: Tensor,
+    },
+    /// Max pooling of `[c, h, w]` maps with window = stride = `k`.
+    MaxPool2d {
+        /// Channels.
+        c: usize,
+        /// Map height.
+        h: usize,
+        /// Map width.
+        w: usize,
+        /// Window side length.
+        k: usize,
+    },
+    /// Average pooling of `[c, h, w]` maps with window = stride = `k`.
+    AvgPool2d {
+        /// Channels.
+        c: usize,
+        /// Map height.
+        h: usize,
+        /// Map width.
+        w: usize,
+        /// Window side length.
+        k: usize,
+    },
+    /// Batch norm over `c` channels of `hw`-pixel maps, with the running
+    /// statistics inference normalises by.
+    BatchNorm2d {
+        /// Pixels per channel map.
+        hw: usize,
+        /// Variance stabiliser.
+        eps: f32,
+        /// Per-channel scale `[c]`.
+        gamma: Tensor,
+        /// Per-channel shift `[c]`.
+        beta: Tensor,
+        /// Per-channel running mean.
+        running_mean: Vec<f32>,
+        /// Per-channel running variance.
+        running_var: Vec<f32>,
+    },
 }
 
-/// A serialisable description of an MLP-style [`Sequential`].
+impl LayerSnapshot {
+    /// The input width this layer fixes, `None` for width-preserving
+    /// layers (activations, dropout) that take any width.
+    pub(crate) fn input_len(&self) -> Option<usize> {
+        match self {
+            LayerSnapshot::Dense { w, .. } => Some(w.shape()[0]),
+            LayerSnapshot::Flatten { features } => Some(*features),
+            LayerSnapshot::Conv2d { dims, .. } => Some(dims.in_c * dims.in_h * dims.in_w),
+            LayerSnapshot::MaxPool2d { c, h, w, .. } | LayerSnapshot::AvgPool2d { c, h, w, .. } => {
+                Some(c * h * w)
+            }
+            LayerSnapshot::BatchNorm2d {
+                hw, running_mean, ..
+            } => Some(running_mean.len() * hw),
+            LayerSnapshot::Relu
+            | LayerSnapshot::LeakyRelu { .. }
+            | LayerSnapshot::Dropout { .. } => None,
+        }
+    }
+}
+
+/// A serialisable description of a [`Sequential`] built from the
+/// crate's layers.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct ModelSnapshot {
     /// Layer descriptions in order.
@@ -59,8 +135,8 @@ pub struct ModelSnapshot {
 #[derive(Debug, Clone, PartialEq, Eq)]
 #[non_exhaustive]
 pub enum SnapshotError {
-    /// The model contains a layer type the snapshot format cannot express
-    /// (e.g. convolution, pooling, batch norm).
+    /// The model contains a layer type the snapshot format cannot express:
+    /// a custom [`Layer`] implementation outside this crate.
     UnsupportedLayer {
         /// The layer's label.
         label: String,
@@ -82,13 +158,12 @@ impl fmt::Display for SnapshotError {
 impl Error for SnapshotError {}
 
 impl ModelSnapshot {
-    /// Captures an MLP-style model (Dense / ReLU / LeakyReLU / Dropout /
-    /// Flatten layers).
+    /// Captures a model built from the crate's layers.
     ///
     /// # Errors
     ///
-    /// Returns [`SnapshotError::UnsupportedLayer`] for convolutional or
-    /// normalisation layers; snapshot those models with custom tooling.
+    /// Returns [`SnapshotError::UnsupportedLayer`] for a custom [`Layer`]
+    /// implementation.
     pub fn capture(model: &Sequential) -> Result<Self, SnapshotError> {
         let mut layers = Vec::with_capacity(model.len());
         for i in 0..model.len() {
@@ -109,9 +184,38 @@ impl ModelSnapshot {
                 LayerSnapshot::Flatten {
                     features: f.output_len(),
                 }
+            } else if let Some(c) = any.downcast_ref::<Conv2d>() {
+                LayerSnapshot::Conv2d {
+                    dims: c.dims(),
+                    w: c.weights().clone(),
+                    b: c.bias().clone(),
+                }
+            } else if let Some(p) = any.downcast_ref::<MaxPool2d>() {
+                let d = p.dims;
+                LayerSnapshot::MaxPool2d {
+                    c: d.c,
+                    h: d.h,
+                    w: d.w,
+                    k: d.k,
+                }
+            } else if let Some(p) = any.downcast_ref::<AvgPool2d>() {
+                let d = p.dims;
+                LayerSnapshot::AvgPool2d {
+                    c: d.c,
+                    h: d.h,
+                    w: d.w,
+                    k: d.k,
+                }
+            } else if let Some(n) = any.downcast_ref::<BatchNorm2d>() {
+                LayerSnapshot::BatchNorm2d {
+                    hw: n.hw,
+                    eps: n.eps,
+                    gamma: n.gamma.clone(),
+                    beta: n.beta.clone(),
+                    running_mean: n.running_mean.clone(),
+                    running_var: n.running_var.clone(),
+                }
             } else {
-                // Conv2d, MaxPool2d, BatchNorm2d and any future stateful
-                // layer fall through here.
                 return Err(SnapshotError::UnsupportedLayer {
                     label: layer.label(),
                     index: i,
@@ -137,6 +241,30 @@ impl ModelSnapshot {
                     LayerSnapshot::LeakyRelu { slope } => Box::new(LeakyRelu::new(*slope)),
                     LayerSnapshot::Dropout { p } => Box::new(Dropout::new(*p, 0)),
                     LayerSnapshot::Flatten { features } => Box::new(Flatten::new(*features)),
+                    LayerSnapshot::Conv2d { dims, w, b } => {
+                        Box::new(Conv2d::from_parts(*dims, w.clone(), b.clone()))
+                    }
+                    LayerSnapshot::MaxPool2d { c, h, w, k } => {
+                        Box::new(MaxPool2d::new(*c, *h, *w, *k))
+                    }
+                    LayerSnapshot::AvgPool2d { c, h, w, k } => {
+                        Box::new(AvgPool2d::new(*c, *h, *w, *k))
+                    }
+                    LayerSnapshot::BatchNorm2d {
+                        hw,
+                        eps,
+                        gamma,
+                        beta,
+                        running_mean,
+                        running_var,
+                    } => Box::new(BatchNorm2d::from_stats(
+                        *hw,
+                        *eps,
+                        gamma.clone(),
+                        beta.clone(),
+                        running_mean.clone(),
+                        running_var.clone(),
+                    )),
                 }
             })
             .collect();
@@ -184,13 +312,95 @@ mod tests {
         assert_eq!(restored.forward(&x, false), net.forward(&x, false));
     }
 
+    /// Both of the paper's networks survive capture → JSON → restore with
+    /// bit-identical inference outputs (batch-norm running statistics
+    /// included).
     #[test]
-    fn conv_models_are_rejected_with_context() {
+    fn paper_networks_roundtrip_through_json_bit_for_bit() {
         let mut rng = StdRng::seed_from_u64(1);
-        let net = crate::models::mnist_net(&mut rng);
-        let err = ModelSnapshot::capture(&net).expect_err("conv unsupported");
+        let mut gtsrb = crate::models::gtsrb_net(&mut rng);
+        // Move the BN running statistics off their defaults.
+        let _ = gtsrb.forward(&Tensor::randn(vec![2, 3 * 32 * 32], 1.0, &mut rng), true);
+        for (mut net, width) in [(crate::models::mnist_net(&mut rng), 28 * 28), (gtsrb, 3072)] {
+            let snap = ModelSnapshot::capture(&net).expect("capture");
+            let json = serde_json::to_string(&snap).expect("serialize");
+            let back: ModelSnapshot = serde_json::from_str(&json).expect("deserialize");
+            let mut restored = back.restore();
+            assert_eq!(restored.summary(), net.summary());
+            let x = Tensor::randn(vec![2, width], 1.0, &mut rng);
+            let (want, got) = (net.forward(&x, false), restored.forward(&x, false));
+            assert_eq!(want.shape(), got.shape());
+            assert!(
+                want.data()
+                    .iter()
+                    .zip(got.data())
+                    .all(|(a, b)| a.to_bits() == b.to_bits()),
+                "restored {} diverged",
+                net.summary()
+            );
+        }
+    }
+
+    /// A layer from outside the crate cannot be captured.
+    #[derive(Debug)]
+    struct Custom;
+
+    impl Layer for Custom {
+        fn forward(&mut self, x: &Tensor, _train: bool) -> Tensor {
+            x.clone()
+        }
+
+        fn backward(&mut self, grad_out: &Tensor) -> Tensor {
+            grad_out.clone()
+        }
+
+        fn output_len(&self) -> usize {
+            4
+        }
+
+        fn label(&self) -> String {
+            "custom".to_owned()
+        }
+
+        fn as_any(&self) -> &dyn std::any::Any {
+            self
+        }
+    }
+
+    #[test]
+    fn custom_layers_are_rejected_with_context() {
+        let net = Sequential::new(vec![Box::new(Relu::new()), Box::new(Custom)]);
+        let err = ModelSnapshot::capture(&net).expect_err("custom layer unsupported");
         let SnapshotError::UnsupportedLayer { label, index } = err;
-        assert_eq!(index, 0);
-        assert!(label.contains("conv"));
+        assert_eq!((label.as_str(), index), ("custom", 1));
+    }
+
+    /// A batch-norm snapshot whose running variance is one channel short.
+    const SHORT_BN_JSON: &str = r#"{"layers":[{"BatchNorm2d":{"hw":4,"eps":1e-5,"gamma":{"shape":[2],"data":[1.0,1.0]},"beta":{"shape":[2],"data":[0.0,0.0]},"running_mean":[0.0,0.0],"running_var":[1.0]}}]}"#;
+
+    /// Malformed snapshot input fails when it is restored, not at the
+    /// first forward pass.
+    #[test]
+    #[should_panic(expected = "running variance must have c = 2 entries")]
+    fn mismatched_batch_norm_stats_fail_at_restore() {
+        let snap: ModelSnapshot = serde_json::from_str(SHORT_BN_JSON).expect("well-formed JSON");
+        let _ = snap.restore();
+    }
+
+    #[test]
+    #[should_panic(expected = "running variance must have c = 2 entries")]
+    fn mismatched_batch_norm_stats_fail_at_prepare() {
+        let snap: ModelSnapshot = serde_json::from_str(SHORT_BN_JSON).expect("well-formed JSON");
+        let _ = snap.prepare(&crate::ObservationPlan::new(vec![0]));
+    }
+
+    /// Snapshots written before the spatial variants existed still load.
+    #[test]
+    fn dense_only_snapshot_json_still_loads() {
+        let json = r#"{"layers":[{"Dense":{"w":{"shape":[2,1],"data":[1.0,-2.0]},"b":{"shape":[1],"data":[0.5]}}},"Relu",{"Flatten":{"features":1}}]}"#;
+        let snap: ModelSnapshot = serde_json::from_str(json).expect("legacy JSON loads");
+        let mut net = snap.restore();
+        let y = net.forward(&Tensor::from_vec(vec![1, 2], vec![3.0, 1.0]), false);
+        assert_eq!(y.data(), &[1.5]);
     }
 }

@@ -2,9 +2,11 @@
 //! correctness against finite differences on random layer configurations,
 //! loss invariants, and training-loop sanity.
 
-use naps_nn::{softmax, softmax_cross_entropy, Dense, Layer, Relu};
-use naps_tensor::Tensor;
+use naps_nn::{softmax, softmax_cross_entropy, Conv2d, Dense, Layer, MaxPool2d, Relu};
+use naps_tensor::{ConvDims, Tensor};
 use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 
 fn finite_vec(n: usize) -> impl Strategy<Value = Vec<f32>> {
     proptest::collection::vec(-2.0f32..2.0, n)
@@ -108,7 +110,6 @@ proptest! {
         m in 1usize..4, k in 1usize..4, n in 1usize..4,
         seed in 0u64..1000,
     ) {
-        use rand::{rngs::StdRng, SeedableRng};
         let mut rng = StdRng::seed_from_u64(seed);
         let a = Tensor::randn(vec![m, k], 1.0, &mut rng);
         let b = Tensor::randn(vec![k, n], 1.0, &mut rng);
@@ -197,5 +198,71 @@ proptest! {
         for v in &var {
             prop_assert!(v.abs() < 1e-4, "constant batch must have zero variance");
         }
+    }
+}
+
+/// `n` values from `rng`, each an exact zero with probability `zeros`
+/// and uniform in `[-2, 2)` otherwise.
+fn sparse(n: usize, zeros: f64, rng: &mut StdRng) -> Vec<f32> {
+    (0..n)
+        .map(|_| {
+            if rng.gen_bool(zeros) {
+                0.0
+            } else {
+                rng.gen_range(-2.0f32..2.0)
+            }
+        })
+        .collect()
+}
+
+fn bits(t: &Tensor) -> Vec<u32> {
+    t.data().iter().map(|v| v.to_bits()).collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// Inference convolution (output-stationary: `W @ im2colᵀ` straight
+    /// into the channel-major output) is bit-identical to the training
+    /// forward pass (`patches @ Wᵀ` plus a transposed scatter) — the same
+    /// ascending-`p` sum of the same products per output element — over
+    /// random geometry, strides, channel counts and batch sizes, with
+    /// about half the inputs and a quarter of the weights exact zeros.
+    #[test]
+    fn output_stationary_conv_matches_training_forward(
+        shape in (1usize..4, 1usize..5, 1usize..4, 1usize..5),
+        margin in (0usize..6, 0usize..6, 1usize..4),
+        seed in any::<u64>(),
+    ) {
+        let (in_c, k, s, out_c) = shape;
+        let (extra_h, extra_w, batch) = margin;
+        let dims = ConvDims { in_c, in_h: k + extra_h, in_w: k + extra_w, k, s };
+        let mut rng = StdRng::seed_from_u64(seed);
+        let w = Tensor::from_vec(vec![out_c, dims.cols()], sparse(out_c * dims.cols(), 0.25, &mut rng));
+        let b = Tensor::from_vec(vec![out_c], sparse(out_c, 0.25, &mut rng));
+        let mut conv = Conv2d::from_parts(dims, w, b);
+        let in_len = in_c * dims.in_h * dims.in_w;
+        let x = Tensor::from_vec(vec![batch, in_len], sparse(batch * in_len, 0.5, &mut rng));
+        let trained = conv.forward(&x, true);
+        let served = conv.forward(&x, false);
+        prop_assert_eq!(served.shape(), trained.shape());
+        prop_assert_eq!(bits(&served), bits(&trained), "{:?} out_c {} batch {}", dims, out_c, batch);
+    }
+
+    /// Allocation-free inference max pooling equals the argmax-recording
+    /// training pass bit-for-bit.
+    #[test]
+    fn inference_max_pool_matches_training_forward(
+        shape in (1usize..4, 1usize..4, 0usize..5, 0usize..5),
+        batch in 1usize..4,
+        seed in any::<u64>(),
+    ) {
+        let (c, k, extra_h, extra_w) = shape;
+        let (h, w) = (k + extra_h, k + extra_w);
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut pool = MaxPool2d::new(c, h, w, k);
+        let x = Tensor::from_vec(vec![batch, c * h * w], sparse(batch * c * h * w, 0.5, &mut rng));
+        let trained = pool.forward(&x, true);
+        prop_assert_eq!(bits(&pool.forward(&x, false)), bits(&trained));
     }
 }

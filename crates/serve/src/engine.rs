@@ -22,8 +22,8 @@
 //! * **Thread safety.** Workers share one immutable
 //!   [`FrozenLayeredMonitor`] (`Arc`; per-class zones are
 //!   `Arc<FrozenZone>` snapshots) — reads take no lock.  The only mutable
-//!   state per worker is its own model replica (forward passes cache
-//!   activations, hence `&mut`).
+//!   state per worker is its own forward-pass scratch, reused across
+//!   micro-batches beside its prepared model replica.
 //! * **Multi-layer.** The engine always serves the layered family; an
 //!   engine built from a single [`Monitor`] is the `N = 1` special case.
 //!   One [`naps_core::batch::ObservationPlan`]-driven forward pass per
@@ -44,12 +44,14 @@
 //!   `queue_capacity`: [`MonitorEngine::submit`] blocks for space,
 //!   [`MonitorEngine::try_submit`] returns
 //!   [`SubmitError::Saturated`] instead.
-//! * **Equivalence.** Every path funnels through the same
-//!   `pack_batch` → `forward_observe_plan` → shard-lookup pipeline as
-//!   the sequential [`naps_core::Monitor::check_batch`] /
-//!   [`naps_core::LayeredMonitor::check_batch`], so verdicts are
-//!   bit-identical to sequential checking regardless of how requests
-//!   interleave (asserted by the crate's concurrency tests).
+//! * **Equivalence.** Workers run the prepared, allocation-free forward
+//!   pass ([`naps_nn::PreparedModel`]), which is bit-identical to the
+//!   `pack_batch` → `forward_observe_plan` pipeline of the sequential
+//!   [`naps_core::Monitor::check_batch`] /
+//!   [`naps_core::LayeredMonitor::check_batch`], and share the same
+//!   shard lookups, so verdicts are bit-identical to sequential checking
+//!   regardless of how requests interleave (asserted by the crate's
+//!   concurrency tests).
 //!
 //! [`FrozenZone`]: crate::FrozenZone
 
@@ -58,7 +60,7 @@ use naps_core::{
     BddZone, DriftConfig, DriftDetector, DriftStatus, GradedQuery, GradedReport, LayeredMonitor,
     Monitor, MonitorReport, Verdict,
 };
-use naps_nn::{ModelSnapshot, Sequential, SnapshotError};
+use naps_nn::{ModelSnapshot, PreparedModel, Sequential, SnapshotError};
 use naps_sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use naps_sync::thread::JoinHandle;
 use naps_sync::{mpsc, Arc, Condvar, Mutex};
@@ -69,7 +71,7 @@ use std::error::Error;
 use std::fmt;
 
 mod worker;
-use worker::{worker_loop, WorkerGuard, WorkerModel};
+use worker::{worker_loop, WorkerGuard};
 
 /// Sizing knobs of a [`MonitorEngine`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -97,9 +99,10 @@ impl Default for EngineConfig {
 #[derive(Debug)]
 #[non_exhaustive]
 pub enum EngineError {
-    /// The model contains a layer [`ModelSnapshot`] cannot replicate
-    /// (e.g. convolution); provide per-worker replicas via
-    /// [`MonitorEngine::with_replicas`] instead.
+    /// The model contains a layer [`ModelSnapshot`] cannot capture — a
+    /// custom [`naps_nn::Layer`] implementation.  The engine serves every
+    /// model through the prepared, allocation-free forward pass, which
+    /// covers exactly the built-in layers.
     UnsupportedModel(SnapshotError),
     /// A sizing knob is zero.
     InvalidConfig(&'static str),
@@ -126,7 +129,7 @@ pub enum EngineError {
 impl fmt::Display for EngineError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            EngineError::UnsupportedModel(e) => write!(f, "cannot replicate model: {e}"),
+            EngineError::UnsupportedModel(e) => write!(f, "cannot serve model: {e}"),
             EngineError::InvalidConfig(what) => write!(f, "invalid engine config: {what}"),
             EngineError::ReplicaCountMismatch { expected, actual } => {
                 write!(f, "need {expected} model replicas, got {actual}")
@@ -331,8 +334,9 @@ struct Shared {
     space: Condvar,
     max_batch: usize,
     queue_capacity: usize,
-    /// The model's input dimension, when derivable (MLP-style stacks):
-    /// submissions of any other width are rejected up front.
+    /// The model's input dimension ([`PreparedModel::input_len`]; `None`
+    /// only for a model of width-preserving layers alone): submissions of
+    /// any other width are rejected up front.
     input_len: Option<usize>,
     /// Worker threads still running.  When the count hits zero outside
     /// an orderly drain, the dying worker's [`WorkerGuard`] fails the
@@ -568,10 +572,12 @@ impl LayeredVerdictTicket {
 /// monitor.
 ///
 /// See the [module docs](self) for the architecture.  Construct with
-/// [`MonitorEngine::new`] / [`MonitorEngine::new_layered`] (replicates
-/// the model via [`ModelSnapshot`]) or [`MonitorEngine::with_replicas`]
-/// / [`MonitorEngine::with_layered_replicas`] (caller-supplied replicas,
-/// e.g. for convolutional models), submit with
+/// [`MonitorEngine::new`] / [`MonitorEngine::new_layered`] (captures the
+/// model once via [`ModelSnapshot`]) or [`MonitorEngine::with_replicas`]
+/// / [`MonitorEngine::with_layered_replicas`] (one caller-supplied
+/// replica per worker); any model built from the built-in layers —
+/// dense, convolution, pooling, batch norm — is served through the
+/// prepared forward pass.  Submit with
 /// [`submit`](MonitorEngine::submit) /
 /// [`submit_layered`](MonitorEngine::submit_layered) /
 /// [`check_batch`](MonitorEngine::check_batch) /
@@ -589,33 +595,30 @@ pub struct MonitorEngine {
 impl MonitorEngine {
     /// Builds an engine over a single-layer `monitor` — the `N = 1`
     /// layered deployment — sharding its classes across `config.workers`
-    /// shards and replicating `model` once per worker.
+    /// shards and preparing `model` once for every worker.
     ///
     /// # Errors
     ///
-    /// [`EngineError::UnsupportedModel`] when the model cannot be
-    /// snapshot-replicated (use [`MonitorEngine::with_replicas`]), or
-    /// [`EngineError::InvalidConfig`] on zero-sized knobs.
+    /// [`EngineError::UnsupportedModel`] when the model contains a custom
+    /// layer, or [`EngineError::InvalidConfig`] on zero-sized knobs.
     pub fn new(
         monitor: &Monitor<BddZone>,
         model: &Sequential,
         config: EngineConfig,
     ) -> Result<Self, EngineError> {
-        let snap = ModelSnapshot::capture(model).map_err(EngineError::UnsupportedModel)?;
-        let replicas = (0..config.workers).map(|_| snap.restore()).collect();
-        Self::with_layered_replicas(
+        Self::new_prepared(
             FrozenLayeredMonitor::from_single(FrozenMonitor::shard_by_class(
                 monitor,
                 config.workers.max(1),
             )),
-            replicas,
+            model,
             config,
         )
     }
 
     /// Builds an engine over a multi-layer `monitor`, sharding every
-    /// layer's classes across `config.workers` shards and replicating
-    /// `model` once per worker.
+    /// layer's classes across `config.workers` shards and preparing
+    /// `model` once for every worker.
     ///
     /// # Errors
     ///
@@ -625,13 +628,22 @@ impl MonitorEngine {
         model: &Sequential,
         config: EngineConfig,
     ) -> Result<Self, EngineError> {
-        let snap = ModelSnapshot::capture(model).map_err(EngineError::UnsupportedModel)?;
-        let replicas = (0..config.workers).map(|_| snap.restore()).collect();
-        Self::with_layered_replicas(
+        Self::new_prepared(
             FrozenLayeredMonitor::shard_by_class(monitor, config.workers.max(1)),
-            replicas,
+            model,
             config,
         )
+    }
+
+    /// Captures and prepares `model` once; every worker serves a copy.
+    fn new_prepared(
+        monitor: FrozenLayeredMonitor,
+        model: &Sequential,
+        config: EngineConfig,
+    ) -> Result<Self, EngineError> {
+        let snap = ModelSnapshot::capture(model).map_err(EngineError::UnsupportedModel)?;
+        let prepared = snap.prepare(monitor.plan());
+        Self::start(monitor, vec![prepared; config.workers], config)
     }
 
     /// Builds an engine from an already-frozen single-layer monitor
@@ -650,18 +662,38 @@ impl MonitorEngine {
     }
 
     /// Builds an engine from an already-frozen layered monitor and
-    /// caller-made model replicas (one per worker).  The replicas must be
-    /// behaviourally identical — verdict equivalence with sequential
-    /// checking is only as good as the replication.
+    /// caller-made model replicas (one per worker, each prepared for its
+    /// own worker).  The replicas must be behaviourally identical —
+    /// verdict equivalence with sequential checking is only as good as
+    /// the replication.
     ///
     /// # Errors
     ///
     /// [`EngineError::InvalidConfig`] on zero-sized knobs,
     /// [`EngineError::ReplicaCountMismatch`] when
-    /// `replicas.len() != config.workers`.
+    /// `replicas.len() != config.workers`,
+    /// [`EngineError::UnsupportedModel`] when a replica contains a custom
+    /// layer.
     pub fn with_layered_replicas(
         monitor: FrozenLayeredMonitor,
         replicas: Vec<Sequential>,
+        config: EngineConfig,
+    ) -> Result<Self, EngineError> {
+        let models = replicas
+            .iter()
+            .map(|m| ModelSnapshot::capture(m).map(|snap| snap.prepare(monitor.plan())))
+            .collect::<Result<Vec<_>, _>>()
+            .map_err(EngineError::UnsupportedModel)?;
+        Self::start(monitor, models, config)
+    }
+
+    /// Validates the sizing knobs and spawns one worker per prepared
+    /// model.  Preparation is the serving counterpart of zone
+    /// compilation: the cold half packs every weight panel once so the
+    /// steady-state worker loop never packs or allocates for weights.
+    fn start(
+        monitor: FrozenLayeredMonitor,
+        models: Vec<PreparedModel>,
         config: EngineConfig,
     ) -> Result<Self, EngineError> {
         if config.workers == 0 {
@@ -673,23 +705,14 @@ impl MonitorEngine {
         if config.queue_capacity == 0 {
             return Err(EngineError::InvalidConfig("queue_capacity must be > 0"));
         }
-        if replicas.len() != config.workers {
+        if models.len() != config.workers {
             return Err(EngineError::ReplicaCountMismatch {
                 expected: config.workers,
-                actual: replicas.len(),
+                actual: models.len(),
             });
         }
         let initial_epoch = monitor.epoch();
-        let input_len = replicas.first().and_then(model_input_len);
-        // Pre-pack every replica's frozen weights now — construction is
-        // the serving counterpart of zone compilation: the cold half
-        // allocates once so the steady-state worker loop never packs or
-        // allocates for weights (replicas the snapshot format cannot
-        // express fall back to the live allocating path).
-        let models: Vec<WorkerModel> = replicas
-            .into_iter()
-            .map(|m| WorkerModel::prepare(m, &monitor))
-            .collect();
+        let input_len = models.first().and_then(PreparedModel::input_len);
         let shared = Arc::new(Shared {
             state: Mutex::new(State {
                 queues: (0..config.workers).map(|_| VecDeque::new()).collect(),
@@ -1396,36 +1419,6 @@ impl Drop for MonitorEngine {
     }
 }
 
-/// Input width of an MLP-style model, when derivable: walks leading
-/// width-preserving layers (ReLU / leaky ReLU / dropout / flatten) to
-/// the first fully-connected layer and reads its weight matrix's input
-/// dimension.  Returns `None` for geometries this cannot see through
-/// (convolution, pooling, batch norm) — those engines skip submission
-/// validation and rely on the caller, as the sequential API does.
-fn model_input_len(model: &Sequential) -> Option<usize> {
-    use naps_nn::{Dense, Dropout, Flatten, LeakyRelu, Relu};
-    for i in 0..model.len() {
-        let layer = model.layer(i);
-        let any = layer.as_any();
-        if let Some(dense) = any.downcast_ref::<Dense>() {
-            // naps-lint: allow(panic_freedom, "Dense weights are always a 2-D tensor; shape() has two entries")
-            return Some(dense.weights().shape()[0]);
-        }
-        if any.downcast_ref::<Flatten>().is_some() {
-            // Flatten is width-preserving: its feature count is the
-            // model's input width.
-            return Some(layer.output_len());
-        }
-        let width_preserving = any.downcast_ref::<Relu>().is_some()
-            || any.downcast_ref::<LeakyRelu>().is_some()
-            || any.downcast_ref::<Dropout>().is_some();
-        if !width_preserving {
-            return None;
-        }
-    }
-    None
-}
-
 /// Pops a micro-batch for worker `id`: own queue first (FIFO), then
 /// back-stealing from the most-loaded sibling.  Returns `None` to shut
 /// down.  Blocks on the `work` condvar while idle.
@@ -1489,6 +1482,6 @@ fn next_batch(id: usize, shared: &Shared) -> Option<Vec<Request>> {
     }
 }
 
-// `WorkerGuard`, `WorkerModel`, and `worker_loop` — the per-thread
+// `WorkerGuard` and `worker_loop` — the per-thread
 // serving half of the engine — live in the `worker` child module so the
 // analyzer can deny-list the steady-state request path as a file.

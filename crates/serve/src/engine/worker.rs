@@ -1,5 +1,5 @@
-//! The engine worker: the per-thread serving loop, its forward-pass
-//! engine, and the drop guard that keeps the "no hung ticket" invariant.
+//! The engine worker: the per-thread serving loop and the drop guard
+//! that keeps the "no hung ticket" invariant.
 //!
 //! This file is the steady-state request path — everything that runs per
 //! micro-batch between intake and completion — split out of `engine.rs`
@@ -14,47 +14,10 @@ use super::{next_batch, LayeredEpochReport, Request, Shared};
 use crate::frozen::{FrozenLayeredMonitor, LayeredVerdict};
 use naps_core::prepared::PreparedObserver;
 use naps_core::Pattern;
-use naps_nn::{ModelSnapshot, PreparedModel, Sequential};
+use naps_nn::PreparedModel;
 use naps_sync::atomic::Ordering;
 use naps_sync::Arc;
 use std::collections::VecDeque;
-
-/// A worker's forward-pass engine.
-///
-/// `Prepared` is the steady-state form: the replica's frozen weights are
-/// pre-packed once at construction ([`WorkerModel::prepare`]) and the
-/// worker owns a [`PreparedObserver`] whose batch/carry/pattern storage
-/// is reused across micro-batches — zero heap allocation per observation
-/// after warm-up.  `Live` is the fallback for replicas the snapshot
-/// format cannot express (convolutional models): the original allocating
-/// observe path, bit-identical verdicts either way.
-pub(super) enum WorkerModel {
-    Prepared {
-        model: PreparedModel,
-        // Boxed so the enum stays small next to `Live`; built once per
-        // worker, dereferenced once per micro-batch.
-        observer: Box<PreparedObserver>,
-    },
-    Live(Sequential),
-}
-
-impl WorkerModel {
-    /// Prepares one replica for serving: snapshot capture plus weight
-    /// pre-packing against the monitor's observation plan — the model
-    /// counterpart of zone compilation, run in the cold construction
-    /// path so the worker loop itself never packs or allocates weights.
-    /// Publish keeps the plan and selections compatible (validated), so
-    /// a prepared model stays valid across snapshot swaps.
-    pub(super) fn prepare(model: Sequential, monitor: &FrozenLayeredMonitor) -> Self {
-        match ModelSnapshot::capture(&model) {
-            Ok(snapshot) => WorkerModel::Prepared {
-                model: snapshot.prepare(monitor.plan()),
-                observer: Box::new(PreparedObserver::new()),
-            },
-            Err(_) => WorkerModel::Live(model),
-        }
-    }
-}
 
 /// Runs when a worker thread exits — normally (orderly shutdown with
 /// empty queues) or by unwinding out of a panic.  Its job is the "no
@@ -110,7 +73,13 @@ impl Drop for WorkerGuard {
     }
 }
 
-pub(super) fn worker_loop(id: usize, shared: &Shared, mut model: WorkerModel) {
+/// Serves micro-batches until shutdown.  `model` is the worker's
+/// prepared replica — weights packed once at construction — and the
+/// worker owns a [`PreparedObserver`] whose batch/carry/pattern storage
+/// is reused across micro-batches: zero heap allocation per observation
+/// after warm-up.
+pub(super) fn worker_loop(id: usize, shared: &Shared, model: PreparedModel) {
+    let mut observer = PreparedObserver::new();
     // Each worker serves from its own Arc onto the published snapshot and
     // re-reads the publish slot only at micro-batch boundaries where the
     // epoch atomic says a newer snapshot exists: a batch is judged wholly
@@ -146,19 +115,9 @@ pub(super) fn worker_loop(id: usize, shared: &Shared, mut model: WorkerModel) {
         // query (one computation — each graded report embeds its binary
         // one).  Mixed batches are fine; the snapshot is the same either
         // way, and completions stay in submission order.
-        let live_rows: Vec<(usize, Vec<Pattern>)>;
-        let observed: &[(usize, Vec<Pattern>)] = match &mut model {
-            // The steady-state path: packed weights, worker-owned
-            // scratch, zero allocations after warm-up (the `forward`
-            // eval gates this at exactly zero).
-            WorkerModel::Prepared { model, observer } => {
-                monitor.observe_batch_prepared(model, observer, &inputs)
-            }
-            WorkerModel::Live(seq) => {
-                live_rows = monitor.observe_batch(seq, &inputs);
-                &live_rows
-            }
-        };
+        // Packed weights and worker-owned scratch: zero allocations
+        // after warm-up (the `forward` eval gates this at exactly zero).
+        let observed = monitor.observe_batch_prepared(&model, &mut observer, &inputs);
         shared
             .processed
             // ordering: relaxed — monotone stat counter

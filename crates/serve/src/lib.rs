@@ -24,9 +24,10 @@
 //!
 //! Verdicts are **bit-identical** to sequential
 //! [`naps_core::Monitor::check`] /
-//! [`naps_core::LayeredMonitor::check_batch`] checking: every path
-//! reuses the same `pack_batch` → `forward_observe_plan` pipeline (one
-//! forward pass retaining only the monitored layers' activations), model
+//! [`naps_core::LayeredMonitor::check_batch`] checking: every path runs
+//! one forward pass retaining only the monitored layers' activations —
+//! in the engine the prepared, allocation-free pass, bit-identical to
+//! the sequential `pack_batch` → `forward_observe_plan` pipeline — model
 //! replicas are exact parameter copies, and frozen-snapshot queries
 //! agree with the live BDD manager query-for-query (pinned by property
 //! tests in `naps-bdd` and the concurrency suite here).

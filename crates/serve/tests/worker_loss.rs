@@ -8,58 +8,20 @@
 mod common;
 
 use naps_core::MonitorBuilder;
-use naps_nn::{Dense, Layer, Relu, Sequential};
-use naps_serve::{EngineConfig, FrozenMonitor, MonitorEngine, SubmitError};
+use naps_nn::{Dense, Relu, Sequential};
+use naps_serve::{EngineConfig, MonitorEngine, SubmitError};
 use naps_tensor::Tensor;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::sync::mpsc;
 use std::time::{Duration, Instant};
-
-/// An identity layer that panics when any input feature is NaN — the
-/// deliberate worker-killer.  Because the model's first layer is not a
-/// recognisable MLP head, the engine cannot derive an input width and
-/// skips submission validation, so the poison reaches the worker thread
-/// (exactly the "model replica panics mid-batch" failure mode the typed
-/// error exists for).
-#[derive(Debug)]
-struct PanicOnNan {
-    features: usize,
-}
-
-impl Layer for PanicOnNan {
-    fn forward(&mut self, x: &Tensor, _train: bool) -> Tensor {
-        assert!(
-            !x.data().iter().any(|v| v.is_nan()),
-            "poison input reached the model"
-        );
-        x.clone()
-    }
-
-    fn backward(&mut self, grad_out: &Tensor) -> Tensor {
-        grad_out.clone()
-    }
-
-    fn output_len(&self) -> usize {
-        self.features
-    }
-
-    fn label(&self) -> String {
-        "panic-on-nan".to_owned()
-    }
-
-    fn as_any(&self) -> &dyn std::any::Any {
-        self
-    }
-}
 
 const CLASSES: usize = 3;
 
-/// `[PanicOnNan, Dense(2→12), ReLU, Dense(12→CLASSES)]` with seeded
-/// weights, so every replica is an exact copy.
-fn poison_model() -> Sequential {
+/// `[Dense(2→12), ReLU, Dense(12→CLASSES)]` with seeded weights.
+fn model() -> Sequential {
     let mut rng = StdRng::seed_from_u64(9);
     Sequential::new(vec![
-        Box::new(PanicOnNan { features: 2 }),
         Box::new(Dense::new(2, 12, &mut rng)),
         Box::new(Relu::new()),
         Box::new(Dense::new(12, CLASSES, &mut rng)),
@@ -75,29 +37,72 @@ fn clean_inputs(n: usize) -> Vec<Tensor> {
         .collect()
 }
 
-fn poison_input() -> Tensor {
-    Tensor::from_vec(vec![2], vec![f32::NAN, 0.0])
-}
-
-/// An engine over the poison model: untrained (verdict quality is
-/// irrelevant here), monitored at the ReLU (layer 2).
-fn poison_engine(workers: usize, max_batch: usize, queue_capacity: usize) -> MonitorEngine {
-    let mut net = poison_model();
+/// An engine over the model: untrained (verdict quality is irrelevant
+/// here), monitored at the ReLU (layer 1).
+fn engine(workers: usize, max_batch: usize, queue_capacity: usize) -> MonitorEngine {
+    let mut net = model();
     let xs = clean_inputs(24);
     let ys: Vec<usize> = (0..24).map(|i| i % CLASSES).collect();
-    let monitor = MonitorBuilder::new(2, 1).build(&mut net, &xs, &ys, CLASSES);
-    let frozen = FrozenMonitor::shard_by_class(&monitor, workers);
-    let replicas = (0..workers).map(|_| poison_model()).collect();
-    MonitorEngine::with_replicas(
-        frozen,
-        replicas,
+    let monitor = MonitorBuilder::new(1, 1).build(&mut net, &xs, &ys, CLASSES);
+    MonitorEngine::new(
+        &monitor,
+        &net,
         EngineConfig {
             workers,
             max_batch,
             queue_capacity,
         },
     )
-    .expect("engine over caller-made replicas")
+    .expect("engine over an MLP")
+}
+
+/// Submits a request whose completion callback parks the worker that
+/// judged it, then runs `then` once released (the returned sender is
+/// dropped).  Returns once a worker is parked.  Parking makes worker
+/// death deterministic: while the worker is parked the test queues
+/// whatever must be in flight or orphaned, then releases it.
+fn park(engine: &MonitorEngine, then: impl FnOnce() + Send + 'static) -> mpsc::Sender<()> {
+    let (parked_tx, parked_rx) = mpsc::channel();
+    let (release, release_rx) = mpsc::channel::<()>();
+    engine
+        .submit_with(clean_inputs(1)[0].clone(), move |_| {
+            let _ = parked_tx.send(());
+            let _ = release_rx.recv();
+            then();
+        })
+        .expect("submit the parking request");
+    parked_rx.recv().expect("a worker parks");
+    release
+}
+
+/// The deliberate worker-killer: a parked request whose completion
+/// callback panics once released.  Every model is served through the
+/// prepared forward pass and input widths are checked at submission, so
+/// user code run on a worker thread is what can still take one down
+/// mid-batch.
+struct Poison {
+    release: mpsc::Sender<()>,
+    unwound: mpsc::Receiver<()>,
+}
+
+impl Poison {
+    /// Submits the poison and returns once a worker is parked in it.
+    fn park(engine: &MonitorEngine) -> Self {
+        let (unwound_tx, unwound) = mpsc::channel::<()>();
+        let release = park(engine, move || {
+            // Dropped while the panic unwinds this callback.
+            let _unwound = unwound_tx;
+            panic!("poison callback kills its worker");
+        });
+        Poison { release, unwound }
+    }
+
+    /// Releases the parked worker and returns once it is unwinding: it
+    /// will never pop another request.
+    fn kill(self) {
+        drop(self.release);
+        assert!(self.unwound.recv().is_err(), "the poison only unwinds");
+    }
 }
 
 /// Retries `f` for up to two seconds — the worker-death guard runs
@@ -117,7 +122,8 @@ fn eventually<F: FnMut() -> bool>(mut f: F, what: &str) {
 
 #[test]
 fn killed_worker_resolves_ticket_with_worker_lost() {
-    let engine = poison_engine(1, 1, 64);
+    // One worker, micro-batches of two.
+    let engine = engine(1, 2, 64);
     // A clean request round-trips first: the engine works.
     let ok = engine
         .submit(clean_inputs(1)[0].clone())
@@ -126,10 +132,24 @@ fn killed_worker_resolves_ticket_with_worker_lost() {
         .expect("clean request is answered");
     assert!(ok.report.predicted < CLASSES);
 
-    // The poison kills the lone worker mid-batch: the in-flight ticket
+    // While the lone worker is parked, queue a request whose completion
+    // panics at once, then a ticket: the worker pops both into its next
+    // micro-batch, so the ticket is in flight when the worker dies.  It
     // resolves with the typed error — no panic, no hang.
-    let ticket = engine.submit(poison_input()).expect("submit");
+    let release = park(&engine, || {});
+    engine
+        .submit_with(clean_inputs(1)[0].clone(), |_| {
+            panic!("poison callback kills its worker")
+        })
+        .expect("submit the poison");
+    let ticket = engine.submit(clean_inputs(1)[0].clone()).expect("submit");
+    drop(release);
     assert_eq!(ticket.wait(), Err(SubmitError::WorkerLost));
+    assert_eq!(
+        engine.stats().largest_batch,
+        2,
+        "the ticket died in the poison's micro-batch, not queued behind it"
+    );
 
     // Once the guard has marked the engine failed, submissions are
     // rejected with the same typed error (never queued forever).
@@ -155,8 +175,10 @@ fn killed_worker_resolves_ticket_with_worker_lost() {
 
 #[test]
 fn try_wait_reports_worker_lost_instead_of_not_ready() {
-    let engine = poison_engine(1, 1, 64);
-    let ticket = engine.submit(poison_input()).expect("submit");
+    let engine = engine(1, 1, 64);
+    let poison = Poison::park(&engine);
+    let ticket = engine.submit(clean_inputs(1)[0].clone()).expect("submit");
+    poison.kill();
     eventually(
         || matches!(ticket.try_wait(), Err(SubmitError::WorkerLost)),
         "try_wait surfaces the dead worker",
@@ -165,22 +187,15 @@ fn try_wait_reports_worker_lost_instead_of_not_ready() {
 
 #[test]
 fn requests_queued_behind_the_poison_never_hang() {
-    // One worker, micro-batches of one: the poison is judged alone, and
-    // everything queued behind it is orphaned by the worker's death.
-    let engine = poison_engine(1, 1, 256);
-    let poison_ticket = engine.submit(poison_input()).expect("submit");
-    let mut tickets = Vec::new();
-    for x in clean_inputs(20) {
-        match engine.submit(x) {
-            // Accepted: must resolve (with WorkerLost once the worker is
-            // gone — the guard drains the orphaned queue).
-            Ok(t) => tickets.push(t),
-            // The guard already failed the engine: equally fine.
-            Err(SubmitError::WorkerLost) => {}
-            Err(e) => panic!("unexpected submit error: {e}"),
-        }
-    }
-    assert_eq!(poison_ticket.wait(), Err(SubmitError::WorkerLost));
+    // One worker, micro-batches of one: everything queued behind the
+    // poison is orphaned by the worker's death.
+    let engine = engine(1, 1, 256);
+    let poison = Poison::park(&engine);
+    let tickets: Vec<_> = clean_inputs(20)
+        .into_iter()
+        .map(|x| engine.submit(x).expect("the parked engine still accepts"))
+        .collect();
+    poison.kill();
     for t in tickets {
         // The deadline is the test harness's own timeout: wait() must
         // return (Err), not block forever on a hung ticket.
@@ -190,7 +205,7 @@ fn requests_queued_behind_the_poison_never_hang() {
 
 #[test]
 fn surviving_workers_keep_a_degraded_engine_serving() {
-    let engine = poison_engine(2, 1, 256);
+    let engine = engine(2, 1, 256);
     let xs = clean_inputs(8);
     let reference: Vec<_> = xs
         .iter()
@@ -198,8 +213,7 @@ fn surviving_workers_keep_a_degraded_engine_serving() {
         .collect();
 
     // Kill one of the two workers.
-    let ticket = engine.submit(poison_input()).expect("submit");
-    assert_eq!(ticket.wait(), Err(SubmitError::WorkerLost));
+    Poison::park(&engine).kill();
 
     // The survivor steals the dead worker's share: every clean request
     // is still answered, bit-identically to the healthy engine.

@@ -6,10 +6,11 @@
 //! convolution is `patches @ kernel^T` — the standard im2col trick.
 
 use crate::tensor::Tensor;
+use serde::{Deserialize, Serialize};
 
 /// Geometry of one convolution: input `[in_c, in_h, in_w]`, square kernel
 /// `k`, stride `s`, no padding (as in the paper's architectures).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct ConvDims {
     /// Input channels.
     pub in_c: usize,
@@ -113,6 +114,44 @@ pub fn im2col_into(input: &Tensor, dims: ConvDims, out: &mut Tensor) {
                 }
             }
             row += 1;
+        }
+    }
+}
+
+/// The transposed lowering: writes `im2col(input)ᵀ`, shape
+/// `[in_c*k*k, out_h*out_w]`, into the caller-provided `out` (resized in
+/// place; allocation-free after warm-up).  Row `(c, ky, kx)` holds that
+/// kernel tap's input pixel at every output position, so the
+/// convolution becomes `kernel @ out` — a product whose streamed
+/// dimension is the output positions, written channel-major exactly as
+/// the layer's `[c, h, w]` output is laid out.  `input` is one sample's
+/// `[in_c, in_h, in_w]` data.
+///
+/// # Panics
+///
+/// Panics if `input` does not have `dims.in_c * in_h * in_w` elements.
+pub fn im2col_t_into(input: &[f32], dims: ConvDims, out: &mut Tensor) {
+    dims.validate();
+    assert_eq!(
+        input.len(),
+        dims.in_c * dims.in_h * dims.in_w,
+        "input size does not match conv dims"
+    );
+    let (ow, rows) = (dims.out_w(), dims.rows());
+    // Every element below is overwritten.
+    out.resize_in_place(&[dims.cols(), rows]);
+    let (hw, kk) = (dims.in_h * dims.in_w, dims.k * dims.k);
+    for (tap, row) in out.data_mut().chunks_exact_mut(rows).enumerate() {
+        let (c, ky, kx) = (tap / kk, tap % kk / dims.k, tap % dims.k);
+        for (oy, dst) in row.chunks_exact_mut(ow).enumerate() {
+            let src = c * hw + (oy * dims.s + ky) * dims.in_w + kx;
+            if dims.s == 1 {
+                dst.copy_from_slice(&input[src..src + ow]);
+            } else {
+                for (ox, d) in dst.iter_mut().enumerate() {
+                    *d = input[src + ox * dims.s];
+                }
+            }
         }
     }
 }
@@ -297,6 +336,26 @@ mod tests {
         let mut scratch = Tensor::full(vec![9, 9], 7.0);
         im2col_into(&x, d, &mut scratch);
         assert_eq!(scratch, im2col(&x, d));
+    }
+
+    #[test]
+    fn transposed_lowering_is_the_transpose_of_im2col() {
+        for (k, s) in [(1, 1), (2, 1), (3, 2), (2, 3)] {
+            let d = ConvDims {
+                in_c: 2,
+                in_h: 5,
+                in_w: 6,
+                k,
+                s,
+            };
+            let x = Tensor::from_vec(
+                vec![2, 5, 6],
+                (0..60).map(|i| (i as f32 * 0.41).sin()).collect(),
+            );
+            let mut lowered = Tensor::full(vec![3, 3], 7.0);
+            im2col_t_into(x.data(), d, &mut lowered);
+            assert_eq!(lowered, im2col(&x, d).transpose(), "k={k} s={s}");
+        }
     }
 
     #[test]

@@ -77,6 +77,24 @@ fn gemm(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], out: &mut [f32]) {
     }
 }
 
+/// `out = a @ b` over raw row-major slices (`[m,k] @ [k,n] -> [m,n]`),
+/// for callers that write a product straight into part of a larger
+/// buffer — e.g. one sample's slice of a batched convolution output.
+/// `out` is zero-filled first, then the blocked [`gemm`] accumulates into
+/// it, so per output element the result is the same ascending-`p` sum as
+/// every other product in this module.
+///
+/// # Panics
+///
+/// Panics if a slice length disagrees with `m`, `k` and `n`.
+pub fn matmul_slice_into(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], out: &mut [f32]) {
+    assert_eq!(a.len(), m * k, "matmul_slice_into lhs is not [{m}, {k}]");
+    assert_eq!(b.len(), k * n, "matmul_slice_into rhs is not [{k}, {n}]");
+    assert_eq!(out.len(), m * n, "matmul_slice_into out is not [{m}, {n}]");
+    out.fill(0.0);
+    gemm(m, k, n, a, b, out);
+}
+
 impl Tensor {
     /// Matrix product `self @ other` for 2-D tensors `[m,k] @ [k,n] -> [m,n]`,
     /// via the blocked [`gemm`] microkernel.
@@ -459,6 +477,14 @@ mod tests {
             .zip(want.data())
             .all(|(x, y)| x.to_bits() == y.to_bits());
         assert!(same, "{what}: diverged from the per-call kernel");
+    }
+
+    #[test]
+    fn slice_product_matches_matmul_into_a_dirty_slice() {
+        let (a, b) = (a23(), b32());
+        let mut out = [9.0f32; 4];
+        matmul_slice_into(2, 3, 2, a.data(), b.data(), &mut out);
+        assert_eq!(&out, a.matmul(&b).data());
     }
 
     #[test]
