@@ -4,61 +4,55 @@
 //! into the paper's γ-comfort zone (Definition 2) and that let a monitor
 //! report *how far* an unseen pattern is from the zone.
 
-use crate::manager::{Bdd, NodeId, VarId};
+use crate::manager::{Bdd, NodeId};
 use std::collections::HashMap;
 
 impl Bdd {
-    /// Enlarges a pattern set by all patterns at Hamming distance ≤ 1
-    /// (Algorithm 1, lines 9–14): the union over every variable `j` of
-    /// `∃ x_j . f`.
-    ///
-    /// Because `f ⇒ ∃x_j.f`, the result always contains `f` itself, so
-    /// iterating this map `γ` times yields the full radius-`γ` ball.
-    pub fn dilate_once(&mut self, f: NodeId) -> NodeId {
-        let mut acc = NodeId::ZERO;
-        for v in 0..self.num_vars as VarId {
-            let e = self.exists(f, v);
-            acc = self.or(acc, e);
-        }
-        // A function over zero variables has no quantification to apply.
-        if self.num_vars == 0 {
-            f
-        } else {
-            acc
-        }
-    }
-
     /// Enlarges a pattern set by all patterns at Hamming distance ≤ `gamma`:
-    /// `gamma` repetitions of [`Bdd::dilate_once`].
+    /// the construction of `Z^γ_c` from `Z^0_c` in Definition 2 of the
+    /// paper.
     ///
-    /// This is the construction of `Z^γ_c` from `Z^0_c` in Definition 2 of
-    /// the paper.
+    /// Algorithm 1 (lines 9–14) states this as `gamma` rounds of
+    /// `∨_j ∃x_j . f`.  This computes the same set in one memoised pass
+    /// over `(node, k)`, where `ball(f, k)` is the radius-`k` ball around
+    /// `f`.  Terminals and `k = 0` are their own ball; at a node testing
+    /// `v` with children `lo`/`hi`, an assignment is within `k` of the
+    /// set either through the branch its `v` agrees with, at radius `k`,
+    /// or through the other branch by spending one flip on `v`:
+    ///
+    /// ```text
+    /// ball(f, k) = node(v, ball(lo, k) ∨ ball(hi, k−1),
+    ///                      ball(hi, k) ∨ ball(lo, k−1))
+    /// ```
+    ///
+    /// Variables the diagram skips need no case: neither `f` nor its ball
+    /// depends on them.  Diagrams are canonical, so the result is the
+    /// same node the quantify-and-union formulation produces.  `gamma` is
+    /// clamped to the variable count, beyond which the ball cannot grow.
     pub fn dilate(&mut self, f: NodeId, gamma: u32) -> NodeId {
-        let mut acc = f;
-        for _ in 0..gamma {
-            let next = self.dilate_once(acc);
-            if next == acc {
-                break; // fixpoint: the ball saturated the whole space
-            }
-            acc = next;
-        }
-        acc
+        let k = gamma.min(self.num_vars as u32);
+        let mut memo = HashMap::new();
+        self.ball_rec(f, k, &mut memo)
     }
 
-    /// Restricted dilation that only flips variables in `vars`.
-    ///
-    /// Useful when a monitor watches a neuron subset and wants generalization
-    /// confined to the watched positions.
-    pub fn dilate_once_within(&mut self, f: NodeId, vars: &[VarId]) -> NodeId {
-        if vars.is_empty() {
+    /// `ball(f, k)` of [`Bdd::dilate`], memoised per `(node, k)`.
+    fn ball_rec(&mut self, f: NodeId, k: u32, memo: &mut HashMap<(NodeId, u32), NodeId>) -> NodeId {
+        if k == 0 || f.is_terminal() {
             return f;
         }
-        let mut acc = NodeId::ZERO;
-        for &v in vars {
-            let e = self.exists(f, v);
-            acc = self.or(acc, e);
+        if let Some(&r) = memo.get(&(f, k)) {
+            return r;
         }
-        acc
+        let node = self.nodes[f.index()];
+        let lo = self.ball_rec(node.low, k, memo);
+        let hi = self.ball_rec(node.high, k, memo);
+        let lo_flipped = self.ball_rec(node.high, k - 1, memo);
+        let hi_flipped = self.ball_rec(node.low, k - 1, memo);
+        let low = self.or(lo, lo_flipped);
+        let high = self.or(hi, hi_flipped);
+        let r = self.mk_node(node.var, low, high);
+        memo.insert((f, k), r);
+        r
     }
 
     /// Minimum Hamming distance from `pattern` to any satisfying assignment
@@ -223,7 +217,7 @@ mod tests {
         let mut bdd = Bdd::new(5);
         let seed = [true, false, true, true, false];
         let f = bdd.cube_from_bools(&seed);
-        let z1 = bdd.dilate_once(f);
+        let z1 = bdd.dilate(f, 1);
         for m in 0..32usize {
             let p: Vec<bool> = (0..5).map(|i| (m >> i) & 1 == 1).collect();
             let dist: u32 = p.iter().zip(&seed).map(|(a, b)| u32::from(a != b)).sum();
@@ -255,7 +249,7 @@ mod tests {
         let f = bdd.or(p, q);
         let mut prev = f;
         for _ in 0..4 {
-            let next = bdd.dilate_once(prev);
+            let next = bdd.dilate(prev, 1);
             assert!(bdd.implies(prev, next), "Z^g must be a subset of Z^g+1");
             prev = next;
         }
@@ -277,16 +271,6 @@ mod tests {
         let mut bdd = Bdd::new(3);
         let f = bdd.cube_from_bools(&[true, false, false]);
         assert_eq!(bdd.dilate(f, 0), f);
-    }
-
-    #[test]
-    fn dilate_within_only_flips_listed_vars() {
-        let mut bdd = Bdd::new(3);
-        let f = bdd.cube_from_bools(&[false, false, false]);
-        let z = bdd.dilate_once_within(f, &[1]);
-        assert!(bdd.eval(z, &[false, true, false]));
-        assert!(!bdd.eval(z, &[true, false, false]));
-        assert!(bdd.eval(z, &[false, false, false]));
     }
 
     #[test]

@@ -6,9 +6,10 @@
 //! set of binary neuron on/off patterns `{0,1}^d` is stored as the
 //! characteristic function of a BDD with `d` variables.  The paper's
 //! `γ`-comfort-zone construction (Algorithm 1) enlarges a stored set with all
-//! patterns within Hamming distance `γ` via repeated existential
-//! quantification; [`Bdd::dilate_once`] and [`Bdd::dilate`] implement exactly
-//! that operation.
+//! patterns within Hamming distance `γ`, which the paper states as `γ` rounds
+//! of `∨_j ∃x_j . f`.  [`Bdd::dilate`] builds that same set in one memoised
+//! pass over `(node, radius)`; [`Bdd::exists`] remains available as the
+//! paper's primitive.
 //!
 //! # Design
 //!
@@ -29,8 +30,8 @@
 //! let mut bdd = Bdd::new(3);
 //! // Store the pattern set {001}.
 //! let f = bdd.cube_from_bools(&[false, false, true]);
-//! // Enlarge by Hamming distance 1 (Algorithm 1, line 12).
-//! let z1 = bdd.dilate_once(f);
+//! // Enlarge by Hamming distance 1 (Algorithm 1, lines 9–14 with γ = 1).
+//! let z1 = bdd.dilate(f, 1);
 //! assert!(bdd.eval(z1, &[false, false, true]));  // the seed
 //! assert!(bdd.eval(z1, &[true, false, true]));   // distance 1
 //! assert!(!bdd.eval(z1, &[true, true, true]));   // distance 2

@@ -510,7 +510,7 @@ mod compact_tests {
         for i in 0..20u64 {
             let bits: Vec<bool> = (0..6).map(|b| (i >> b) & 1 == 1).collect();
             let cube = bdd.cube_from_bools(&bits);
-            let tmp = bdd.dilate_once(cube); // garbage unless i == 19
+            let tmp = bdd.dilate(cube, 1); // garbage unless i == 19
             if i % 3 == 0 {
                 keep = bdd.or(keep, tmp);
             }
@@ -530,7 +530,7 @@ mod compact_tests {
     fn compact_shares_structure_between_roots() {
         let mut bdd = Bdd::new(4);
         let p = bdd.cube_from_bools(&[true, false, true, false]);
-        let q = bdd.dilate_once(p);
+        let q = bdd.dilate(p, 1);
         let (fresh, roots) = bdd.compact(&[p, q]);
         // p implies q in the fresh manager too.
         let mut fresh = fresh;

@@ -239,7 +239,7 @@ mod tests {
     fn permute_translates_multiple_roots_with_sharing() {
         let mut bdd = Bdd::new(3);
         let f = bdd.cube_from_bools(&[true, true, false]);
-        let g = bdd.dilate_once(f);
+        let g = bdd.dilate(f, 1);
         let (fresh, roots) = bdd.permute(&[f, g], &[2, 0, 1]);
         let mut fresh = fresh;
         assert!(

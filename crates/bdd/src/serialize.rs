@@ -26,7 +26,7 @@ const BOUNDED_UNVISITED: u8 = 0xFF;
 ///
 /// let mut bdd = Bdd::new(3);
 /// let f = bdd.cube_from_bools(&[true, false, true]);
-/// let z = bdd.dilate_once(f);
+/// let z = bdd.dilate(f, 1);
 /// let snap = BddSnapshot::capture(&bdd, z);
 ///
 /// let mut fresh = Bdd::new(3);

@@ -29,6 +29,25 @@ fn hamming(a: &[bool], b: &[bool]) -> u32 {
     a.iter().zip(b).map(|(x, y)| u32::from(x != y)).sum()
 }
 
+/// Algorithm 1, lines 9–14, as the paper states it: `gamma` rounds of
+/// `∨_j ∃x_j . f`, stopping early at the fixpoint.  [`Bdd::dilate`] must
+/// return the same node as this oracle.
+fn dilate_by_quantification(bdd: &mut Bdd, f: NodeId, gamma: u32) -> NodeId {
+    let mut acc = f;
+    for _ in 0..gamma {
+        let mut next = bdd.zero();
+        for v in 0..bdd.num_vars() as u32 {
+            let e = bdd.exists(acc, v);
+            next = bdd.or(next, e);
+        }
+        if next == acc {
+            break;
+        }
+        acc = next;
+    }
+    acc
+}
+
 fn all_assignments() -> Vec<Vec<bool>> {
     (0..(1usize << VARS))
         .map(|m| (0..VARS).map(|i| (m >> i) & 1 == 1).collect())
@@ -166,6 +185,40 @@ proptest! {
         }
     }
 
+    /// The one-pass ball is the same node as the quantify-and-union
+    /// formulation, at every radius up to and past saturation.
+    #[test]
+    fn dilation_matches_quantification_oracle(pats in pattern_set()) {
+        let mut bdd = Bdd::new(VARS);
+        let f = build_set(&mut bdd, &pats);
+        for gamma in 0..=(VARS as u32 + 1) {
+            let fast = bdd.dilate(f, gamma);
+            let oracle = dilate_by_quantification(&mut bdd, f, gamma);
+            prop_assert_eq!(fast, oracle, "gamma {}", gamma);
+        }
+    }
+
+    /// Dilating in two steps equals dilating once by the sum — what an
+    /// incremental `enlarge_to` relies on.
+    #[test]
+    fn dilation_composes(pats in pattern_set(), a in 0u32..(VARS as u32 + 1), b in 0u32..(VARS as u32 + 1)) {
+        let mut bdd = Bdd::new(VARS);
+        let f = build_set(&mut bdd, &pats);
+        let step = bdd.dilate(f, a);
+        let two_steps = bdd.dilate(step, b);
+        prop_assert_eq!(two_steps, bdd.dilate(f, a + b));
+    }
+
+    /// A radius beyond the variable count is clamped: the ball has
+    /// already saturated at `VARS`.
+    #[test]
+    fn dilation_radius_is_clamped(pats in pattern_set()) {
+        let mut bdd = Bdd::new(VARS);
+        let f = build_set(&mut bdd, &pats);
+        let huge = bdd.dilate(f, u32::MAX);
+        prop_assert_eq!(huge, bdd.dilate(f, VARS as u32));
+    }
+
     /// Dilation distributes over union:
     /// dilate(f ∨ g) == dilate(f) ∨ dilate(g).
     #[test]
@@ -174,9 +227,9 @@ proptest! {
         let f = build_set(&mut bdd, &a);
         let g = build_set(&mut bdd, &b);
         let u = bdd.or(f, g);
-        let lhs = bdd.dilate_once(u);
-        let df = bdd.dilate_once(f);
-        let dg = bdd.dilate_once(g);
+        let lhs = bdd.dilate(u, 1);
+        let df = bdd.dilate(f, 1);
+        let dg = bdd.dilate(g, 1);
         let rhs = bdd.or(df, dg);
         prop_assert_eq!(lhs, rhs);
     }

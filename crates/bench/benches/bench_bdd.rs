@@ -4,7 +4,7 @@
 //!   (sweep the pattern width);
 //! * BDD queries are insensitive to the number of stored patterns, while
 //!   the explicit-set baseline degrades with the seed count;
-//! * γ-dilation cost (existential quantification) per radius step.
+//! * γ-dilation cost per radius step.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use naps_bench::{clustered_patterns, zone_from_patterns, BddBackend, ExactBackend};
@@ -65,7 +65,7 @@ fn query_vs_seed_count(c: &mut Criterion) {
 
 /// Cost of one γ-dilation step (Algorithm 1 line 12) vs width.
 fn dilation_step(c: &mut Criterion) {
-    let mut group = c.benchmark_group("bdd_dilate_once");
+    let mut group = c.benchmark_group("bdd_dilate_step");
     group.sample_size(10);
     for width in [24usize, 40, 84] {
         let seeds = clustered_patterns(300, width, 1, 11);

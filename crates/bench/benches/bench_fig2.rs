@@ -16,9 +16,10 @@ fn configured() -> Criterion {
 }
 
 /// Full sweep cost: dilate a 40-bit zone from γ = 0 to the target radius.
-/// Dilation cost grows roughly an order of magnitude per radius step
-/// (γ = 4 already takes ~1.5 min on this fixture), so the sweep stops at
-/// γ = 3 to keep the bench suite tractable.
+/// The zone's diagram grows ~5× per radius step and dilation cost grows
+/// with it, roughly 7–10× per step (on a 2-vCPU x86-64 host γ = 3 takes
+/// ~0.7 s and γ = 4 ~7 s on this fixture), so the sweep stops at γ = 3 to
+/// keep the bench suite tractable.
 fn sweep_to_gamma(c: &mut Criterion) {
     let seeds = clustered_patterns(300, 40, 1, 21);
     let mut group = c.benchmark_group("fig2_sweep_to_gamma");

@@ -14,8 +14,9 @@ use naps_tensor::Tensor;
 /// 2. for every training input whose prediction matches its ground-truth
 ///    label, record the activation pattern of the monitored layer into the
 ///    class's zone (lines 4–8);
-/// 3. enlarge every zone to Hamming radius γ via existential
-///    quantification (lines 9–14).
+/// 3. enlarge every zone to Hamming radius γ (lines 9–14, which state it
+///    as γ rounds of existential quantification; [`Zone::enlarge_to`]
+///    builds the same set).
 ///
 /// # Example
 ///
@@ -155,7 +156,7 @@ impl MonitorBuilder {
             }
         }
 
-        // Lines 9-14: gamma-enlargement via existential quantification.
+        // Lines 9-14: enlarge every zone to the radius-gamma Hamming ball.
         for z in zones.iter_mut().flatten() {
             z.enlarge_to(self.gamma);
         }

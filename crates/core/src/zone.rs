@@ -1,11 +1,12 @@
 //! Comfort-zone storage backends (Definition 2, `Z^γ_c`).
 //!
 //! [`BddZone`] is the paper's representation: patterns live in a BDD, the
-//! γ-enlargement is existential quantification, and the membership query is
-//! linear in the number of monitored neurons.  [`ExactZone`] is the obvious
-//! explicit alternative — a hash set of seed patterns with per-seed
-//! Hamming checks — kept as a semantic reference and as the baseline the
-//! benchmarks compare against.
+//! γ-enlargement is the Hamming-ball dilation [`naps_bdd::Bdd::dilate`]
+//! (the set the paper builds by iterated existential quantification), and
+//! the membership query is linear in the number of monitored neurons.
+//! [`ExactZone`] is the obvious explicit alternative — a hash set of seed
+//! patterns with per-seed Hamming checks — kept as a semantic reference and
+//! as the baseline the benchmarks compare against.
 
 use crate::pattern::Pattern;
 use naps_bdd::{Bdd, BddSnapshot, NodeId};
@@ -535,6 +536,74 @@ mod tests {
         assert!(z.contains(&p(&[1, 1, 1, 0])));
         assert!(z.contains(&p(&[0, 1, 0, 0])));
         assert!(!z.contains(&p(&[1, 1, 0, 0])));
+    }
+
+    /// Random patterns with class structure: each bit leans towards a
+    /// fixed per-position value, so the seeds cluster the way trained
+    /// networks' patterns do.
+    fn clustered(n: usize, width: usize, seed: u64) -> Vec<Pattern> {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(seed);
+        (0..n)
+            .map(|_| {
+                let bits: Vec<bool> = (0..width)
+                    .map(|i| rng.gen::<f32>() < if i % 3 == 0 { 0.85 } else { 0.15 })
+                    .collect();
+                Pattern::from_bools(&bits)
+            })
+            .collect()
+    }
+
+    #[test]
+    fn seeds_inserted_after_enlarge_give_the_same_zone() {
+        let seeds = clustered(24, 12, 7);
+        for gamma in 1..=3u32 {
+            let mut before = BddZone::empty(12);
+            for s in &seeds {
+                before.insert(s);
+            }
+            before.enlarge_to(gamma);
+            let mut after = BddZone::empty(12);
+            after.insert(&seeds[0]);
+            after.enlarge_to(gamma);
+            for s in &seeds[1..] {
+                after.insert(s);
+            }
+            assert_eq!(
+                before.zone_snapshot(),
+                after.zone_snapshot(),
+                "gamma={gamma}"
+            );
+        }
+    }
+
+    #[test]
+    fn bdd_zone_matches_the_quantification_oracle() {
+        // Algorithm 1, lines 9–14, as the paper states it: gamma rounds
+        // of the union over every neuron j of ∃x_j.f.
+        let (width, gamma) = (40, 2);
+        let seeds = clustered(120, width, 11);
+        let mut bdd = Bdd::new(width);
+        let mut f = bdd.zero();
+        for s in &seeds {
+            let cube = bdd.cube_from_bools(&s.to_bools());
+            f = bdd.or(f, cube);
+        }
+        for _ in 0..gamma {
+            let mut next = bdd.zero();
+            for v in 0..width as u32 {
+                let e = bdd.exists(f, v);
+                next = bdd.or(next, e);
+            }
+            f = next;
+        }
+        let mut zone = BddZone::empty(width);
+        for s in &seeds {
+            zone.insert(s);
+        }
+        zone.enlarge_to(gamma);
+        assert_eq!(zone.zone_snapshot(), BddSnapshot::capture(&bdd, f));
     }
 
     #[test]

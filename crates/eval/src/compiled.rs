@@ -61,6 +61,9 @@ impl FastPathCounts {
     }
 }
 
+/// The `schema_version` [`run`] stamps on [`CompiledEval`].
+pub const SCHEMA_VERSION: u32 = 1;
+
 /// The full compiled-vs-walked comparison plus fast-path census.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct CompiledEval {
@@ -355,7 +358,7 @@ pub fn run(cfg: &RunConfig) -> CompiledEval {
     );
 
     let result = CompiledEval {
-        schema_version: 1,
+        schema_version: SCHEMA_VERSION,
         workload: pairs.len(),
         monitored_zones,
         gamma: frozen.gamma(),

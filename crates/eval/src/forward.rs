@@ -69,6 +69,9 @@ pub struct ForwardFixture {
     pub all_identical: bool,
 }
 
+/// The `schema_version` [`run`] stamps on [`ForwardEval`].
+pub const SCHEMA_VERSION: u32 = 2;
+
 /// The full before/after comparison the binary gates on.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct ForwardEval {
@@ -152,7 +155,7 @@ pub fn run(cfg: &RunConfig, alloc_count: fn() -> u64) -> ForwardEval {
     );
 
     let result = ForwardEval {
-        schema_version: 2,
+        schema_version: SCHEMA_VERSION,
         fixtures,
         steady_state_allocs,
         single_row_speedup,

@@ -42,6 +42,9 @@ pub struct KindLatency {
     pub p99_us: Option<u64>,
 }
 
+/// The `schema_version` [`run`] stamps on [`GatewaySoak`].
+pub const SCHEMA_VERSION: u32 = 1;
+
 /// The full gateway soak record.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct GatewaySoak {
@@ -297,7 +300,7 @@ pub fn run(cfg: &RunConfig) -> GatewaySoak {
     rule(60);
 
     let result = GatewaySoak {
-        schema_version: 1,
+        schema_version: SCHEMA_VERSION,
         client_threads: threads,
         requests_per_thread: per_thread,
         total_requests: (threads * per_thread) as u64,

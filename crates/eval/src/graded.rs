@@ -122,6 +122,9 @@ pub struct DriftSummary {
     pub observed: usize,
 }
 
+/// The `schema_version` [`run`] stamps on [`GradedTriage`].
+pub const SCHEMA_VERSION: u32 = 1;
+
 /// The full graded-triage result (`results/graded.json`).
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct GradedTriage {
@@ -430,7 +433,7 @@ pub fn run(cfg: &RunConfig) -> GradedTriage {
 
     engine.shutdown();
     let result = GradedTriage {
-        schema_version: 1,
+        schema_version: SCHEMA_VERSION,
         gamma,
         budget,
         histograms,

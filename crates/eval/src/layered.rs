@@ -120,6 +120,9 @@ pub struct ObservationWin {
     pub floats_retained_all: usize,
 }
 
+/// The `schema_version` [`run`] stamps on [`LayeredEval`].
+pub const SCHEMA_VERSION: u32 = 1;
+
 /// The full layered-monitoring result (`results/layered.json`).
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct LayeredEval {
@@ -402,7 +405,7 @@ pub fn run(cfg: &RunConfig) -> LayeredEval {
     };
 
     let result = LayeredEval {
-        schema_version: 1,
+        schema_version: SCHEMA_VERSION,
         gamma,
         layers,
         rows,

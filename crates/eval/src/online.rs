@@ -54,6 +54,9 @@ pub struct OnlinePhase {
     pub samples: usize,
 }
 
+/// The `schema_version` [`run`] stamps on [`OnlineAdaptation`].
+pub const SCHEMA_VERSION: u32 = 1;
+
 /// The full online-adaptation trajectory.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct OnlineAdaptation {
@@ -330,7 +333,7 @@ pub fn run(cfg: &RunConfig) -> OnlineAdaptation {
     let stats = engine.shutdown();
     let rate_dropped = shifted_rate_after < shifted_rate_before;
     let result = OnlineAdaptation {
-        schema_version: 1,
+        schema_version: SCHEMA_VERSION,
         phases,
         enriched_patterns,
         dirty_classes,

@@ -24,6 +24,9 @@ pub struct Table1Row {
     pub val_size: usize,
 }
 
+/// The `schema_version` [`run`] stamps on [`Table1`].
+pub const SCHEMA_VERSION: u32 = 1;
+
 /// The full Table I result.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct Table1 {
@@ -82,7 +85,7 @@ pub fn run(cfg: &RunConfig) -> Table1 {
     println!("(paper: net 1 = 99.34%/98.81%, net 2 = 99.98%/96.73%)");
 
     let table = Table1 {
-        schema_version: 1,
+        schema_version: SCHEMA_VERSION,
         rows,
     };
     write_json(&cfg.out_dir, "table1", &table);

@@ -59,6 +59,9 @@ pub struct CompiledVsWalkedRow {
     pub verdicts_identical: bool,
 }
 
+/// The `schema_version` [`run`] stamps on [`Throughput`].
+pub const SCHEMA_VERSION: u32 = 1;
+
 /// The full throughput matrix plus environment context.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct Throughput {
@@ -280,7 +283,7 @@ pub fn run(cfg: &RunConfig) -> Throughput {
     }];
 
     let result = Throughput {
-        schema_version: 1,
+        schema_version: SCHEMA_VERSION,
         available_parallelism: parallelism,
         hardware_threads: parallelism,
         workload: probes.len(),

@@ -99,3 +99,87 @@ fn config_profiles_scale_consistently() {
     assert!(full.gtsrb_train_per_class() >= fast.gtsrb_train_per_class());
     assert!(full.frontcar_scenarios() >= fast.frontcar_scenarios());
 }
+
+/// Parses `json` as the emitter's report type `T` (a file without a
+/// `schema_version`, or with a field the type no longer has a shape for,
+/// fails here) and returns the version it carries.
+fn schema_of<T: serde::Deserialize>(name: &str, json: &str, version: fn(&T) -> u32) -> u32 {
+    let report: T = serde_json::from_str(json)
+        .unwrap_or_else(|e| panic!("results/{name} does not parse as its report type: {e}"));
+    version(&report)
+}
+
+/// The version stamp alone, for the reports that `naps-analyzer` and
+/// `naps-sim` write by hand (they have no serde type; CI rewrites both on
+/// every run).
+#[derive(serde::Deserialize)]
+struct Stamped {
+    schema_version: u32,
+}
+
+/// Every checked-in `results/*.json` must match what today's emitter
+/// writes: it deserializes into the emitter's report type and carries
+/// the emitter's current `schema_version`.  A stale artefact fails here;
+/// regenerate it by running its binary.
+#[test]
+fn checked_in_results_match_their_emitters() {
+    use naps_eval::{compiled, forward, gateway, graded, layered, online, table1, throughput};
+    let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../results");
+    let mut checked = 0;
+    for entry in std::fs::read_dir(&dir).expect("results directory") {
+        let path = entry.expect("directory entry").path();
+        if path.extension().and_then(|e| e.to_str()) != Some("json") {
+            continue;
+        }
+        let name = path
+            .file_name()
+            .and_then(|n| n.to_str())
+            .unwrap_or_default();
+        let json = std::fs::read_to_string(&path).expect("readable result file");
+        let (found, expected) = match name {
+            "compiled.json" => (
+                schema_of(name, &json, |r: &compiled::CompiledEval| r.schema_version),
+                compiled::SCHEMA_VERSION,
+            ),
+            "forward.json" => (
+                schema_of(name, &json, |r: &forward::ForwardEval| r.schema_version),
+                forward::SCHEMA_VERSION,
+            ),
+            "gateway.json" => (
+                schema_of(name, &json, |r: &gateway::GatewaySoak| r.schema_version),
+                gateway::SCHEMA_VERSION,
+            ),
+            "graded.json" => (
+                schema_of(name, &json, |r: &graded::GradedTriage| r.schema_version),
+                graded::SCHEMA_VERSION,
+            ),
+            "layered.json" => (
+                schema_of(name, &json, |r: &layered::LayeredEval| r.schema_version),
+                layered::SCHEMA_VERSION,
+            ),
+            "online.json" => (
+                schema_of(name, &json, |r: &online::OnlineAdaptation| r.schema_version),
+                online::SCHEMA_VERSION,
+            ),
+            "throughput.json" => (
+                schema_of(name, &json, |r: &throughput::Throughput| r.schema_version),
+                throughput::SCHEMA_VERSION,
+            ),
+            "table1.json" => (
+                schema_of(name, &json, |r: &table1::Table1| r.schema_version),
+                table1::SCHEMA_VERSION,
+            ),
+            "analysis.json" => (schema_of(name, &json, |r: &Stamped| r.schema_version), 2),
+            "sim.json" => (schema_of(name, &json, |r: &Stamped| r.schema_version), 1),
+            // The online eval's persisted monitor, not a report (ignored by git).
+            "monitor_epoch1.json" => continue,
+            other => panic!("results/{other} has no emitter mapped in this test"),
+        };
+        assert_eq!(found, expected, "results/{name} is stale: regenerate it");
+        checked += 1;
+    }
+    assert!(
+        checked >= 10,
+        "only {checked} result files found in {dir:?}"
+    );
+}
