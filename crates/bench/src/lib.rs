@@ -87,11 +87,11 @@ pub type BddBackend = BddZone;
 /// The explicit-set baseline backend.
 pub type ExactBackend = ExactZone;
 
-/// The serving-throughput fixture shared by `bench_throughput` and the
-/// `naps-eval` `throughput` binary: a classifier wide enough that the
-/// forward pass dominates per-query cost (so parallel speedup is
-/// measurable rather than drowned in queueing overhead), its monitor,
-/// and a mixed in/out-of-distribution probe workload.
+/// The serving-throughput fixture shared by the serving evals, the
+/// benches and `perfbench`'s `wire_small` workload: a classifier wide
+/// enough that the forward pass dominates per-query cost (so parallel
+/// speedup is measurable rather than drowned in queueing overhead), its
+/// monitor, and a mixed in/out-of-distribution probe workload.
 ///
 /// Returns `(monitor, model, probes)`; the monitor watches the second
 /// ReLU (layer 3) of a `[16, 96, 48, classes]` MLP at γ = 1.

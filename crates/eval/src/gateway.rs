@@ -144,18 +144,20 @@ pub fn run(cfg: &RunConfig) -> GatewaySoak {
         )
         .expect("serving fixture is an MLP"),
     );
-    let reference: Vec<_> = probes
-        .iter()
-        .map(|x| {
-            (
-                engine.check(x).expect("engine up"),
-                engine.check_graded(x, soak_query()).expect("engine up"),
-                engine.check_layered(x).expect("engine up"),
-                engine
-                    .check_layered_graded(x, soak_query())
-                    .expect("engine up"),
-            )
-        })
+    let graded = engine
+        .check_layered_batch(&probes, Some(soak_query()))
+        .expect("engine up");
+    let reference: Vec<_> = engine
+        .check_batch(&probes)
+        .expect("engine up")
+        .into_iter()
+        .zip(
+            engine
+                .check_layered_batch(&probes, None)
+                .expect("engine up"),
+        )
+        .zip(graded)
+        .map(|((single, layered), graded)| (single, graded.to_single(), layered, graded))
         .collect();
     let gateway = Gateway::bind(Arc::clone(&engine), "127.0.0.1:0", GatewayConfig::default())
         .expect("loopback bind");

@@ -304,13 +304,13 @@ pub fn run(cfg: &RunConfig) -> GradedTriage {
     let mut check_stream = |label: &str, inputs: &[Tensor], model: &mut naps_nn::Sequential| {
         let sequential = monitor.check_graded_batch(model, inputs, query);
         let served = engine
-            .check_graded_batch(inputs, query)
+            .check_layered_batch(inputs, Some(query))
             .expect("engine is up");
         let ok = served.len() == sequential.len()
             && served
-                .iter()
+                .into_iter()
                 .zip(&sequential)
-                .all(|(s, q)| s.graded.as_ref() == Some(q));
+                .all(|(s, q)| s.into_single().graded.as_ref() == Some(q));
         if !ok {
             served_matches_sequential = false;
             eprintln!("FAIL: served graded verdicts diverge from sequential on {label}");

@@ -315,7 +315,9 @@ pub fn run(cfg: &RunConfig) -> LayeredEval {
         ("corrupted", &corrupted, &corrupt_reports),
         ("novelty", &novel, &novel_reports),
     ] {
-        let served = engine.check_layered_batch(inputs).expect("engine is up");
+        let served = engine
+            .check_layered_batch(inputs, None)
+            .expect("engine is up");
         let ok = served.len() == sequential.len()
             && served.iter().zip(sequential.iter()).all(|(s, q)| {
                 s.predicted == q.predicted

@@ -278,14 +278,14 @@ pub fn run(cfg: &RunConfig) -> OnlineAdaptation {
     let start = Instant::now();
     let tickets: Vec<_> = shifted
         .iter()
-        .map(|x| engine.submit(x.clone()).expect("engine is up"))
+        .map(|x| engine.submit(x.clone(), None).expect("engine is up"))
         .collect();
     let publish_start = Instant::now();
     let new_epoch = engine.publish(frozen1).expect("compatible snapshot");
     let swap_latency_us = publish_start.elapsed().as_secs_f64() * 1e6;
     let under_swap: Vec<EpochReport> = tickets
         .into_iter()
-        .map(|t| t.wait().expect("engine worker alive"))
+        .map(|t| t.wait().expect("engine worker alive").into_single())
         .collect();
     let qps_during_update = under_swap.len() as f64 / start.elapsed().as_secs_f64();
     assert_eq!(new_epoch, 1);

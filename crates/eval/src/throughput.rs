@@ -37,8 +37,6 @@ pub struct ThroughputRow {
     pub verdicts_identical: bool,
     /// Forward passes the engine executed (0 for the baseline rows).
     pub engine_batches: u64,
-    /// Requests obtained by work stealing (0 for the baseline rows).
-    pub engine_stolen: u64,
 }
 
 /// One single-thread compiled-vs-walked judging row: the frozen judging
@@ -60,7 +58,7 @@ pub struct CompiledVsWalkedRow {
 }
 
 /// The `schema_version` [`run`] stamps on [`Throughput`].
-pub const SCHEMA_VERSION: u32 = 1;
+pub const SCHEMA_VERSION: u32 = 2;
 
 /// The full throughput matrix plus environment context.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -114,8 +112,8 @@ pub fn run(cfg: &RunConfig) -> Throughput {
     let mut baseline_qps = vec![0.0f64; BATCHES.len()];
     rule(66);
     println!(
-        "{:>8} {:>7} {:>12} {:>10} {:>10} {:>8}",
-        "workers", "batch", "qps", "speedup", "identical", "stolen"
+        "{:>8} {:>7} {:>12} {:>10} {:>10}",
+        "workers", "batch", "qps", "speedup", "identical"
     );
     rule(66);
     for (bi, &batch) in BATCHES.iter().enumerate() {
@@ -131,8 +129,8 @@ pub fn run(cfg: &RunConfig) -> Throughput {
         let qps = (repeats * probes.len()) as f64 / start.elapsed().as_secs_f64();
         baseline_qps[bi] = qps;
         println!(
-            "{:>8} {:>7} {:>12.0} {:>10.2} {:>10} {:>8}",
-            "seq", batch, qps, 1.0, identical, 0
+            "{:>8} {:>7} {:>12.0} {:>10.2} {:>10}",
+            "seq", batch, qps, 1.0, identical
         );
         rows.push(ThroughputRow {
             workers: 0,
@@ -141,7 +139,6 @@ pub fn run(cfg: &RunConfig) -> Throughput {
             speedup_vs_sequential: 1.0,
             verdicts_identical: identical,
             engine_batches: 0,
-            engine_stolen: 0,
         });
     }
     for &workers in WORKERS.iter() {
@@ -173,10 +170,7 @@ pub fn run(cfg: &RunConfig) -> Throughput {
             let qps = (repeats * probes.len()) as f64 / start.elapsed().as_secs_f64();
             let stats = engine.shutdown();
             let speedup = qps / baseline_qps[bi];
-            println!(
-                "{workers:>8} {batch:>7} {qps:>12.0} {speedup:>10.2} {identical:>10} {:>8}",
-                stats.stolen
-            );
+            println!("{workers:>8} {batch:>7} {qps:>12.0} {speedup:>10.2} {identical:>10}");
             rows.push(ThroughputRow {
                 workers,
                 batch,
@@ -184,7 +178,6 @@ pub fn run(cfg: &RunConfig) -> Throughput {
                 speedup_vs_sequential: speedup,
                 verdicts_identical: identical,
                 engine_batches: stats.batches,
-                engine_stolen: stats.stolen,
             });
         }
     }

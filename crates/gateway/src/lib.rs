@@ -22,7 +22,7 @@
 //! ## Guarantees
 //!
 //! * **Load shedding, not blocking.**  Readers submit with
-//!   [`naps_serve::MonitorEngine::try_submit_layered_with`]; when the
+//!   [`naps_serve::MonitorEngine::try_submit_with`]; when the
 //!   bounded queue is full the client gets an immediate
 //!   [`Rejection::Saturated`] frame instead of an unread socket.
 //! * **Every accepted request is answered.**  Once a frame decodes,

@@ -17,7 +17,7 @@
 //!   written first.  Connection teardown and gateway shutdown both wait
 //!   for in-flight guards to resolve before closing the socket.
 //! * **Readers never block on the engine.**  Submission goes through
-//!   [`MonitorEngine::try_submit_layered_with`]; a full queue yields an
+//!   [`MonitorEngine::try_submit_with`]; a full queue yields an
 //!   immediate typed `Saturated` response (load shedding) instead of a
 //!   blocked socket.
 
@@ -582,17 +582,15 @@ fn serve_request(inner: &Arc<Inner>, conn: &Arc<Conn>, req: Request) {
     // guard's destructor still answers.
     let slot = Arc::new(Mutex::new(Some(guard)));
     let callback_slot = Arc::clone(&slot);
-    let result = inner
-        .engine
-        .try_submit_layered_with(tensor, query, move |report| {
-            if let Some(guard) = callback_slot
-                .lock()
-                .unwrap_or_else(|e| e.into_inner())
-                .take()
-            {
-                guard.respond(&wire_response(kind, report));
-            }
-        });
+    let result = inner.engine.try_submit_with(tensor, query, move |report| {
+        if let Some(guard) = callback_slot
+            .lock()
+            .unwrap_or_else(|e| e.into_inner())
+            .take()
+        {
+            guard.respond(&wire_response(kind, report));
+        }
+    });
     if let Err(err) = result {
         if let Some(guard) = slot.lock().unwrap_or_else(|e| e.into_inner()).take() {
             if matches!(err, SubmitError::Saturated) {

@@ -56,16 +56,20 @@ fn eventually<F: FnMut() -> bool>(mut f: F, what: &str) {
 fn concurrent_soak_loses_nothing_and_matches_in_process_verdicts() {
     let (engine, probes) = fixture_engine(2, 256);
     // In-process reference verdicts, one per (probe, kind).
-    let reference: Vec<_> = probes
-        .iter()
-        .map(|x| {
-            (
-                engine.check(x).expect("engine up"),
-                engine.check_graded(x, query()).expect("engine up"),
-                engine.check_layered(x).expect("engine up"),
-                engine.check_layered_graded(x, query()).expect("engine up"),
-            )
-        })
+    let graded = engine
+        .check_layered_batch(&probes, Some(query()))
+        .expect("engine up");
+    let reference: Vec<_> = engine
+        .check_batch(&probes)
+        .expect("engine up")
+        .into_iter()
+        .zip(
+            engine
+                .check_layered_batch(&probes, None)
+                .expect("engine up"),
+        )
+        .zip(graded)
+        .map(|((single, layered), graded)| (single, graded.to_single(), layered, graded))
         .collect();
 
     let gateway =
@@ -141,7 +145,7 @@ fn full_queue_sheds_with_typed_saturated_response() {
     let (parked_tx, parked) = mpsc::channel();
     let (release, release_rx) = mpsc::channel::<()>();
     engine
-        .submit_with(xs[0].clone(), move |_| {
+        .try_submit_with(xs[0].clone(), None, move |_| {
             let _ = parked_tx.send(());
             let _ = release_rx.recv();
         })

@@ -1,22 +1,22 @@
-//! The parallel monitoring engine: a work-stealing worker pool serving
-//! monitored classifications from micro-batches.
+//! The parallel monitoring engine: a worker pool serving monitored
+//! classifications from micro-batches drained off one shared FIFO.
 //!
 //! # Architecture
 //!
 //! ```text
-//!  submit / try_submit / check_batch           workers (one thread each)
-//!  submit_layered / check_layered_batch       ┌───────────────────────────
-//!  ──────────────┐                            │ pop own queue ─┐
-//!   round-robin  │   per-worker queues        │ steal siblings ┼─► micro-batch
-//!   push_back ───┼──► [q0] [q1] [q2] [q3] ────┤ (back-steal)   ┘     │
-//!   (bounded:    │         ▲                  │                      ▼
-//!    blocks or   │         └── work-stealing ─┘     pack_batch → one plan-observed
-//!    Saturated)  │                                  forward pass (own replica)
-//!                │                                            │
-//!                │   Arc<FrozenLayeredMonitor> ◄── per-layer, per-class
-//!                │   (one FrozenMonitor per layer)   shard lookups
-//!                └── callbacks/tickets ◄── CombinePolicy fold ◄─┘
-//!                    (LayeredEpochReport; EpochReport = N=1 view)
+//!  check / check_batch / check_layered_batch
+//!  submit / try_submit_with                    workers (one thread each)
+//!  ─────────────┐                              ┌────────────────────────────
+//!   push_back ──┼──► [ one FIFO, bounded ] ──► │ drain ≤ max_batch from front
+//!   (blocks or  │                              │        │
+//!    Saturated  │                              │        ▼
+//!    when full) │                              │ pack_batch → one plan-observed
+//!               │                              │ forward pass (own replica)
+//!               │                                       │
+//!               │   Arc<FrozenLayeredMonitor> ◄── per-layer, per-class
+//!               │   (one FrozenMonitor per layer)   shard lookups
+//!               └── callbacks/tickets ◄── CombinePolicy fold ◄─┘
+//!                   (LayeredEpochReport; EpochReport = N=1 view)
 //! ```
 //!
 //! * **Thread safety.** Workers share one immutable
@@ -31,19 +31,19 @@
 //!   every additional monitored layer costs per-class shard lookups,
 //!   never another forward pass.
 //! * **Live updates.** The served snapshot sits in a read-mostly publish
-//!   slot; [`MonitorEngine::publish`] / [`MonitorEngine::publish_layered`]
-//!   hot-swap an enriched replacement, workers adopt it at their next
-//!   micro-batch boundary, and every verdict carries the epoch of the
-//!   snapshot that judged it ([`EpochReport`] / [`LayeredEpochReport`]).
-//! * **Batching.** A worker drains up to `max_batch` requests in one
-//!   lock acquisition — its own queue first, then stealing from the
-//!   most-loaded sibling — and runs **one** forward pass for the whole
-//!   micro-batch.  Under load, batches grow toward `max_batch`
+//!   slot; [`MonitorEngine::publish`] hot-swaps an enriched replacement,
+//!   workers adopt it at their next micro-batch boundary, and every
+//!   verdict carries the epoch of the snapshot that judged it
+//!   ([`EpochReport`] / [`LayeredEpochReport`]).
+//! * **Batching.** A worker drains up to `max_batch` requests from the
+//!   front of the one queue in one lock acquisition and runs **one**
+//!   forward pass for the whole micro-batch.  Requests are taken in
+//!   submission order.  Under load, batches grow toward `max_batch`
 //!   automatically; when idle, a lone request is served immediately.
-//! * **Backpressure.** Total queued requests are bounded by
-//!   `queue_capacity`: [`MonitorEngine::submit`] blocks for space,
-//!   [`MonitorEngine::try_submit`] returns
-//!   [`SubmitError::Saturated`] instead.
+//! * **Backpressure.** Queued requests are bounded by `queue_capacity`:
+//!   [`MonitorEngine::submit`] (and the blocking `check*` calls built on
+//!   the same path) wait for space, [`MonitorEngine::try_submit_with`]
+//!   returns [`SubmitError::Saturated`] instead.
 //! * **Equivalence.** Workers run the prepared, allocation-free forward
 //!   pass ([`naps_nn::PreparedModel`]), which is bit-identical to the
 //!   `pack_batch` → `forward_observe_plan` pipeline of the sequential
@@ -148,7 +148,7 @@ impl Error for EngineError {}
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[non_exhaustive]
 pub enum SubmitError {
-    /// The bounded queue is full ([`MonitorEngine::try_submit`] only —
+    /// The bounded queue is full ([`MonitorEngine::try_submit_with`] only —
     /// the blocking paths wait for space instead).
     Saturated,
     /// The engine is shutting down.
@@ -200,8 +200,6 @@ pub struct EngineStats {
     pub processed: u64,
     /// Micro-batches (forward passes) executed.
     pub batches: u64,
-    /// Requests obtained by stealing from a sibling's queue.
-    pub stolen: u64,
     /// Largest micro-batch packed into one forward pass.
     pub largest_batch: u64,
     /// Zone snapshots hot-swapped in via [`MonitorEngine::publish`].
@@ -227,10 +225,9 @@ pub struct EpochReport {
     pub epoch: u64,
     /// The verdict itself.
     pub report: MonitorReport,
-    /// The graded payload, for requests submitted through a graded API
-    /// ([`MonitorEngine::check_graded`] /
-    /// [`MonitorEngine::check_graded_batch`] /
-    /// [`MonitorEngine::submit_graded`]): distance to the predicted
+    /// The graded payload, for requests submitted with a
+    /// [`GradedQuery`] (projected from a graded
+    /// [`LayeredEpochReport`]): distance to the predicted
     /// class's zone plus the ranked nearest other-class zones, judged by
     /// the **same** snapshot as [`EpochReport::report`] (whose fields it
     /// embeds verbatim) and bit-identical to sequential
@@ -311,16 +308,12 @@ struct Request {
 }
 
 struct State {
-    /// One FIFO per worker; submissions round-robin, owners pop the
-    /// front, thieves pop the back.
-    queues: Vec<VecDeque<Request>>,
-    /// Total queued requests (bounded by `queue_capacity`).
-    pending: usize,
-    /// Round-robin submission cursor.
-    next: usize,
+    /// The one FIFO every worker drains from the front (bounded by
+    /// `queue_capacity`).
+    queue: VecDeque<Request>,
     shutdown: bool,
     /// `true` once the **last** worker thread has died without an
-    /// orderly shutdown: the queues can never drain again, so
+    /// orderly shutdown: the queue can never drain again, so
     /// submissions are rejected with [`SubmitError::WorkerLost`]
     /// instead of queueing (or blocking) forever.
     failed: bool,
@@ -352,7 +345,6 @@ struct Shared {
     epoch: AtomicU64,
     processed: AtomicU64,
     batches: AtomicU64,
-    stolen: AtomicU64,
     largest_batch: AtomicUsize,
     swaps: AtomicU64,
     /// Drift tracking keyed by (layer, class), plus the combined view
@@ -499,11 +491,13 @@ fn class_statuses(
         .collect()
 }
 
-/// A handle to one in-flight single-layer-view submission; redeem with
-/// [`VerdictTicket::wait`].
+/// A handle to one in-flight submission; redeem with
+/// [`VerdictTicket::wait`].  It resolves to the full
+/// [`LayeredEpochReport`]; project it with
+/// [`LayeredEpochReport::into_single`] for the single-layer view.
 #[derive(Debug)]
 pub struct VerdictTicket {
-    rx: mpsc::Receiver<EpochReport>,
+    rx: mpsc::Receiver<LayeredEpochReport>,
 }
 
 impl VerdictTicket {
@@ -515,7 +509,7 @@ impl VerdictTicket {
     /// answering (a worker panic — an engine bug, not a monitoring
     /// verdict).  Never panics and never hangs: a request the engine
     /// dropped resolves with the typed error.
-    pub fn wait(self) -> Result<EpochReport, SubmitError> {
+    pub fn wait(self) -> Result<LayeredEpochReport, SubmitError> {
         self.rx.recv().map_err(|_| SubmitError::WorkerLost)
     }
 
@@ -527,38 +521,6 @@ impl VerdictTicket {
     /// [`SubmitError::WorkerLost`] when the serving worker died before
     /// answering — the same typed failure as [`VerdictTicket::wait`],
     /// rather than reading as "not ready yet" forever.
-    pub fn try_wait(&self) -> Result<Option<EpochReport>, SubmitError> {
-        match self.rx.try_recv() {
-            Ok(report) => Ok(Some(report)),
-            Err(mpsc::TryRecvError::Empty) => Ok(None),
-            Err(mpsc::TryRecvError::Disconnected) => Err(SubmitError::WorkerLost),
-        }
-    }
-}
-
-/// A handle to one in-flight layered submission; redeem with
-/// [`LayeredVerdictTicket::wait`].
-#[derive(Debug)]
-pub struct LayeredVerdictTicket {
-    rx: mpsc::Receiver<LayeredEpochReport>,
-}
-
-impl LayeredVerdictTicket {
-    /// Blocks until the layered verdict is ready.
-    ///
-    /// # Errors
-    ///
-    /// As [`VerdictTicket::wait`].
-    pub fn wait(self) -> Result<LayeredEpochReport, SubmitError> {
-        self.rx.recv().map_err(|_| SubmitError::WorkerLost)
-    }
-
-    /// Returns `Ok(Some(..))` once the verdict is available, `Ok(None)`
-    /// while the request is still queued or in flight.
-    ///
-    /// # Errors
-    ///
-    /// As [`VerdictTicket::try_wait`].
     pub fn try_wait(&self) -> Result<Option<LayeredEpochReport>, SubmitError> {
         match self.rx.try_recv() {
             Ok(report) => Ok(Some(report)),
@@ -574,16 +536,21 @@ impl LayeredVerdictTicket {
 /// See the [module docs](self) for the architecture.  Construct with
 /// [`MonitorEngine::new`] / [`MonitorEngine::new_layered`] (captures the
 /// model once via [`ModelSnapshot`]) or [`MonitorEngine::with_replicas`]
-/// / [`MonitorEngine::with_layered_replicas`] (one caller-supplied
-/// replica per worker); any model built from the built-in layers —
-/// dense, convolution, pooling, batch norm — is served through the
-/// prepared forward pass.  Submit with
-/// [`submit`](MonitorEngine::submit) /
-/// [`submit_layered`](MonitorEngine::submit_layered) /
-/// [`check_batch`](MonitorEngine::check_batch) /
-/// [`check_layered_batch`](MonitorEngine::check_layered_batch), hot-swap
-/// enriched zone snapshots with [`publish`](MonitorEngine::publish) /
-/// [`publish_layered`](MonitorEngine::publish_layered), and stop with
+/// (one caller-supplied replica per worker); any model built from the
+/// built-in layers — dense, convolution, pooling, batch norm — is served
+/// through the prepared forward pass.  Every request takes one path
+/// through one queue; the five entry points differ only in how they wait:
+///
+/// | Entry point | Waits | Answer |
+/// |---|---|---|
+/// | [`check`](MonitorEngine::check) | blocks | one single-layer [`EpochReport`] |
+/// | [`check_batch`](MonitorEngine::check_batch) | blocks | single-layer reports, input order |
+/// | [`check_layered_batch`](MonitorEngine::check_layered_batch) | blocks | [`LayeredEpochReport`]s, optionally graded |
+/// | [`submit`](MonitorEngine::submit) | blocks for queue space | a [`VerdictTicket`] |
+/// | [`try_submit_with`](MonitorEngine::try_submit_with) | never | a callback on the worker thread |
+///
+/// Hot-swap enriched zone snapshots with
+/// [`publish`](MonitorEngine::publish), and stop with
 /// [`shutdown`](MonitorEngine::shutdown) (or [`stop`](MonitorEngine::stop)
 /// from a shared reference, or just drop it — remaining queued requests
 /// are drained first in every case).
@@ -646,24 +613,11 @@ impl MonitorEngine {
         Self::start(monitor, vec![prepared; config.workers], config)
     }
 
-    /// Builds an engine from an already-frozen single-layer monitor
-    /// (lifted to the `N = 1` layered family) and caller-made model
-    /// replicas (one per worker).
-    ///
-    /// # Errors
-    ///
-    /// As [`MonitorEngine::with_layered_replicas`].
-    pub fn with_replicas(
-        monitor: FrozenMonitor,
-        replicas: Vec<Sequential>,
-        config: EngineConfig,
-    ) -> Result<Self, EngineError> {
-        Self::with_layered_replicas(FrozenLayeredMonitor::from_single(monitor), replicas, config)
-    }
-
-    /// Builds an engine from an already-frozen layered monitor and
-    /// caller-made model replicas (one per worker, each prepared for its
-    /// own worker).  The replicas must be behaviourally identical —
+    /// Builds an engine from an already-frozen monitor — a
+    /// [`FrozenLayeredMonitor`], or a single-layer [`FrozenMonitor`]
+    /// lifted to the `N = 1` family — and caller-made model replicas
+    /// (one per worker, each prepared for its own worker).  The replicas
+    /// must be behaviourally identical —
     /// verdict equivalence with sequential checking is only as good as
     /// the replication.
     ///
@@ -674,11 +628,12 @@ impl MonitorEngine {
     /// `replicas.len() != config.workers`,
     /// [`EngineError::UnsupportedModel`] when a replica contains a custom
     /// layer.
-    pub fn with_layered_replicas(
-        monitor: FrozenLayeredMonitor,
+    pub fn with_replicas(
+        monitor: impl Into<FrozenLayeredMonitor>,
         replicas: Vec<Sequential>,
         config: EngineConfig,
     ) -> Result<Self, EngineError> {
+        let monitor = monitor.into();
         let models = replicas
             .iter()
             .map(|m| ModelSnapshot::capture(m).map(|snap| snap.prepare(monitor.plan())))
@@ -715,9 +670,7 @@ impl MonitorEngine {
         let input_len = models.first().and_then(PreparedModel::input_len);
         let shared = Arc::new(Shared {
             state: Mutex::new(State {
-                queues: (0..config.workers).map(|_| VecDeque::new()).collect(),
-                pending: 0,
-                next: 0,
+                queue: VecDeque::new(),
                 shutdown: false,
                 failed: false,
             }),
@@ -731,7 +684,6 @@ impl MonitorEngine {
             epoch: AtomicU64::new(initial_epoch),
             processed: AtomicU64::new(0),
             batches: AtomicU64::new(0),
-            stolen: AtomicU64::new(0),
             largest_batch: AtomicUsize::new(0),
             swaps: AtomicU64::new(0),
             drift: Mutex::new(None),
@@ -745,7 +697,7 @@ impl MonitorEngine {
                     let _guard = WorkerGuard {
                         shared: Arc::clone(&worker_shared),
                     };
-                    worker_loop(id, &worker_shared, model);
+                    worker_loop(&worker_shared, model);
                 });
             match spawned {
                 Ok(handle) => workers.push(handle),
@@ -795,20 +747,10 @@ impl MonitorEngine {
         self.shared.epoch.load(Ordering::Acquire)
     }
 
-    /// Hot-swaps a single-layer `monitor` in as the snapshot to serve —
-    /// the `N = 1` form of [`MonitorEngine::publish_layered`], for
-    /// engines built from a single [`Monitor`].  Returns the epoch
-    /// stamped onto it (previous epoch + 1).
-    ///
-    /// # Errors
-    ///
-    /// As [`MonitorEngine::publish_layered`].
-    pub fn publish(&self, monitor: FrozenMonitor) -> Result<u64, EngineError> {
-        self.publish_layered(FrozenLayeredMonitor::from_single(monitor))
-    }
-
-    /// Hot-swaps `monitor` in as the layered snapshot to serve, returning
-    /// the epoch stamped onto it (previous epoch + 1).
+    /// Hot-swaps `monitor` in as the snapshot to serve, returning the
+    /// epoch stamped onto it (previous epoch + 1).  A single-layer
+    /// [`FrozenMonitor`] is lifted to the `N = 1` family, the form an
+    /// engine built from a single [`Monitor`] serves.
     ///
     /// The swap is **non-disruptive and exact**: no request is lost,
     /// rejected or re-run.  Workers pick the new snapshot up at their
@@ -827,7 +769,8 @@ impl MonitorEngine {
     /// different class count than the snapshot being replaced — swapping
     /// it in would make cross-epoch verdicts incomparable.  The engine
     /// keeps serving the old snapshot.
-    pub fn publish_layered(&self, mut monitor: FrozenLayeredMonitor) -> Result<u64, EngineError> {
+    pub fn publish(&self, monitor: impl Into<FrozenLayeredMonitor>) -> Result<u64, EngineError> {
+        let mut monitor = monitor.into();
         let mut slot = self
             .shared
             .published
@@ -947,210 +890,46 @@ impl MonitorEngine {
         self.workers.len()
     }
 
-    /// Queues `input` and invokes `complete` with the single-layer-view
-    /// verdict on a worker thread — the callback-style API for event
-    /// loops that must not block.  Blocks only while the bounded queue is
-    /// full.
+    /// Checks one input synchronously through the pool, returning the
+    /// single-layer view of its verdict.
     ///
     /// # Errors
     ///
     /// [`SubmitError::ShutDown`] after shutdown began,
-    /// [`SubmitError::WidthMismatch`] when the input width is wrong for
-    /// the model.
-    pub fn submit_with<F>(&self, input: Tensor, complete: F) -> Result<(), SubmitError>
-    where
-        F: FnOnce(EpochReport) + Send + 'static,
-    {
-        self.enqueue(
-            input,
-            None,
-            Box::new(move |report| complete(report.into_single())),
-            true,
-        )
-    }
-
-    /// Layered [`MonitorEngine::submit_with`]: the callback receives the
-    /// full [`LayeredEpochReport`].
-    ///
-    /// # Errors
-    ///
-    /// As [`MonitorEngine::submit_with`].
-    pub fn submit_layered_with<F>(&self, input: Tensor, complete: F) -> Result<(), SubmitError>
-    where
-        F: FnOnce(LayeredEpochReport) + Send + 'static,
-    {
-        self.enqueue(input, None, Box::new(complete), true)
-    }
-
-    /// Graded [`MonitorEngine::submit_with`]: the verdict arrives with
-    /// [`EpochReport::graded`] populated at `query`.
-    ///
-    /// # Errors
-    ///
-    /// As [`MonitorEngine::submit_with`].
-    pub fn submit_graded_with<F>(
-        &self,
-        input: Tensor,
-        query: GradedQuery,
-        complete: F,
-    ) -> Result<(), SubmitError>
-    where
-        F: FnOnce(EpochReport) + Send + 'static,
-    {
-        self.enqueue(
-            input,
-            Some(query),
-            Box::new(move |report| complete(report.into_single())),
-            true,
-        )
-    }
-
-    /// Graded [`MonitorEngine::submit`]: queues `input` for a verdict
-    /// with the graded payload ([`EpochReport::graded`]) computed at
-    /// `query` by the same snapshot that judges the binary verdict.
-    ///
-    /// # Errors
-    ///
-    /// As [`MonitorEngine::submit`].
-    pub fn submit_graded(
-        &self,
-        input: Tensor,
-        query: GradedQuery,
-    ) -> Result<VerdictTicket, SubmitError> {
-        let (tx, rx) = mpsc::channel();
-        self.enqueue(
-            input,
-            Some(query),
-            Box::new(move |report| {
-                let _ = tx.send(report.into_single());
-            }),
-            true,
-        )?;
-        Ok(VerdictTicket { rx })
-    }
-
-    /// Queues `input`, blocking while the queue is full, and returns a
-    /// ticket to wait on for the single-layer-view verdict.
-    ///
-    /// # Errors
-    ///
-    /// [`SubmitError::ShutDown`] after shutdown began,
-    /// [`SubmitError::WidthMismatch`] when the input width is wrong for
-    /// the model.
-    pub fn submit(&self, input: Tensor) -> Result<VerdictTicket, SubmitError> {
-        let (tx, rx) = mpsc::channel();
-        self.enqueue(
-            input,
-            None,
-            Box::new(move |report| {
-                let _ = tx.send(report.into_single());
-            }),
-            true,
-        )?;
-        Ok(VerdictTicket { rx })
-    }
-
-    /// Layered [`MonitorEngine::submit`]: the ticket resolves to the full
-    /// [`LayeredEpochReport`].  Pass `query` to also compute the
-    /// per-layer graded rankings.
-    ///
-    /// # Errors
-    ///
-    /// As [`MonitorEngine::submit`].
-    pub fn submit_layered(
-        &self,
-        input: Tensor,
-        query: Option<GradedQuery>,
-    ) -> Result<LayeredVerdictTicket, SubmitError> {
-        let (tx, rx) = mpsc::channel();
-        self.enqueue(
-            input,
-            query,
-            Box::new(move |report| {
-                let _ = tx.send(report);
-            }),
-            true,
-        )?;
-        Ok(LayeredVerdictTicket { rx })
-    }
-
-    /// Non-blocking [`MonitorEngine::submit`]: fails with
-    /// [`SubmitError::Saturated`] instead of waiting for queue space.
-    ///
-    /// # Errors
-    ///
-    /// [`SubmitError::Saturated`] when the queue is full,
-    /// [`SubmitError::ShutDown`] after shutdown began,
-    /// [`SubmitError::WidthMismatch`] when the input width is wrong for
-    /// the model.
-    pub fn try_submit(&self, input: Tensor) -> Result<VerdictTicket, SubmitError> {
-        let (tx, rx) = mpsc::channel();
-        self.enqueue(
-            input,
-            None,
-            Box::new(move |report| {
-                let _ = tx.send(report.into_single());
-            }),
-            false,
-        )?;
-        Ok(VerdictTicket { rx })
-    }
-
-    /// Checks one input synchronously through the pool (single-layer
-    /// view).
-    ///
-    /// # Errors
-    ///
-    /// [`SubmitError::ShutDown`] after shutdown began,
+    /// [`SubmitError::WorkerLost`] on a failed engine,
     /// [`SubmitError::WidthMismatch`] on a wrong-width input.  Never
     /// panics and never deadlocks: a shut-down engine answers with an
     /// error, not a hang.
     pub fn check(&self, input: &Tensor) -> Result<EpochReport, SubmitError> {
-        self.submit(input.clone())?.wait()
-    }
-
-    /// Checks one input synchronously through the pool, returning the
-    /// full per-layer verdict.
-    ///
-    /// # Errors
-    ///
-    /// As [`MonitorEngine::check`].
-    pub fn check_layered(&self, input: &Tensor) -> Result<LayeredEpochReport, SubmitError> {
-        self.submit_layered(input.clone(), None)?.wait()
-    }
-
-    /// Graded [`MonitorEngine::check`]: the returned report carries the
-    /// graded payload at `query`.
-    ///
-    /// # Errors
-    ///
-    /// As [`MonitorEngine::check`].
-    pub fn check_graded(
-        &self,
-        input: &Tensor,
-        query: GradedQuery,
-    ) -> Result<EpochReport, SubmitError> {
-        self.submit_graded(input.clone(), query)?.wait()
-    }
-
-    /// Graded [`MonitorEngine::check_layered`]: the returned report
-    /// carries one graded ranking per monitored layer at `query`.
-    ///
-    /// # Errors
-    ///
-    /// As [`MonitorEngine::check`].
-    pub fn check_layered_graded(
-        &self,
-        input: &Tensor,
-        query: GradedQuery,
-    ) -> Result<LayeredEpochReport, SubmitError> {
-        self.submit_layered(input.clone(), Some(query))?.wait()
+        self.submit(input.clone(), None)?
+            .wait()
+            .map(LayeredEpochReport::into_single)
     }
 
     /// Checks a batch synchronously, preserving input order (single-layer
-    /// view).  The batch is fanned out across the pool as individual
-    /// requests, so workers micro-batch and steal freely; results are
-    /// reassembled by index.
+    /// view): [`MonitorEngine::check_layered_batch`] without a graded
+    /// query, each verdict projected with
+    /// [`LayeredEpochReport::into_single`].
+    ///
+    /// # Errors
+    ///
+    /// As [`MonitorEngine::check_layered_batch`].
+    pub fn check_batch(&self, inputs: &[Tensor]) -> Result<Vec<EpochReport>, SubmitError> {
+        Ok(self
+            .check_layered_batch(inputs, None)?
+            .into_iter()
+            .map(LayeredEpochReport::into_single)
+            .collect())
+    }
+
+    /// Checks a batch synchronously, preserving input order, and returns
+    /// one full [`LayeredEpochReport`] per input.  Pass `query` to also
+    /// compute one graded ranking per monitored layer.  The batch is
+    /// queued as individual requests, so workers micro-batch it freely;
+    /// results are reassembled by index.  Element `i` is bit-identical to
+    /// sequential [`LayeredMonitor::check_batch`] (or, graded,
+    /// [`LayeredMonitor::check_graded_batch`]) under the snapshot of the
+    /// epoch stamped on it.
     ///
     /// Submission is **all-or-nothing**: every input's width is
     /// validated before anything is queued, so a malformed input at any
@@ -1160,71 +939,13 @@ impl MonitorEngine {
     /// # Errors
     ///
     /// [`SubmitError::ShutDown`] after shutdown began,
+    /// [`SubmitError::WorkerLost`] on a failed engine,
     /// [`SubmitError::WidthMismatch`] when an input width is wrong for
     /// the model (nothing submitted).  A shutdown racing the submission
     /// loop can still cut a batch short — requests queued before the
     /// error are drained and their verdicts discarded.  The call never
     /// panics or deadlocks.
-    pub fn check_batch(&self, inputs: &[Tensor]) -> Result<Vec<EpochReport>, SubmitError> {
-        Ok(self
-            .check_batch_inner(inputs, None)?
-            .into_iter()
-            .map(LayeredEpochReport::into_single)
-            .collect())
-    }
-
-    /// Layered [`MonitorEngine::check_batch`]: order-preserving,
-    /// all-or-nothing, one full [`LayeredEpochReport`] per input.
-    /// Element `i` is bit-identical to sequential
-    /// [`LayeredMonitor::check_batch`] under the snapshot of the epoch
-    /// stamped on it.
-    ///
-    /// # Errors
-    ///
-    /// As [`MonitorEngine::check_batch`].
     pub fn check_layered_batch(
-        &self,
-        inputs: &[Tensor],
-    ) -> Result<Vec<LayeredEpochReport>, SubmitError> {
-        self.check_batch_inner(inputs, None)
-    }
-
-    /// Graded [`MonitorEngine::check_batch`]: every report carries the
-    /// graded payload at `query`, order-preserving and all-or-nothing
-    /// like the binary path.  Element `i` is bit-identical to sequential
-    /// [`Monitor::check_graded_batch`] under the snapshot of the epoch
-    /// stamped on it.
-    ///
-    /// # Errors
-    ///
-    /// As [`MonitorEngine::check_batch`].
-    pub fn check_graded_batch(
-        &self,
-        inputs: &[Tensor],
-        query: GradedQuery,
-    ) -> Result<Vec<EpochReport>, SubmitError> {
-        Ok(self
-            .check_batch_inner(inputs, Some(query))?
-            .into_iter()
-            .map(LayeredEpochReport::into_single)
-            .collect())
-    }
-
-    /// Graded [`MonitorEngine::check_layered_batch`]: every report
-    /// carries one graded ranking per monitored layer at `query`.
-    ///
-    /// # Errors
-    ///
-    /// As [`MonitorEngine::check_batch`].
-    pub fn check_layered_graded_batch(
-        &self,
-        inputs: &[Tensor],
-        query: GradedQuery,
-    ) -> Result<Vec<LayeredEpochReport>, SubmitError> {
-        self.check_batch_inner(inputs, Some(query))
-    }
-
-    fn check_batch_inner(
         &self,
         inputs: &[Tensor],
         query: Option<GradedQuery>,
@@ -1263,26 +984,40 @@ impl MonitorEngine {
             .collect()
     }
 
-    /// Requests currently queued (accepted but not yet picked up by a
-    /// worker) — the live backpressure gauge, bounded by
-    /// [`EngineConfig::queue_capacity`].  A point-in-time snapshot: the
-    /// value can change the moment the lock is released.
-    pub fn queue_depth(&self) -> usize {
-        self.shared
-            .state
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .pending
+    /// Queues `input`, blocking while the queue is full, and returns a
+    /// ticket to wait on for the verdict.  Pass `query` to also compute
+    /// the per-layer graded rankings.
+    ///
+    /// # Errors
+    ///
+    /// [`SubmitError::ShutDown`] after shutdown began,
+    /// [`SubmitError::WorkerLost`] on a failed engine,
+    /// [`SubmitError::WidthMismatch`] when the input width is wrong for
+    /// the model.
+    pub fn submit(
+        &self,
+        input: Tensor,
+        query: Option<GradedQuery>,
+    ) -> Result<VerdictTicket, SubmitError> {
+        let (tx, rx) = mpsc::channel();
+        self.enqueue(
+            input,
+            query,
+            Box::new(move |report| {
+                let _ = tx.send(report);
+            }),
+            true,
+        )?;
+        Ok(VerdictTicket { rx })
     }
 
-    /// Non-blocking layered callback submission — the composition of
-    /// [`MonitorEngine::try_submit`] (typed [`SubmitError::Saturated`]
-    /// instead of blocking on a full queue) and
-    /// [`MonitorEngine::submit_layered_with`] (callback instead of
-    /// ticket), with an optional graded `query`.  This is the surface a
-    /// network front-end wants: a reader thread must never block on the
-    /// engine's queue, and the verdict is written back from the worker
-    /// thread without parking anything in between.
+    /// Non-blocking callback submission: queues `input` (graded at
+    /// `query` when given) and invokes `complete` with the verdict on a
+    /// worker thread, or fails at once with [`SubmitError::Saturated`]
+    /// when the queue is full.  This is the surface a network front-end
+    /// wants: a reader thread must never block on the engine's queue,
+    /// and the verdict is written back from the worker thread without
+    /// parking anything in between.
     ///
     /// # Errors
     ///
@@ -1291,7 +1026,7 @@ impl MonitorEngine {
     /// [`SubmitError::WorkerLost`] on a failed engine,
     /// [`SubmitError::WidthMismatch`] on a wrong-width input.  When an
     /// error is returned, `complete` is dropped uninvoked.
-    pub fn try_submit_layered_with<F>(
+    pub fn try_submit_with<F>(
         &self,
         input: Tensor,
         query: Option<GradedQuery>,
@@ -1303,15 +1038,26 @@ impl MonitorEngine {
         self.enqueue(input, query, Box::new(complete), false)
     }
 
-    /// Lifetime counters (throughput, batching, stealing and swap
-    /// behaviour).
+    /// Requests currently queued (accepted but not yet picked up by a
+    /// worker) — the live backpressure gauge, bounded by
+    /// [`EngineConfig::queue_capacity`].  A point-in-time snapshot: the
+    /// value can change the moment the lock is released.
+    pub fn queue_depth(&self) -> usize {
+        self.shared
+            .state
+            .lock()
+            .unwrap_or_else(|e| e.into_inner())
+            .queue
+            .len()
+    }
+
+    /// Lifetime counters (throughput, batching and swap behaviour).
     pub fn stats(&self) -> EngineStats {
         EngineStats {
             // ordering: relaxed — advisory snapshot of monotone counters;
             // no cross-counter consistency is promised (all loads below).
             processed: self.shared.processed.load(Ordering::Relaxed),
             batches: self.shared.batches.load(Ordering::Relaxed), // ordering: relaxed snapshot
-            stolen: self.shared.stolen.load(Ordering::Relaxed),   // ordering: relaxed snapshot
             largest_batch: self.shared.largest_batch.load(Ordering::Relaxed) as u64, // ordering: relaxed snapshot
             swaps: self.shared.swaps.load(Ordering::Relaxed), // ordering: relaxed snapshot
         }
@@ -1327,7 +1073,7 @@ impl MonitorEngine {
         self.begin_shutdown();
     }
 
-    /// Stops accepting submissions, drains the queues, joins the
+    /// Stops accepting submissions, drains the queue, joins the
     /// workers and returns the final counters.
     ///
     /// **Drain guarantee** (regression-tested by
@@ -1382,7 +1128,7 @@ impl MonitorEngine {
             if state.shutdown {
                 return Err(SubmitError::ShutDown);
             }
-            if state.pending < self.shared.queue_capacity {
+            if state.queue.len() < self.shared.queue_capacity {
                 break;
             }
             if !block {
@@ -1394,17 +1140,12 @@ impl MonitorEngine {
                 .wait(state)
                 .unwrap_or_else(|e| e.into_inner());
         }
-        let slot = state.next % state.queues.len();
-        state.next = state.next.wrapping_add(1);
-        // naps-lint: allow(panic_freedom, "slot is taken modulo queues.len(), which is fixed and non-zero since construction")
-        state.queues[slot].push_back(Request {
+        state.queue.push_back(Request {
             input,
             graded,
             complete,
         });
-        state.pending += 1;
         drop(state);
-        // Any worker may serve it: idle workers steal from `slot`.
         self.shared.work.notify_one();
         Ok(())
     }
@@ -1419,63 +1160,28 @@ impl Drop for MonitorEngine {
     }
 }
 
-/// Pops a micro-batch for worker `id`: own queue first (FIFO), then
-/// back-stealing from the most-loaded sibling.  Returns `None` to shut
-/// down.  Blocks on the `work` condvar while idle.
-// naps-lint: allow-fn(panic_freedom, "worker ids are 0..workers and victim slots are taken modulo queues.len(); the queue vec's length equals the worker count and is fixed at construction")
-fn next_batch(id: usize, shared: &Shared) -> Option<Vec<Request>> {
+/// Pops the next micro-batch: up to `max_batch` requests from the front
+/// of the queue, in submission order.  Returns `None` to shut down.
+/// Blocks on the `work` condvar while idle.
+fn next_batch(shared: &Shared) -> Option<Vec<Request>> {
     let mut state = shared.state.lock().unwrap_or_else(|e| e.into_inner());
     loop {
-        if state.pending > 0 {
-            let mut batch = Vec::new();
-            while batch.len() < shared.max_batch {
-                match state.queues[id].pop_front() {
-                    Some(r) => batch.push(r),
-                    None => break,
-                }
-            }
-            let mut stolen = 0u64;
-            while batch.len() < shared.max_batch {
-                let victim = (0..state.queues.len())
-                    .filter(|&q| q != id && !state.queues[q].is_empty())
-                    .max_by_key(|&q| state.queues[q].len());
-                let Some(victim) = victim else { break };
-                // Take up to half the victim's backlog (at least one),
-                // from the back — the owner keeps draining the front.
-                let take = state.queues[victim]
-                    .len()
-                    .div_ceil(2)
-                    .min(shared.max_batch - batch.len());
-                let before = batch.len();
-                for _ in 0..take {
-                    // `take` ≤ the victim's length, both read under the
-                    // state lock — but steal what is actually there
-                    // rather than assert it.
-                    match state.queues[victim].pop_back() {
-                        Some(r) => batch.push(r),
-                        None => break,
-                    }
-                }
-                stolen += (batch.len() - before) as u64;
-            }
-            if !batch.is_empty() {
-                state.pending -= batch.len();
-                drop(state);
-                shared.space.notify_all();
-                // ordering: relaxed — stat counters; queue state is
-                // consistent under the state mutex released above.
-                shared.stolen.fetch_add(stolen, Ordering::Relaxed);
-                shared.batches.fetch_add(1, Ordering::Relaxed); // ordering: relaxed stat counter
-                shared
-                    .largest_batch
-                    // ordering: relaxed — stat high-water mark
-                    .fetch_max(batch.len(), Ordering::Relaxed);
-                return Some(batch);
-            }
+        if !state.queue.is_empty() {
+            let take = state.queue.len().min(shared.max_batch);
+            let batch: Vec<Request> = state.queue.drain(..take).collect();
+            drop(state);
+            shared.space.notify_all();
+            // ordering: relaxed — stat counters; queue state is
+            // consistent under the state mutex released above.
+            shared.batches.fetch_add(1, Ordering::Relaxed);
+            shared
+                .largest_batch
+                // ordering: relaxed — stat high-water mark
+                .fetch_max(batch.len(), Ordering::Relaxed);
+            return Some(batch);
         }
         if state.shutdown {
-            // Queues are empty (pending == 0 or this worker saw nothing
-            // poppable) and no more submissions can arrive: done.
+            // The queue is empty and no more submissions can arrive: done.
             return None;
         }
         state = shared.work.wait(state).unwrap_or_else(|e| e.into_inner());

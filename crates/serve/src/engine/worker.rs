@@ -10,24 +10,23 @@
 //! waivers).  The cold half — construction, publish, shutdown — stays in
 //! `engine.rs`.
 
-use super::{next_batch, LayeredEpochReport, Request, Shared};
+use super::{next_batch, LayeredEpochReport, Shared};
 use crate::frozen::{FrozenLayeredMonitor, LayeredVerdict};
 use naps_core::prepared::PreparedObserver;
 use naps_core::Pattern;
 use naps_nn::PreparedModel;
 use naps_sync::atomic::Ordering;
 use naps_sync::Arc;
-use std::collections::VecDeque;
 
-/// Runs when a worker thread exits — normally (orderly shutdown with
-/// empty queues) or by unwinding out of a panic.  Its job is the "no
+/// Runs when a worker thread exits — normally (orderly shutdown with an
+/// empty queue) or by unwinding out of a panic.  Its job is the "no
 /// hung ticket" invariant:
 ///
 /// * A **panicking** worker may leave queued requests behind that only
 ///   *it* was notified about; siblings are re-woken so they re-check the
-///   queues and steal the orphans.
-/// * The **last** worker to exit takes the queues with it: nothing can
-///   ever pop them again, so any still-queued request is drained and
+///   queue and serve them.
+/// * The **last** worker to exit takes the queue with it: nothing can
+///   ever pop it again, so any still-queued request is drained and
 ///   dropped — dropping a [`Request`] drops its completion callback,
 ///   which disconnects the ticket channel and resolves the ticket with
 ///   [`SubmitError::WorkerLost`] instead of leaving it hanging.  If the
@@ -56,15 +55,9 @@ impl Drop for WorkerGuard {
             state.failed = true;
             state.shutdown = true;
         }
-        let orphans: Vec<VecDeque<Request>> = if last {
-            state.pending = 0;
-            state.queues.iter_mut().map(std::mem::take).collect()
-        } else {
-            // naps-lint: allow(hot_path_alloc, "worker-exit path: runs once per thread lifetime, never per request (and an empty Vec does not allocate)")
-            Vec::new()
-        };
+        let orphans = last.then(|| std::mem::take(&mut state.queue));
         drop(state);
-        // Siblings blocked in `next_batch` re-check the queues (a panic
+        // Siblings blocked in `next_batch` re-check the queue (a panic
         // can eat a submission's one `notify_one`); blocked submitters
         // re-check the shutdown/failed flags.
         self.shared.work.notify_all();
@@ -78,7 +71,7 @@ impl Drop for WorkerGuard {
 /// worker owns a [`PreparedObserver`] whose batch/carry/pattern storage
 /// is reused across micro-batches: zero heap allocation per observation
 /// after warm-up.
-pub(super) fn worker_loop(id: usize, shared: &Shared, model: PreparedModel) {
+pub(super) fn worker_loop(shared: &Shared, model: PreparedModel) {
     let mut observer = PreparedObserver::new();
     // Each worker serves from its own Arc onto the published snapshot and
     // re-reads the publish slot only at micro-batch boundaries where the
@@ -87,7 +80,7 @@ pub(super) fn worker_loop(id: usize, shared: &Shared, model: PreparedModel) {
     let mut monitor: Arc<FrozenLayeredMonitor> =
         Arc::clone(&shared.published.lock().unwrap_or_else(|e| e.into_inner()));
     let mut epoch = monitor.epoch();
-    while let Some(batch) = next_batch(id, shared) {
+    while let Some(batch) = next_batch(shared) {
         // ordering: acquire — pairs with publish's Release store; a moved
         // epoch guarantees the slot re-read below sees the new snapshot.
         if shared.epoch.load(Ordering::Acquire) != epoch {

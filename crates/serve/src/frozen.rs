@@ -797,6 +797,15 @@ pub struct FrozenLayeredMonitor {
     epoch: u64,
 }
 
+impl From<FrozenMonitor> for FrozenLayeredMonitor {
+    /// [`FrozenLayeredMonitor::from_single`]: what lets
+    /// `MonitorEngine::publish` and `MonitorEngine::with_replicas` take a
+    /// single-layer monitor directly.
+    fn from(monitor: FrozenMonitor) -> Self {
+        FrozenLayeredMonitor::from_single(monitor)
+    }
+}
+
 impl FrozenLayeredMonitor {
     /// Lifts a single-layer monitor into the layered family — the
     /// `N = 1` special case.  The policy is irrelevant for one layer

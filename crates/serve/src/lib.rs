@@ -3,9 +3,9 @@
 //! The paper's deployment story (Figure 1) puts the activation-pattern
 //! monitor inside a live inference loop.  `naps-core`'s monitors are
 //! single-threaded library calls; this crate turns them into a
-//! long-lived concurrent **service**: requests are collected into
-//! micro-batches, fanned out across a work-stealing pool of worker
-//! threads (each owning a model replica), and judged against per-class
+//! long-lived concurrent **service**: requests wait in one bounded FIFO,
+//! worker threads (each owning a model replica) drain it in
+//! micro-batches, and every request is judged against per-class
 //! comfort-zone shards that share immutable `Arc`'d BDD snapshots — so
 //! the membership hot path takes **no lock at all**.
 //!
@@ -14,12 +14,12 @@
 //! | [`FrozenZone`] | one class's zone + seeds as immutable [`naps_bdd::BddSnapshot`]s |
 //! | [`FrozenMonitor`] / [`MonitorShard`] | one layer's deployable monitor split class-wise into disjoint shards |
 //! | [`FrozenLayeredMonitor`] / [`LayeredVerdict`] | the epoch-versioned N-layer family the engine serves (single-layer = N = 1) |
-//! | [`MonitorEngine`] | the worker pool: batching, stealing, backpressure, hot swap |
+//! | [`MonitorEngine`] | the worker pool over one FIFO: five entry points (`check`, `check_batch`, `check_layered_batch`, `submit`, `try_submit_with`), batching, backpressure, hot swap |
 //! | [`EngineConfig`] | workers / `max_batch` / `queue_capacity` knobs |
-//! | [`VerdictTicket`] / [`LayeredVerdictTicket`] | handles to one in-flight verdict |
+//! | [`VerdictTicket`] | handle to one in-flight verdict (resolves to a [`LayeredEpochReport`]) |
 //! | [`EpochReport`] / [`LayeredEpochReport`] | a verdict stamped with the zone epoch that produced it, optionally carrying the graded payload(s) |
 //! | [`ClassDriftStatus`] / [`LayerDriftStatus`] | epoch-stamped drift posture, combined and per (layer, class) |
-//! | [`EngineStats`] | processed / batches / stolen / largest-batch / swaps counters |
+//! | [`EngineStats`] | processed / batches / largest-batch / swaps counters |
 //! | [`PersistError`] | why a frozen-monitor `save` / `load` failed |
 //!
 //! Verdicts are **bit-identical** to sequential
@@ -39,13 +39,14 @@
 //! per layer plus the [`naps_core::CombinePolicy`] (`Any` / `All` /
 //! `Majority`) that folds the per-layer verdicts.  One observation-plan
 //! forward pass feeds all layers — adding a monitored layer costs shard
-//! lookups, never another forward pass — and the layered query APIs
-//! ([`MonitorEngine::check_layered_batch`],
-//! [`MonitorEngine::submit_layered`], …) return [`LayeredEpochReport`]s
+//! lookups, never another forward pass — and every verdict is a
+//! [`LayeredEpochReport`] ([`MonitorEngine::check_layered_batch`],
+//! [`MonitorEngine::submit`], [`MonitorEngine::try_submit_with`])
 //! carrying per-layer reports and, when requested, per-layer graded
 //! rankings.  A single-layer engine is exactly the `N = 1` case; its
-//! [`EpochReport`] API is the [`LayeredEpochReport::to_single`]
-//! projection.  [`FrozenLayeredMonitor::save`] writes a versioned
+//! [`EpochReport`] ([`MonitorEngine::check`] /
+//! [`MonitorEngine::check_batch`]) is the
+//! [`LayeredEpochReport::into_single`] projection.  [`FrozenLayeredMonitor::save`] writes a versioned
 //! container that [`FrozenLayeredMonitor::load`] restores — including
 //! files written by the pre-layered [`FrozenMonitor::save`] format.
 //!
@@ -63,10 +64,10 @@
 //!
 //! ## Graded verdicts & drift
 //!
-//! Every query API has a graded twin
-//! ([`MonitorEngine::check_graded`] /
-//! [`MonitorEngine::check_graded_batch`] /
-//! [`MonitorEngine::submit_graded`]): the verdict additionally carries
+//! Every request may carry a [`naps_core::GradedQuery`]
+//! ([`MonitorEngine::check_layered_batch`] /
+//! [`MonitorEngine::submit`] /
+//! [`MonitorEngine::try_submit_with`]): the verdict additionally carries
 //! the bounded Hamming distance to the predicted class's zone and a
 //! ranked top-k of the nearest *other* classes' zones
 //! ([`naps_core::GradedReport`]), computed by the budget-bounded
@@ -125,7 +126,7 @@ mod frozen;
 
 pub use engine::{
     ClassDriftStatus, EngineConfig, EngineError, EngineStats, EpochReport, LayerDriftStatus,
-    LayeredEpochReport, LayeredVerdictTicket, MonitorEngine, SubmitError, VerdictTicket,
+    LayeredEpochReport, MonitorEngine, SubmitError, VerdictTicket,
 };
 pub use frozen::{
     FrozenLayeredMonitor, FrozenMonitor, FrozenZone, LayeredVerdict, MonitorShard, PersistError,

@@ -9,9 +9,11 @@
 
 use naps_core::{BddZone, CombinePolicy, LayeredMonitor, Monitor, MonitorBuilder};
 use naps_nn::{mlp, Adam, Sequential, TrainConfig, Trainer};
+use naps_serve::MonitorEngine;
 use naps_tensor::Tensor;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::sync::mpsc;
 
 /// Class count of the fixture classifier.
 pub const CLASSES: usize = 4;
@@ -94,4 +96,28 @@ pub fn layered_fixture(
         probes.push(Tensor::from_vec(vec![2], vec![r * a.cos(), r * a.sin()]));
     }
     (layered, net, probes)
+}
+
+/// Submits `input` with a completion callback that parks the worker
+/// that judged it, then runs `then` once released (the returned sender
+/// is dropped).  Returns once a worker is parked.  Parking makes
+/// schedules deterministic: while the worker is parked the test queues
+/// whatever must be in flight, orphaned or ordered, then releases it.
+#[allow(dead_code)] // not every suite parks workers
+pub fn park(
+    engine: &MonitorEngine,
+    input: Tensor,
+    then: impl FnOnce() + Send + 'static,
+) -> mpsc::Sender<()> {
+    let (parked_tx, parked_rx) = mpsc::channel();
+    let (release, release_rx) = mpsc::channel::<()>();
+    engine
+        .try_submit_with(input, None, move |_| {
+            let _ = parked_tx.send(());
+            let _ = release_rx.recv();
+            then();
+        })
+        .expect("submit the parking request");
+    parked_rx.recv().expect("a worker parks");
+    release
 }

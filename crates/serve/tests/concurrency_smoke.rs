@@ -1,7 +1,7 @@
 //! Concurrency smoke tests for [`MonitorEngine`]: many threads submitting
 //! overlapping batches must produce verdicts **bit-identical** to
-//! sequential checking, no matter how requests interleave, batch, or get
-//! stolen between workers.
+//! sequential checking, no matter how requests interleave or batch, and
+//! the one queue must serve requests in submission order.
 //!
 //! Run these under `cargo test --release -p naps-serve` too (CI does):
 //! release reordering and the absence of debug asserts surface timing
@@ -9,11 +9,11 @@
 
 use naps_core::{ActivationMonitor, BddZone, Monitor, MonitorReport};
 use naps_nn::Sequential;
-use naps_serve::{EngineConfig, MonitorEngine, SubmitError};
+use naps_serve::{EngineConfig, EpochReport, MonitorEngine, SubmitError};
 use naps_tensor::Tensor;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::sync::Arc;
+use std::sync::{mpsc, Arc};
 
 mod common;
 
@@ -39,6 +39,23 @@ fn served(engine: &MonitorEngine, probes: &[Tensor]) -> Vec<MonitorReport> {
         .into_iter()
         .map(|r| r.report)
         .collect()
+}
+
+/// Submits through the non-blocking callback path, yielding and retrying
+/// while the bounded queue is full — a caller-side stand-in for a
+/// blocking callback submission.
+fn submit_with_retry<F>(engine: &MonitorEngine, x: &Tensor, complete: F)
+where
+    F: FnOnce(EpochReport) + Clone + Send + 'static,
+{
+    loop {
+        let complete = complete.clone();
+        match engine.try_submit_with(x.clone(), None, move |r| complete(r.into_single())) {
+            Ok(()) => return,
+            Err(SubmitError::Saturated) => std::thread::yield_now(),
+            Err(e) => panic!("unexpected submit error: {e}"),
+        }
+    }
 }
 
 #[test]
@@ -104,10 +121,10 @@ fn overlapping_submissions_from_many_threads_match_sequential() {
                     .collect();
                 let tickets: Vec<_> = indices
                     .iter()
-                    .map(|&i| (i, engine.submit(probes[i].clone()).expect("submit")))
+                    .map(|&i| (i, engine.submit(probes[i].clone(), None).expect("submit")))
                     .collect();
                 for (i, ticket) in tickets {
-                    let got = ticket.wait().expect("worker alive");
+                    let got = ticket.wait().expect("worker alive").into_single();
                     assert_eq!(got.report, want[i], "thread {t} round {round} probe {i}");
                     assert_eq!(got.epoch, 0, "nothing was republished");
                 }
@@ -137,14 +154,12 @@ fn callback_submissions_deliver_every_verdict() {
         },
     )
     .expect("engine");
-    let (tx, rx) = std::sync::mpsc::channel();
+    let (tx, rx) = mpsc::channel();
     for (i, x) in probes.iter().enumerate() {
         let tx = tx.clone();
-        engine
-            .submit_with(x.clone(), move |report| {
-                let _ = tx.send((i, report.report));
-            })
-            .expect("submit_with");
+        submit_with_retry(&engine, x, move |report| {
+            let _ = tx.send((i, report.report));
+        });
     }
     drop(tx);
     let mut got: Vec<Option<MonitorReport>> = vec![None; probes.len()];
@@ -166,14 +181,14 @@ fn wrong_width_inputs_are_rejected_at_submission() {
     let engine = MonitorEngine::new(&monitor, &net, EngineConfig::default()).expect("engine");
     let bad = Tensor::from_vec(vec![3], vec![0.0, 1.0, 2.0]);
     assert_eq!(
-        engine.submit(bad.clone()).err(),
+        engine.submit(bad.clone(), None).err(),
         Some(SubmitError::WidthMismatch {
             expected: 2,
             actual: 3
         })
     );
-    assert!(engine.try_submit(bad.clone()).is_err());
-    assert!(engine.submit_with(bad, |_| {}).is_err());
+    assert!(engine.try_submit_with(bad.clone(), None, |_| {}).is_err());
+    assert!(engine.check(&bad).is_err());
     // The pool is unharmed: valid traffic still serves on all workers.
     let mut net = net;
     let want: Vec<_> = probes.iter().map(|x| monitor.check(&mut net, x)).collect();
@@ -197,19 +212,25 @@ fn backpressure_saturates_then_drains() {
     .expect("engine");
     // Flood with non-blocking submissions: some must bounce with
     // Saturated (capacity 2), none may be lost or answered twice.
-    let mut tickets = Vec::new();
+    let (tx, rx) = mpsc::channel();
+    let mut accepted = 0usize;
     let mut saturated = 0usize;
     for x in probes.iter().cycle().take(400) {
-        match engine.try_submit(x.clone()) {
-            Ok(t) => tickets.push(t),
+        let tx = tx.clone();
+        match engine.try_submit_with(x.clone(), None, move |r| {
+            let _ = tx.send(r);
+        }) {
+            Ok(()) => accepted += 1,
             Err(SubmitError::Saturated) => saturated += 1,
             Err(e) => panic!("unexpected submit error: {e}"),
         }
     }
-    let accepted = tickets.len();
-    for t in tickets {
-        t.wait().expect("accepted requests are answered");
-    }
+    drop(tx);
+    assert_eq!(
+        rx.iter().count(),
+        accepted,
+        "accepted requests are answered"
+    );
     let stats = engine.shutdown();
     assert_eq!(stats.processed, accepted as u64);
     assert!(
@@ -225,7 +246,7 @@ fn shutdown_rejects_new_work_but_serves_queued_work() {
     let tickets: Vec<_> = probes
         .iter()
         .take(32)
-        .map(|x| engine.submit(x.clone()).expect("submit"))
+        .map(|x| engine.submit(x.clone(), None).expect("submit"))
         .collect();
     let stats = engine.shutdown();
     assert_eq!(stats.processed, 32);
@@ -235,30 +256,40 @@ fn shutdown_rejects_new_work_but_serves_queued_work() {
 }
 
 #[test]
-fn work_stealing_kicks_in_under_skewed_load() {
-    // One submitter, several workers: round-robin spreads requests, but
-    // with max_batch 1 and a fast model, idle workers steal from loaded
-    // queues. We can't force a schedule, so just assert the counter is
-    // wired and the verdicts stay right under a load that admits stealing.
-    let (monitor, mut net, probes) = fixture(12);
-    let want = sequential_reports(&monitor, &mut net, &probes);
+fn queued_requests_are_served_in_submission_order() {
+    // Two workers, micro-batches of one.  Both workers are parked, eight
+    // callbacks queue behind them, then one worker is released: draining
+    // the one FIFO alone, it must run them in submission order.
+    let (monitor, net, probes) = fixture(12);
     let engine = MonitorEngine::new(
         &monitor,
         &net,
         EngineConfig {
-            workers: 4,
-            max_batch: 2,
-            queue_capacity: 512,
+            workers: 2,
+            max_batch: 1,
+            queue_capacity: 64,
         },
     )
     .expect("engine");
-    for _ in 0..3 {
-        let got = served(&engine, &probes);
-        assert_eq!(got, want);
+    let first = common::park(&engine, probes[0].clone(), || {});
+    let second = common::park(&engine, probes[0].clone(), || {});
+    let (tx, rx) = mpsc::channel();
+    for (i, x) in probes.iter().take(8).enumerate() {
+        let tx = tx.clone();
+        engine
+            .try_submit_with(x.clone(), None, move |_| {
+                let _ = tx.send(i);
+            })
+            .expect("the queue has room");
     }
+    drop(tx);
+    drop(first);
+    let order: Vec<usize> = rx.iter().collect();
+    assert_eq!(order, (0..8).collect::<Vec<_>>());
+    drop(second);
     let stats = engine.shutdown();
-    assert_eq!(stats.processed, 3 * probes.len() as u64);
-    assert!(stats.largest_batch <= 2);
+    assert_eq!(stats.processed, 10);
+    assert_eq!(stats.largest_batch, 1);
 }
 
 #[test]
@@ -312,26 +343,25 @@ fn random_interleaving_fuzz() {
         let want = Arc::clone(&want);
         handles.push(std::thread::spawn(move || {
             let mut rng = StdRng::seed_from_u64(t);
-            let (tx, rx) = std::sync::mpsc::channel();
+            let (tx, rx) = mpsc::channel();
             let mut expected = 0usize;
             for _ in 0..150 {
                 let i = rng.gen_range(0..probes.len());
                 if rng.gen::<bool>() {
                     let got = engine
-                        .submit(probes[i].clone())
+                        .submit(probes[i].clone(), None)
                         .expect("submit")
                         .wait()
-                        .expect("worker alive");
+                        .expect("worker alive")
+                        .into_single();
                     assert_eq!(got.report, want[i]);
                 } else {
                     let tx = tx.clone();
                     let want = Arc::clone(&want);
-                    engine
-                        .submit_with(probes[i].clone(), move |r| {
-                            assert_eq!(r.report, want[i]);
-                            let _ = tx.send(());
-                        })
-                        .expect("submit_with");
+                    submit_with_retry(&engine, &probes[i], move |r| {
+                        assert_eq!(r.report, want[i]);
+                        let _ = tx.send(());
+                    });
                     expected += 1;
                 }
             }
@@ -356,7 +386,7 @@ fn submitting_to_a_stopped_engine_errors_instead_of_panicking() {
     let tickets: Vec<_> = probes
         .iter()
         .take(16)
-        .map(|x| engine.submit(x.clone()).expect("submit"))
+        .map(|x| engine.submit(x.clone(), None).expect("submit"))
         .collect();
     engine.stop();
     for t in tickets {
@@ -364,20 +394,22 @@ fn submitting_to_a_stopped_engine_errors_instead_of_panicking() {
     }
     // ...and every submission path afterwards reports ShutDown.
     assert_eq!(
-        engine.submit(probes[0].clone()).err(),
+        engine.submit(probes[0].clone(), None).err(),
         Some(SubmitError::ShutDown)
     );
     assert_eq!(
-        engine.try_submit(probes[0].clone()).err(),
-        Some(SubmitError::ShutDown)
-    );
-    assert_eq!(
-        engine.submit_with(probes[0].clone(), |_| {}).err(),
+        engine
+            .try_submit_with(probes[0].clone(), None, |_| {})
+            .err(),
         Some(SubmitError::ShutDown)
     );
     assert_eq!(engine.check(&probes[0]).err(), Some(SubmitError::ShutDown));
     assert_eq!(
         engine.check_batch(&probes).err(),
+        Some(SubmitError::ShutDown)
+    );
+    assert_eq!(
+        engine.check_layered_batch(&probes, None).err(),
         Some(SubmitError::ShutDown)
     );
     // stop() is idempotent and shutdown() still joins cleanly.
@@ -416,7 +448,7 @@ fn blocked_submitters_are_released_by_stop() {
             // test (a stop() that fails to wake a blocked submitter
             // hangs the join below).
             for x in probes.iter().cycle() {
-                match engine.submit(x.clone()) {
+                match engine.submit(x.clone(), None) {
                     Ok(_ticket) => {}
                     Err(SubmitError::ShutDown) => return 1usize,
                     Err(e) => panic!("unexpected error: {e}"),

@@ -11,7 +11,9 @@ use common::{fixture, CLASSES};
 use naps_core::{
     ActivationMonitor, DriftConfig, DriftStatus, GradedQuery, Monitor, Pattern, Verdict,
 };
-use naps_serve::{EngineConfig, FrozenMonitor, MonitorEngine, SubmitError};
+use naps_serve::{
+    EngineConfig, EpochReport, FrozenMonitor, LayeredEpochReport, MonitorEngine, SubmitError,
+};
 use naps_tensor::Tensor;
 
 fn engine_over(
@@ -31,6 +33,20 @@ fn engine_over(
     .expect("MLP replicates")
 }
 
+/// The single-layer view of a graded batch served by `engine`.
+fn check_graded_batch(
+    engine: &MonitorEngine,
+    probes: &[Tensor],
+    query: GradedQuery,
+) -> Vec<EpochReport> {
+    engine
+        .check_layered_batch(probes, Some(query))
+        .expect("engine up")
+        .into_iter()
+        .map(LayeredEpochReport::into_single)
+        .collect()
+}
+
 #[test]
 fn engine_graded_verdicts_are_bit_identical_to_sequential() {
     let (monitor, mut model, probes) = fixture(11, 60);
@@ -38,9 +54,7 @@ fn engine_graded_verdicts_are_bit_identical_to_sequential() {
     for budget in [0u32, 1, 3] {
         let query = GradedQuery::new(budget, 2);
         let sequential = monitor.check_graded_batch(&mut model, &probes, query);
-        let served = engine
-            .check_graded_batch(&probes, query)
-            .expect("engine up");
+        let served = check_graded_batch(&engine, &probes, query);
         assert_eq!(served.len(), sequential.len());
         for (i, (s, want)) in served.iter().zip(&sequential).enumerate() {
             assert_eq!(s.epoch, 0);
@@ -76,12 +90,12 @@ fn graded_verdicts_stay_attributable_across_hot_swap() {
     // Submit the whole stream, swap while it is in flight.
     let tickets: Vec<_> = probes
         .iter()
-        .map(|x| engine.submit_graded(x.clone(), query).expect("engine up"))
+        .map(|x| engine.submit(x.clone(), Some(query)).expect("engine up"))
         .collect();
     let epoch = engine.publish(frozen1).expect("compatible");
     assert_eq!(epoch, 1);
     for (i, t) in tickets.into_iter().enumerate() {
-        let report = t.wait().expect("worker alive");
+        let report = t.wait().expect("worker alive").into_single();
         let graded = report.graded.as_ref().expect("graded submission");
         let want = match report.epoch {
             0 => &oracle0[i],
@@ -91,9 +105,7 @@ fn graded_verdicts_stay_attributable_across_hot_swap() {
         assert_eq!(graded, want, "probe {i} epoch {}", report.epoch);
     }
     // Post-swap, the graded verdicts match the enriched oracle only.
-    let after = engine
-        .check_graded_batch(&probes, query)
-        .expect("engine up");
+    let after = check_graded_batch(&engine, &probes, query);
     for (i, r) in after.iter().enumerate() {
         assert_eq!(r.epoch, 1);
         assert_eq!(r.graded.as_ref().expect("graded"), &oracle1[i]);
@@ -117,7 +129,7 @@ fn malformed_batch_enqueues_no_work() {
         })
     ));
     assert!(matches!(
-        engine.check_graded_batch(&batch, GradedQuery::default()),
+        engine.check_layered_batch(&batch, Some(GradedQuery::default())),
         Err(SubmitError::WidthMismatch { .. })
     ));
     // Nothing was enqueued, so after a full drain nothing was processed.

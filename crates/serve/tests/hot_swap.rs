@@ -121,12 +121,12 @@ fn hot_swap_under_load_is_non_disruptive_and_exact() {
                 let indices: Vec<usize> = (0..n).map(|k| (t + 3 * k) % n).collect();
                 let tickets: Vec<_> = indices
                     .iter()
-                    .map(|&i| (i, engine.submit(probes[i].clone()).expect("submit")))
+                    .map(|&i| (i, engine.submit(probes[i].clone(), None).expect("submit")))
                     .collect();
                 submitted += tickets.len() as u64;
                 for (i, ticket) in tickets {
                     // (a) every submission is answered, none errored...
-                    let got = ticket.wait().expect("worker alive");
+                    let got = ticket.wait().expect("worker alive").into_single();
                     answered += 1;
                     // (b) ...and matches the oracle of its stamped epoch.
                     let want = match got.epoch {

@@ -15,7 +15,8 @@ use naps_core::{
     MonitorBuilder, NeuronSelection, Pattern, Verdict,
 };
 use naps_serve::{
-    EngineConfig, EngineError, FrozenLayeredMonitor, FrozenMonitor, MonitorEngine, PersistError,
+    EngineConfig, EngineError, EpochReport, FrozenLayeredMonitor, FrozenMonitor,
+    LayeredEpochReport, MonitorEngine, PersistError,
 };
 use naps_tensor::Tensor;
 use proptest::prelude::*;
@@ -39,6 +40,20 @@ fn layered_engine(
     .expect("MLP replicates")
 }
 
+/// The single-layer view of a graded batch served by `engine`.
+fn check_graded_batch(
+    engine: &MonitorEngine,
+    probes: &[Tensor],
+    query: GradedQuery,
+) -> Vec<EpochReport> {
+    engine
+        .check_layered_batch(probes, Some(query))
+        .expect("engine up")
+        .into_iter()
+        .map(LayeredEpochReport::into_single)
+        .collect()
+}
+
 #[test]
 fn layered_engine_matches_sequential_layered_checking() {
     for policy in [
@@ -49,7 +64,9 @@ fn layered_engine_matches_sequential_layered_checking() {
         let (layered, mut model, probes) = layered_fixture(19, 40, policy);
         let engine = layered_engine(&layered, &model, 3);
         let sequential = layered.check_batch(&mut model, &probes);
-        let served = engine.check_layered_batch(&probes).expect("engine up");
+        let served = engine
+            .check_layered_batch(&probes, None)
+            .expect("engine up");
         assert_eq!(served.len(), sequential.len());
         for (i, (s, want)) in served.iter().zip(&sequential).enumerate() {
             assert_eq!(s.epoch, 0);
@@ -71,7 +88,7 @@ fn layered_graded_matches_sequential() {
         let query = GradedQuery::new(budget, 2);
         let sequential = layered.check_graded_batch(&mut model, &probes, query);
         let served = engine
-            .check_layered_graded_batch(&probes, query)
+            .check_layered_batch(&probes, Some(query))
             .expect("engine up");
         for (i, (s, want)) in served.iter().zip(&sequential).enumerate() {
             assert_eq!(s.predicted, want.predicted, "probe {i}");
@@ -104,16 +121,24 @@ fn single_layer_engine_is_the_n1_special_case() {
     let query = GradedQuery::new(2, 2);
     for x in probes.iter().take(30) {
         let single = engine.check(x).expect("engine up");
-        let layered = engine.check_layered(x).expect("engine up");
+        let layered = engine
+            .submit(x.clone(), None)
+            .expect("engine up")
+            .wait()
+            .expect("worker alive");
         // The layered verdict of an N = 1 engine *is* the single view.
         assert_eq!(layered.per_layer.len(), 1);
         assert_eq!(layered.to_single(), single);
         assert_eq!(layered.combined, single.report.verdict);
         // And both equal sequential checking.
         assert_eq!(single.report, monitor.check(&mut model, x));
-        let graded = engine.check_layered_graded(x, query).expect("engine up");
-        let graded_single = engine.check_graded(x, query).expect("engine up");
-        assert_eq!(graded.to_single(), graded_single);
+        let graded = engine
+            .submit(x.clone(), Some(query))
+            .expect("engine up")
+            .wait()
+            .expect("worker alive");
+        let graded_single = check_graded_batch(&engine, std::slice::from_ref(x), query);
+        assert_eq!(std::slice::from_ref(&graded.to_single()), graded_single);
         assert_eq!(
             graded.graded.as_deref().expect("graded"),
             std::slice::from_ref(
@@ -148,13 +173,15 @@ fn layered_hot_swap_keeps_verdicts_attributable() {
     let after = grown.check_batch(&mut model, &probes);
 
     let epoch = engine
-        .publish_layered(FrozenLayeredMonitor::shard_by_class(&grown, 2))
+        .publish(FrozenLayeredMonitor::shard_by_class(&grown, 2))
         .expect("compatible");
     assert_eq!(epoch, 1);
     assert_eq!(engine.epoch(), 1);
     assert_eq!(engine.monitor_layered().epoch(), 1);
 
-    let served = engine.check_layered_batch(&probes).expect("engine up");
+    let served = engine
+        .check_layered_batch(&probes, None)
+        .expect("engine up");
     for (i, s) in served.iter().enumerate() {
         let want = match s.epoch {
             0 => &before[i],
@@ -178,7 +205,7 @@ fn publish_layered_rejects_incompatible_families() {
     let single =
         FrozenLayeredMonitor::from_single(FrozenMonitor::shard_by_class(&layered.monitors()[0], 2));
     assert!(matches!(
-        engine.publish_layered(single),
+        engine.publish(single),
         Err(EngineError::IncompatibleMonitor("layer count differs"))
     ));
 
@@ -193,7 +220,7 @@ fn publish_layered_rejects_incompatible_families() {
     )
     .expect("valid family");
     assert!(matches!(
-        engine.publish_layered(repolicied),
+        engine.publish(repolicied),
         Err(EngineError::IncompatibleMonitor("combine policy differs"))
     ));
 
@@ -209,7 +236,7 @@ fn publish_layered_rejects_incompatible_families() {
     )
     .expect("valid family");
     assert!(matches!(
-        engine.publish_layered(swapped),
+        engine.publish(swapped),
         Err(EngineError::IncompatibleMonitor("monitored layer differs"))
     ));
 
@@ -229,7 +256,9 @@ fn drift_is_tracked_per_layer_and_combined() {
         ewma_alpha: 0.2,
         patience: 5,
     });
-    engine.check_layered_batch(&probes).expect("engine up");
+    engine
+        .check_layered_batch(&probes, None)
+        .expect("engine up");
     let combined = engine.drift_status().expect("armed");
     assert_eq!(combined.len(), CLASSES);
     let by_layer = engine.drift_status_by_layer().expect("armed");
@@ -250,7 +279,7 @@ fn drift_is_tracked_per_layer_and_combined() {
     }
     // Publishing re-arms every detector, combined and per-layer.
     let refrozen = FrozenLayeredMonitor::shard_by_class(&layered, 2);
-    engine.publish_layered(refrozen).expect("compatible");
+    engine.publish(refrozen).expect("compatible");
     for layer in engine.drift_status_by_layer().expect("armed") {
         assert!(layer
             .classes
@@ -611,7 +640,7 @@ proptest! {
             prop_assert_eq!(s.epoch, 0);
             prop_assert_eq!(&s.report, b);
         }
-        let served_graded = engine.check_graded_batch(&probes, query).expect("engine up");
+        let served_graded = check_graded_batch(&engine, &probes, query);
         for (s, bg) in served_graded.iter().zip(&bare_graded) {
             prop_assert_eq!(s.graded.as_ref(), Some(bg));
         }
@@ -623,7 +652,7 @@ proptest! {
         engine.publish(FrozenMonitor::shard_by_class(&grown, 2)).expect("compatible");
         let grown_binary = grown.check_batch(&mut model, &probes);
         let grown_graded = grown.check_graded_batch(&mut model, &probes, query);
-        let served = engine.check_graded_batch(&probes, query).expect("engine up");
+        let served = check_graded_batch(&engine, &probes, query);
         for (i, s) in served.iter().enumerate() {
             let (want_b, want_g) = match s.epoch {
                 0 => (&bare_binary[i], &bare_graded[i]),

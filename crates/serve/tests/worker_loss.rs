@@ -56,23 +56,10 @@ fn engine(workers: usize, max_batch: usize, queue_capacity: usize) -> MonitorEng
     .expect("engine over an MLP")
 }
 
-/// Submits a request whose completion callback parks the worker that
-/// judged it, then runs `then` once released (the returned sender is
-/// dropped).  Returns once a worker is parked.  Parking makes worker
-/// death deterministic: while the worker is parked the test queues
-/// whatever must be in flight or orphaned, then releases it.
+/// [`common::park`] with a clean input: parking makes worker death
+/// deterministic.
 fn park(engine: &MonitorEngine, then: impl FnOnce() + Send + 'static) -> mpsc::Sender<()> {
-    let (parked_tx, parked_rx) = mpsc::channel();
-    let (release, release_rx) = mpsc::channel::<()>();
-    engine
-        .submit_with(clean_inputs(1)[0].clone(), move |_| {
-            let _ = parked_tx.send(());
-            let _ = release_rx.recv();
-            then();
-        })
-        .expect("submit the parking request");
-    parked_rx.recv().expect("a worker parks");
-    release
+    common::park(engine, clean_inputs(1)[0].clone(), then)
 }
 
 /// The deliberate worker-killer: a parked request whose completion
@@ -126,9 +113,7 @@ fn killed_worker_resolves_ticket_with_worker_lost() {
     let engine = engine(1, 2, 64);
     // A clean request round-trips first: the engine works.
     let ok = engine
-        .submit(clean_inputs(1)[0].clone())
-        .expect("submit")
-        .wait()
+        .check(&clean_inputs(1)[0])
         .expect("clean request is answered");
     assert!(ok.report.predicted < CLASSES);
 
@@ -138,11 +123,13 @@ fn killed_worker_resolves_ticket_with_worker_lost() {
     // resolves with the typed error — no panic, no hang.
     let release = park(&engine, || {});
     engine
-        .submit_with(clean_inputs(1)[0].clone(), |_| {
+        .try_submit_with(clean_inputs(1)[0].clone(), None, |_| {
             panic!("poison callback kills its worker")
         })
         .expect("submit the poison");
-    let ticket = engine.submit(clean_inputs(1)[0].clone()).expect("submit");
+    let ticket = engine
+        .submit(clean_inputs(1)[0].clone(), None)
+        .expect("submit");
     drop(release);
     assert_eq!(ticket.wait(), Err(SubmitError::WorkerLost));
     assert_eq!(
@@ -156,7 +143,7 @@ fn killed_worker_resolves_ticket_with_worker_lost() {
     eventually(
         || {
             matches!(
-                engine.submit(clean_inputs(1)[0].clone()),
+                engine.submit(clean_inputs(1)[0].clone(), None),
                 Err(SubmitError::WorkerLost)
             )
         },
@@ -177,7 +164,9 @@ fn killed_worker_resolves_ticket_with_worker_lost() {
 fn try_wait_reports_worker_lost_instead_of_not_ready() {
     let engine = engine(1, 1, 64);
     let poison = Poison::park(&engine);
-    let ticket = engine.submit(clean_inputs(1)[0].clone()).expect("submit");
+    let ticket = engine
+        .submit(clean_inputs(1)[0].clone(), None)
+        .expect("submit");
     poison.kill();
     eventually(
         || matches!(ticket.try_wait(), Err(SubmitError::WorkerLost)),
@@ -193,7 +182,11 @@ fn requests_queued_behind_the_poison_never_hang() {
     let poison = Poison::park(&engine);
     let tickets: Vec<_> = clean_inputs(20)
         .into_iter()
-        .map(|x| engine.submit(x).expect("the parked engine still accepts"))
+        .map(|x| {
+            engine
+                .submit(x, None)
+                .expect("the parked engine still accepts")
+        })
         .collect();
     poison.kill();
     for t in tickets {
@@ -215,8 +208,8 @@ fn surviving_workers_keep_a_degraded_engine_serving() {
     // Kill one of the two workers.
     Poison::park(&engine).kill();
 
-    // The survivor steals the dead worker's share: every clean request
-    // is still answered, bit-identically to the healthy engine.
+    // The survivor drains the one queue alone: every clean request is
+    // still answered, bit-identically to the healthy engine.
     for (x, want) in xs.iter().zip(&reference) {
         let got = engine.check(x).expect("degraded engine still serves");
         assert_eq!(&got.report, want);
@@ -242,9 +235,9 @@ fn shutdown_with_backlog_answers_every_accepted_request() {
         .iter()
         .cycle()
         .take(96)
-        .map(|x| engine.submit(x.clone()).expect("submit"))
+        .map(|x| engine.submit(x.clone(), None).expect("submit"))
         .collect();
-    engine.stop(); // queues still hold a backlog
+    engine.stop(); // the queue still holds a backlog
     let mut answered = 0u64;
     for t in tickets {
         t.wait().expect("accepted-before-stop request is judged");

@@ -92,7 +92,7 @@ fn rearm_drift(sh: &EpochShared, new_epoch: u64) {
 }
 
 /// One publish: bump the snapshot under its lock, advance the epoch,
-/// re-arm the detectors — the shape of `publish_layered`.
+/// re-arm the detectors — the shape of `MonitorEngine::publish`.
 fn publish(sh: &EpochShared) {
     let mut slot = recover(sh.published.lock());
     let next = *slot + 1;
@@ -158,11 +158,10 @@ struct DrainReq {
 }
 
 struct DrainState {
-    /// Per-worker FIFO queues with round-robin placement, like the
-    /// engine: a dying worker's queue strands its requests unless a
-    /// sibling steals them or the death guard drains them.
-    queues: Vec<VecDeque<DrainReq>>,
-    next: usize,
+    /// The one FIFO every worker drains from the front, like the
+    /// engine: requests queued when the last worker dies are stranded
+    /// unless the death guard drains them.
+    queue: VecDeque<DrainReq>,
     shutdown: bool,
     failed: bool,
 }
@@ -180,30 +179,21 @@ fn drain_submit(sh: &DrainShared, poison: bool) -> mpsc::Receiver<u64> {
     let (tx, rx) = mpsc::channel();
     let mut st = recover(sh.state.lock());
     if !st.failed && !st.shutdown {
-        let slot = st.next % DRAIN_WORKERS;
-        st.next += 1;
-        st.queues[slot].push_back(DrainReq { poison, ticket: tx });
+        st.queue.push_back(DrainReq { poison, ticket: tx });
         drop(st);
         sh.work.notify_one();
     }
     rx
 }
 
-/// Own FIFO front first, then steal half of the most-loaded sibling's
-/// queue from the back — the engine's `next_batch` shape.
-fn drain_next_batch(sh: &DrainShared, me: usize) -> Option<Vec<DrainReq>> {
+/// Up to `DRAIN_MAX_BATCH` requests from the front of the queue — the
+/// engine's `next_batch` shape.
+fn drain_next_batch(sh: &DrainShared) -> Option<Vec<DrainReq>> {
     let mut st = recover(sh.state.lock());
     loop {
-        if !st.queues[me].is_empty() {
-            let n = st.queues[me].len().min(DRAIN_MAX_BATCH);
-            return Some(st.queues[me].drain(..n).collect());
-        }
-        if let Some(victim) = (0..DRAIN_WORKERS)
-            .filter(|&w| w != me && !st.queues[w].is_empty())
-            .max_by_key(|&w| st.queues[w].len())
-        {
-            let keep = st.queues[victim].len() / 2;
-            return Some(st.queues[victim].split_off(keep).into_iter().collect());
+        if !st.queue.is_empty() {
+            let n = st.queue.len().min(DRAIN_MAX_BATCH);
+            return Some(st.queue.drain(..n).collect());
         }
         if st.shutdown {
             return None;
@@ -232,21 +222,17 @@ fn drain_worker_guard(sh: &DrainShared, died: bool, drain_on_death: bool) {
     drop(orphans);
 }
 
-fn drain_take_orphans(sh: &DrainShared, died: bool, last: bool) -> Vec<VecDeque<DrainReq>> {
+fn drain_take_orphans(sh: &DrainShared, died: bool, last: bool) -> Option<VecDeque<DrainReq>> {
     let mut st = recover(sh.state.lock());
     if died && last {
         st.failed = true;
         st.shutdown = true;
     }
-    if last {
-        st.queues.iter_mut().map(std::mem::take).collect()
-    } else {
-        Vec::new()
-    }
+    last.then(|| std::mem::take(&mut st.queue))
 }
 
-fn drain_worker(sh: &DrainShared, me: usize, drain_on_death: bool) {
-    while let Some(batch) = drain_next_batch(sh, me) {
+fn drain_worker(sh: &DrainShared, drain_on_death: bool) {
+    while let Some(batch) = drain_next_batch(sh) {
         for req in batch {
             if req.poison {
                 // The worker "dies" mid-batch: the rest of the batch
@@ -270,14 +256,14 @@ fn drain_begin_shutdown(sh: &DrainShared) {
     sh.work.notify_all();
 }
 
-/// 2 workers × 4 requests with poison at slots 0 and 1 — one per
-/// worker queue under round-robin placement — so workers can die with
-/// requests both in hand and stranded in their queues.
+/// 2 workers × 4 requests with poison first and second, so workers
+/// can die with requests both in hand and stranded in the queue.  The
+/// clean tickets hang only on schedules where each worker pops one
+/// poison alone and both die with the clean requests still queued.
 pub fn worker_drain(drain_on_death: bool) {
     let sh = Arc::new(DrainShared {
         state: Mutex::new(DrainState {
-            queues: (0..DRAIN_WORKERS).map(|_| VecDeque::new()).collect(),
-            next: 0,
+            queue: VecDeque::new(),
             shutdown: false,
             failed: false,
         }),
@@ -285,9 +271,9 @@ pub fn worker_drain(drain_on_death: bool) {
         alive: AtomicUsize::new(DRAIN_WORKERS),
     });
     let mut handles = Vec::new();
-    for me in 0..DRAIN_WORKERS {
+    for _ in 0..DRAIN_WORKERS {
         let sh = Arc::clone(&sh);
-        handles.push(thread::spawn(move || drain_worker(&sh, me, drain_on_death)));
+        handles.push(thread::spawn(move || drain_worker(&sh, drain_on_death)));
     }
     let tickets: Vec<_> = [true, true, false, false]
         .into_iter()

@@ -15,9 +15,10 @@ pub fn drift_epoch_race() {
 }
 
 /// PR 7's worker-loss ticket hang: a dying worker neither fails the
-/// engine nor drains orphaned requests nor wakes its siblings, so
-/// queued tickets never resolve and submitters hang — the checker
-/// reports the stuck schedule as a deadlock.
+/// engine nor drains orphaned requests nor wakes its siblings, so once
+/// both workers have died the tickets still queued never resolve and
+/// submitters hang — the checker reports the stuck schedule as a
+/// deadlock.
 pub fn worker_loss_ticket_hang() {
     crate::models::worker_drain(false);
 }
