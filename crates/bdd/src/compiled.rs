@@ -284,7 +284,7 @@ impl CompiledZone {
     /// evaluator per group: the small-zone index when one exists,
     /// otherwise bit-sliced blocks of 64 when the group is large enough
     /// to amortise one pass over the node array
-    /// (`node_count <= group × width`, at least [`SLICED_MIN_GROUP`]),
+    /// (`node_count <= group × width`, at least 8 patterns),
     /// falling back to scalar walks.  Bit-identical to calling
     /// [`CompiledZone::eval_words`] per pattern.
     pub fn eval_many(&self, patterns: &[&[u64]]) -> Vec<bool> {

@@ -1,6 +1,7 @@
 //! Compiled zone evaluators vs. the walked snapshot oracle.
 //!
-//! PR 6's tentpole lowers every frozen zone into a [`CompiledZone`]
+//! The serving path lowers every frozen zone into a
+//! [`CompiledZone`](naps_bdd::CompiledZone)
 //! (flat topo-ordered walk, 64-lane bit-sliced batches, small-zone
 //! interval/sorted-key indexes, and the bounded distance DP on the same
 //! node array).  This experiment measures what that buys on the shared

@@ -16,7 +16,10 @@
 //!   added.  Each output element is the same ascending-`p` sum of the
 //!   same products as the training path's `patches @ Wᵀ`; only the
 //!   GEMM's streamed dimension changes, from the channels to the output
-//!   positions;
+//!   positions.  That is the shape `naps-tensor`'s register-tiled GEMM
+//!   wants: 4 output channels × up to 64 output positions (on AVX-512F)
+//!   stay in registers for the whole `in_c·k²` sweep, and each row of
+//!   `im2colᵀ` is read straight from the scratch, unpacked;
 //! * max pooling keeps the running `>` comparison over the window, minus
 //!   the argmax bookkeeping only backward needs;
 //! * batch norm computes `(x − mean) · inv_std`, then `g · xh + b`.

@@ -12,7 +12,7 @@
 //! first call has sized those buffers to the batch shape, the pass
 //! performs zero heap allocation, and every output is bit-identical to
 //! the `Sequential` path with `train = false`: dense layers share the
-//! blocked GEMM's accumulation order, the spatial layers run the very
+//! one GEMM's accumulation order, the spatial layers run the very
 //! kernels the layers' own inference forward runs
 //! ([`crate::kernels`]), and Dropout/Flatten are exact identities.
 

@@ -533,7 +533,7 @@ impl VerdictTicket {
 /// A parallel monitoring service over a frozen (possibly multi-layer)
 /// monitor.
 ///
-/// See the [module docs](self) for the architecture.  Construct with
+/// See the [crate docs](crate) for the architecture.  Construct with
 /// [`MonitorEngine::new`] / [`MonitorEngine::new_layered`] (captures the
 /// model once via [`ModelSnapshot`]) or [`MonitorEngine::with_replicas`]
 /// (one caller-supplied replica per worker); any model built from the
@@ -927,7 +927,8 @@ impl MonitorEngine {
     /// compute one graded ranking per monitored layer.  The batch is
     /// queued as individual requests, so workers micro-batch it freely;
     /// results are reassembled by index.  Element `i` is bit-identical to
-    /// sequential [`LayeredMonitor::check_batch`] (or, graded,
+    /// sequential [`LayeredMonitor`]
+    /// [`check_batch`](naps_core::ActivationMonitor::check_batch) (or, graded,
     /// [`LayeredMonitor::check_graded_batch`]) under the snapshot of the
     /// epoch stamped on it.
     ///

@@ -717,7 +717,8 @@ impl FrozenMonitor {
     }
 
     /// Batched judgement sharing one forward pass — the same packed path
-    /// as [`Monitor::check_batch`] (`pack_batch` →
+    /// as [`Monitor`]'s
+    /// [`check_batch`](naps_core::ActivationMonitor::check_batch) (`pack_batch` →
     /// `forward_observe_plan` → batched verdicts), so verdicts are
     /// bit-identical to the live monitor's.
     pub fn check_batch(&self, model: &mut Sequential, inputs: &[Tensor]) -> Vec<MonitorReport> {

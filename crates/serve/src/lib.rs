@@ -23,8 +23,9 @@
 //! | [`PersistError`] | why a frozen-monitor `save` / `load` failed |
 //!
 //! Verdicts are **bit-identical** to sequential
-//! [`naps_core::Monitor::check`] /
-//! [`naps_core::LayeredMonitor::check_batch`] checking: every path runs
+//! [`check`](naps_core::ActivationMonitor::check) /
+//! [`check_batch`](naps_core::ActivationMonitor::check_batch) on a
+//! [`naps_core::Monitor`] or [`naps_core::LayeredMonitor`]: every path runs
 //! one forward pass retaining only the monitored layers' activations —
 //! in the engine the prepared, allocation-free pass, bit-identical to
 //! the sequential `pack_batch` → `forward_observe_plan` pipeline — model

@@ -2,42 +2,234 @@
 //! transpose.  The transposed variants avoid materialising intermediate
 //! transposes inside backpropagation.
 //!
-//! All three products run through one blocked [`gemm`] microkernel
-//! (4-row register tiling over an i-k-j sweep), so `matmul`, `matmul_at`
-//! and `matmul_bt` — and with them the im2col-lowered convolutions of
-//! `naps-nn`, whose forward/backward products are exactly these calls —
-//! share a single inner loop.
+//! All products run through one GEMM, `gemm`, so `matmul`, `matmul_at`,
+//! `matmul_bt`, their `_into` forms, [`PackedWeights`] and
+//! [`matmul_slice_into`] — and with them the convolutions and dense
+//! layers of `naps-nn`, forward and backward — share a single kernel.
+//!
+//! # The kernel
+//!
+//! `gemm` is register-tiled: it holds an `MR × NR` tile of the output
+//! (`MR = 4` rows) in a local `[[f32; NR]; MR]` for the whole sweep over
+//! the shared dimension `p`, reading each `b[p*n + j ..][..NR]` straight
+//! from the row-major `b` (no panel packing, so no extra memory), and
+//! stores the tile once.  Row tails (`m % 4`) run one-row tiles; column
+//! tails step down through 32-, 16- and 8-wide tiles before a narrow
+//! loop over the last `< 8` columns.
+//!
+//! # Dispatch
+//!
+//! The tile body is written once, as safe generic code, and instantiated
+//! per CPU feature level; `gemm` picks the widest one the host has, at
+//! run time, with `is_x86_feature_detected!`:
+//!
+//! | arm       | tile   | where                                  |
+//! |-----------|--------|----------------------------------------|
+//! | `avx512f` | 4 × 64 | x86_64 with AVX-512F                   |
+//! | `avx2`    | 4 × 24 | x86_64 with AVX2                       |
+//! | scalar    | —      | every other host; also the test oracle |
+//!
+//! The scalar arm is a 4-row i-k-j kernel: the four `a` values of
+//! column `p` are broadcast while `b` row `p` streams through four output
+//! rows.  The tile shapes come from a microbenchmark on the conv
+//! net's and the serving MLPs' product shapes; taller `avx512f` tiles
+//! (6 × 32, 8 × 16) ran 3–8× slower than the scalar arm there, because
+//! the compiler no longer keeps their accumulators in registers.
+//!
+//! # Bit-identity
+//!
+//! Every arm computes each output element as the same sum: the value
+//! already in `out` (`+0.0`, since every caller zero-fills it), plus the
+//! products `a[i,p] · b[p,j]` in ascending `p`.  Vectorising across `j`
+//! reorders no sum, and Rust never contracts a multiply and an add into a
+//! fused multiply-add.  So on finite data every arm is bit-identical to
+//! the scalar arm — and to the plain triple loop — and a network trains
+//! along the same `f32` trajectory whichever arm runs.
+//!
+//! Every arm skips a `p` whose `a` values in the block's rows (four, or
+//! one in the row tail) are all zero, as ReLU outputs often are.  On finite data that is exact: the
+//! skipped terms are `±0.0`, and a sum that starts at `+0.0` is never
+//! `-0.0`.  A non-finite `b[p, j]` is where the skip shows: `0 · ∞` is
+//! NaN in the plain loop but is never computed here.
 
 use crate::tensor::Tensor;
 
-/// How many output rows the microkernel accumulates per sweep of `b`.
-/// Four `f32` accumulator rows fit comfortably in registers and give 4×
-/// reuse of every streamed `b` row.
-const GEMM_MR: usize = 4;
+/// Output rows per tile, in every arm.  Also the zero-skip granularity:
+/// a `p` is skipped when all `MR` of the tile's `a` values are zero.
+const MR: usize = 4;
 
-/// Blocked row-major product microkernel: `out += a @ b` for
-/// `[m,k] @ [k,n]`, with `out` pre-zeroed by the callers.
-///
-/// i-k-j order, [`GEMM_MR`] rows at a time: the four `a` values of column
-/// `p` are broadcast from registers while the `b` row `p` streams once
-/// through all four accumulator rows — the cache-friendly shape for
-/// row-major data, and a 4× cut in `b` traffic over the row-at-a-time
-/// loop.  A column whose four `a` values are all zero is skipped (ReLU
-/// outputs are often sparse).
-///
-/// Per output element the terms still accumulate in ascending-`p` order
-/// and zero `a` values contribute exactly `±0.0`, so on finite data the
-/// results are bit-identical to the straightforward loops this kernel
-/// replaced — trained fixtures and CI gates depend on exact `f32`
-/// training trajectories.
+/// `out += a @ b` for row-major `[m,k] @ [k,n]`, with `out` pre-zeroed by
+/// the callers.  Runs the widest arm this CPU supports: 4 × 64 tiles with
+/// AVX-512F, 4 × 24 with AVX2, else [`gemm_scalar`].  Every arm adds each
+/// element's products in ascending `p`, so all are bit-identical on
+/// finite data; the shared zero skip drops `0 · ∞` NaNs (module docs).
 fn gemm(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], out: &mut [f32]) {
     debug_assert_eq!(a.len(), m * k);
     debug_assert_eq!(b.len(), k * n);
     debug_assert_eq!(out.len(), m * n);
+    if k == 0 || n == 0 {
+        // An empty sum per element (or no elements): `out` stays as it is.
+        return;
+    }
+    #[cfg(target_arch = "x86_64")]
+    {
+        if is_x86_feature_detected!("avx512f") {
+            // SAFETY: `gemm_avx512f` requires only the `avx512f` target
+            // feature, which the check above found on this CPU.
+            return unsafe { x86::gemm_avx512f(m, k, n, a, b, out) };
+        }
+        if is_x86_feature_detected!("avx2") {
+            // SAFETY: `gemm_avx2` requires only the `avx2` target feature,
+            // which the check above found on this CPU.
+            return unsafe { x86::gemm_avx2(m, k, n, a, b, out) };
+        }
+    }
+    gemm_scalar(m, k, n, a, b, out);
+}
+
+/// The feature-specific instantiations of [`gemm_tiled`].  Each is the
+/// same safe code, compiled with one more target feature enabled.
+///
+/// # Safety
+///
+/// Calling either function outside a context with its target feature
+/// is `unsafe`: the caller must first check, with
+/// `is_x86_feature_detected!`, that this CPU supports the feature.
+#[cfg(target_arch = "x86_64")]
+mod x86 {
+    #[target_feature(enable = "avx512f")]
+    pub(super) fn gemm_avx512f(
+        m: usize,
+        k: usize,
+        n: usize,
+        a: &[f32],
+        b: &[f32],
+        out: &mut [f32],
+    ) {
+        super::gemm_tiled::<64>(m, k, n, a, b, out);
+    }
+
+    #[target_feature(enable = "avx2")]
+    pub(super) fn gemm_avx2(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], out: &mut [f32]) {
+        super::gemm_tiled::<24>(m, k, n, a, b, out);
+    }
+}
+
+/// The register-tiled kernel with `NR`-wide tiles: [`MR`]-row blocks,
+/// then one-row tiles for the `m % MR` tail rows.
+#[inline(always)]
+fn gemm_tiled<const NR: usize>(
+    m: usize,
+    k: usize,
+    n: usize,
+    a: &[f32],
+    b: &[f32],
+    out: &mut [f32],
+) {
+    let blocks = m / MR * MR;
+    let (a_blocks, a_tail) = a.split_at(blocks * k);
+    let (out_blocks, out_tail) = out.split_at_mut(blocks * n);
+    for (a, out) in a_blocks
+        .chunks_exact(MR * k)
+        .zip(out_blocks.chunks_exact_mut(MR * n))
+    {
+        tile_rows::<MR, NR>(k, n, a, b, out);
+    }
+    for (a, out) in a_tail.chunks_exact(k).zip(out_tail.chunks_exact_mut(n)) {
+        tile_rows::<1, NR>(k, n, a, b, out);
+    }
+}
+
+/// One block of `R` output rows (`a` and `out` hold just those rows):
+/// `NR`-wide tiles, then at most one 32-, 16- and 8-wide tile each for
+/// the column tail, then the last `< 8` columns.
+#[inline(always)]
+fn tile_rows<const R: usize, const NR: usize>(
+    k: usize,
+    n: usize,
+    a: &[f32],
+    b: &[f32],
+    out: &mut [f32],
+) {
+    let mut j = 0;
+    while j + NR <= n {
+        tile::<R, NR>(j, NR, k, n, a, b, out);
+        j += NR;
+    }
+    if NR > 32 && j + 32 <= n {
+        tile::<R, 32>(j, 32, k, n, a, b, out);
+        j += 32;
+    }
+    if NR > 16 && j + 16 <= n {
+        tile::<R, 16>(j, 16, k, n, a, b, out);
+        j += 16;
+    }
+    if NR > 8 && j + 8 <= n {
+        tile::<R, 8>(j, 8, k, n, a, b, out);
+        j += 8;
+    }
+    if j < n {
+        tile::<R, 8>(j, n - j, k, n, a, b, out);
+    }
+}
+
+/// The `R × w` tile at column `j` of an `R`-row block (`w ≤ C`), kept
+/// in registers across the whole `p` sweep: starts from `out`'s values
+/// and adds `a[r, p] · b[p, j + c]` in ascending `p`.  Every call but the
+/// narrow tail passes `w = C`, a constant once inlined, so those tiles
+/// compile to fixed-width vector code.
+#[inline(always)]
+fn tile<const R: usize, const C: usize>(
+    j: usize,
+    w: usize,
+    k: usize,
+    n: usize,
+    a: &[f32],
+    b: &[f32],
+    out: &mut [f32],
+) {
+    let mut acc = [[0.0f32; C]; R];
+    for (r, row) in acc.iter_mut().enumerate() {
+        row[..w].copy_from_slice(&out[r * n + j..][..w]);
+    }
+    for p in 0..k {
+        let Some(av) = tile_column::<R>(a, k, p) else {
+            continue;
+        };
+        let bv = &b[p * n + j..][..w];
+        for (row, &v) in acc.iter_mut().zip(&av) {
+            for (o, &x) in row[..w].iter_mut().zip(bv) {
+                *o += v * x;
+            }
+        }
+    }
+    for (r, row) in acc.iter().enumerate() {
+        out[r * n + j..][..w].copy_from_slice(&row[..w]);
+    }
+}
+
+/// Column `p` of the `R`-row block `a` (row stride `k`), or `None` when
+/// all `R` values are zero and the whole `p` step can be skipped.
+#[inline(always)]
+fn tile_column<const R: usize>(a: &[f32], k: usize, p: usize) -> Option<[f32; R]> {
+    let mut av = [0.0f32; R];
+    let mut any = false;
+    for (r, v) in av.iter_mut().enumerate() {
+        *v = a[r * k + p];
+        any |= *v != 0.0;
+    }
+    any.then_some(av)
+}
+
+/// The scalar arm and the oracle of the tiled ones: `out += a @ b` in
+/// i-k-j order, [`MR`] rows at a time.  The four `a` values of column `p`
+/// are broadcast while the `b` row `p` streams once through all four
+/// output rows; a column whose four `a` values are all zero is skipped.
+fn gemm_scalar(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], out: &mut [f32]) {
     let mut rows = out.chunks_exact_mut(n);
-    let blocks = m / GEMM_MR;
+    let blocks = m / MR;
     for blk in 0..blocks {
-        let i = blk * GEMM_MR;
+        let i = blk * MR;
         let (o0, o1, o2, o3) = match (rows.next(), rows.next(), rows.next(), rows.next()) {
             (Some(o0), Some(o1), Some(o2), Some(o3)) => (o0, o1, o2, o3),
             _ => unreachable!("block rows within m"),
@@ -60,8 +252,8 @@ fn gemm(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], out: &mut [f32]) {
             }
         }
     }
-    // Tail rows (m % GEMM_MR): the single-row kernel.
-    for i in blocks * GEMM_MR..m {
+    // Tail rows (m % MR): the single-row kernel.
+    for i in blocks * MR..m {
         // naps-lint: allow(typed_errors, "rows yields exactly m output rows (chunks_exact over an m*n buffer) and this loop visits at most m of them")
         let orow = rows.next().expect("one output row per a row");
         let arow = &a[i * k..(i + 1) * k];
@@ -80,9 +272,9 @@ fn gemm(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], out: &mut [f32]) {
 /// `out = a @ b` over raw row-major slices (`[m,k] @ [k,n] -> [m,n]`),
 /// for callers that write a product straight into part of a larger
 /// buffer — e.g. one sample's slice of a batched convolution output.
-/// `out` is zero-filled first, then the blocked [`gemm`] accumulates into
-/// it, so per output element the result is the same ascending-`p` sum as
-/// every other product in this module.
+/// `out` is zero-filled first, then the crate's one GEMM kernel (see the
+/// [crate docs](crate)) accumulates into it, so per output element the
+/// result is the same ascending-`p` sum as every other product here.
 ///
 /// # Panics
 ///
@@ -97,7 +289,7 @@ pub fn matmul_slice_into(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], out
 
 impl Tensor {
     /// Matrix product `self @ other` for 2-D tensors `[m,k] @ [k,n] -> [m,n]`,
-    /// via the blocked [`gemm`] microkernel.
+    /// via the crate's one GEMM kernel (see the [crate docs](crate)).
     ///
     /// # Panics
     ///
@@ -110,9 +302,9 @@ impl Tensor {
 
     /// Like [`Tensor::matmul`], but writes into the caller-provided `out`
     /// (resized in place; allocation-free once `out`'s capacity has
-    /// reached its high-water mark).  Runs the same blocked [`gemm`]
-    /// microkernel with the same per-element accumulation order, so the
-    /// result is bit-identical to `matmul`.
+    /// reached its high-water mark).  Runs the same GEMM kernel with the
+    /// same per-element accumulation order, so the result is
+    /// bit-identical to `matmul`.
     ///
     /// # Panics
     ///
@@ -128,8 +320,8 @@ impl Tensor {
     /// Matrix product with a transposed left operand:
     /// `self^T @ other` for `[k,m]^T @ [k,n] -> [m,n]`.
     ///
-    /// Packs `self^T` once (one transpose) and runs the same [`gemm`]
-    /// microkernel; per output element the accumulation order is
+    /// Packs `self^T` once (one transpose) and runs the same GEMM
+    /// kernel; per output element the accumulation order is
     /// unchanged (ascending shared dimension), so results match the old
     /// dedicated loop bit-for-bit on finite data.
     ///
@@ -162,8 +354,8 @@ impl Tensor {
     /// Matrix product with a transposed right operand:
     /// `self @ other^T` for `[m,k] @ [n,k]^T -> [m,n]`.
     ///
-    /// Packs `other^T` once and runs the same [`gemm`] microkernel (the
-    /// streamed `b` rows are then contiguous); per output element the
+    /// Packs `other^T` once and runs the same GEMM kernel (the streamed
+    /// `b` rows are then contiguous); per output element the
     /// accumulation order is unchanged.
     ///
     /// # Panics
@@ -242,16 +434,16 @@ impl Tensor {
     }
 }
 
-/// A weight matrix packed once into the panel layout [`gemm`] streams,
+/// A weight matrix packed once into the `[k, n]` layout the GEMM streams,
 /// for repeated products against frozen weights.
 ///
 /// Serving weights are frozen at publish/load time, yet `matmul_bt`
 /// re-packs `other^T` on every call.  `PackedWeights` moves that work to
 /// construction: [`PackedWeights::pack`] stores the `[k,n]` panel verbatim
 /// for `x @ w` products, [`PackedWeights::pack_transposed`] stores `w^T`
-/// once for `x @ w^T` products.  Both then run the same [`gemm`]
-/// microkernel with the same per-element accumulation order as the
-/// per-call paths, so results are bit-identical.
+/// once for `x @ w^T` products.  Both then run the same GEMM kernel
+/// with the same per-element accumulation order as the per-call paths,
+/// so results are bit-identical.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PackedWeights {
     /// The `[k, n]` right-hand panel exactly as `gemm` streams it.
@@ -393,6 +585,14 @@ mod tests {
     }
 
     #[test]
+    fn empty_products_are_zeros() {
+        let c = Tensor::zeros(vec![2, 0]).matmul(&Tensor::zeros(vec![0, 3]));
+        assert_eq!(c, Tensor::zeros(vec![2, 3]));
+        let c = Tensor::zeros(vec![2, 3]).matmul(&Tensor::zeros(vec![3, 0]));
+        assert_eq!(c.shape(), &[2, 0]);
+    }
+
+    #[test]
     #[should_panic(expected = "inner dimensions")]
     fn matmul_dim_mismatch_panics() {
         let a = a23();
@@ -409,8 +609,8 @@ mod tests {
         assert_eq!(c.data(), &[18., 20., 94., 104.]);
     }
 
-    /// The blocked microkernel must agree bit-for-bit with a naive
-    /// ascending-`p` triple loop — same accumulation order per output
+    /// The kernel this host dispatches to must agree bit-for-bit with a
+    /// naive ascending-`p` triple loop — same accumulation order per output
     /// element — across row counts straddling the 4-row block boundary
     /// and with embedded zeros exercising the all-rows-zero skip.
     #[test]
@@ -447,7 +647,7 @@ mod tests {
                 .iter()
                 .zip(&naive)
                 .all(|(x, y)| x.to_bits() == y.to_bits());
-            assert!(bits_equal, "m={m}: blocked kernel diverged from naive loop");
+            assert!(bits_equal, "m={m}: kernel diverged from naive loop");
             // The transposed variants reduce to the same kernel.
             assert_eq!(a.transpose().matmul_at(&b), c, "m={m} matmul_at");
             assert_eq!(a.matmul_bt(&b.transpose()), c, "m={m} matmul_bt");
@@ -465,6 +665,80 @@ mod tests {
             assert_bits_eq(&out, &c, "PackedWeights::pack");
             PackedWeights::pack_transposed(&b.transpose()).matmul_into(&a, &mut out);
             assert_bits_eq(&out, &c, "PackedWeights::pack_transposed");
+        }
+    }
+
+    /// Operands for the arm tests: `sin`/`cos` values with exact zeros
+    /// and `-0.0` in both, and column `p ≡ 1 (mod 3)` of `a`'s first
+    /// 4-row block all zero, so every arm takes its zero skip.
+    #[cfg(target_arch = "x86_64")]
+    fn arm_operands(m: usize, k: usize, n: usize) -> (Vec<f32>, Vec<f32>) {
+        let a = (0..m * k)
+            .map(|i| match i {
+                _ if i % 5 == 0 => 0.0,
+                _ if i % 7 == 0 => -0.0,
+                _ if i / k < MR && (i % k) % 3 == 1 => 0.0,
+                _ => ((i as f32) * 0.37).sin(),
+            })
+            .collect();
+        let b = (0..k * n)
+            .map(|i| match i {
+                _ if i % 6 == 0 => -0.0,
+                _ if i % 11 == 0 => 0.0,
+                _ => ((i as f32) * 0.61).cos(),
+            })
+            .collect();
+        (a, b)
+    }
+
+    /// Every compiled arm, called directly rather than through the
+    /// dispatch, is bit-identical to the scalar oracle: on the conv net's
+    /// two products (conv40 and conv20, per sample), and on every shape
+    /// with `m ≤ 2·MR + 1` and `n ≤ 2·64 + 1`, which straddles each row
+    /// and column tile edge of both arms.  An arm this CPU lacks is
+    /// skipped, with a note.
+    #[cfg(target_arch = "x86_64")]
+    #[test]
+    fn every_arm_is_bit_identical_to_the_scalar_oracle() {
+        // SAFETY: only a type; every call through it below is guarded by
+        // the run-time check of the arm's target feature.
+        type Arm = unsafe fn(usize, usize, usize, &[f32], &[f32], &mut [f32]);
+        let arms: [(&str, bool, Arm); 2] = [
+            (
+                "avx512f",
+                is_x86_feature_detected!("avx512f"),
+                x86::gemm_avx512f,
+            ),
+            ("avx2", is_x86_feature_detected!("avx2"), x86::gemm_avx2),
+        ];
+        let mut shapes = vec![(40, 25, 576), (20, 1000, 64)];
+        for m in 1..=2 * MR + 1 {
+            for n in 1..=2 * 64 + 1 {
+                shapes.extend([1, 5, 40].map(|k| (m, k, n)));
+            }
+        }
+        for (name, present, arm) in arms {
+            if !present {
+                println!("skipping the {name} GEMM arm: this CPU lacks {name}");
+                continue;
+            }
+            for &(m, k, n) in &shapes {
+                let (a, b) = arm_operands(m, k, n);
+                let mut want = vec![0.0f32; m * n];
+                gemm_scalar(m, k, n, &a, &b, &mut want);
+                let mut got = vec![0.0f32; m * n];
+                // SAFETY: `present` is the run-time check of the one
+                // target feature `arm` is compiled with.
+                unsafe { arm(m, k, n, &a, &b, &mut got) };
+                let same = got
+                    .iter()
+                    .zip(&want)
+                    .all(|(x, y)| x.to_bits() == y.to_bits());
+                assert!(
+                    same,
+                    "{name} arm diverged from the scalar oracle at {m}x{k}x{n}"
+                );
+            }
         }
     }
 

@@ -104,18 +104,33 @@ proptest! {
 
     /// The `*_into`/`PackedWeights` GEMM paths must be bit-identical to
     /// the per-call kernels — and all of them to the naive ascending-`p`
-    /// triple loop — across shapes straddling the 4-row block boundary,
-    /// with exact zeros sprinkled in to exercise the sparsity skips.
+    /// triple loop — across shapes straddling every tile edge of the
+    /// kernel this host dispatches to (4-row blocks and their one-row
+    /// tail; 64/32/16/8-wide column tiles and the narrow remainder), with
+    /// exact zeros and `-0.0` in both operands and a whole zero 4-row
+    /// block of `a` to exercise the sparsity skips.
     #[test]
     fn into_and_packed_gemm_are_bit_identical(
-        m in 1usize..10, k in 1usize..9, n in 1usize..7, seed in 0u64..500,
+        m in 1usize..10, k in 1usize..41, n in 1usize..130, seed in 0u64..500,
     ) {
         use rand::{rngs::StdRng, SeedableRng};
         let mut rng = StdRng::seed_from_u64(seed);
         let mut a = Tensor::randn(vec![m, k], 1.0, &mut rng);
-        let b = Tensor::randn(vec![k, n], 1.0, &mut rng);
+        let mut b = Tensor::randn(vec![k, n], 1.0, &mut rng);
         for (i, v) in a.data_mut().iter_mut().enumerate() {
             if i % 5 == 0 {
+                *v = 0.0;
+            } else if i % 7 == 0 {
+                *v = -0.0;
+            } else if i / k < 4 && (i % k) % 3 == 1 {
+                // Column p of the first 4-row block is all zeros.
+                *v = if i % 2 == 0 { 0.0 } else { -0.0 };
+            }
+        }
+        for (i, v) in b.data_mut().iter_mut().enumerate() {
+            if i % 6 == 0 {
+                *v = -0.0;
+            } else if i % 11 == 0 {
                 *v = 0.0;
             }
         }
