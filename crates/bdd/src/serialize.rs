@@ -333,7 +333,7 @@ impl BddSnapshot {
     /// a manager of the right width.
     ///
     /// This is the integrity gate for snapshots read back from disk (e.g.
-    /// `naps-serve`'s `FrozenMonitor::load`), where the bytes may be
+    /// `naps-serve`'s `FrozenLayeredMonitor::load`), where the bytes may be
     /// truncated or hand-edited.
     ///
     /// # Errors

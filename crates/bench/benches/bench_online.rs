@@ -8,7 +8,7 @@
 
 use criterion::{criterion_group, criterion_main, BatchSize, BenchmarkId, Criterion};
 use naps_bench::{clustered_patterns, serving_fixture, small_monitor};
-use naps_serve::{EngineConfig, FrozenMonitor, MonitorEngine};
+use naps_serve::{EngineConfig, FrozenLayeredMonitor, FrozenMonitor, MonitorEngine};
 
 const CLASSES: usize = 6;
 
@@ -38,11 +38,11 @@ fn bench_enrich(c: &mut Criterion) {
     group.finish();
 }
 
-/// Re-freezing an updated monitor into a sharded snapshot.
+/// Re-freezing an updated monitor into a servable snapshot.
 fn bench_freeze(c: &mut Criterion) {
     let (monitor, _, _) = small_monitor(CLASSES, 2, 7);
-    c.bench_function("online/freeze_4_shards", |b| {
-        b.iter(|| FrozenMonitor::shard_by_class(&monitor, 4));
+    c.bench_function("online/freeze", |b| {
+        b.iter(|| FrozenMonitor::freeze(&monitor));
     });
 }
 
@@ -60,7 +60,7 @@ fn bench_publish(c: &mut Criterion) {
         },
     )
     .expect("serving fixture is an MLP");
-    let snapshot = FrozenMonitor::shard_by_class(&monitor, 2);
+    let snapshot = FrozenMonitor::freeze(&monitor);
     c.bench_function("online/publish_hot_swap", |b| {
         b.iter(|| engine.publish(snapshot.clone()).expect("compatible"));
     });
@@ -70,14 +70,14 @@ fn bench_publish(c: &mut Criterion) {
 /// Persistence round trip of a frozen monitor (warm-restart cost).
 fn bench_persist(c: &mut Criterion) {
     let (monitor, _, _) = small_monitor(CLASSES, 2, 7);
-    let frozen = FrozenMonitor::freeze(&monitor);
+    let frozen = FrozenLayeredMonitor::from(FrozenMonitor::freeze(&monitor));
     let dir = std::env::temp_dir().join("naps_bench_online");
     std::fs::create_dir_all(&dir).expect("temp dir");
     let path = dir.join("monitor.json");
     c.bench_function("online/save_load_roundtrip", |b| {
         b.iter(|| {
             frozen.save(&path).expect("save");
-            FrozenMonitor::load(&path).expect("load")
+            FrozenLayeredMonitor::load(&path).expect("load")
         });
     });
     let _ = std::fs::remove_file(&path);

@@ -145,66 +145,6 @@ pub fn serving_fixture(
     (monitor, net, workload)
 }
 
-/// ReLU tap indices of the [`deep_serving_fixture`] model, deepest
-/// (close-to-output, the paper's default single layer) first — the
-/// family order multi-layer benches and evals monitor them in.
-pub const DEEP_RELU_LAYERS: [usize; 3] = [5, 3, 1];
-
-/// The multi-layer serving fixture shared by `bench_layered` and the
-/// `naps-eval` `layered` binary's shape: a four-block MLP
-/// (`[16, 96, 64, 48, classes]`, ReLU taps at layers 1, 3 and 5 — see
-/// [`DEEP_RELU_LAYERS`]) trained on the same ring data as
-/// [`serving_fixture`], its training set (to build per-layer monitors
-/// from), and a mixed in/out-of-distribution probe workload.
-pub fn deep_serving_fixture(
-    classes: usize,
-    probes: usize,
-    seed: u64,
-) -> (Sequential, Vec<Tensor>, Vec<usize>, Vec<Tensor>) {
-    let in_dim = 16;
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut net = mlp(&[in_dim, 96, 64, 48, classes], &mut rng);
-    let mut xs = Vec::new();
-    let mut ys = Vec::new();
-    for c in 0..classes {
-        let phase = c as f32 * std::f32::consts::TAU / classes as f32;
-        for k in 0..40 {
-            let data: Vec<f32> = (0..in_dim)
-                .map(|i| {
-                    let centre = (phase + i as f32 * 0.6).sin() * 2.0;
-                    centre + 0.25 * ((k * in_dim + i) as f32 * 0.77).sin()
-                })
-                .collect();
-            xs.push(Tensor::from_vec(vec![in_dim], data));
-            ys.push(c);
-        }
-    }
-    let trainer = Trainer::new(TrainConfig {
-        epochs: 20,
-        batch_size: 32,
-        verbose: false,
-    });
-    trainer.fit(&mut net, &xs, &ys, &mut Adam::new(0.01), &mut rng);
-    let workload: Vec<Tensor> = (0..probes)
-        .map(|p| {
-            let base = &xs[p % xs.len()];
-            let scale = match p % 3 {
-                0 => 0.0, // exact training input
-                1 => 0.2, // jittered in-distribution
-                _ => 3.0, // far out: exercises out-of-pattern
-            };
-            let data: Vec<f32> = base
-                .data()
-                .iter()
-                .enumerate()
-                .map(|(i, &v)| v + scale * ((p * 31 + i) as f32 * 1.3).sin())
-                .collect();
-            Tensor::from_vec(vec![in_dim], data)
-        })
-        .collect();
-    (net, xs, ys, workload)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -95,7 +95,7 @@ pub struct CompiledEval {
 
 /// The walked-oracle counterpart of [`FrozenMonitor::report`]: the exact
 /// judging the engine ran before evaluators were compiled.
-fn report_walked(frozen: &FrozenMonitor, predicted: usize, pattern: &Pattern) -> MonitorReport {
+fn walked_report(frozen: &FrozenMonitor, predicted: usize, pattern: &Pattern) -> MonitorReport {
     match frozen.zone(predicted) {
         None => MonitorReport {
             predicted,
@@ -104,12 +104,12 @@ fn report_walked(frozen: &FrozenMonitor, predicted: usize, pattern: &Pattern) ->
         },
         Some(z) => MonitorReport {
             predicted,
-            verdict: if z.contains_walked(pattern) {
+            verdict: if z.zone_snapshot().eval(&pattern.to_bools()) {
                 Verdict::InPattern
             } else {
                 Verdict::OutOfPattern
             },
-            distance_to_seeds: z.distance_to_seeds_walked(pattern),
+            distance_to_seeds: z.seed_snapshot().min_hamming_distance(&pattern.to_bools()),
         },
     }
 }
@@ -184,14 +184,22 @@ pub fn run(cfg: &RunConfig) -> CompiledEval {
         .collect();
     let member_walked: Vec<bool> = pair_refs
         .iter()
-        .map(|&(p, pat)| frozen.zone(p).is_some_and(|z| z.contains_walked(pat)))
+        .map(|&(p, pat)| {
+            frozen
+                .zone(p)
+                .is_some_and(|z| z.zone_snapshot().eval(&pat.to_bools()))
+        })
         .collect();
     push(
         "membership",
         time_qps(pairs.len(), repeats, || {
             pair_refs
                 .iter()
-                .filter(|&&(p, pat)| frozen.zone(p).is_some_and(|z| z.contains_walked(pat)))
+                .filter(|&&(p, pat)| {
+                    frozen
+                        .zone(p)
+                        .is_some_and(|z| z.zone_snapshot().eval(&pat.to_bools()))
+                })
                 .count()
         }),
         time_qps(pairs.len(), repeats, || {
@@ -209,12 +217,12 @@ pub fn run(cfg: &RunConfig) -> CompiledEval {
     let judged_compiled = frozen.report_batch(&pair_refs);
     let judged_walked: Vec<MonitorReport> = pair_refs
         .iter()
-        .map(|&(p, pat)| report_walked(&frozen, p, pat))
+        .map(|&(p, pat)| walked_report(&frozen, p, pat))
         .collect();
     let batch_walked_qps = time_qps(pairs.len(), repeats, || {
         pair_refs
             .iter()
-            .map(|&(p, pat)| report_walked(&frozen, p, pat))
+            .map(|&(p, pat)| walked_report(&frozen, p, pat))
             .collect::<Vec<_>>()
     });
     let batch_compiled_qps = time_qps(pairs.len(), repeats, || frozen.report_batch(&pair_refs));
@@ -232,7 +240,11 @@ pub fn run(cfg: &RunConfig) -> CompiledEval {
         .collect();
     let seeds_walked: Vec<Option<u32>> = pair_refs
         .iter()
-        .map(|&(p, pat)| frozen.zone(p).and_then(|z| z.distance_to_seeds_walked(pat)))
+        .map(|&(p, pat)| {
+            frozen
+                .zone(p)
+                .and_then(|z| z.seed_snapshot().min_hamming_distance(&pat.to_bools()))
+        })
         .collect();
     push(
         "seed_distance",
@@ -240,7 +252,9 @@ pub fn run(cfg: &RunConfig) -> CompiledEval {
             pair_refs
                 .iter()
                 .filter_map(|&(p, pat)| {
-                    frozen.zone(p).and_then(|z| z.distance_to_seeds_walked(pat))
+                    frozen
+                        .zone(p)
+                        .and_then(|z| z.seed_snapshot().min_hamming_distance(&pat.to_bools()))
                 })
                 .count()
         }),
@@ -313,9 +327,10 @@ pub fn run(cfg: &RunConfig) -> CompiledEval {
     let bounded_walked: Vec<Option<u32>> = pair_refs
         .iter()
         .map(|&(p, pat)| {
-            frozen
-                .zone(p)
-                .and_then(|z| z.distance_to_zone_within_walked(pat, budget))
+            frozen.zone(p).and_then(|z| {
+                z.zone_snapshot()
+                    .min_hamming_distance_within(&pat.to_bools(), budget)
+            })
         })
         .collect();
     push(
@@ -324,9 +339,10 @@ pub fn run(cfg: &RunConfig) -> CompiledEval {
             pair_refs
                 .iter()
                 .filter_map(|&(p, pat)| {
-                    frozen
-                        .zone(p)
-                        .and_then(|z| z.distance_to_zone_within_walked(pat, budget))
+                    frozen.zone(p).and_then(|z| {
+                        z.zone_snapshot()
+                            .min_hamming_distance_within(&pat.to_bools(), budget)
+                    })
                 })
                 .count()
         }),

@@ -18,7 +18,7 @@
 //!   [`LayeredMonitor::check_batch`] on every stream (hard gate);
 //! * **marginal layer cost**: batched checks with 1, 2 and 3 monitored
 //!   layers, with the model's own forward-pass counter proving each
-//!   added layer costs shard lookups, **never** an extra forward pass,
+//!   added layer costs zone lookups, **never** an extra forward pass,
 //!   plus per-input timing deltas;
 //! * **observation-plan win**: one packed pass through
 //!   `forward_observe_plan` versus the allocate-everything

@@ -12,8 +12,8 @@
 //! replays that loop end to end and records, per epoch: the
 //! out-of-pattern rate, the serving QPS, the swap latency, the QPS while
 //! the swap happens, and whether persistence
-//! ([`FrozenMonitor::save`]/[`FrozenMonitor::load`]) round-trips the
-//! published snapshot exactly.
+//! ([`FrozenLayeredMonitor::save`]/[`FrozenLayeredMonitor::load`])
+//! round-trips the published snapshot exactly.
 //!
 //! The headline check (enforced by the `online_adaptation` binary and
 //! CI): after enrichment, the out-of-pattern rate on the **same** shifted
@@ -29,7 +29,7 @@ use naps_data::corrupt::{apply, Corruption};
 use naps_data::novelty::{render_gray, Novelty};
 use naps_data::{digits, Dataset};
 use naps_nn::{mlp, Adam, Sequential, TrainConfig, Trainer};
-use naps_serve::{EngineConfig, EpochReport, FrozenMonitor, MonitorEngine};
+use naps_serve::{EngineConfig, EpochReport, FrozenLayeredMonitor, FrozenMonitor, MonitorEngine};
 use naps_tensor::Tensor;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -87,7 +87,7 @@ pub struct OnlineAdaptation {
     pub novelty_rate_after: f64,
     /// The headline acceptance bit: did the shifted rate drop?
     pub rate_dropped: bool,
-    /// `FrozenMonitor::save` → `load` of the published epoch-1 snapshot
+    /// `FrozenLayeredMonitor::save` → `load` of the published epoch-1 snapshot
     /// round-tripped to an equal monitor.
     pub persistence_roundtrip_ok: bool,
     /// Snapshot swaps the engine performed.
@@ -271,7 +271,7 @@ pub fn run(cfg: &RunConfig) -> OnlineAdaptation {
     );
     monitor.compact_dirty();
     let dirty_classes = monitor.take_dirty().len();
-    let frozen1 = FrozenMonitor::shard_by_class(&monitor, workers);
+    let frozen1 = FrozenMonitor::freeze(&monitor);
     let oracle1: Vec<MonitorReport> = monitor.check_batch(&mut model, &shifted);
 
     // ---- Hot swap while the shifted stream is in flight ----
@@ -319,14 +319,14 @@ pub fn run(cfg: &RunConfig) -> OnlineAdaptation {
     phases.push(p);
 
     // ---- Persist the published snapshot for warm restarts ----
-    let published = engine.monitor();
+    let published = engine.monitor_layered();
     let persistence_roundtrip_ok = {
         if std::fs::create_dir_all(&cfg.out_dir).is_err() {
             false
         } else {
             let path = cfg.out_dir.join("monitor_epoch1.json");
             published.save(&path).is_ok()
-                && FrozenMonitor::load(&path).is_ok_and(|loaded| loaded == *published)
+                && FrozenLayeredMonitor::load(&path).is_ok_and(|loaded| loaded == *published)
         }
     };
 

@@ -233,12 +233,12 @@ pub fn run(cfg: &RunConfig) -> Throughput {
             },
             Some(z) => naps_core::MonitorReport {
                 predicted: p,
-                verdict: if z.contains_walked(pat) {
+                verdict: if z.zone_snapshot().eval(&pat.to_bools()) {
                     naps_core::Verdict::InPattern
                 } else {
                     naps_core::Verdict::OutOfPattern
                 },
-                distance_to_seeds: z.distance_to_seeds_walked(pat),
+                distance_to_seeds: z.seed_snapshot().min_hamming_distance(&pat.to_bools()),
             },
         }
     };

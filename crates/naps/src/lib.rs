@@ -23,7 +23,7 @@
 //! | [`data`] | `naps-data` | procedural MNIST-like / GTSRB-like datasets, shifts |
 //! | [`monitor`] | `naps-core` | the paper's contribution: comfort zones + monitors |
 //! | [`frontcar`] | `naps-frontcar` | highway front-car selection case study |
-//! | [`serve`] | `naps-serve` | parallel monitoring engine: frozen shards + a worker pool over one FIFO |
+//! | [`serve`] | `naps-serve` | parallel monitoring engine: frozen zones + a worker pool over one FIFO |
 //!
 //! The monitor family — [`monitor::Monitor`], [`monitor::LayeredMonitor`],
 //! [`monitor::RefinedMonitor`], [`monitor::GridMonitor`] — is driven

@@ -103,7 +103,7 @@ fn model_behind_rwlock_serves_monitored_checks() {
 fn serve_engine_replaces_the_rwlock_deployment() {
     // The RwLock deployment above serialises every forward pass; the
     // naps-serve engine replicates the model per worker instead and
-    // shares the monitor as immutable frozen shards — same verdicts, no
+    // shares the monitor as immutable frozen zones — same verdicts, no
     // lock on the query path.
     let mut rng = StdRng::seed_from_u64(52);
     let mut net = mlp(&[4, 16, 3], &mut rng);

@@ -14,7 +14,7 @@
 //!               │                              │ forward pass (own replica)
 //!               │                                       │
 //!               │   Arc<FrozenLayeredMonitor> ◄── per-layer, per-class
-//!               │   (one FrozenMonitor per layer)   shard lookups
+//!               │   (one FrozenMonitor per layer)   zone lookups
 //!               └── callbacks/tickets ◄── CombinePolicy fold ◄─┘
 //!                   (LayeredEpochReport; EpochReport = N=1 view)
 //! ```
@@ -28,7 +28,7 @@
 //!   engine built from a single [`Monitor`] is the `N = 1` special case.
 //!   One [`naps_core::batch::ObservationPlan`]-driven forward pass per
 //!   micro-batch retains exactly the monitored layers' activations:
-//!   every additional monitored layer costs per-class shard lookups,
+//!   every additional monitored layer costs per-class zone lookups,
 //!   never another forward pass.
 //! * **Live updates.** The served snapshot sits in a read-mostly publish
 //!   slot; [`MonitorEngine::publish`] hot-swaps an enriched replacement,
@@ -49,7 +49,7 @@
 //!   `pack_batch` → `forward_observe_plan` pipeline of the sequential
 //!   [`naps_core::Monitor::check_batch`] /
 //!   [`naps_core::LayeredMonitor::check_batch`], and share the same
-//!   shard lookups, so verdicts are bit-identical to sequential checking
+//!   zone lookups, so verdicts are bit-identical to sequential checking
 //!   regardless of how requests interleave (asserted by the crate's
 //!   concurrency tests).
 //!
@@ -76,7 +76,7 @@ use worker::{worker_loop, WorkerGuard};
 /// Sizing knobs of a [`MonitorEngine`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct EngineConfig {
-    /// Worker threads (and model replicas, and class shards).
+    /// Worker threads (and model replicas).
     pub workers: usize,
     /// Largest micro-batch a worker packs into one forward pass.
     pub max_batch: usize,
@@ -561,8 +561,8 @@ pub struct MonitorEngine {
 
 impl MonitorEngine {
     /// Builds an engine over a single-layer `monitor` — the `N = 1`
-    /// layered deployment — sharding its classes across `config.workers`
-    /// shards and preparing `model` once for every worker.
+    /// layered deployment — freezing it and preparing `model` once for
+    /// every worker.
     ///
     /// # Errors
     ///
@@ -574,18 +574,14 @@ impl MonitorEngine {
         config: EngineConfig,
     ) -> Result<Self, EngineError> {
         Self::new_prepared(
-            FrozenLayeredMonitor::from_single(FrozenMonitor::shard_by_class(
-                monitor,
-                config.workers.max(1),
-            )),
+            FrozenLayeredMonitor::from_single(FrozenMonitor::freeze(monitor)),
             model,
             config,
         )
     }
 
-    /// Builds an engine over a multi-layer `monitor`, sharding every
-    /// layer's classes across `config.workers` shards and preparing
-    /// `model` once for every worker.
+    /// Builds an engine over a multi-layer `monitor`, freezing every
+    /// layer and preparing `model` once for every worker.
     ///
     /// # Errors
     ///
@@ -595,11 +591,7 @@ impl MonitorEngine {
         model: &Sequential,
         config: EngineConfig,
     ) -> Result<Self, EngineError> {
-        Self::new_prepared(
-            FrozenLayeredMonitor::shard_by_class(monitor, config.workers.max(1)),
-            model,
-            config,
-        )
+        Self::new_prepared(FrozenLayeredMonitor::freeze(monitor), model, config)
     }
 
     /// Captures and prepares `model` once; every worker serves a copy.

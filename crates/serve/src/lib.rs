@@ -5,14 +5,14 @@
 //! single-threaded library calls; this crate turns them into a
 //! long-lived concurrent **service**: requests wait in one bounded FIFO,
 //! worker threads (each owning a model replica) drain it in
-//! micro-batches, and every request is judged against per-class
-//! comfort-zone shards that share immutable `Arc`'d BDD snapshots — so
-//! the membership hot path takes **no lock at all**.
+//! micro-batches, and every request is judged against its predicted
+//! class's comfort zone, an immutable `Arc`'d BDD snapshot — so the
+//! membership hot path takes **no lock at all**.
 //!
 //! | Type | Role |
 //! |---|---|
 //! | [`FrozenZone`] | one class's zone + seeds as immutable [`naps_bdd::BddSnapshot`]s |
-//! | [`FrozenMonitor`] / [`MonitorShard`] | one layer's deployable monitor split class-wise into disjoint shards |
+//! | [`FrozenMonitor`] | one layer's deployable monitor: a frozen zone per class |
 //! | [`FrozenLayeredMonitor`] / [`LayeredVerdict`] | the epoch-versioned N-layer family the engine serves (single-layer = N = 1) |
 //! | [`MonitorEngine`] | the worker pool over one FIFO: five entry points (`check`, `check_batch`, `check_layered_batch`, `submit`, `try_submit_with`), batching, backpressure, hot swap |
 //! | [`EngineConfig`] | workers / `max_batch` / `queue_capacity` knobs |
@@ -36,10 +36,10 @@
 //! ## Multi-layer monitoring
 //!
 //! The engine natively serves **N monitored layers per query**: a
-//! [`FrozenLayeredMonitor`] holds one class-sharded [`FrozenMonitor`]
-//! per layer plus the [`naps_core::CombinePolicy`] (`Any` / `All` /
-//! `Majority`) that folds the per-layer verdicts.  One observation-plan
-//! forward pass feeds all layers — adding a monitored layer costs shard
+//! [`FrozenLayeredMonitor`] holds one [`FrozenMonitor`] per layer plus
+//! the [`naps_core::CombinePolicy`] (`Any` / `All` / `Majority`) that
+//! folds the per-layer verdicts.  One observation-plan
+//! forward pass feeds all layers — adding a monitored layer costs zone
 //! lookups, never another forward pass — and every verdict is a
 //! [`LayeredEpochReport`] ([`MonitorEngine::check_layered_batch`],
 //! [`MonitorEngine::submit`], [`MonitorEngine::try_submit_with`])
@@ -49,7 +49,7 @@
 //! [`MonitorEngine::check_batch`]) is the
 //! [`LayeredEpochReport::into_single`] projection.  [`FrozenLayeredMonitor::save`] writes a versioned
 //! container that [`FrozenLayeredMonitor::load`] restores — including
-//! files written by the pre-layered [`FrozenMonitor::save`] format.
+//! pre-layered single-monitor files (format 1), lifted to `N = 1`.
 //!
 //! ## Live updates
 //!
@@ -59,9 +59,9 @@
 //! [`MonitorEngine::publish`] the new snapshot.  Workers swap at
 //! micro-batch boundaries — no request is lost, no lock is added to the
 //! verdict hot path — and every verdict's [`EpochReport::epoch`] names
-//! the zone set that judged it.  [`FrozenMonitor::save`] /
-//! [`FrozenMonitor::load`] persist snapshots (epoch included) for warm
-//! restarts.
+//! the zone set that judged it.  [`FrozenLayeredMonitor::save`] /
+//! [`FrozenLayeredMonitor::load`] persist snapshots (epoch included) for
+//! warm restarts.
 //!
 //! ## Graded verdicts & drift
 //!
@@ -129,6 +129,4 @@ pub use engine::{
     ClassDriftStatus, EngineConfig, EngineError, EngineStats, EpochReport, LayerDriftStatus,
     LayeredEpochReport, MonitorEngine, SubmitError, VerdictTicket,
 };
-pub use frozen::{
-    FrozenLayeredMonitor, FrozenMonitor, FrozenZone, LayeredVerdict, MonitorShard, PersistError,
-};
+pub use frozen::{FrozenLayeredMonitor, FrozenMonitor, FrozenZone, LayeredVerdict, PersistError};

@@ -89,7 +89,7 @@ fn conv_engine_verdicts_match_sequential_checking() {
     assert_eq!(served, want);
 
     // Caller-made replicas take the same prepared path.
-    let frozen = FrozenMonitor::shard_by_class(&monitor, 1);
+    let frozen = FrozenMonitor::freeze(&monitor);
     let snapshot = naps_nn::ModelSnapshot::capture(&net).expect("captures");
     let engine = MonitorEngine::with_replicas(frozen, vec![snapshot.restore()], config(1))
         .expect("Network 1 replicas are served");

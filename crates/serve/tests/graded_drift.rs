@@ -85,7 +85,7 @@ fn graded_verdicts_stay_attributable_across_hot_swap() {
         .enrich(0, std::slice::from_ref(&confirmed))
         .expect("class 0 is monitored");
     let oracle1 = monitor.check_graded_batch(&mut model, &probes, query);
-    let frozen1 = FrozenMonitor::shard_by_class(&monitor, 2);
+    let frozen1 = FrozenMonitor::freeze(&monitor);
 
     // Submit the whole stream, swap while it is in flight.
     let tickets: Vec<_> = probes
@@ -207,7 +207,7 @@ fn drift_detectors_alarm_and_rearm_on_publish() {
         .enrich(class, std::slice::from_ref(&pattern))
         .expect("monitored class");
     let epoch = engine
-        .publish(FrozenMonitor::shard_by_class(&monitor, 2))
+        .publish(FrozenMonitor::freeze(&monitor))
         .expect("compatible");
     let rearmed = engine.drift_status().expect("still armed");
     assert!(rearmed.iter().all(|c| c.epoch == epoch));

@@ -5,8 +5,8 @@
 //! (a) no submission is lost or errored by the swap,
 //! (b) every verdict is bit-identical to the sequential monitor **for
 //!     the epoch stamped on it**, and
-//! (c) `FrozenMonitor::save` → `load` round-trips to an equal monitor,
-//!     snapshot for snapshot.
+//! (c) `FrozenLayeredMonitor::save` → `load` round-trips to an equal
+//!     monitor, snapshot for snapshot.
 //!
 //! Run in release too (CI does): the swap window is timing-sensitive.
 
@@ -14,7 +14,7 @@ use naps_core::{
     ActivationMonitor, BddZone, Monitor, MonitorBuilder, MonitorReport, Pattern, Verdict,
 };
 use naps_nn::{mlp, Adam, Sequential, TrainConfig, Trainer};
-use naps_serve::{EngineConfig, EngineError, FrozenMonitor, MonitorEngine};
+use naps_serve::{EngineConfig, EngineError, FrozenLayeredMonitor, FrozenMonitor, MonitorEngine};
 use naps_tensor::Tensor;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -68,7 +68,7 @@ fn hot_swap_under_load_is_non_disruptive_and_exact() {
 
     // Epoch-0 oracle: the sequential monitor as built.
     let oracle0: Vec<MonitorReport> = probes.iter().map(|x| monitor.check(&mut net, x)).collect();
-    let frozen0 = FrozenMonitor::shard_by_class(&monitor, 2);
+    let frozen0 = FrozenMonitor::freeze(&monitor);
 
     // The enriched monitor (epoch 1): every current warning confirmed
     // benign, compacted, re-frozen.
@@ -78,7 +78,7 @@ fn hot_swap_under_load_is_non_disruptive_and_exact() {
     assert!(!monitor.take_dirty().is_empty());
     let oracle1: Vec<MonitorReport> = probes.iter().map(|x| monitor.check(&mut net, x)).collect();
     assert_ne!(oracle0, oracle1, "enrichment changed no verdict");
-    let frozen1 = FrozenMonitor::shard_by_class(&monitor, 2);
+    let frozen1 = FrozenMonitor::freeze(&monitor);
 
     // The engine starts on the pre-enrichment (epoch 0) snapshot.
     let snap = naps_nn::ModelSnapshot::capture(&net).expect("mlp");
@@ -207,13 +207,13 @@ fn save_load_roundtrip_equals_the_served_snapshot() {
     let (mut monitor, mut net, probes) = fixture(22);
     confirm_all_warnings(&mut monitor, &mut net, &probes);
     monitor.compact_dirty();
-    let frozen = FrozenMonitor::shard_by_class(&monitor, 3).with_epoch(5);
+    let frozen = FrozenLayeredMonitor::from(FrozenMonitor::freeze(&monitor)).with_epoch(5);
 
     let dir = std::env::temp_dir().join("naps_hot_swap_test");
     std::fs::create_dir_all(&dir).expect("temp dir");
     let path = dir.join("monitor.json");
     frozen.save(&path).expect("save");
-    let restored = FrozenMonitor::load(&path).expect("load");
+    let restored = FrozenLayeredMonitor::load(&path).expect("load");
     // (c) snapshot-for-snapshot equality, epoch included...
     assert_eq!(restored, frozen);
     // ...and the restored monitor serves identically through an engine.
@@ -222,7 +222,7 @@ fn save_load_roundtrip_equals_the_served_snapshot() {
     for (x, got) in probes.iter().zip(served) {
         let (class, pattern) = monitor.observe(&mut net, x);
         assert_eq!(
-            restored.report(class, &pattern),
+            restored.primary().report(class, &pattern),
             got.report,
             "warm-restarted monitor diverged"
         );

@@ -173,7 +173,7 @@ fn layered_hot_swap_keeps_verdicts_attributable() {
     let after = grown.check_batch(&mut model, &probes);
 
     let epoch = engine
-        .publish(FrozenLayeredMonitor::shard_by_class(&grown, 2))
+        .publish(FrozenLayeredMonitor::freeze(&grown))
         .expect("compatible");
     assert_eq!(epoch, 1);
     assert_eq!(engine.epoch(), 1);
@@ -202,8 +202,7 @@ fn publish_layered_rejects_incompatible_families() {
     let engine = layered_engine(&layered, &model, 2);
 
     // Different layer count.
-    let single =
-        FrozenLayeredMonitor::from_single(FrozenMonitor::shard_by_class(&layered.monitors()[0], 2));
+    let single = FrozenLayeredMonitor::from_single(FrozenMonitor::freeze(&layered.monitors()[0]));
     assert!(matches!(
         engine.publish(single),
         Err(EngineError::IncompatibleMonitor("layer count differs"))
@@ -214,7 +213,7 @@ fn publish_layered_rejects_incompatible_families() {
         layered
             .monitors()
             .iter()
-            .map(|m| FrozenMonitor::shard_by_class(m, 2))
+            .map(FrozenMonitor::freeze)
             .collect(),
         CombinePolicy::All,
     )
@@ -230,7 +229,7 @@ fn publish_layered_rejects_incompatible_families() {
             .monitors()
             .iter()
             .rev()
-            .map(|m| FrozenMonitor::shard_by_class(m, 2))
+            .map(FrozenMonitor::freeze)
             .collect(),
         layered.policy(),
     )
@@ -278,7 +277,7 @@ fn drift_is_tracked_per_layer_and_combined() {
         assert!(layer.classes.iter().all(|c| c.mean_distance.is_none()));
     }
     // Publishing re-arms every detector, combined and per-layer.
-    let refrozen = FrozenLayeredMonitor::shard_by_class(&layered, 2);
+    let refrozen = FrozenLayeredMonitor::freeze(&layered);
     engine.publish(refrozen).expect("compatible");
     for layer in engine.drift_status_by_layer().expect("armed") {
         assert!(layer
@@ -340,8 +339,8 @@ fn golden_v2_path() -> std::path::PathBuf {
 fn deterministic_family() -> FrozenLayeredMonitor {
     FrozenLayeredMonitor::try_from_monitors(
         vec![
-            FrozenMonitor::shard_by_class(&deterministic_monitor(1, 6, 4), 2),
-            FrozenMonitor::shard_by_class(&deterministic_monitor(3, 6, 4), 3),
+            FrozenMonitor::freeze(&deterministic_monitor(1, 6, 4)),
+            FrozenMonitor::freeze(&deterministic_monitor(3, 6, 4)),
         ],
         CombinePolicy::Majority,
     )
@@ -360,10 +359,7 @@ fn layered_container_roundtrips() {
     let a = deterministic_monitor(1, 6, 4);
     let b = deterministic_monitor(3, 6, 4);
     let layered = FrozenLayeredMonitor::try_from_monitors(
-        vec![
-            FrozenMonitor::shard_by_class(&a, 2),
-            FrozenMonitor::shard_by_class(&b, 3),
-        ],
+        vec![FrozenMonitor::freeze(&a), FrozenMonitor::freeze(&b)],
         CombinePolicy::Majority,
     )
     .expect("valid family")
@@ -375,37 +371,25 @@ fn layered_container_roundtrips() {
     assert_eq!(restored.epoch(), 9);
     assert_eq!(restored.policy(), CombinePolicy::Majority);
     assert_eq!(restored.num_layers(), 2);
-    // Per-layer monitors keep their shard layout and carry the container
-    // epoch.
-    assert_eq!(restored.layers()[0].shards().len(), 2);
-    assert_eq!(restored.layers()[1].shards().len(), 3);
+    // Per-layer monitors carry the container epoch.
     assert!(restored.layers().iter().all(|l| l.epoch() == 9));
+    // Every per-layer record is written as one shard.
+    let text = std::fs::read_to_string(&path).expect("read");
+    assert_eq!(text.matches("\"num_shards\":1").count(), 2, "{text}");
     let _ = std::fs::remove_file(&path);
 }
 
 /// The pre-layered (format 1) golden fixture must load through the
-/// layered path forever.  Re-bless (only on a deliberate format-1
-/// writer change, which should never happen again) with
-/// `GOLDEN_BLESS=1 cargo test -p naps-serve layered`.
+/// layered path forever.  Nothing writes format 1 any more, so the
+/// fixture is never re-blessed; it records two class shards, which
+/// loading ignores.
 #[test]
 fn pre_layered_golden_file_still_loads() {
     let path = golden_path();
-    if std::env::var("GOLDEN_BLESS").is_ok() {
-        std::fs::create_dir_all(path.parent().expect("parent")).expect("mkdir");
-        let monitor =
-            FrozenMonitor::shard_by_class(&deterministic_monitor(1, 6, 4), 2).with_epoch(5);
-        monitor.save(&path).expect("bless golden");
-        return;
-    }
-    let via_single = FrozenMonitor::load(&path).unwrap_or_else(|e| {
-        panic!(
-            "golden v1 fixture {} failed to load ({e}); re-bless with GOLDEN_BLESS=1",
-            path.display()
-        )
-    });
     let via_layered = FrozenLayeredMonitor::load(&path).expect("v1 file lifts to N = 1");
     assert_eq!(via_layered.num_layers(), 1);
     assert_eq!(via_layered.epoch(), 5);
+    let via_single = FrozenMonitor::freeze(&deterministic_monitor(1, 6, 4)).with_epoch(5);
     assert_eq!(via_layered.layers()[0].as_ref(), &via_single);
     // Behavioural equality over the whole pattern space.
     for m in 0..64u32 {
@@ -426,7 +410,8 @@ fn pre_layered_golden_file_still_loads() {
 /// bit-identical (`==`, including every fast-path decision) to freshly
 /// frozen monitors built from the same deterministic zones.  Re-bless
 /// the format-2 fixture with
-/// `GOLDEN_BLESS=1 cargo test -p naps-serve layered`.
+/// `GOLDEN_BLESS=1 cargo test -p naps-serve layered`; re-blessing
+/// rewrites its per-layer `num_shards` (2 and 3) to 1.
 #[test]
 fn golden_files_recompile_to_identical_evaluators() {
     use naps_bdd::CompiledZone;
@@ -453,9 +438,13 @@ fn golden_files_recompile_to_identical_evaluators() {
     // `PartialEq` covers the compiled evaluators, so this pins that
     // load-time recompilation reproduces freeze-time compilation
     // exactly.
-    let v1 = FrozenMonitor::load(&golden_path()).expect("v1 golden loads");
-    let fresh_v1 = FrozenMonitor::shard_by_class(&deterministic_monitor(1, 6, 4), 2).with_epoch(5);
-    assert_eq!(v1, fresh_v1, "v1 recompiled ≠ freshly frozen");
+    let v1 = FrozenLayeredMonitor::load(&golden_path()).expect("v1 golden loads");
+    let fresh_v1 = FrozenMonitor::freeze(&deterministic_monitor(1, 6, 4)).with_epoch(5);
+    assert_eq!(
+        v1,
+        FrozenLayeredMonitor::from(fresh_v1),
+        "v1 recompiled ≠ freshly frozen"
+    );
 
     // Format 2: same invariant through the layered container.
     let restored = FrozenLayeredMonitor::load(&v2).unwrap_or_else(|e| {
@@ -472,12 +461,7 @@ fn golden_files_recompile_to_identical_evaluators() {
 
     // And zone-for-zone: the restored evaluators equal a from-scratch
     // compile of the restored snapshots (compilation is deterministic).
-    for monitor in restored
-        .layers()
-        .iter()
-        .map(|l| l.as_ref())
-        .chain(std::iter::once(&v1))
-    {
+    for monitor in restored.layers().iter().chain(v1.layers()) {
         for c in 0..monitor.num_classes() {
             let Some(zone) = monitor.zone(c) else {
                 continue;
@@ -528,6 +512,19 @@ fn corrupt_layered_containers_error_never_panic() {
             Err(PersistError::Format(_))
         ));
     }
+
+    // An unknown per-layer record version in a pre-layered (format 1)
+    // file is Incompatible.
+    let v1 = std::fs::read_to_string(golden_path()).expect("golden readable");
+    assert!(
+        v1.starts_with("{\"format\":1,"),
+        "golden v1 is compact JSON"
+    );
+    std::fs::write(&path, v1.replacen("\"format\":1", "\"format\":99", 1)).expect("write");
+    assert!(matches!(
+        FrozenLayeredMonitor::load(&path),
+        Err(PersistError::Incompatible("unknown format version"))
+    ));
 
     // An unknown container version is Incompatible.
     std::fs::write(
@@ -649,7 +646,7 @@ proptest! {
         // grown bare monitor's.
         let mut grown = Monitor::<BddZone>::from_snapshot(&bare.snapshot()).expect("restore");
         grown.enlarge_to(swap_gamma);
-        engine.publish(FrozenMonitor::shard_by_class(&grown, 2)).expect("compatible");
+        engine.publish(FrozenMonitor::freeze(&grown)).expect("compatible");
         let grown_binary = grown.check_batch(&mut model, &probes);
         let grown_graded = grown.check_graded_batch(&mut model, &probes, query);
         let served = check_graded_batch(&engine, &probes, query);
