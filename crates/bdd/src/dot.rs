@@ -1,7 +1,7 @@
 //! Graphviz DOT export for inspection and documentation figures.
 
+use crate::fxhash::HashSet;
 use crate::manager::{Bdd, NodeId};
-use std::collections::HashSet;
 use std::fmt::Write as _;
 
 impl Bdd {
@@ -29,7 +29,7 @@ impl Bdd {
         let _ = writeln!(out, "  t0 [label=\"0\", shape=box];");
         let _ = writeln!(out, "  t1 [label=\"1\", shape=box];");
 
-        let mut seen: HashSet<NodeId> = HashSet::new();
+        let mut seen: HashSet<NodeId> = HashSet::default();
         let mut stack = vec![f];
         while let Some(n) = stack.pop() {
             if n.is_terminal() || seen.contains(&n) {

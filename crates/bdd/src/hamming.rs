@@ -4,8 +4,8 @@
 //! into the paper's γ-comfort zone (Definition 2) and that let a monitor
 //! report *how far* an unseen pattern is from the zone.
 
+use crate::fxhash::HashMap;
 use crate::manager::{Bdd, NodeId};
-use std::collections::HashMap;
 
 impl Bdd {
     /// Enlarges a pattern set by all patterns at Hamming distance ≤ `gamma`:
@@ -31,7 +31,7 @@ impl Bdd {
     /// clamped to the variable count, beyond which the ball cannot grow.
     pub fn dilate(&mut self, f: NodeId, gamma: u32) -> NodeId {
         let k = gamma.min(self.num_vars as u32);
-        let mut memo = HashMap::new();
+        let mut memo = HashMap::default();
         self.ball_rec(f, k, &mut memo)
     }
 
@@ -77,7 +77,7 @@ impl Bdd {
             self.num_vars,
             "pattern length must equal the variable count"
         );
-        let mut memo: HashMap<NodeId, Option<u32>> = HashMap::new();
+        let mut memo: HashMap<NodeId, Option<u32>> = HashMap::default();
         self.min_dist_rec(f, pattern, &mut memo)
     }
 
@@ -153,7 +153,7 @@ impl Bdd {
         if f == NodeId::ZERO {
             return None;
         }
-        let mut memo: HashMap<(NodeId, u32), Option<u32>> = HashMap::new();
+        let mut memo: HashMap<(NodeId, u32), Option<u32>> = HashMap::default();
         self.bounded_dist_rec(f, pattern, budget, &mut memo)
     }
 

@@ -40,6 +40,7 @@
 mod compiled;
 mod dot;
 mod error;
+mod fxhash;
 mod hamming;
 mod manager;
 mod ops;

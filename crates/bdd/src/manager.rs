@@ -1,6 +1,6 @@
 //! The BDD manager: arena of hash-consed nodes, unique table, caches.
 
-use std::collections::HashMap;
+use crate::fxhash::HashMap;
 
 /// Index of a boolean variable, `0 ..< num_vars`.
 ///
@@ -128,10 +128,10 @@ impl Bdd {
         };
         Bdd {
             nodes: vec![zero, one],
-            unique: HashMap::new(),
-            apply_cache: HashMap::new(),
-            not_cache: HashMap::new(),
-            quant_cache: HashMap::new(),
+            unique: HashMap::default(),
+            apply_cache: HashMap::default(),
+            not_cache: HashMap::default(),
+            quant_cache: HashMap::default(),
             num_vars,
         }
     }
@@ -341,12 +341,13 @@ impl Bdd {
         }
     }
 
-    /// Drops all operation caches (the unique table is kept, canonicity is
-    /// unaffected).  Useful between construction phases to bound memory.
+    /// Drops all operation caches and releases their memory (the unique
+    /// table is kept, canonicity is unaffected).  Useful between
+    /// construction phases to bound memory.
     pub fn clear_caches(&mut self) {
-        self.apply_cache.clear();
-        self.not_cache.clear();
-        self.quant_cache.clear();
+        self.apply_cache = HashMap::default();
+        self.not_cache = HashMap::default();
+        self.quant_cache = HashMap::default();
     }
 }
 
@@ -448,10 +449,45 @@ mod tests {
         let a = bdd.var(0);
         let b = bdd.var(2);
         let f = bdd.or(a, b);
+        let _ = bdd.not(f);
+        let _ = bdd.exists(f, 2);
+        assert!(bdd.not_cache.capacity() > 0 && bdd.quant_cache.capacity() > 0);
         bdd.clear_caches();
+        assert_eq!(bdd.apply_cache.capacity(), 0);
+        assert_eq!(bdd.not_cache.capacity(), 0);
+        assert_eq!(bdd.quant_cache.capacity(), 0);
         let f2 = bdd.or(a, b);
         assert_eq!(f, f2);
         assert!(bdd.eval(f2, &[false, false, true]));
+    }
+
+    #[test]
+    fn same_operations_give_same_ids_stats_and_snapshots() {
+        fn build() -> (Bdd, Vec<NodeId>) {
+            let mut bdd = Bdd::new(12);
+            let mut zone = bdd.zero();
+            let mut roots = Vec::new();
+            for i in 0..40u32 {
+                let bits: Vec<bool> = (0..12).map(|b| (i * 37 + b) % 5 < 2).collect();
+                let cube = bdd.cube_from_bools(&bits);
+                zone = bdd.or(zone, cube);
+                roots.push(zone);
+            }
+            for gamma in 1..=3 {
+                roots.push(bdd.dilate(zone, gamma));
+            }
+            (bdd, roots)
+        }
+        let (a, roots_a) = build();
+        let (b, roots_b) = build();
+        assert_eq!(roots_a, roots_b);
+        assert_eq!(a.stats(), b.stats());
+        for (&ra, &rb) in roots_a.iter().zip(&roots_b) {
+            assert_eq!(
+                crate::BddSnapshot::capture(&a, ra),
+                crate::BddSnapshot::capture(&b, rb)
+            );
+        }
     }
 
     #[test]
@@ -470,7 +506,7 @@ impl Bdd {
     /// Returns the new manager and the translated roots (same order).
     pub fn compact(&self, roots: &[NodeId]) -> (Bdd, Vec<NodeId>) {
         let mut fresh = Bdd::new(self.num_vars);
-        let mut map: HashMap<NodeId, NodeId> = HashMap::new();
+        let mut map: HashMap<NodeId, NodeId> = HashMap::default();
         map.insert(NodeId::ZERO, NodeId::ZERO);
         map.insert(NodeId::ONE, NodeId::ONE);
         let new_roots = roots

@@ -18,8 +18,8 @@
 //!   `O(passes · num_vars)` rebuilds — intended for offline monitor
 //!   preparation, not for runtime.
 
+use crate::fxhash::HashMap;
 use crate::manager::{Bdd, NodeId, VarId};
-use std::collections::HashMap;
 
 impl Bdd {
     /// Number of distinct decision nodes reachable from any of `roots`
@@ -76,7 +76,7 @@ impl Bdd {
             hit[p as usize] = true;
         }
         let mut fresh = Bdd::new(self.num_vars);
-        let mut map: HashMap<NodeId, NodeId> = HashMap::new();
+        let mut map: HashMap<NodeId, NodeId> = HashMap::default();
         let new_roots = roots
             .iter()
             .map(|&r| self.permute_node(r, perm, &mut fresh, &mut map))

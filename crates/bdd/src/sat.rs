@@ -1,7 +1,7 @@
 //! Satisfying-assignment counting and enumeration.
 
+use crate::fxhash::HashMap;
 use crate::manager::{Bdd, NodeId};
-use std::collections::HashMap;
 
 impl Bdd {
     /// Number of satisfying assignments (patterns in the stored set),
@@ -26,7 +26,7 @@ impl Bdd {
     /// `d = 0`, where the constant `ONE` yields `1.0` (the empty pattern
     /// is the whole space) and `ZERO` yields `0.0`.
     pub fn sat_fraction(&self, f: NodeId) -> f64 {
-        let mut memo: HashMap<NodeId, f64> = HashMap::new();
+        let mut memo: HashMap<NodeId, f64> = HashMap::default();
         self.sat_frac(f, &mut memo)
     }
 
@@ -133,7 +133,7 @@ impl Iterator for SatIter<'_> {
 #[cfg(test)]
 mod tests {
     use crate::Bdd;
-    use std::collections::HashSet;
+    use std::collections::BTreeSet;
 
     #[test]
     fn sat_count_terminals() {
@@ -203,8 +203,8 @@ mod tests {
         let r = bdd.cube_from_bools(&[true, true, true, true]);
         let pq = bdd.or(p, q);
         let f = bdd.or(pq, r);
-        let got: HashSet<Vec<bool>> = bdd.sat_iter(f).collect();
-        let expect: HashSet<Vec<bool>> = [
+        let got: BTreeSet<Vec<bool>> = bdd.sat_iter(f).collect();
+        let expect: BTreeSet<Vec<bool>> = [
             vec![true, false, false, false],
             vec![false, true, false, true],
             vec![true, true, true, true],

@@ -2,9 +2,9 @@
 //! and restore it into a fresh manager, for monitor deployment.
 
 use crate::error::BddError;
+use crate::fxhash::HashMap;
 use crate::manager::{Bdd, NodeId, VarId};
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
 
 /// Memo byte meaning "no satisfying assignment within the remaining
 /// budget" in [`BddSnapshot::min_hamming_distance_within`].  Budgets at
@@ -48,7 +48,7 @@ impl BddSnapshot {
     /// Captures the function rooted at `root` from `bdd`.
     pub fn capture(bdd: &Bdd, root: NodeId) -> Self {
         let mut order: Vec<NodeId> = Vec::new();
-        let mut index_of: HashMap<NodeId, u32> = HashMap::new();
+        let mut index_of: HashMap<NodeId, u32> = HashMap::default();
         // Iterative post-order so children precede parents.
         let mut stack: Vec<(NodeId, bool)> = vec![(root, false)];
         while let Some((n, expanded)) = stack.pop() {

@@ -42,7 +42,8 @@ pub struct ForwardRow {
     pub allocating_qps: f64,
     /// Prepared-path rows per second (`observe_batch_prepared`).
     pub prepared_qps: f64,
-    /// `prepared_qps / allocating_qps`.
+    /// Median over alternating timed rounds of the per-round
+    /// prepared-over-allocating speedup.
     pub speedup: f64,
     /// Heap allocations per micro-batch on the allocating path.
     pub allocating_allocs_per_batch: f64,
@@ -90,12 +91,45 @@ pub struct ForwardEval {
     pub all_identical: bool,
 }
 
-fn time_rows_per_sec<T>(rows: usize, repeats: usize, mut f: impl FnMut() -> T) -> f64 {
-    let start = Instant::now();
-    for _ in 0..repeats {
+/// Times `rounds` alternating passes of the allocating path `alloc` and
+/// the prepared path `prep`, each over `rows` rows, swapping which goes
+/// first every round.  Returns both paths' rows per second over all
+/// rounds and the median of the per-round `prep / alloc` speedups: a
+/// host phase change then skews a round or two, not the whole ratio.
+fn time_alternating<A, P>(
+    rows: usize,
+    rounds: usize,
+    mut alloc: impl FnMut() -> A,
+    mut prep: impl FnMut() -> P,
+) -> (f64, f64, f64) {
+    fn secs<T>(f: &mut impl FnMut() -> T) -> f64 {
+        let start = Instant::now();
         std::hint::black_box(f());
+        start.elapsed().as_secs_f64()
     }
-    (repeats * rows) as f64 / start.elapsed().as_secs_f64()
+    let (mut alloc_total, mut prep_total) = (0.0, 0.0);
+    let mut ratios = Vec::with_capacity(rounds);
+    for round in 0..rounds {
+        let (ta, tp) = if round % 2 == 0 {
+            let ta = secs(&mut alloc);
+            (ta, secs(&mut prep))
+        } else {
+            let tp = secs(&mut prep);
+            (secs(&mut alloc), tp)
+        };
+        alloc_total += ta;
+        prep_total += tp;
+        ratios.push(ta / tp);
+    }
+    ratios.sort_by(f64::total_cmp);
+    let mid = rounds / 2;
+    let median = if rounds % 2 == 1 {
+        ratios[mid]
+    } else {
+        0.5 * (ratios[mid - 1] + ratios[mid])
+    };
+    let total_rows = (rounds * rows) as f64;
+    (total_rows / alloc_total, total_rows / prep_total, median)
 }
 
 /// Runs the allocating-vs-prepared comparison on both fixtures and
@@ -104,7 +138,7 @@ fn time_rows_per_sec<T>(rows: usize, repeats: usize, mut f: impl FnMut() -> T) -
 /// library cannot own the `#[global_allocator]` itself.
 pub fn run(cfg: &RunConfig, alloc_count: fn() -> u64) -> ForwardEval {
     println!("== Allocation-free prepared forward pass vs allocating baseline ==");
-    let (probes_n, repeats) = if cfg.full { (1920, 9) } else { (480, 4) };
+    let (probes_n, rounds) = if cfg.full { (1920, 9) } else { (480, 15) };
     let (monitor, model, probes) = serving_fixture(6, probes_n, cfg.seed);
     let dense = compare(
         "dense",
@@ -112,14 +146,13 @@ pub fn run(cfg: &RunConfig, alloc_count: fn() -> u64) -> ForwardEval {
         model,
         &probes,
         &[1, 4, 16],
-        repeats,
+        rounds,
         alloc_count,
     );
 
     // Network 1, untrained (the forward pass costs the same), monitored
     // at fc(40) from its own predictions on clean digits.
-    let (train_per_class, probes_per_class, repeats) =
-        if cfg.full { (6, 10, 3) } else { (2, 4, 1) };
+    let (train_per_class, probes_per_class, rounds) = if cfg.full { (6, 10, 3) } else { (2, 4, 1) };
     let mut rng = StdRng::seed_from_u64(cfg.seed);
     let mut net = mnist_net(&mut rng);
     let train = digits::generate(train_per_class, digits::DigitStyle::clean(), &mut rng);
@@ -137,7 +170,7 @@ pub fn run(cfg: &RunConfig, alloc_count: fn() -> u64) -> ForwardEval {
         net,
         &probes.samples,
         &[1, 8, 32],
-        repeats,
+        rounds,
         alloc_count,
     );
 
@@ -175,14 +208,14 @@ fn predictions(net: &mut Sequential, samples: &[Tensor]) -> Vec<usize> {
 
 /// Drives the allocating and the prepared observe path over `probes` in
 /// micro-batches of each size: identity first, then allocations per
-/// micro-batch, then rows per second.
+/// micro-batch, then rows per second over alternating rounds.
 fn compare(
     name: &str,
     monitor: &naps_core::Monitor<BddZone>,
     mut model: Sequential,
     probes: &[Tensor],
     batch_sizes: &[usize],
-    repeats: usize,
+    rounds: usize,
     alloc_count: fn() -> u64,
 ) -> ForwardFixture {
     let frozen = FrozenLayeredMonitor::from_single(FrozenMonitor::freeze(monitor));
@@ -232,23 +265,26 @@ fn compare(
         let prepared_allocs = alloc_count() - before;
         steady_state_allocs += prepared_allocs;
 
-        let allocating_qps = time_rows_per_sec(probes.len(), repeats, || {
-            batches
-                .iter()
-                .map(|chunk| frozen.observe_batch(&mut model, chunk).len())
-                .sum::<usize>()
-        });
-        let prepared_qps = time_rows_per_sec(probes.len(), repeats, || {
-            batches
-                .iter()
-                .map(|chunk| {
-                    frozen
-                        .observe_batch_prepared(&prepared, &mut observer, chunk)
-                        .len()
-                })
-                .sum::<usize>()
-        });
-        let speedup = prepared_qps / allocating_qps;
+        let (allocating_qps, prepared_qps, speedup) = time_alternating(
+            probes.len(),
+            rounds,
+            || {
+                batches
+                    .iter()
+                    .map(|chunk| frozen.observe_batch(&mut model, chunk).len())
+                    .sum::<usize>()
+            },
+            || {
+                batches
+                    .iter()
+                    .map(|chunk| {
+                        frozen
+                            .observe_batch_prepared(&prepared, &mut observer, chunk)
+                            .len()
+                    })
+                    .sum::<usize>()
+            },
+        );
         let allocating_allocs_per_batch = allocating_allocs as f64 / n_batches as f64;
         let prepared_allocs_per_batch = prepared_allocs as f64 / n_batches as f64;
         println!(
