@@ -2,7 +2,7 @@
 
 use crate::kernels;
 use crate::layer::{Layer, ParamGrad};
-use naps_tensor::{col2im, im2col_into, xavier_uniform, ConvDims, Tensor};
+use naps_tensor::{col2im_into, im2col_into, matmul_slice_into, xavier_uniform, ConvDims, Tensor};
 use rand::Rng;
 
 /// A 2-D convolution with square kernel, stride as configured, no padding —
@@ -19,24 +19,23 @@ pub struct Conv2d {
     b: Tensor,
     grad_w: Tensor,
     grad_b: Tensor,
-    /// Cached im2col patch matrices, one per sample of the last training
-    /// batch (inference runs the shared output-stationary kernel instead).
-    cached_patches: Vec<Tensor>,
-    /// Reused forward-pass workspace (allocation-free after warm-up).
+    /// The input of the last training forward pass, which backward
+    /// re-lowers one sample at a time.  One buffer, reused across
+    /// training calls and released by an inference pass.
+    input: Tensor,
+    /// Reused per-sample workspace (allocation-free after warm-up).
     scratch: ConvScratch,
 }
 
-/// Per-layer forward scratch.  Training: the sample view, its im2col
-/// patch matrix, the GEMM output, and the `w^T` panel packed once per
-/// call instead of once per sample inside `matmul_bt`.  Inference: the
-/// per-sample `im2colᵀ` lowering.
+/// Per-sample scratch.  Forward: the `im2colᵀ` lowering that
+/// [`kernels::conv2d_into`] reads.  Backward: the `im2col` patch matrix,
+/// the position-major output gradient and one product at a time.
 #[derive(Debug, Clone, Default)]
 struct ConvScratch {
-    sample: Tensor,
-    patches: Tensor,
-    y: Tensor,
-    wt: Tensor,
     lowered: Tensor,
+    patches: Tensor,
+    gpos: Tensor,
+    product: Tensor,
 }
 
 impl Conv2d {
@@ -56,7 +55,7 @@ impl Conv2d {
             b: Tensor::zeros(vec![out_c]),
             grad_w: Tensor::zeros(vec![out_c, dims.cols()]),
             grad_b: Tensor::zeros(vec![out_c]),
-            cached_patches: Vec::new(),
+            input: Tensor::default(),
             scratch: ConvScratch::default(),
         }
     }
@@ -93,7 +92,7 @@ impl Conv2d {
             grad_b: Tensor::zeros(vec![out_c]),
             w,
             b,
-            cached_patches: Vec::new(),
+            input: Tensor::default(),
             scratch: ConvScratch::default(),
         }
     }
@@ -130,80 +129,60 @@ pub(crate) fn check_parts(dims: ConvDims, w: &Tensor, b: &Tensor) {
 
 impl Layer for Conv2d {
     fn forward(&mut self, x: &Tensor, train: bool) -> Tensor {
-        self.cached_patches.clear();
-        if !train {
-            let mut out = Tensor::default();
-            let lowered = &mut self.scratch.lowered;
-            kernels::conv2d_into(x, self.dims, &self.w, &self.b, lowered, &mut out);
-            return out;
-        }
-        let batch = x.shape()[0];
-        let in_len = self.dims.in_c * self.dims.in_h * self.dims.in_w;
-        assert_eq!(
-            x.shape()[1],
-            in_len,
-            "conv expected {in_len} input features, got {:?}",
-            x.shape()
-        );
-        let rows = self.dims.rows();
-        let mut out = Tensor::zeros(vec![batch, self.out_len()]);
-        // Pack `w^T` once per call — `matmul_bt` would re-pack it per
-        // sample.  Same transpose + same GEMM, so bit-identical results.
-        self.w.transpose_into(&mut self.scratch.wt);
-        let sample_shape = [self.dims.in_c, self.dims.in_h, self.dims.in_w];
-        for s in 0..batch {
-            self.scratch.sample.resize_in_place(&sample_shape);
-            self.scratch.sample.data_mut().copy_from_slice(x.row(s));
-            im2col_into(&self.scratch.sample, self.dims, &mut self.scratch.patches);
-            // [rows, cols] @ [cols, out_c] -> [rows, out_c]
-            self.scratch
-                .patches
-                .matmul_into(&self.scratch.wt, &mut self.scratch.y);
-            let y = &self.scratch.y;
-            let dst = out.data_mut();
-            let base = s * self.out_c * rows;
-            for c in 0..self.out_c {
-                let bias = self.b.data()[c];
-                for r in 0..rows {
-                    dst[base + c * rows + r] = y.at2(r, c) + bias;
-                }
-            }
-            // Backward needs each sample's owned patch matrix.
-            self.cached_patches.push(self.scratch.patches.clone());
+        let mut out = Tensor::default();
+        let lowered = &mut self.scratch.lowered;
+        kernels::conv2d_into(x, self.dims, &self.w, &self.b, lowered, &mut out);
+        if train {
+            self.input.copy_from(x);
+        } else {
+            self.input = Tensor::default();
         }
         out
     }
 
+    // Per sample, in sample order: dW and db are that sample's partial
+    // sums, added into `grad_w`/`grad_b`; dX is `gpos @ W` scattered by
+    // `col2im`.  These accumulation orders are part of the trained
+    // weights' bits, which `tests/training_golden.rs` pins.
     fn backward(&mut self, grad_out: &Tensor) -> Tensor {
-        assert!(
-            !self.cached_patches.is_empty(),
-            "backward called before forward"
-        );
-        let batch = grad_out.shape()[0];
-        assert_eq!(batch, self.cached_patches.len(), "batch size changed");
-        let rows = self.dims.rows();
-        let in_len = self.dims.in_c * self.dims.in_h * self.dims.in_w;
+        assert!(!self.input.is_empty(), "backward called before forward");
+        let (batch, in_len) = (self.input.shape()[0], self.input.shape()[1]);
+        let (out_c, rows, cols) = (self.out_c, self.dims.rows(), self.dims.cols());
+        assert_eq!(grad_out.shape()[0], batch, "batch size changed");
+        assert_eq!(grad_out.shape()[1], out_c * rows, "gradient width mismatch");
+        let ConvScratch {
+            patches,
+            gpos,
+            product,
+            ..
+        } = &mut self.scratch;
         let mut grad_in = Tensor::zeros(vec![batch, in_len]);
         for s in 0..batch {
-            // Reassemble [rows, out_c] position-major gradient.
-            let gflat = grad_out.row(s);
-            let mut gpos = Tensor::zeros(vec![rows, self.out_c]);
-            for c in 0..self.out_c {
-                for r in 0..rows {
-                    gpos.set2(r, c, gflat[c * rows + r]);
+            // The sample's gradient, channel-major: the `[out_c, rows]`
+            // left operand of dW as it stands.
+            let g = grad_out.row(s);
+            im2col_into(self.input.row(s), self.dims, patches);
+            // dW += g @ patches -> [out_c, cols]
+            product.resize_in_place(&[out_c, cols]);
+            matmul_slice_into(out_c, rows, cols, g, patches.data(), product.data_mut());
+            self.grad_w.add_assign(product);
+            // db += per-channel sums of g, in ascending position order.
+            for (gb, plane) in self.grad_b.data_mut().iter_mut().zip(g.chunks_exact(rows)) {
+                *gb += plane.iter().fold(0.0, |sum, &v| sum + v);
+            }
+            // dPatches = gpos @ W -> [rows, cols], with gpos the
+            // position-major [rows, out_c] transpose of g; scatter back.
+            gpos.resize_in_place(&[rows, out_c]);
+            let gp = gpos.data_mut();
+            for (c, plane) in g.chunks_exact(rows).enumerate() {
+                for (r, &v) in plane.iter().enumerate() {
+                    gp[r * out_c + c] = v;
                 }
             }
-            let patches = &self.cached_patches[s];
-            // dW += gpos^T @ patches  -> [out_c, cols]
-            let gw = gpos.matmul_at(patches);
-            self.grad_w.add_assign(&gw);
-            // db += column sums of gpos.
-            let gb = gpos.sum_rows();
-            self.grad_b.add_assign(&gb);
-            // dPatches = gpos @ W -> [rows, cols]; scatter back.
-            let gp = gpos.matmul(&self.w);
-            let gi = col2im(&gp, self.dims);
-            grad_in.data_mut()[s * in_len..(s + 1) * in_len].copy_from_slice(gi.data());
+            product.resize_in_place(&[rows, cols]);
+            matmul_slice_into(rows, out_c, cols, gp, self.w.data(), product.data_mut());
+            let gi = &mut grad_in.data_mut()[s * in_len..(s + 1) * in_len];
+            col2im_into(product.data(), self.dims, gi);
         }
         grad_in
     }

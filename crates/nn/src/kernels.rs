@@ -1,27 +1,30 @@
-//! Inference kernels of the spatial layers, shared by the layers'
-//! `forward(.., train = false)` and the prepared serving path
-//! ([`crate::PreparedModel`]), so both run one implementation.
+//! The forward computation of the spatial and activation layers.
+//! `Conv2d`, `MaxPool2d`, `AvgPool2d`, `Relu` and `LeakyRelu` run these
+//! kernels in their `forward`, in training and inference alike (`train`
+//! only decides what a layer keeps for backward), and the prepared
+//! serving path ([`crate::PreparedModel`]) runs the same functions, as
+//! it runs batch norm's inference kernel.  So each layer has one forward
+//! implementation, and training, inference and serving agree bit for
+//! bit.
 //!
 //! Every kernel writes into a caller-owned output (resized in place) and
 //! keeps no per-call state, so a warmed caller allocates nothing.  This
 //! file is deny-listed under the analyzer's `hot_path_alloc` rule.
 //!
-//! Each kernel computes, per output element, exactly the expression of
-//! the layer's training-mode forward pass, in the same order, so the
-//! outputs are bit-identical on finite data:
-//!
 //! * convolution is lowered output-stationary: per sample,
 //!   `W[out_c, in_c·k²] @ im2colᵀ[in_c·k², out_h·out_w]` goes straight
 //!   into that sample's channel-major output slice, then the bias is
 //!   added.  Each output element is the same ascending-`p` sum of the
-//!   same products as the training path's `patches @ Wᵀ`; only the
-//!   GEMM's streamed dimension changes, from the channels to the output
+//!   same products as the textbook `im2col(x) @ Wᵀ`; only the GEMM's
+//!   streamed dimension changes, from the channels to the output
 //!   positions.  That is the shape `naps-tensor`'s register-tiled GEMM
 //!   wants: 4 output channels × up to 64 output positions (on AVX-512F)
 //!   stay in registers for the whole `in_c·k²` sweep, and each row of
 //!   `im2colᵀ` is read straight from the scratch, unpacked;
-//! * max pooling keeps the running `>` comparison over the window, minus
-//!   the argmax bookkeeping only backward needs;
+//! * max pooling keeps the running `>` comparison over each window, row
+//!   by row; backward re-scans the window with the same rule for its
+//!   winner;
+//! * ReLU is `max(0, x)` and leaky ReLU `x` if `x > 0`, else `slope · x`;
 //! * batch norm computes `(x − mean) · inv_std`, then `g · xh + b`.
 
 use naps_tensor::{im2col_t_into, matmul_slice_into, ConvDims, Tensor};
@@ -185,4 +188,14 @@ pub(crate) fn batch_norm_into(
             }
         }
     }
+}
+
+/// ReLU of a batch into `out`: `max(0, x)` per element.
+pub(crate) fn relu_into(x: &Tensor, out: &mut Tensor) {
+    x.map_into(out, |v| v.max(0.0));
+}
+
+/// Leaky ReLU of a batch into `out`: `x` where `x > 0`, else `slope · x`.
+pub(crate) fn leaky_relu_into(x: &Tensor, slope: f32, out: &mut Tensor) {
+    x.map_into(out, |v| if v > 0.0 { v } else { slope * v });
 }

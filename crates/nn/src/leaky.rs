@@ -5,13 +5,17 @@
 //! "arbitrary large networks with other nonlinear activation functions,
 //! so long as the neurons being monitored are ReLU".
 
+use crate::kernels;
 use crate::layer::Layer;
+use crate::relu::{gate, record_mask};
 use naps_tensor::Tensor;
 
 /// Elementwise `x if x > 0 else slope * x`.
 #[derive(Debug, Clone)]
 pub struct LeakyRelu {
     slope: f32,
+    /// `x > 0` per input of the last forward pass, in one buffer reused
+    /// across calls; `None` before the first.
     mask: Option<Vec<bool>>,
     out_len: usize,
 }
@@ -40,32 +44,18 @@ impl LeakyRelu {
     }
 }
 
+// The mask is kept in inference mode too, as `Relu` keeps its own.
 impl Layer for LeakyRelu {
     fn forward(&mut self, x: &Tensor, _train: bool) -> Tensor {
-        let slope = self.slope;
-        let mask: Vec<bool> = x.data().iter().map(|&v| v > 0.0).collect();
-        let y = x.map(|v| if v > 0.0 { v } else { slope * v });
+        let mut y = Tensor::default();
+        kernels::leaky_relu_into(x, self.slope, &mut y);
+        record_mask(&mut self.mask, x);
         self.out_len = x.shape().iter().skip(1).product();
-        self.mask = Some(mask);
         y
     }
 
     fn backward(&mut self, grad_out: &Tensor) -> Tensor {
-        // naps-lint: allow(typed_errors, "Layer::backward contract: forward caches first; misuse is a caller bug, not a runtime error path")
-        let mask = self.mask.as_ref().expect("backward called before forward");
-        assert_eq!(
-            mask.len(),
-            grad_out.len(),
-            "gradient shape changed between forward and backward"
-        );
-        let slope = self.slope;
-        let mut g = grad_out.clone();
-        for (v, &m) in g.data_mut().iter_mut().zip(mask) {
-            if !m {
-                *v *= slope;
-            }
-        }
-        g
+        gate(&self.mask, grad_out, |g| g * self.slope)
     }
 
     fn output_len(&self) -> usize {

@@ -2,14 +2,16 @@
 
 use crate::kernels::{self, PoolDims};
 use crate::layer::Layer;
-use naps_tensor::{max_pool2d, max_pool2d_backward, Tensor};
+use naps_tensor::Tensor;
 
 /// 2-D max pooling with window = stride = `k` over `[c, h, w]` feature maps.
 #[derive(Debug, Clone)]
 pub struct MaxPool2d {
     pub(crate) dims: PoolDims,
-    /// Per-sample argmax indices from the last training forward pass.
-    cached_argmax: Vec<Vec<usize>>,
+    /// The input of the last training forward pass, whose windows
+    /// backward re-scans for their winners.  One buffer, reused across
+    /// training calls and released by an inference pass.
+    input: Tensor,
 }
 
 impl MaxPool2d {
@@ -21,7 +23,7 @@ impl MaxPool2d {
     pub fn new(c: usize, h: usize, w: usize, k: usize) -> Self {
         MaxPool2d {
             dims: PoolDims::new(c, h, w, k),
-            cached_argmax: Vec::new(),
+            input: Tensor::default(),
         }
     }
 
@@ -38,38 +40,53 @@ impl MaxPool2d {
 
 impl Layer for MaxPool2d {
     fn forward(&mut self, x: &Tensor, train: bool) -> Tensor {
-        self.cached_argmax.clear();
-        if !train {
-            let mut out = Tensor::default();
-            kernels::max_pool_into(x, self.dims, &mut out);
-            return out;
-        }
-        let PoolDims { c, h, w, k } = self.dims;
-        let batch = kernels::batch_of(x, self.dims.in_len(), "pool");
-        let out_len = self.dims.out_len();
-        let mut out = Tensor::zeros(vec![batch, out_len]);
-        for s in 0..batch {
-            let sample = Tensor::from_vec(vec![c, h, w], x.row(s).to_vec());
-            let (pooled, arg) = max_pool2d(&sample, c, h, w, k);
-            out.data_mut()[s * out_len..(s + 1) * out_len].copy_from_slice(pooled.data());
-            self.cached_argmax.push(arg);
+        let mut out = Tensor::default();
+        kernels::max_pool_into(x, self.dims, &mut out);
+        if train {
+            self.input.copy_from(x);
+        } else {
+            self.input = Tensor::default();
         }
         out
     }
 
+    // Each output's gradient goes to its window's winner: the first value
+    // in row-major window order strictly greater than all before it (the
+    // forward kernel's `>` rule), or the window's first value if none
+    // beats `-∞`.  Windows do not overlap, so each input gradient is
+    // `+0.0` plus at most one output gradient.
     fn backward(&mut self, grad_out: &Tensor) -> Tensor {
-        assert!(
-            !self.cached_argmax.is_empty(),
-            "backward called before forward"
+        assert!(!self.input.is_empty(), "backward called before forward");
+        let PoolDims { h, w, k, .. } = self.dims;
+        let (oh, ow) = (self.dims.out_h(), self.dims.out_w());
+        let batch = self.input.shape()[0];
+        assert_eq!(grad_out.shape()[0], batch, "batch size changed");
+        assert_eq!(
+            grad_out.shape()[1],
+            self.dims.out_len(),
+            "gradient width mismatch"
         );
-        let batch = grad_out.shape()[0];
-        assert_eq!(batch, self.cached_argmax.len(), "batch size changed");
-        let (in_len, out_len) = (self.dims.in_len(), self.dims.out_len());
-        let mut grad_in = Tensor::zeros(vec![batch, in_len]);
-        for s in 0..batch {
-            let g = Tensor::from_vec(vec![out_len], grad_out.row(s).to_vec());
-            let gi = max_pool2d_backward(&g, &self.cached_argmax[s], in_len);
-            grad_in.data_mut()[s * in_len..(s + 1) * in_len].copy_from_slice(gi.data());
+        let mut grad_in = Tensor::zeros(vec![batch, self.dims.in_len()]);
+        let planes = self.input.data().chunks_exact(h * w);
+        let grad_planes = grad_in.data_mut().chunks_exact_mut(h * w);
+        for ((plane, gi), g) in planes
+            .zip(grad_planes)
+            .zip(grad_out.data().chunks_exact(oh * ow))
+        {
+            for (oy, g_row) in g.chunks_exact(ow).enumerate() {
+                for (ox, &g) in g_row.iter().enumerate() {
+                    let corner = oy * k * w + ox * k;
+                    let (mut best, mut winner) = (f32::NEG_INFINITY, corner);
+                    for row in (0..k).map(|dy| corner + dy * w) {
+                        for (at, &v) in (row..).zip(&plane[row..row + k]) {
+                            let wins = v > best;
+                            winner = if wins { at } else { winner };
+                            best = if wins { v } else { best };
+                        }
+                    }
+                    gi[winner] += g;
+                }
+            }
         }
         grad_in
     }

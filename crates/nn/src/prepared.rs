@@ -12,9 +12,9 @@
 //! first call has sized those buffers to the batch shape, the pass
 //! performs zero heap allocation, and every output is bit-identical to
 //! the `Sequential` path with `train = false`: dense layers share the
-//! one GEMM's accumulation order, the spatial layers run the very
-//! kernels the layers' own inference forward runs
-//! ([`crate::kernels`]), and Dropout/Flatten are exact identities.
+//! one GEMM's accumulation order, the spatial and activation layers run
+//! the very kernels the layers' own forward runs ([`crate::kernels`]),
+//! and Dropout/Flatten are exact identities.
 
 use crate::kernels::{self, PoolDims};
 use crate::observe::ObservationPlan;
@@ -287,9 +287,9 @@ impl PreparedModel {
 }
 
 /// Inference-mode forward of one prepared layer into `out`, matching the
-/// layer's `forward(.., train = false)` arithmetic exactly (same GEMM
-/// kernel and bias pass, the same shared spatial kernels, the same
-/// activation closures).  `lowered` is the conv lowering scratch.
+/// layer's `forward(.., train = false)` arithmetic exactly (the same GEMM
+/// kernel and bias pass for dense layers, the layers' own kernels for
+/// the rest).  `lowered` is the conv lowering scratch.
 fn apply(op: &PreparedOp, x: &Tensor, out: &mut Tensor, lowered: &mut Tensor) {
     match op {
         PreparedOp::Dense { packed, bias } => {
@@ -315,20 +315,9 @@ fn apply(op: &PreparedOp, x: &Tensor, out: &mut Tensor, lowered: &mut Tensor) {
             gamma,
             beta,
         } => kernels::batch_norm_into(x, *hw, mean, inv_std, gamma.data(), beta.data(), out),
-        PreparedOp::Relu => map_into(x, out, |v| v.max(0.0)),
-        PreparedOp::LeakyRelu { slope } => {
-            let s = *slope;
-            map_into(x, out, move |v| if v > 0.0 { v } else { s * v });
-        }
+        PreparedOp::Relu => kernels::relu_into(x, out),
+        PreparedOp::LeakyRelu { slope } => kernels::leaky_relu_into(x, *slope, out),
         PreparedOp::Identity => out.copy_from(x),
-    }
-}
-
-/// Elementwise map written into `out` (resized in place).
-fn map_into(x: &Tensor, out: &mut Tensor, f: impl Fn(f32) -> f32) {
-    out.resize_in_place(x.shape());
-    for (o, &v) in out.data_mut().iter_mut().zip(x.data()) {
-        *o = f(v);
     }
 }
 

@@ -3,12 +3,15 @@
 //! The on/off pattern of a ReLU layer's output is exactly the paper's
 //! neuron activation pattern (Definition 1): `prelu(x) = 1` iff `x > 0`.
 
+use crate::kernels;
 use crate::layer::Layer;
 use naps_tensor::Tensor;
 
 /// Elementwise `max(0, x)`.
 #[derive(Debug, Clone, Default)]
 pub struct Relu {
+    /// `x > 0` per input of the last forward pass, in one buffer reused
+    /// across calls; `None` before the first.
     mask: Option<Vec<bool>>,
     out_len: usize,
 }
@@ -23,30 +26,49 @@ impl Relu {
     }
 }
 
+/// Records `x > 0` per element of `x` into `mask`, reusing its buffer.
+pub(crate) fn record_mask(mask: &mut Option<Vec<bool>>, x: &Tensor) {
+    let mask = mask.get_or_insert_with(Vec::new);
+    mask.clear();
+    mask.extend(x.data().iter().map(|&v| v > 0.0));
+}
+
+/// `grad_out` where the recorded input was positive and `off(g)` where it
+/// was not, chosen by a select per element.
+///
+/// # Panics
+///
+/// Panics if no mask was recorded or its length differs from `grad_out`.
+pub(crate) fn gate(
+    mask: &Option<Vec<bool>>,
+    grad_out: &Tensor,
+    off: impl Fn(f32) -> f32,
+) -> Tensor {
+    // naps-lint: allow(typed_errors, "Layer::backward contract: forward caches first; misuse is a caller bug, not a runtime error path")
+    let mask = mask.as_ref().expect("backward called before forward");
+    assert_eq!(
+        mask.len(),
+        grad_out.len(),
+        "gradient shape changed between forward and backward"
+    );
+    let data = grad_out.data().iter().zip(mask);
+    let data = data.map(|(&g, &on)| if on { g } else { off(g) }).collect();
+    Tensor::from_vec(grad_out.shape().to_vec(), data)
+}
+
+// The mask is kept in inference mode too: gradient saliency
+// backpropagates through an inference-mode forward pass.
 impl Layer for Relu {
     fn forward(&mut self, x: &Tensor, _train: bool) -> Tensor {
-        let mask: Vec<bool> = x.data().iter().map(|&v| v > 0.0).collect();
-        let y = x.map(|v| v.max(0.0));
+        let mut y = Tensor::default();
+        kernels::relu_into(x, &mut y);
+        record_mask(&mut self.mask, x);
         self.out_len = x.shape().iter().skip(1).product();
-        self.mask = Some(mask);
         y
     }
 
     fn backward(&mut self, grad_out: &Tensor) -> Tensor {
-        // naps-lint: allow(typed_errors, "Layer::backward contract: forward caches first; misuse is a caller bug, not a runtime error path")
-        let mask = self.mask.as_ref().expect("backward called before forward");
-        assert_eq!(
-            mask.len(),
-            grad_out.len(),
-            "gradient shape changed between forward and backward"
-        );
-        let mut g = grad_out.clone();
-        for (v, &m) in g.data_mut().iter_mut().zip(mask) {
-            if !m {
-                *v = 0.0;
-            }
-        }
-        g
+        gate(&self.mask, grad_out, |_| 0.0)
     }
 
     fn output_len(&self) -> usize {

@@ -2,8 +2,8 @@
 //! correctness against finite differences on random layer configurations,
 //! loss invariants, and training-loop sanity.
 
-use naps_nn::{softmax, softmax_cross_entropy, Conv2d, Dense, Layer, MaxPool2d, Relu};
-use naps_tensor::{ConvDims, Tensor};
+use naps_nn::{softmax, softmax_cross_entropy, Conv2d, Dense, Layer, LeakyRelu, MaxPool2d, Relu};
+use naps_tensor::{col2im_into, im2col, max_pool2d, max_pool2d_backward, ConvDims, Tensor};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -219,13 +219,109 @@ fn bits(t: &Tensor) -> Vec<u32> {
     t.data().iter().map(|v| v.to_bits()).collect()
 }
 
+/// `n` values from `rng` with many exact zeros of both signs and many
+/// repeats, so that pooling windows tie and gradients carry `-0.0`:
+/// `+0.0` or `-0.0` a quarter of the time each, one of four fixed values
+/// a quarter of the time, else uniform in `[-2, 2)`.
+fn signed_sparse(n: usize, rng: &mut StdRng) -> Vec<f32> {
+    (0..n)
+        .map(|_| match rng.gen_range(0..8) {
+            0 | 1 => 0.0,
+            2 | 3 => -0.0,
+            4 | 5 => [-1.0, 0.5, 1.0, 2.0][rng.gen_range(0..4)],
+            _ => rng.gen_range(-2.0f32..2.0),
+        })
+        .collect()
+}
+
+/// The reference convolution of a batch: per sample, `im2col` patches
+/// `@ Wᵀ` plus the bias, scattered channel-major.
+fn conv_oracle(x: &Tensor, dims: ConvDims, w: &Tensor, b: &Tensor) -> Tensor {
+    let (batch, out_c, rows) = (x.shape()[0], b.len(), dims.rows());
+    let mut out = Tensor::zeros(vec![batch, out_c * rows]);
+    for s in 0..batch {
+        let sample = Tensor::from_vec(vec![x.shape()[1]], x.row(s).to_vec());
+        let y = im2col(&sample, dims).matmul_bt(w);
+        for c in 0..out_c {
+            for r in 0..rows {
+                out.data_mut()[(s * out_c + c) * rows + r] = y.at2(r, c) + b.data()[c];
+            }
+        }
+    }
+    out
+}
+
+/// The reference convolution backward: per sample, the position-major
+/// gradient `gpos`, `dW += gposᵀ @ patches`, `db += column sums of gpos`
+/// and `dX = col2im(gpos @ W)`.  Accumulates into `grad_w`/`grad_b` and
+/// returns dX.
+fn conv_backward_oracle(
+    x: &Tensor,
+    grad_out: &Tensor,
+    dims: ConvDims,
+    w: &Tensor,
+    grad_w: &mut Tensor,
+    grad_b: &mut Tensor,
+) -> Tensor {
+    let (batch, in_len) = (x.shape()[0], x.shape()[1]);
+    let (out_c, rows) = (w.shape()[0], dims.rows());
+    let mut grad_in = Tensor::zeros(vec![batch, in_len]);
+    for s in 0..batch {
+        let sample = Tensor::from_vec(vec![in_len], x.row(s).to_vec());
+        let patches = im2col(&sample, dims);
+        let mut gpos = Tensor::zeros(vec![rows, out_c]);
+        for c in 0..out_c {
+            for r in 0..rows {
+                gpos.set2(r, c, grad_out.row(s)[c * rows + r]);
+            }
+        }
+        grad_w.add_assign(&gpos.matmul_at(&patches));
+        grad_b.add_assign(&gpos.sum_rows());
+        let gp = gpos.matmul(w);
+        col2im_into(
+            gp.data(),
+            dims,
+            &mut grad_in.data_mut()[s * in_len..(s + 1) * in_len],
+        );
+    }
+    grad_in
+}
+
+/// The reference max pooling of a batch: per sample, the pooled maps and
+/// the flat argmax of every window.
+fn max_pool_oracle(
+    x: &Tensor,
+    c: usize,
+    h: usize,
+    w: usize,
+    k: usize,
+) -> (Tensor, Vec<Vec<usize>>) {
+    let batch = x.shape()[0];
+    let mut pooled = Vec::new();
+    let mut argmax = Vec::new();
+    for s in 0..batch {
+        let sample = Tensor::from_vec(vec![c, h, w], x.row(s).to_vec());
+        let (p, arg) = max_pool2d(&sample, c, h, w, k);
+        pooled.extend_from_slice(p.data());
+        argmax.push(arg);
+    }
+    let out_len = pooled.len() / batch;
+    (Tensor::from_vec(vec![batch, out_len], pooled), argmax)
+}
+
+/// The conv's `(dW, db)` as accumulated so far.
+fn conv_grads(conv: &mut Conv2d) -> (Tensor, Tensor) {
+    let params = conv.params_mut();
+    (params[0].grad.clone(), params[1].grad.clone())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Inference convolution (output-stationary: `W @ im2colᵀ` straight
-    /// into the channel-major output) is bit-identical to the training
-    /// forward pass (`patches @ Wᵀ` plus a transposed scatter) — the same
-    /// ascending-`p` sum of the same products per output element — over
+    /// The convolution layer's forward — training and inference alike,
+    /// the output-stationary `W @ im2colᵀ` kernel — is bit-identical to
+    /// the reference `im2col` patches `@ Wᵀ` plus bias: the same
+    /// ascending-`p` sum of the same products per output element.  Over
     /// random geometry, strides, channel counts and batch sizes, with
     /// about half the inputs and a quarter of the weights exact zeros.
     #[test]
@@ -240,17 +336,19 @@ proptest! {
         let mut rng = StdRng::seed_from_u64(seed);
         let w = Tensor::from_vec(vec![out_c, dims.cols()], sparse(out_c * dims.cols(), 0.25, &mut rng));
         let b = Tensor::from_vec(vec![out_c], sparse(out_c, 0.25, &mut rng));
-        let mut conv = Conv2d::from_parts(dims, w, b);
+        let mut conv = Conv2d::from_parts(dims, w.clone(), b.clone());
         let in_len = in_c * dims.in_h * dims.in_w;
         let x = Tensor::from_vec(vec![batch, in_len], sparse(batch * in_len, 0.5, &mut rng));
-        let trained = conv.forward(&x, true);
-        let served = conv.forward(&x, false);
-        prop_assert_eq!(served.shape(), trained.shape());
-        prop_assert_eq!(bits(&served), bits(&trained), "{:?} out_c {} batch {}", dims, out_c, batch);
+        let want = conv_oracle(&x, dims, &w, &b);
+        for train in [true, false] {
+            let got = conv.forward(&x, train);
+            prop_assert_eq!(got.shape(), want.shape());
+            prop_assert_eq!(bits(&got), bits(&want), "{:?} out_c {} batch {} train {}", dims, out_c, batch, train);
+        }
     }
 
-    /// Allocation-free inference max pooling equals the argmax-recording
-    /// training pass bit-for-bit.
+    /// The max-pooling layer's forward, training and inference alike,
+    /// equals the reference argmax-recording pooling bit-for-bit.
     #[test]
     fn inference_max_pool_matches_training_forward(
         shape in (1usize..4, 1usize..4, 0usize..5, 0usize..5),
@@ -262,7 +360,85 @@ proptest! {
         let mut rng = StdRng::seed_from_u64(seed);
         let mut pool = MaxPool2d::new(c, h, w, k);
         let x = Tensor::from_vec(vec![batch, c * h * w], sparse(batch * c * h * w, 0.5, &mut rng));
-        let trained = pool.forward(&x, true);
-        prop_assert_eq!(bits(&pool.forward(&x, false)), bits(&trained));
+        let (want, _) = max_pool_oracle(&x, c, h, w, k);
+        prop_assert_eq!(bits(&pool.forward(&x, true)), bits(&want));
+        prop_assert_eq!(bits(&pool.forward(&x, false)), bits(&want));
+    }
+
+    /// The backward passes are bit-identical to the per-sample reference
+    /// backward of each layer — dW, db and dX of the convolution over two
+    /// accumulated batches, the max pool's routing to each window's first
+    /// strict maximum, and the (leaky) ReLU's gate — on data full of
+    /// `±0.0`, repeated values (tied windows) and, for the activations,
+    /// infinite gradients.
+    #[test]
+    fn backward_passes_match_the_per_sample_reference(
+        shape in (1usize..4, 1usize..5, 1usize..3, 1usize..5),
+        margin in (0usize..5, 0usize..5, 1usize..4),
+        seed in any::<u64>(),
+    ) {
+        let (in_c, k, s, out_c) = shape;
+        let (extra_h, extra_w, batch) = margin;
+        let dims = ConvDims { in_c, in_h: k + extra_h, in_w: k + extra_w, k, s };
+        let in_len = in_c * dims.in_h * dims.in_w;
+        let out_len = out_c * dims.rows();
+        let mut rng = StdRng::seed_from_u64(seed);
+        let w = Tensor::from_vec(vec![out_c, dims.cols()], signed_sparse(out_c * dims.cols(), &mut rng));
+        let b = Tensor::from_vec(vec![out_c], signed_sparse(out_c, &mut rng));
+        let mut conv = Conv2d::from_parts(dims, w.clone(), b);
+        let mut want_w = Tensor::zeros(vec![out_c, dims.cols()]);
+        let mut want_b = Tensor::zeros(vec![out_c]);
+        for round in 0..2 {
+            let x = Tensor::from_vec(vec![batch, in_len], signed_sparse(batch * in_len, &mut rng));
+            let g = Tensor::from_vec(vec![batch, out_len], signed_sparse(batch * out_len, &mut rng));
+            let _ = conv.forward(&x, true);
+            let got = conv.backward(&g);
+            let want = conv_backward_oracle(&x, &g, dims, &w, &mut want_w, &mut want_b);
+            let (got_w, got_b) = conv_grads(&mut conv);
+            prop_assert_eq!(bits(&got), bits(&want), "dX, round {}, {:?}", round, dims);
+            prop_assert_eq!(bits(&got_w), bits(&want_w), "dW, round {}, {:?}", round, dims);
+            prop_assert_eq!(bits(&got_b), bits(&want_b), "db, round {}, {:?}", round, dims);
+        }
+
+        let (c, h, w) = (in_c, dims.in_h, dims.in_w);
+        let mut pool = MaxPool2d::new(c, h, w, k);
+        let x = Tensor::from_vec(vec![batch, c * h * w], signed_sparse(batch * c * h * w, &mut rng));
+        let (_, argmax) = max_pool_oracle(&x, c, h, w, k);
+        let pooled_len = pool.output_len();
+        let g = Tensor::from_vec(vec![batch, pooled_len], signed_sparse(batch * pooled_len, &mut rng));
+        let _ = pool.forward(&x, true);
+        let got = pool.backward(&g);
+        let mut want = Vec::new();
+        for (s, arg) in argmax.iter().enumerate() {
+            let gs = Tensor::from_vec(vec![pooled_len], g.row(s).to_vec());
+            want.extend(max_pool2d_backward(&gs, arg, c * h * w).data().iter().map(|v| v.to_bits()));
+        }
+        prop_assert_eq!(bits(&got), want, "max pool dX");
+
+        let n = batch * in_len;
+        let x = Tensor::from_vec(vec![batch, in_len], signed_sparse(n, &mut rng));
+        let mut gv = signed_sparse(n, &mut rng);
+        for v in gv.iter_mut().step_by(7) {
+            *v = if rng.gen_bool(0.5) { f32::INFINITY } else { f32::NEG_INFINITY };
+        }
+        let g = Tensor::from_vec(vec![batch, in_len], gv);
+        let mut relu = Relu::new();
+        let _ = relu.forward(&x, true);
+        let mut want = g.clone();
+        for (v, &xi) in want.data_mut().iter_mut().zip(x.data()) {
+            if xi <= 0.0 {
+                *v = 0.0;
+            }
+        }
+        prop_assert_eq!(bits(&relu.backward(&g)), bits(&want), "relu dX");
+        let mut leaky = LeakyRelu::new(0.25);
+        let _ = leaky.forward(&x, true);
+        let mut want = g.clone();
+        for (v, &xi) in want.data_mut().iter_mut().zip(x.data()) {
+            if xi <= 0.0 {
+                *v *= 0.25;
+            }
+        }
+        prop_assert_eq!(bits(&leaky.backward(&g)), bits(&want), "leaky relu dX");
     }
 }

@@ -74,25 +74,24 @@ impl ConvDims {
 /// Panics if `input` does not have `dims.in_c * in_h * in_w` elements.
 pub fn im2col(input: &Tensor, dims: ConvDims) -> Tensor {
     let mut out = Tensor::default();
-    im2col_into(input, dims, &mut out);
+    im2col_into(input.data(), dims, &mut out);
     out
 }
 
-/// Like [`im2col`], but writes the patch matrix into the caller-provided
-/// `out` scratch (resized in place; allocation-free after warm-up — the
-/// treatment frozen-weight serving paths give their conv lowering).
+/// Like [`im2col`], but lowers one sample's `[in_c, in_h, in_w]` data
+/// into the caller-provided `out` scratch (resized in place;
+/// allocation-free after warm-up).
 ///
 /// # Panics
 ///
 /// Panics if `input` does not have `dims.in_c * in_h * in_w` elements.
-pub fn im2col_into(input: &Tensor, dims: ConvDims, out: &mut Tensor) {
+pub fn im2col_into(input: &[f32], dims: ConvDims, out: &mut Tensor) {
     dims.validate();
     assert_eq!(
         input.len(),
         dims.in_c * dims.in_h * dims.in_w,
         "input size does not match conv dims"
     );
-    let x = input.data();
     let (oh, ow) = (dims.out_h(), dims.out_w());
     let cols = dims.cols();
     // Every element below is overwritten, so the plain (retaining) resize
@@ -109,7 +108,7 @@ pub fn im2col_into(input: &Tensor, dims: ConvDims, out: &mut Tensor) {
                 for ky in 0..dims.k {
                     let iy = oy * dims.s + ky;
                     let src = c * hw + iy * dims.in_w + ox * dims.s;
-                    o[base + col..base + col + dims.k].copy_from_slice(&x[src..src + dims.k]);
+                    o[base + col..base + col + dims.k].copy_from_slice(&input[src..src + dims.k]);
                     col += dims.k;
                 }
             }
@@ -156,24 +155,31 @@ pub fn im2col_t_into(input: &[f32], dims: ConvDims, out: &mut Tensor) {
     }
 }
 
-/// Scatters a patch-matrix gradient `[out_h*out_w, in_c*k*k]` back onto the
-/// input image `[in_c, in_h, in_w]` (the adjoint of [`im2col`]).
+/// Scatters a patch-matrix gradient `[out_h*out_w, in_c*k*k]` back onto
+/// one input image `[in_c, in_h, in_w]` (the adjoint of [`im2col`]):
+/// `out` is zero-filled, then every patch entry is added onto its pixel,
+/// in patch-row order.
 ///
 /// # Panics
 ///
-/// Panics if `grad` does not have shape `[dims.rows(), dims.cols()]`.
-pub fn col2im(grad: &Tensor, dims: ConvDims) -> Tensor {
+/// Panics if `grad` does not have `dims.rows() * dims.cols()` elements or
+/// `out` does not have `dims.in_c * in_h * in_w`.
+pub fn col2im_into(grad: &[f32], dims: ConvDims, out: &mut [f32]) {
     dims.validate();
     assert_eq!(
-        grad.shape(),
-        &[dims.rows(), dims.cols()],
-        "gradient shape does not match conv dims"
+        grad.len(),
+        dims.rows() * dims.cols(),
+        "gradient size does not match conv dims"
     );
-    let g = grad.data();
+    let hw = dims.in_h * dims.in_w;
+    assert_eq!(
+        out.len(),
+        dims.in_c * hw,
+        "output size does not match conv dims"
+    );
+    out.fill(0.0);
     let (oh, ow) = (dims.out_h(), dims.out_w());
     let cols = dims.cols();
-    let hw = dims.in_h * dims.in_w;
-    let mut out = vec![0.0f32; dims.in_c * hw];
     let mut row = 0;
     for oy in 0..oh {
         for ox in 0..ow {
@@ -184,7 +190,7 @@ pub fn col2im(grad: &Tensor, dims: ConvDims) -> Tensor {
                     let iy = oy * dims.s + ky;
                     let dst = c * hw + iy * dims.in_w + ox * dims.s;
                     for kx in 0..dims.k {
-                        out[dst + kx] += g[base + col + kx];
+                        out[dst + kx] += grad[base + col + kx];
                     }
                     col += dims.k;
                 }
@@ -192,7 +198,6 @@ pub fn col2im(grad: &Tensor, dims: ConvDims) -> Tensor {
             row += 1;
         }
     }
-    Tensor::from_vec(vec![dims.in_c, dims.in_h, dims.in_w], out)
 }
 
 /// 2×2-style max pooling over `[c, h, w]` with window `k` and stride `k`
@@ -334,7 +339,7 @@ mod tests {
         };
         let x = Tensor::from_vec(vec![1, 3, 3], (1..=9).map(|i| i as f32).collect());
         let mut scratch = Tensor::full(vec![9, 9], 7.0);
-        im2col_into(&x, d, &mut scratch);
+        im2col_into(x.data(), d, &mut scratch);
         assert_eq!(scratch, im2col(&x, d));
     }
 
@@ -380,8 +385,10 @@ mod tests {
         );
         let px = im2col(&x, d);
         let lhs: f32 = px.data().iter().zip(g.data()).map(|(a, b)| a * b).sum();
-        let back = col2im(&g, d);
-        let rhs: f32 = x.data().iter().zip(back.data()).map(|(a, b)| a * b).sum();
+        // A dirty output buffer: col2im_into overwrites it.
+        let mut back = vec![7.0; x.len()];
+        col2im_into(g.data(), d, &mut back);
+        let rhs: f32 = x.data().iter().zip(&back).map(|(a, b)| a * b).sum();
         assert!((lhs - rhs).abs() < 1e-3, "lhs={lhs} rhs={rhs}");
     }
 

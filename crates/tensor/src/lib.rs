@@ -48,7 +48,7 @@ mod rng;
 mod tensor;
 
 pub use conv::{
-    col2im, im2col, im2col_into, im2col_t_into, max_pool2d, max_pool2d_backward, ConvDims,
+    col2im_into, im2col, im2col_into, im2col_t_into, max_pool2d, max_pool2d_backward, ConvDims,
 };
 pub use linalg::{matmul_slice_into, PackedWeights};
 pub use rng::{xavier_uniform, Randn};

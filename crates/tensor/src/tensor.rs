@@ -159,11 +159,12 @@ impl Tensor {
         }
     }
 
-    /// Applies `f` elementwise in place.
-    pub fn map_inplace(&mut self, f: impl Fn(f32) -> f32) {
-        for x in &mut self.data {
-            *x = f(*x);
-        }
+    /// Applies `f` elementwise into `out`, which takes this tensor's
+    /// shape and reuses its own buffer (allocation-free once warm).
+    pub fn map_into(&self, out: &mut Tensor, f: impl Fn(f32) -> f32) {
+        out.shape.clone_from(&self.shape);
+        out.data.clear();
+        out.data.extend(self.data.iter().map(|&x| f(x)));
     }
 
     /// Combines two same-shape tensors elementwise.
