@@ -26,6 +26,9 @@ pub struct ConditionResult {
     pub warning_rate: f64,
 }
 
+/// The `schema_version` [`run`] stamps on [`CaseStudy`].
+pub const SCHEMA_VERSION: u32 = 1;
+
 /// The full case-study result.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct CaseStudy {
@@ -85,7 +88,7 @@ pub fn run(cfg: &RunConfig) -> CaseStudy {
     println!("(expected shape: shifted conditions warn more than nominal)");
 
     let result = CaseStudy {
-        schema_version: 1,
+        schema_version: SCHEMA_VERSION,
         conditions,
     };
     write_json(&cfg.out_dir, "case_study", &result);

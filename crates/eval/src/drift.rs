@@ -40,6 +40,9 @@ pub struct DriftRow {
     pub detection_latency: Option<usize>,
 }
 
+/// The `schema_version` [`run`] stamps on [`Drift`].
+pub const SCHEMA_VERSION: u32 = 1;
+
 /// The full drift experiment result.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct Drift {
@@ -176,7 +179,7 @@ pub fn run(cfg: &RunConfig) -> Drift {
     }
 
     let result = Drift {
-        schema_version: 1,
+        schema_version: SCHEMA_VERSION,
         baseline_rate: baseline,
         alarm_rate: config.alarm_rate,
         rows,

@@ -30,6 +30,9 @@ pub struct SpectrumPoint {
     pub class0_zone_patterns: f64,
 }
 
+/// The `schema_version` [`run`] stamps on [`Fig2`].
+pub const SCHEMA_VERSION: u32 = 1;
+
 /// The Figure 2 result: the spectrum plus chosen γ values.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct Fig2 {
@@ -102,7 +105,7 @@ pub fn run(cfg: &RunConfig) -> Fig2 {
     println!("(small γ = α1-like, no generalization; large γ = α3-like, over-generalization)");
 
     let fig = Fig2 {
-        schema_version: 1,
+        schema_version: SCHEMA_VERSION,
         spectrum,
         gamma_for_silence,
         gamma_for_precision,

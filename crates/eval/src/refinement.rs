@@ -43,6 +43,9 @@ pub struct RefinementRow {
     pub total: usize,
 }
 
+/// The `schema_version` [`run`] stamps on [`Refinement`].
+pub const SCHEMA_VERSION: u32 = 1;
+
 /// The full refinement-ablation result.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct Refinement {
@@ -234,7 +237,7 @@ pub fn run(cfg: &RunConfig) -> Refinement {
     ));
 
     let result = Refinement {
-        schema_version: 1,
+        schema_version: SCHEMA_VERSION,
         gamma,
         misclassification_rate: miscls_total as f64 / total.max(1) as f64,
         rows,

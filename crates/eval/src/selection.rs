@@ -44,6 +44,9 @@ pub struct SelectionRow {
     pub warning_precision: f64,
 }
 
+/// The `schema_version` [`run`] stamps on [`Selection`].
+pub const SCHEMA_VERSION: u32 = 1;
+
 /// The full selection-ablation result.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct Selection {
@@ -141,7 +144,7 @@ pub fn run(cfg: &RunConfig) -> Selection {
     }
 
     let result = Selection {
-        schema_version: 1,
+        schema_version: SCHEMA_VERSION,
         fraction,
         rows,
     };

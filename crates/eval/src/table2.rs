@@ -40,6 +40,9 @@ pub struct Table2Block {
     pub rows: Vec<Table2Row>,
 }
 
+/// The `schema_version` [`run`] stamps on [`Table2`].
+pub const SCHEMA_VERSION: u32 = 1;
+
 /// The full Table II result.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct Table2 {
@@ -157,7 +160,7 @@ pub fn run(cfg: &RunConfig) -> Table2 {
     );
 
     let table = Table2 {
-        schema_version: 1,
+        schema_version: SCHEMA_VERSION,
         blocks: vec![block1, block2],
     };
     print_table(&table);

@@ -123,7 +123,10 @@ struct Stamped {
 /// regenerate it by running its binary.
 #[test]
 fn checked_in_results_match_their_emitters() {
-    use naps_eval::{compiled, forward, gateway, graded, layered, online, table1, throughput};
+    use naps_eval::{
+        case_study, compiled, drift, fig2, forward, gateway, graded, layered, online, refinement,
+        selection, table1, table2, throughput,
+    };
     let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../results");
     let mut checked = 0;
     for entry in std::fs::read_dir(&dir).expect("results directory") {
@@ -168,6 +171,30 @@ fn checked_in_results_match_their_emitters() {
             "table1.json" => (
                 schema_of(name, &json, |r: &table1::Table1| r.schema_version),
                 table1::SCHEMA_VERSION,
+            ),
+            "table2.json" => (
+                schema_of(name, &json, |r: &table2::Table2| r.schema_version),
+                table2::SCHEMA_VERSION,
+            ),
+            "fig2.json" => (
+                schema_of(name, &json, |r: &fig2::Fig2| r.schema_version),
+                fig2::SCHEMA_VERSION,
+            ),
+            "case_study.json" => (
+                schema_of(name, &json, |r: &case_study::CaseStudy| r.schema_version),
+                case_study::SCHEMA_VERSION,
+            ),
+            "drift.json" => (
+                schema_of(name, &json, |r: &drift::Drift| r.schema_version),
+                drift::SCHEMA_VERSION,
+            ),
+            "refinement.json" => (
+                schema_of(name, &json, |r: &refinement::Refinement| r.schema_version),
+                refinement::SCHEMA_VERSION,
+            ),
+            "selection.json" => (
+                schema_of(name, &json, |r: &selection::Selection| r.schema_version),
+                selection::SCHEMA_VERSION,
             ),
             "analysis.json" => (schema_of(name, &json, |r: &Stamped| r.schema_version), 2),
             "sim.json" => (schema_of(name, &json, |r: &Stamped| r.schema_version), 1),
