@@ -1,22 +1,27 @@
 //! Shared batched-forward scaffolding for the monitor family.
 //!
-//! Every `check_batch` implementation follows the same shape — pack the
-//! per-input rows into one `[n, feat]` tensor, run a single forward pass,
-//! argmax the logits per row, read the monitored layers' activations —
-//! and only the final judgement differs.  Keeping the scaffold here means
-//! a fix to the batching logic lands in one place.
+//! Every batch check follows the same shape — pack the per-input rows
+//! into one `[n, feat]` tensor, run a single forward pass, argmax the
+//! logits per row, read the monitored layers' activations — and only the
+//! final judgement differs.  Two drivers run that shape:
+//!
+//! - the **live and write side** observe here, through
+//!   [`forward_observe_plan`]: the in-process monitors' checks (single
+//!   layer via [`observe_single_layer_batch`], layered via
+//!   [`observe_layered_batch`], refined and grid on the packed frame)
+//!   and [`crate::MonitorBuilder`]'s training-set replay;
+//! - **serving** (`naps-serve`'s engine workers) runs the prepared,
+//!   allocation-free pass, [`ObservedBatch::refill`] on a
+//!   [`PreparedModel`].
+//!
+//! [`naps_nn::Sequential::forward_observe_plan`] is the oracle for both:
+//! the prepared forward is pinned bit-identical to it, so served
+//! verdicts equal sequential ones.
 //!
 //! Observation goes through [`ObservationPlan`]s: the forward pass keeps
 //! **only** the planned layers' activations (plus the logits), so a
 //! monitor watching two of a ten-layer network's ReLUs allocates two
-//! intermediate tensors per batch, not ten — see
-//! [`naps_nn::Sequential::forward_observe_plan`].
-//!
-//! The functions are public so serving layers (e.g. `naps-serve`'s
-//! `MonitorEngine` workers) can reuse the exact packing and observation
-//! path of the in-process monitors: verdict equivalence between batched,
-//! parallel, and one-at-a-time checking rests on every caller funnelling
-//! through this one implementation.
+//! intermediate tensors per batch, not ten.
 
 use crate::pattern::Pattern;
 use crate::selection::NeuronSelection;
@@ -100,10 +105,10 @@ impl ObservedBatch {
 /// the planned layers' activations, and returns them with the per-row
 /// predicted classes.
 ///
-/// This is the **only** observation path of the monitor family: every
-/// batch check — single-layer, layered, refined, grid, frozen/served —
-/// funnels through it, so verdict equivalence across deployments rests
-/// on one implementation.
+/// The live and write side's one observation path: every in-process
+/// check and every monitor build observes through it, on
+/// [`Sequential::forward_observe_plan`] — the oracle the prepared
+/// serving pass ([`ObservedBatch::refill`]) is pinned bit-identical to.
 pub fn forward_observe_plan(
     model: &mut Sequential,
     batch: &Tensor,
@@ -161,4 +166,26 @@ pub fn observe_layered_batch<'a>(
             (p, patterns)
         })
         .collect()
+}
+
+/// The one-tap case of [`observe_layered_batch`]: per input, the
+/// predicted class and the pattern `selection` reads off `layer` — the
+/// front half of every single-layer check, live ([`crate::Monitor`]) and
+/// frozen (`naps-serve`'s `FrozenMonitor`).
+pub fn observe_single_layer_batch(
+    model: &mut Sequential,
+    inputs: &[Tensor],
+    layer: usize,
+    selection: &NeuronSelection,
+) -> Vec<(usize, Pattern)> {
+    observe_layered_batch(
+        model,
+        inputs,
+        &ObservationPlan::single(layer),
+        std::iter::once((layer, selection)),
+    )
+    .into_iter()
+    // naps-lint: allow(typed_errors, "one tap in, one pattern per row out")
+    .map(|(predicted, mut patterns)| (predicted, patterns.pop().expect("one tap")))
+    .collect()
 }

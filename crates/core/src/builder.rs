@@ -1,11 +1,14 @@
 //! Monitor construction — Algorithm 1 of the paper.
 
-use crate::batch::{forward_observe_plan, ObservationPlan, ObservedBatch};
+use crate::batch::{forward_observe_plan, pack_batch, ObservationPlan, ObservedBatch};
 use crate::monitor::Monitor;
 use crate::selection::NeuronSelection;
 use crate::zone::Zone;
 use naps_nn::Sequential;
 use naps_tensor::Tensor;
+
+/// Training inputs per forward pass of the replay.
+const REPLAY_BATCH: usize = 64;
 
 /// Builds a [`Monitor`] from a trained network and its training set,
 /// following Algorithm 1:
@@ -40,7 +43,6 @@ pub struct MonitorBuilder {
     gamma: u32,
     selection: Option<NeuronSelection>,
     classes: Option<Vec<usize>>,
-    batch_size: usize,
 }
 
 impl MonitorBuilder {
@@ -52,7 +54,6 @@ impl MonitorBuilder {
             gamma,
             selection: None,
             classes: None,
-            batch_size: 64,
         }
     }
 
@@ -70,22 +71,12 @@ impl MonitorBuilder {
         self
     }
 
-    /// Batch size used when replaying the training set.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `batch_size` is zero.
-    pub fn with_batch_size(mut self, batch_size: usize) -> Self {
-        assert!(batch_size > 0, "batch size must be positive");
-        self.batch_size = batch_size;
-        self
-    }
-
     /// Runs Algorithm 1: replays `(samples, labels)` through `model` and
     /// assembles the per-class comfort zones.
     ///
-    /// The monitored layer's width is discovered from the first forward
-    /// pass; if no [`NeuronSelection`] was supplied, all of its neurons are
+    /// The replay runs one forward pass per 64 training inputs.  The
+    /// monitored layer's width is read off the first of those batches;
+    /// if no [`NeuronSelection`] was supplied, all of its neurons are
     /// monitored.
     ///
     /// # Panics
@@ -100,67 +91,98 @@ impl MonitorBuilder {
         labels: &[usize],
         num_classes: usize,
     ) -> Monitor<Z> {
+        self.replay(model, samples, labels, num_classes, |_| (), |_, _, _| {})
+            .0
+    }
+
+    /// Algorithm 1 over one replay of the training set, shared by
+    /// [`MonitorBuilder::build`] and [`MonitorBuilder::build_refined`].
+    ///
+    /// One forward pass per [`REPLAY_BATCH`] inputs observes only the
+    /// monitored layer; the first batch shows the layer's width.  Every
+    /// monitored class gets an empty zone and an extra recorder from
+    /// `empty`.  Each correctly classified input's pattern goes into its
+    /// class's zone, and its full monitored row, in training-set order,
+    /// to that class's recorder through `record`.  Returns the enlarged
+    /// monitor and the per-class recorders (`None` for unmonitored
+    /// classes).
+    ///
+    /// # Panics
+    ///
+    /// As [`MonitorBuilder::build`], or if a supplied selection's layer
+    /// width differs from the monitored layer's.
+    pub(crate) fn replay<Z: Zone, R>(
+        &self,
+        model: &mut Sequential,
+        samples: &[Tensor],
+        labels: &[usize],
+        num_classes: usize,
+        empty: impl Fn(&NeuronSelection) -> R,
+        mut record: impl FnMut(&mut R, &NeuronSelection, &[f32]),
+    ) -> (Monitor<Z>, Vec<Option<R>>) {
         assert_eq!(samples.len(), labels.len(), "one label per sample");
         assert!(!samples.is_empty(), "empty training set");
         assert!(self.layer < model.len(), "monitored layer out of range");
 
-        // Discover the monitored layer width from a first forward pass.
         let plan = ObservationPlan::single(self.layer);
-        let first = Tensor::from_vec(vec![1, samples[0].len()], samples[0].data().to_vec());
-        let (first_obs, _) = model.forward_observe_plan(&first, &plan, false);
-        let layer_width = first_obs[0].shape()[1];
-        let selection = self
-            .selection
-            .clone()
-            .unwrap_or_else(|| NeuronSelection::all(layer_width));
-        assert_eq!(
-            selection.layer_width(),
-            layer_width,
-            "selection layer width does not match monitored layer"
-        );
-
         let monitored_class =
             |c: usize| -> bool { self.classes.as_ref().is_none_or(|cs| cs.contains(&c)) };
-
-        // Lines 1-3: empty zones for monitored classes.
-        let mut zones: Vec<Option<Z>> = (0..num_classes)
-            .map(|c| monitored_class(c).then(|| Z::empty(selection.len())))
-            .collect();
-
-        // Lines 4-8: record visited patterns of correctly classified
-        // training inputs.
-        let indices: Vec<usize> = (0..samples.len()).collect();
-        for chunk in indices.chunks(self.batch_size) {
-            let feat = samples[chunk[0]].len();
-            let mut data = Vec::with_capacity(chunk.len() * feat);
-            for &i in chunk {
-                data.extend_from_slice(samples[i].data());
-            }
-            let batch = Tensor::from_vec(vec![chunk.len(), feat], data);
+        let mut recorded = None;
+        for (xs, ys) in samples
+            .chunks(REPLAY_BATCH)
+            .zip(labels.chunks(REPLAY_BATCH))
+        {
             let ObservedBatch {
                 predicted,
                 observed,
-            } = forward_observe_plan(model, &batch, &plan);
+            } = forward_observe_plan(model, &pack_batch(xs), &plan);
             let monitored = &observed[0];
-            for (r, &i) in chunk.iter().enumerate() {
-                let label = labels[i];
+            // Lines 1-3: empty zones for monitored classes.
+            let (selection, classes) = recorded.get_or_insert_with(|| {
+                let layer_width = monitored.shape()[1];
+                let selection = self
+                    .selection
+                    .clone()
+                    .unwrap_or_else(|| NeuronSelection::all(layer_width));
+                assert_eq!(
+                    selection.layer_width(),
+                    layer_width,
+                    "selection layer width does not match monitored layer"
+                );
+                let classes = (0..num_classes)
+                    .map(|c| {
+                        monitored_class(c).then(|| (Z::empty(selection.len()), empty(&selection)))
+                    })
+                    .collect::<Vec<_>>();
+                (selection, classes)
+            });
+            // Lines 4-8: record visited patterns of correctly classified
+            // training inputs.
+            for (r, (&label, &p)) in ys.iter().zip(&predicted).enumerate() {
                 assert!(
                     label < num_classes,
                     "label {label} out of range for {num_classes} classes"
                 );
-                if predicted[r] == label {
-                    if let Some(zone) = zones[label].as_mut() {
-                        zone.insert(&selection.pattern_from(monitored.row(r)));
+                if p == label {
+                    if let Some((zone, recorder)) = classes[label].as_mut() {
+                        let row = monitored.row(r);
+                        zone.insert(&selection.pattern_from(row));
+                        record(recorder, selection, row);
                     }
                 }
             }
         }
+        // naps-lint: allow(typed_errors, "the training set was asserted non-empty, so the first batch initialised the zones")
+        let (selection, classes) = recorded.expect("at least one replayed batch");
+        let (mut zones, recorders): (Vec<Option<Z>>, _) =
+            classes.into_iter().map(Option::unzip).unzip();
 
         // Lines 9-14: enlarge every zone to the radius-gamma Hamming ball.
         for z in zones.iter_mut().flatten() {
             z.enlarge_to(self.gamma);
         }
-        Monitor::from_zones(zones, self.layer, selection, self.gamma)
+        let monitor = Monitor::from_zones(zones, self.layer, selection, self.gamma);
+        (monitor, recorders)
     }
 }
 
@@ -269,18 +291,26 @@ mod tests {
     }
 
     #[test]
-    fn batch_size_does_not_change_result() {
+    fn build_replays_the_training_set_in_one_pass_per_64_inputs() {
+        use crate::refined::NumericDomain;
         let (mut net, xs, ys) = trained_three_class();
-        let m1 = MonitorBuilder::new(1, 1)
-            .with_batch_size(1)
-            .build::<ExactZone>(&mut net, &xs, &ys, 3);
-        let m64 = MonitorBuilder::new(1, 1)
-            .with_batch_size(64)
-            .build::<ExactZone>(&mut net, &xs, &ys, 3);
-        for c in 0..3 {
+        for n in [1usize, 63, 64, 65, 75] {
+            let passes = n.div_ceil(64) as u64;
+            net.reset_forward_passes();
+            let _ = MonitorBuilder::new(1, 1).build::<ExactZone>(&mut net, &xs[..n], &ys[..n], 3);
+            assert_eq!(net.forward_passes(), passes, "build over {n} inputs");
+            net.reset_forward_passes();
+            let _ = MonitorBuilder::new(1, 1).build_refined::<ExactZone>(
+                &mut net,
+                &xs[..n],
+                &ys[..n],
+                3,
+                NumericDomain::Dbm,
+            );
             assert_eq!(
-                m1.zone(c).map(|z| z.seed_count()),
-                m64.zone(c).map(|z| z.seed_count())
+                net.forward_passes(),
+                passes,
+                "build_refined over {n} inputs"
             );
         }
     }

@@ -169,17 +169,7 @@ impl<Z: Zone> GridMonitor<Z> {
             .into_iter()
             .enumerate()
             .map(|(i, predicted)| {
-                let pattern = selection.pattern_from(monitored.row(i));
-                let cell = &self.cells[i];
-                let verdict = cell.check_pattern(predicted, &pattern);
-                let distance_to_seeds = cell
-                    .zone(predicted)
-                    .and_then(|z| z.distance_to_seeds(&pattern));
-                MonitorReport {
-                    predicted,
-                    verdict,
-                    distance_to_seeds,
-                }
+                self.cells[i].report(predicted, &selection.pattern_from(monitored.row(i)))
             })
             .collect();
         let out_of_pattern_cells = cells

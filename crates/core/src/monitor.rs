@@ -1,7 +1,7 @@
 //! The runtime monitor (Definition 3 + the deployment query of Figure 1).
 
 use crate::activation::{ActivationMonitor, MonitorOutcome};
-use crate::batch::{forward_observe_plan, pack_batch, ObservationPlan, ObservedBatch};
+use crate::batch::observe_single_layer_batch;
 use crate::error::MonitorError;
 use crate::graded::{grade, GradedQuery, GradedReport, NearestZone};
 use crate::pattern::Pattern;
@@ -243,6 +243,19 @@ impl<Z: Zone> Monitor<Z> {
         }
     }
 
+    /// Judges an already-extracted `(predicted, pattern)` pair: the
+    /// verdict plus the distance to the predicted class's seeds — the
+    /// live counterpart of `naps-serve`'s `FrozenMonitor::report`.
+    pub(crate) fn report(&self, predicted: usize, pattern: &Pattern) -> MonitorReport {
+        MonitorReport {
+            predicted,
+            verdict: self.check_pattern(predicted, pattern),
+            distance_to_seeds: self
+                .zone(predicted)
+                .and_then(|z| z.distance_to_seeds(pattern)),
+        }
+    }
+
     /// Judges an already-extracted `(predicted, pattern)` pair with full
     /// graded detail: the binary report plus the bounded distance to the
     /// predicted class's zone and the ranked nearest other-class zones
@@ -258,13 +271,7 @@ impl<Z: Zone> Monitor<Z> {
         pattern: &Pattern,
         query: GradedQuery,
     ) -> GradedReport {
-        let report = MonitorReport {
-            predicted,
-            verdict: self.check_pattern(predicted, pattern),
-            distance_to_seeds: self
-                .zone(predicted)
-                .and_then(|z| z.distance_to_seeds(pattern)),
-        };
+        let report = self.report(predicted, pattern);
         let distance_to_zone = self
             .zone(predicted)
             .and_then(|z| z.distance_to_zone_within(pattern, query.budget));
@@ -298,8 +305,7 @@ impl<Z: Zone> Monitor<Z> {
     }
 
     /// Extracts the (predicted class, monitored pattern) pair for one input
-    /// without judging it — the [`crate::MonitorBuilder`] and diagnostics
-    /// path.
+    /// without judging it — the diagnostics and enrichment path.
     pub fn observe(&self, model: &mut Sequential, input: &Tensor) -> (usize, Pattern) {
         self.observe_batch(model, std::slice::from_ref(input))
             .pop()
@@ -313,20 +319,7 @@ impl<Z: Zone> Monitor<Z> {
         model: &mut Sequential,
         inputs: &[Tensor],
     ) -> Vec<(usize, Pattern)> {
-        if inputs.is_empty() {
-            return Vec::new();
-        }
-        let batch = pack_batch(inputs);
-        let ObservedBatch {
-            predicted,
-            observed,
-        } = forward_observe_plan(model, &batch, &ObservationPlan::single(self.layer));
-        let monitored = &observed[0];
-        predicted
-            .into_iter()
-            .enumerate()
-            .map(|(r, p)| (p, self.selection.pattern_from(monitored.row(r))))
-            .collect()
+        observe_single_layer_batch(model, inputs, self.layer, &self.selection)
     }
 }
 
@@ -347,17 +340,7 @@ impl<Z: Zone> ActivationMonitor for Monitor<Z> {
     fn check_batch(&self, model: &mut Sequential, inputs: &[Tensor]) -> Vec<MonitorReport> {
         self.observe_batch(model, inputs)
             .into_iter()
-            .map(|(predicted, pattern)| {
-                let verdict = self.check_pattern(predicted, &pattern);
-                let distance_to_seeds = self
-                    .zone(predicted)
-                    .and_then(|z| z.distance_to_seeds(&pattern));
-                MonitorReport {
-                    predicted,
-                    verdict,
-                    distance_to_seeds,
-                }
-            })
+            .map(|(predicted, pattern)| self.report(predicted, &pattern))
             .collect()
     }
 

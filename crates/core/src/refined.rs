@@ -1,9 +1,10 @@
 //! Binary monitor + numeric envelopes in one deployable unit.
 //!
-//! The `refinement` experiment shows the Section V item (2) idea — box
-//! and difference-bound envelopes over the monitored activations — as
-//! loose parts.  [`RefinedMonitor`] packages them: one builder pass
-//! records binary patterns *and* numeric envelopes per class, and every
+//! Section V item (2) refines the on/off abstraction with numeric
+//! envelopes — box and difference-bound — over the monitored
+//! activations.  [`RefinedMonitor`] packages them (the `refinement`
+//! experiment measures them through it): one builder pass records
+//! binary patterns *and* numeric envelopes per class, and every
 //! deployment query returns the binary verdict, the numeric verdict and
 //! their disjunction.  The numeric side never weakens the binary
 //! monitor: a combined `InPattern` requires both abstractions to accept.
@@ -59,30 +60,14 @@ impl MonitorOutcome for RefinedReport {
 #[derive(Debug)]
 pub struct RefinedMonitor<Z: Zone = BddZone> {
     monitor: Monitor<Z>,
-    boxes: Vec<Option<IntervalZone>>,
-    dbms: Vec<Option<DbmZone>>,
+    /// Per class, the box and DBM envelopes; `None` for classes the
+    /// binary monitor does not watch.
+    envelopes: Vec<Option<(IntervalZone, DbmZone)>>,
     domain: NumericDomain,
     slack: f32,
 }
 
 impl<Z: Zone> RefinedMonitor<Z> {
-    pub(crate) fn from_parts(
-        monitor: Monitor<Z>,
-        boxes: Vec<Option<IntervalZone>>,
-        dbms: Vec<Option<DbmZone>>,
-        domain: NumericDomain,
-    ) -> Self {
-        assert_eq!(monitor.num_classes(), boxes.len(), "one box per class");
-        assert_eq!(monitor.num_classes(), dbms.len(), "one dbm per class");
-        RefinedMonitor {
-            monitor,
-            boxes,
-            dbms,
-            domain,
-            slack: 0.0,
-        }
-    }
-
     /// The underlying binary monitor.
     pub fn monitor(&self) -> &Monitor<Z> {
         &self.monitor
@@ -113,15 +98,12 @@ impl<Z: Zone> RefinedMonitor<Z> {
 
     /// The numeric envelope verdict for raw monitored values of `class`.
     fn numeric_verdict(&self, class: usize, values: &[f32]) -> (Verdict, Option<f32>) {
+        let Some((boxz, dbm)) = &self.envelopes[class] else {
+            return (Verdict::Unmonitored, None);
+        };
         let (inside, violation) = match self.domain {
-            NumericDomain::Box => match &self.boxes[class] {
-                None => return (Verdict::Unmonitored, None),
-                Some(z) => (z.contains(values, self.slack), z.violation(values)),
-            },
-            NumericDomain::Dbm => match &self.dbms[class] {
-                None => return (Verdict::Unmonitored, None),
-                Some(z) => (z.contains(values, self.slack), z.violation(values)),
-            },
+            NumericDomain::Box => (boxz.contains(values, self.slack), boxz.violation(values)),
+            NumericDomain::Dbm => (dbm.contains(values, self.slack), dbm.violation(values)),
         };
         let verdict = if violation.is_none() {
             // Empty envelope: the class was never correctly predicted in
@@ -171,8 +153,8 @@ impl<Z: Zone> ActivationMonitor for RefinedMonitor<Z> {
                 let full = monitored.row(r);
                 let pattern = selection.pattern_from(full);
                 let binary = self.monitor.check_pattern(predicted, &pattern);
-                let values: Vec<f32> = selection.indices().iter().map(|&i| full[i]).collect();
-                let (numeric, violation) = self.numeric_verdict(predicted, &values);
+                let (numeric, violation) =
+                    self.numeric_verdict(predicted, &selection.values_from(full));
                 let combined = match (binary, numeric) {
                     (Verdict::OutOfPattern, _) | (_, Verdict::OutOfPattern) => {
                         Verdict::OutOfPattern
@@ -216,8 +198,9 @@ impl MonitorBuilder {
     /// Like [`MonitorBuilder::build`], but additionally records per-class
     /// numeric envelopes (both box and DBM; query with either via
     /// [`NumericDomain`]) over the monitored neurons' real activations of
-    /// the correctly classified training inputs — one extra pass over the
-    /// training set.
+    /// the correctly classified training inputs.  Patterns and envelopes
+    /// are recorded in the same replay of the training set, so this runs
+    /// exactly the forward passes [`MonitorBuilder::build`] does.
     ///
     /// # Panics
     ///
@@ -230,49 +213,27 @@ impl MonitorBuilder {
         num_classes: usize,
         domain: NumericDomain,
     ) -> RefinedMonitor<Z> {
-        let monitor = self.build::<Z>(model, samples, labels, num_classes);
-        let selection = monitor.selection().clone();
-        let width = selection.len();
-        let monitored_classes: Vec<bool> = (0..num_classes)
-            .map(|c| monitor.zone(c).is_some())
-            .collect();
-        let mut boxes: Vec<Option<IntervalZone>> = monitored_classes
-            .iter()
-            .map(|&m| m.then(|| IntervalZone::empty(width)))
-            .collect();
-        let mut dbms: Vec<Option<DbmZone>> = monitored_classes
-            .iter()
-            .map(|&m| m.then(|| DbmZone::empty(width)))
-            .collect();
-
-        let indices: Vec<usize> = (0..samples.len()).collect();
-        for chunk in indices.chunks(64) {
-            let feat = samples[chunk[0]].len();
-            let mut data = Vec::with_capacity(chunk.len() * feat);
-            for &i in chunk {
-                data.extend_from_slice(samples[i].data());
-            }
-            let batch = Tensor::from_vec(vec![chunk.len(), feat], data);
-            let ObservedBatch {
-                predicted,
-                observed,
-            } = forward_observe_plan(model, &batch, &ObservationPlan::single(monitor.layer()));
-            let monitored = &observed[0];
-            for (r, &i) in chunk.iter().enumerate() {
-                let pred = predicted[r];
-                if pred == labels[i] {
-                    let full = monitored.row(r);
-                    let values: Vec<f32> = selection.indices().iter().map(|&k| full[k]).collect();
-                    if let Some(z) = boxes[pred].as_mut() {
-                        z.insert(&values);
-                    }
-                    if let Some(z) = dbms[pred].as_mut() {
-                        z.insert(&values);
-                    }
-                }
-            }
+        let (monitor, envelopes) = self.replay(
+            model,
+            samples,
+            labels,
+            num_classes,
+            |selection| {
+                let width = selection.len();
+                (IntervalZone::empty(width), DbmZone::empty(width))
+            },
+            |(boxz, dbm), selection, row| {
+                let values = selection.values_from(row);
+                boxz.insert(&values);
+                dbm.insert(&values);
+            },
+        );
+        RefinedMonitor {
+            monitor,
+            envelopes,
+            domain,
+            slack: 0.0,
         }
-        RefinedMonitor::from_parts(monitor, boxes, dbms, domain)
     }
 }
 

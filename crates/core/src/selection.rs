@@ -149,6 +149,24 @@ impl NeuronSelection {
         Pattern::from_selected_activations(activations, &self.indices)
     }
 
+    /// Projects raw layer activations onto the monitored subset, keeping
+    /// the real values: entry `j` is neuron `indices[j]`'s activation, the
+    /// value [`NeuronSelection::pattern_from`] binarises into bit `j`.
+    /// The numeric envelopes ([`crate::IntervalZone`], [`crate::DbmZone`])
+    /// record and judge these.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `activations.len() != layer_width`.
+    pub fn values_from(&self, activations: &[f32]) -> Vec<f32> {
+        assert_eq!(
+            activations.len(),
+            self.layer_width,
+            "activation width does not match selection's layer width"
+        );
+        self.indices.iter().map(|&i| activations[i]).collect()
+    }
+
     /// In-place counterpart of [`NeuronSelection::pattern_from`]: refills
     /// `out` from `activations`, reusing its word buffer when the width
     /// already matches (allocation-free on the steady-state serving path).
@@ -245,6 +263,22 @@ mod tests {
     fn pattern_from_checks_width() {
         let s = NeuronSelection::all(3);
         let _ = s.pattern_from(&[1.0]);
+    }
+
+    #[test]
+    fn values_from_keeps_the_values_pattern_from_binarises() {
+        let s = NeuronSelection::from_indices(vec![1, 3, 4], 6);
+        let acts = [0.5f32, -2.0, 7.0, 3.0, 0.0, -1.0];
+        let values = s.values_from(&acts);
+        assert_eq!(values, vec![-2.0, 3.0, 0.0]);
+        let bits: Vec<bool> = values.iter().map(|&v| v > 0.0).collect();
+        assert_eq!(s.pattern_from(&acts), Pattern::from_bools(&bits));
+    }
+
+    #[test]
+    #[should_panic(expected = "activation width")]
+    fn values_from_checks_width() {
+        let _ = NeuronSelection::from_indices(vec![0, 2], 4).values_from(&[1.0, 2.0]);
     }
 
     #[test]

@@ -4,12 +4,14 @@
 //! The paper sketches refining the on/off abstraction "using tools such
 //! as difference bound matrices".  This experiment quantifies that idea
 //! on the network-1 setup: alongside the γ = 2 binary monitor of Table
-//! II, it records per-class numeric envelopes of the monitored layer's
-//! activations — the per-neuron box ([`naps_core::IntervalZone`]) and
-//! the relational DBM ([`naps_core::DbmZone`]) — over the correctly
-//! classified training inputs, then measures on the validation set how
-//! each detector's warning rate and warning precision compare, plus the
-//! union of binary and DBM warnings.
+//! II, [`MonitorBuilder::build_refined`] records per-class numeric
+//! envelopes of the monitored layer's activations — the per-neuron box
+//! ([`naps_core::IntervalZone`]) and the relational DBM
+//! ([`naps_core::DbmZone`]) — over the correctly classified training
+//! inputs.  The experiment then reads each [`naps_core::RefinedMonitor`]'s
+//! binary verdicts and numeric violations on the validation set and
+//! measures how each detector's warning rate and warning precision
+//! compare, plus the union of binary and DBM warnings.
 //!
 //! Expected shape: the numeric domains warn more often (every envelope
 //! violation is a warning even when the on/off pattern is familiar),
@@ -20,10 +22,10 @@
 
 use crate::config::RunConfig;
 use crate::report::{pct, rule, write_json};
-use crate::trained::{train_mnist, TrainedClassifier};
-use naps_core::batch::{forward_observe_plan, ObservationPlan, ObservedBatch};
-use naps_core::{BddZone, DbmZone, IntervalZone, MonitorBuilder, NeuronSelection, Verdict};
-use naps_tensor::Tensor;
+use crate::trained::train_mnist;
+use naps_core::{
+    ActivationMonitor, BddZone, MonitorBuilder, NeuronSelection, NumericDomain, Verdict,
+};
 use serde::{Deserialize, Serialize};
 
 /// One detector's row of the ablation table.
@@ -57,59 +59,6 @@ pub struct Refinement {
     pub misclassification_rate: f64,
     /// Per-detector rows.
     pub rows: Vec<RefinementRow>,
-}
-
-/// Per-class numeric envelopes recorded alongside the binary zones.
-struct NumericZones {
-    boxes: Vec<IntervalZone>,
-    dbms: Vec<DbmZone>,
-}
-
-/// Projects the monitored layer's raw activations of one batch row.
-fn monitored_values(monitored: &Tensor, selection: &NeuronSelection, row: usize) -> Vec<f32> {
-    let full = monitored.row(row);
-    selection.indices().iter().map(|&i| full[i]).collect()
-}
-
-fn record_numeric_zones(
-    trained: &mut TrainedClassifier,
-    selection: &NeuronSelection,
-    num_classes: usize,
-) -> NumericZones {
-    let width = selection.len();
-    let mut zones = NumericZones {
-        boxes: (0..num_classes)
-            .map(|_| IntervalZone::empty(width))
-            .collect(),
-        dbms: (0..num_classes).map(|_| DbmZone::empty(width)).collect(),
-    };
-    let layer = trained.monitor_layer;
-    let samples = trained.train.samples.clone();
-    let labels = trained.train.labels.clone();
-    let indices: Vec<usize> = (0..samples.len()).collect();
-    for chunk in indices.chunks(64) {
-        let feat = samples[chunk[0]].len();
-        let mut data = Vec::with_capacity(chunk.len() * feat);
-        for &i in chunk {
-            data.extend_from_slice(samples[i].data());
-        }
-        let batch = Tensor::from_vec(vec![chunk.len(), feat], data);
-        let ObservedBatch {
-            predicted,
-            observed,
-        } = forward_observe_plan(&mut trained.model, &batch, &ObservationPlan::single(layer));
-        for (r, &i) in chunk.iter().enumerate() {
-            let pred = predicted[r];
-            // Algorithm 1's filter: only correctly classified inputs shape
-            // the comfort zone, numeric or binary alike.
-            if pred == labels[i] {
-                let values = monitored_values(&observed[0], selection, r);
-                zones.boxes[pred].insert(&values);
-                zones.dbms[pred].insert(&values);
-            }
-        }
-    }
-    zones
 }
 
 struct Tally {
@@ -164,53 +113,39 @@ pub fn run(cfg: &RunConfig) -> Refinement {
     let gamma = 2;
     let mut trained = train_mnist(cfg);
     let num_classes = 10;
-    let selection = NeuronSelection::all(naps_nn::MNIST_MONITOR_WIDTH);
 
-    println!("[building binary monitor (γ={gamma}) and numeric envelopes]");
-    let monitor = MonitorBuilder::new(trained.monitor_layer, gamma)
-        .with_selection(selection.clone())
-        .build::<BddZone>(
+    println!("[building binary monitor (γ={gamma}) with box and DBM envelopes]");
+    let builder = MonitorBuilder::new(trained.monitor_layer, gamma)
+        .with_selection(NeuronSelection::all(naps_nn::MNIST_MONITOR_WIDTH));
+    let [boxes, dbms] = [NumericDomain::Box, NumericDomain::Dbm].map(|domain| {
+        builder.build_refined::<BddZone>(
             &mut trained.model,
-            &trained.train.samples.clone(),
-            &trained.train.labels.clone(),
+            &trained.train.samples,
+            &trained.train.labels,
             num_classes,
-        );
-    let numeric = record_numeric_zones(&mut trained, &selection, num_classes);
+            domain,
+        )
+    });
 
     println!("[evaluating detectors on the validation split]");
-    let val_x = trained.val.samples.clone();
-    let val_y = trained.val.labels.clone();
-    let total = val_x.len();
+    let total = trained.val.samples.len();
     let mut observations = Vec::with_capacity(total);
-
-    let layer = trained.monitor_layer;
-    let indices: Vec<usize> = (0..total).collect();
-    for chunk in indices.chunks(64) {
-        let feat = val_x[chunk[0]].len();
-        let mut data = Vec::with_capacity(chunk.len() * feat);
-        for &i in chunk {
-            data.extend_from_slice(val_x[i].data());
-        }
-        let batch = Tensor::from_vec(vec![chunk.len(), feat], data);
-        let ObservedBatch {
-            predicted,
-            observed,
-        } = forward_observe_plan(&mut trained.model, &batch, &ObservationPlan::single(layer));
-        for (r, &i) in chunk.iter().enumerate() {
-            let pred = predicted[r];
-            let pattern = selection.pattern_from(observed[0].row(r));
-            let values = monitored_values(&observed[0], &selection, r);
+    for (xs, ys) in trained
+        .val
+        .samples
+        .chunks(64)
+        .zip(trained.val.labels.chunks(64))
+    {
+        let by_box = boxes.check_batch(&mut trained.model, xs);
+        let by_dbm = dbms.check_batch(&mut trained.model, xs);
+        for ((b, d), &label) in by_box.iter().zip(&by_dbm).zip(ys) {
             observations.push(Observation {
-                miscls: pred != val_y[i],
-                binary_warn: monitor.check_pattern(pred, &pattern) == Verdict::OutOfPattern,
+                miscls: b.predicted != label,
+                binary_warn: b.binary == Verdict::OutOfPattern,
                 // An empty envelope (class never correctly predicted in
                 // training) rejects everything: infinite violation.
-                box_violation: numeric.boxes[pred]
-                    .violation(&values)
-                    .unwrap_or(f32::INFINITY),
-                dbm_violation: numeric.dbms[pred]
-                    .violation(&values)
-                    .unwrap_or(f32::INFINITY),
+                box_violation: b.violation.unwrap_or(f32::INFINITY),
+                dbm_violation: d.violation.unwrap_or(f32::INFINITY),
             });
         }
     }

@@ -55,8 +55,7 @@ fn numeric_envelopes(
             }
         }
         if pred == y {
-            let full = acts[MONITORED_LAYER + 1].row(0);
-            let values: Vec<f32> = selection.indices().iter().map(|&i| full[i]).collect();
+            let values = selection.values_from(acts[MONITORED_LAYER + 1].row(0));
             boxes[y].insert(&values);
             dbms[y].insert(&values);
         }
@@ -87,8 +86,7 @@ fn numeric_envelopes_are_sound_and_refine_the_box() {
             if boxes[pred].sample_count() == 0 {
                 continue;
             }
-            let full = acts[MONITORED_LAYER + 1].row(0);
-            let values: Vec<f32> = selection.indices().iter().map(|&i| full[i]).collect();
+            let values = selection.values_from(acts[MONITORED_LAYER + 1].row(0));
             // Refinement: DBM acceptance implies box acceptance.
             if dbms[pred].contains(&values, 0.0) {
                 assert!(
@@ -130,8 +128,7 @@ fn training_activations_are_inside_their_own_numeric_envelope() {
         if pred != y {
             continue; // misclassified inputs never shaped the envelope
         }
-        let full = acts[MONITORED_LAYER + 1].row(0);
-        let values: Vec<f32> = selection.indices().iter().map(|&i| full[i]).collect();
+        let values = selection.values_from(acts[MONITORED_LAYER + 1].row(0));
         assert!(
             boxes[y].contains(&values, 0.0),
             "box evicted a training input"
@@ -167,8 +164,7 @@ fn binary_and_numeric_verdicts_combine_into_a_stricter_detector() {
         }
         let pattern = selection.pattern_from(acts[MONITORED_LAYER + 1].row(0));
         let bin = monitor.check_pattern(pred, &pattern) == Verdict::OutOfPattern;
-        let full = acts[MONITORED_LAYER + 1].row(0);
-        let values: Vec<f32> = selection.indices().iter().map(|&i| full[i]).collect();
+        let values = selection.values_from(acts[MONITORED_LAYER + 1].row(0));
         let dbm = !dbms[pred].contains(&values, 1.0);
         binary_flags += usize::from(bin);
         union_flags += usize::from(bin || dbm);

@@ -16,8 +16,7 @@
 
 use naps_bdd::{BddError, BddSnapshot, CompiledZone};
 use naps_core::batch::{
-    forward_observe_plan, observe_layered_batch, pack_batch, ObservationPlan, ObservedBatch,
-    PreparedModel,
+    observe_layered_batch, observe_single_layer_batch, ObservationPlan, PreparedModel,
 };
 use naps_core::graded::grade;
 use naps_core::prepared::PreparedObserver;
@@ -482,27 +481,15 @@ impl FrozenMonitor {
 
     /// Extracts `(predicted class, monitored pattern)` pairs for a batch
     /// with one shared forward pass — the frozen counterpart of
-    /// [`Monitor::observe_batch`], and the front half of
+    /// [`Monitor::observe_batch`] (both run
+    /// [`observe_single_layer_batch`]), and the front half of
     /// [`FrozenMonitor::check_batch`].
     pub fn observe_batch(
         &self,
         model: &mut Sequential,
         inputs: &[Tensor],
     ) -> Vec<(usize, Pattern)> {
-        if inputs.is_empty() {
-            return Vec::new();
-        }
-        let batch = pack_batch(inputs);
-        let ObservedBatch {
-            predicted,
-            observed,
-        } = forward_observe_plan(model, &batch, &ObservationPlan::single(self.layer));
-        let monitored = &observed[0];
-        predicted
-            .into_iter()
-            .enumerate()
-            .map(|(r, p)| (p, self.selection.pattern_from(monitored.row(r))))
-            .collect()
+        observe_single_layer_batch(model, inputs, self.layer, &self.selection)
     }
 
     /// Batched judgement sharing one forward pass — the same packed path
