@@ -54,7 +54,7 @@ fn training_step(c: &mut Criterion) {
             let logits = net.forward(&batch, true);
             let (_, grad) = softmax_cross_entropy(&logits, &labels);
             net.zero_grad();
-            let _ = net.backward(&grad);
+            net.backward(&grad);
             opt.step(&mut net.params_mut());
         });
     });

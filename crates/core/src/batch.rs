@@ -171,21 +171,25 @@ pub fn observe_layered_batch<'a>(
 /// The one-tap case of [`observe_layered_batch`]: per input, the
 /// predicted class and the pattern `selection` reads off `layer` — the
 /// front half of every single-layer check, live ([`crate::Monitor`]) and
-/// frozen (`naps-serve`'s `FrozenMonitor`).
+/// frozen (`naps-serve`'s `FrozenMonitor`).  The same forward pass and
+/// extraction, with one pattern per row instead of a one-element list.
 pub fn observe_single_layer_batch(
     model: &mut Sequential,
     inputs: &[Tensor],
     layer: usize,
     selection: &NeuronSelection,
 ) -> Vec<(usize, Pattern)> {
-    observe_layered_batch(
-        model,
-        inputs,
-        &ObservationPlan::single(layer),
-        std::iter::once((layer, selection)),
-    )
-    .into_iter()
-    // naps-lint: allow(typed_errors, "one tap in, one pattern per row out")
-    .map(|(predicted, mut patterns)| (predicted, patterns.pop().expect("one tap")))
-    .collect()
+    if inputs.is_empty() {
+        return Vec::new();
+    }
+    let batch = pack_batch(inputs);
+    let ObservedBatch {
+        predicted,
+        observed,
+    } = forward_observe_plan(model, &batch, &ObservationPlan::single(layer));
+    predicted
+        .into_iter()
+        .enumerate()
+        .map(|(r, p)| (p, selection.pattern_from(observed[0].row(r))))
+        .collect()
 }

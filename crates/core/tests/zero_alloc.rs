@@ -149,13 +149,15 @@ fn warmed_observer_allocates_nothing_in_steady_state() {
 }
 
 /// Network 1 — conv, max pooling, dense — observed at its first pooling
-/// layer and at the monitored fc(40) ReLU.
+/// layer and at the monitored fc(40) ReLU, so both conv → ReLU →
+/// max-pool blocks run fused.
 #[test]
 fn warmed_conv_observer_allocates_nothing_in_steady_state() {
     let snapshot = ModelSnapshot::capture(&mnist_net(&mut StdRng::seed_from_u64(3)))
         .expect("Network 1 captures");
     let plan = ObservationPlan::new(vec![2, MNIST_MONITOR_LAYER]);
     let prepared = snapshot.prepare(&plan);
+    assert_eq!(prepared.fused_blocks(), 2, "both conv blocks run fused");
     let pooled = NeuronSelection::from_indices((0..40 * 12 * 12).step_by(97).collect(), 40 * 144);
     let monitored = NeuronSelection::all(40);
     let taps = [(2usize, &pooled), (MNIST_MONITOR_LAYER, &monitored)];

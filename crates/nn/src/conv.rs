@@ -106,6 +106,55 @@ impl Conv2d {
     pub fn bias(&self) -> &Tensor {
         &self.b
     }
+
+    // Per sample, in sample order: dW and db are that sample's partial
+    // sums, added into `grad_w`/`grad_b`; dX, when asked for, is
+    // `gpos @ W` scattered by `col2im`.  These accumulation orders are
+    // part of the trained weights' bits, which `tests/training_golden.rs`
+    // pins.
+    fn accumulate(&mut self, grad_out: &Tensor, mut grad_in: Option<&mut Tensor>) {
+        assert!(!self.input.is_empty(), "backward called before forward");
+        let (batch, in_len) = (self.input.shape()[0], self.input.shape()[1]);
+        let (out_c, rows, cols) = (self.out_c, self.dims.rows(), self.dims.cols());
+        assert_eq!(grad_out.shape()[0], batch, "batch size changed");
+        assert_eq!(grad_out.shape()[1], out_c * rows, "gradient width mismatch");
+        let ConvScratch {
+            patches,
+            gpos,
+            product,
+            ..
+        } = &mut self.scratch;
+        for s in 0..batch {
+            // The sample's gradient, channel-major: the `[out_c, rows]`
+            // left operand of dW as it stands.
+            let g = grad_out.row(s);
+            im2col_into(self.input.row(s), self.dims, patches);
+            // dW += g @ patches -> [out_c, cols]
+            product.resize_in_place(&[out_c, cols]);
+            matmul_slice_into(out_c, rows, cols, g, patches.data(), product.data_mut());
+            self.grad_w.add_assign(product);
+            // db += per-channel sums of g, in ascending position order.
+            for (gb, plane) in self.grad_b.data_mut().iter_mut().zip(g.chunks_exact(rows)) {
+                *gb += plane.iter().fold(0.0, |sum, &v| sum + v);
+            }
+            let Some(grad_in) = grad_in.as_deref_mut() else {
+                continue;
+            };
+            // dPatches = gpos @ W -> [rows, cols], with gpos the
+            // position-major [rows, out_c] transpose of g; scatter back.
+            gpos.resize_in_place(&[rows, out_c]);
+            let gp = gpos.data_mut();
+            for (c, plane) in g.chunks_exact(rows).enumerate() {
+                for (r, &v) in plane.iter().enumerate() {
+                    gp[r * out_c + c] = v;
+                }
+            }
+            product.resize_in_place(&[rows, cols]);
+            matmul_slice_into(rows, out_c, cols, gp, self.w.data(), product.data_mut());
+            let gi = &mut grad_in.data_mut()[s * in_len..(s + 1) * in_len];
+            col2im_into(product.data(), self.dims, gi);
+        }
+    }
 }
 
 /// Checks a convolution's parameters against its geometry — the
@@ -140,51 +189,14 @@ impl Layer for Conv2d {
         out
     }
 
-    // Per sample, in sample order: dW and db are that sample's partial
-    // sums, added into `grad_w`/`grad_b`; dX is `gpos @ W` scattered by
-    // `col2im`.  These accumulation orders are part of the trained
-    // weights' bits, which `tests/training_golden.rs` pins.
     fn backward(&mut self, grad_out: &Tensor) -> Tensor {
-        assert!(!self.input.is_empty(), "backward called before forward");
-        let (batch, in_len) = (self.input.shape()[0], self.input.shape()[1]);
-        let (out_c, rows, cols) = (self.out_c, self.dims.rows(), self.dims.cols());
-        assert_eq!(grad_out.shape()[0], batch, "batch size changed");
-        assert_eq!(grad_out.shape()[1], out_c * rows, "gradient width mismatch");
-        let ConvScratch {
-            patches,
-            gpos,
-            product,
-            ..
-        } = &mut self.scratch;
-        let mut grad_in = Tensor::zeros(vec![batch, in_len]);
-        for s in 0..batch {
-            // The sample's gradient, channel-major: the `[out_c, rows]`
-            // left operand of dW as it stands.
-            let g = grad_out.row(s);
-            im2col_into(self.input.row(s), self.dims, patches);
-            // dW += g @ patches -> [out_c, cols]
-            product.resize_in_place(&[out_c, cols]);
-            matmul_slice_into(out_c, rows, cols, g, patches.data(), product.data_mut());
-            self.grad_w.add_assign(product);
-            // db += per-channel sums of g, in ascending position order.
-            for (gb, plane) in self.grad_b.data_mut().iter_mut().zip(g.chunks_exact(rows)) {
-                *gb += plane.iter().fold(0.0, |sum, &v| sum + v);
-            }
-            // dPatches = gpos @ W -> [rows, cols], with gpos the
-            // position-major [rows, out_c] transpose of g; scatter back.
-            gpos.resize_in_place(&[rows, out_c]);
-            let gp = gpos.data_mut();
-            for (c, plane) in g.chunks_exact(rows).enumerate() {
-                for (r, &v) in plane.iter().enumerate() {
-                    gp[r * out_c + c] = v;
-                }
-            }
-            product.resize_in_place(&[rows, cols]);
-            matmul_slice_into(rows, out_c, cols, gp, self.w.data(), product.data_mut());
-            let gi = &mut grad_in.data_mut()[s * in_len..(s + 1) * in_len];
-            col2im_into(product.data(), self.dims, gi);
-        }
+        let mut grad_in = Tensor::zeros(self.input.shape().to_vec());
+        self.accumulate(grad_out, Some(&mut grad_in));
         grad_in
+    }
+
+    fn backward_params(&mut self, grad_out: &Tensor) {
+        self.accumulate(grad_out, None);
     }
 
     fn params_mut(&mut self) -> Vec<ParamGrad<'_>> {

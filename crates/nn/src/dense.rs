@@ -114,17 +114,22 @@ impl Layer for Dense {
     }
 
     fn backward(&mut self, grad_out: &Tensor) -> Tensor {
+        self.backward_params(grad_out);
+        // dx = g @ W^T
+        grad_out.matmul_bt(&self.w)
+    }
+
+    fn backward_params(&mut self, grad_out: &Tensor) {
         let x = self
             .cached_x
             .as_ref()
             // naps-lint: allow(typed_errors, "Layer::backward contract: forward caches first; misuse is a caller bug, not a runtime error path")
             .expect("backward called before forward");
-        // dW += x^T @ g ; db += column sums of g ; dx = g @ W^T.
+        // dW += x^T @ g ; db += column sums of g.
         let gw = x.matmul_at(grad_out);
         self.grad_w.add_assign(&gw);
         let gb = grad_out.sum_rows();
         self.grad_b.add_assign(&gb);
-        grad_out.matmul_bt(&self.w)
     }
 
     fn params_mut(&mut self) -> Vec<ParamGrad<'_>> {

@@ -20,10 +20,25 @@
 //!   positions.  That is the shape `naps-tensor`'s register-tiled GEMM
 //!   wants: 4 output channels × up to 64 output positions (on AVX-512F)
 //!   stay in registers for the whole `in_c·k²` sweep, and each row of
-//!   `im2colᵀ` is read straight from the scratch, unpacked;
-//! * max pooling keeps the running `>` comparison over each window, row
-//!   by row; backward re-scans the window with the same rule for its
-//!   winner;
+//!   `im2colᵀ` is read straight from the scratch, unpacked.  The
+//!   lowering itself (`naps_tensor::im2col_t_into`) copies each output
+//!   row of a stride-1 tap with a width fixed at compile time for
+//!   Network 1's output widths (24 and 8), and with the general loop
+//!   otherwise;
+//! * the fused conv → ReLU → max-pool block, which the prepared path
+//!   runs for a `Conv2d → Relu → MaxPool2d` run whose conv and ReLU
+//!   outputs are not observed, is the same convolution per sample into
+//!   a one-sample scratch with an epilogue: `v + b`, then `max(v, 0)`
+//!   (the unfused order, so every bit, signed zeros included, is the
+//!   unfused chain's), then the max-pool fold straight into the
+//!   sample's output slice.  The batch-sized conv and ReLU outputs are
+//!   never written;
+//! * pooling folds each window row by row: max pooling keeps the
+//!   running `>` comparison, average pooling sums from `0.0` and scales
+//!   by `1/k²`.  One fold serves the layers, the prepared op and the
+//!   fused block; 2×2 windows take an arm with the window side fixed at
+//!   compile time, folding in the same order.  Max-pool backward
+//!   re-scans the window with the same rule for its winner;
 //! * ReLU is `max(0, x)` and leaky ReLU `x` if `x > 0`, else `slope · x`;
 //! * batch norm computes `(x − mean) · inv_std`, then `g · xh + b`.
 
@@ -98,17 +113,68 @@ pub(crate) fn conv2d_into(
     out: &mut Tensor,
 ) {
     let batch = batch_of(x, dims.in_c * dims.in_h * dims.in_w, "conv");
-    let (out_c, rows, cols) = (b.len(), dims.rows(), dims.cols());
-    let out_len = out_c * rows;
+    let out_len = b.len() * dims.rows();
     out.resize_in_place(&[batch, out_len]);
-    for s in 0..batch {
-        im2col_t_into(x.row(s), dims, lowered);
-        let y = &mut out.data_mut()[s * out_len..(s + 1) * out_len];
-        matmul_slice_into(out_c, cols, rows, w.data(), lowered.data(), y);
-        for (plane, &bias) in y.chunks_exact_mut(rows).zip(b.data()) {
-            for v in plane {
-                *v += bias;
-            }
+    for (s, y) in out.data_mut().chunks_exact_mut(out_len).enumerate() {
+        conv_sample(x.row(s), dims, w, b, lowered, y, |v| v);
+    }
+}
+
+/// The fused conv → ReLU → max-pool block: per sample, the convolution
+/// goes into the one-sample scratch `conv_out`, then the bias and ReLU
+/// are applied in the unfused order (`v + b`, then `max(v, 0)`), and the
+/// sample is pooled by the fold [`max_pool_into`] runs straight into its
+/// slice of `out` (`[batch, pool.out_len()]`).  Every output bit equals
+/// [`conv2d_into`] → [`relu_into`] → [`max_pool_into`], without the
+/// batch-sized conv and ReLU outputs.
+///
+/// # Panics
+///
+/// Panics if `x` does not match `dims`, or the conv output width
+/// `out_c·out_h·out_w` is not `pool.in_len()`.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn conv2d_relu_max_pool_into(
+    x: &Tensor,
+    dims: ConvDims,
+    w: &Tensor,
+    b: &Tensor,
+    pool: PoolDims,
+    lowered: &mut Tensor,
+    conv_out: &mut Tensor,
+    out: &mut Tensor,
+) {
+    let batch = batch_of(x, dims.in_c * dims.in_h * dims.in_w, "conv");
+    assert_eq!(
+        b.len() * dims.rows(),
+        pool.in_len(),
+        "fused pool does not match the conv output"
+    );
+    conv_out.resize_in_place(&[pool.in_len()]);
+    out.resize_in_place(&[batch, pool.out_len()]);
+    for (s, pooled) in out.data_mut().chunks_exact_mut(pool.out_len()).enumerate() {
+        let y = conv_out.data_mut();
+        conv_sample(x.row(s), dims, w, b, lowered, y, |v| v.max(0.0));
+        max_pool_planes(y, pool, pooled);
+    }
+}
+
+/// One sample's convolution into `y` (`[out_c, out_h·out_w]`): lower,
+/// multiply, then `epilogue(v + bias)` per element.
+fn conv_sample(
+    x: &[f32],
+    dims: ConvDims,
+    w: &Tensor,
+    b: &Tensor,
+    lowered: &mut Tensor,
+    y: &mut [f32],
+    epilogue: impl Fn(f32) -> f32,
+) {
+    let (out_c, rows, cols) = (b.len(), dims.rows(), dims.cols());
+    im2col_t_into(x, dims, lowered);
+    matmul_slice_into(out_c, cols, rows, w.data(), lowered.data(), y);
+    for (plane, &bias) in y.chunks_exact_mut(rows).zip(b.data()) {
+        for v in plane {
+            *v = epilogue(*v + bias);
         }
     }
 }
@@ -116,33 +182,94 @@ pub(crate) fn conv2d_into(
 /// Max pooling of a `[batch, c*h*w]` batch into `out`
 /// (`[batch, c*out_h*out_w]`).
 pub(crate) fn max_pool_into(x: &Tensor, d: PoolDims, out: &mut Tensor) {
+    let batch = batch_of(x, d.in_len(), "pool");
+    out.resize_in_place(&[batch, d.out_len()]);
+    max_pool_planes(x.data(), d, out.data_mut());
+}
+
+/// The max-pooling fold over whole `h·w` planes of `x` into `out`: the
+/// running `>` comparison from `-∞`.
+fn max_pool_planes(x: &[f32], d: PoolDims, out: &mut [f32]) {
     let step = |best: f32, v: f32| if v > best { v } else { best };
-    pool_into(x, d, out, f32::NEG_INFINITY, step, |best| best);
+    pool_planes(x, d, out, f32::NEG_INFINITY, step, |best| best);
 }
 
 /// Average pooling of a `[batch, c*h*w]` batch into `out`
 /// (`[batch, c*out_h*out_w]`).
 pub(crate) fn avg_pool_into(x: &Tensor, d: PoolDims, out: &mut Tensor) {
+    let batch = batch_of(x, d.in_len(), "pool");
+    out.resize_in_place(&[batch, d.out_len()]);
     let inv = 1.0 / (d.k * d.k) as f32;
-    pool_into(x, d, out, 0.0, |sum, v| sum + v, |sum| sum * inv);
+    pool_planes(
+        x.data(),
+        d,
+        out.data_mut(),
+        0.0,
+        |sum, v| sum + v,
+        |sum| sum * inv,
+    );
 }
 
-/// Shared pooling sweep: each window folds `step` over its values, row
-/// by row from `init`, and `finish` maps the fold to the output.  One
-/// output row at a time, so each window row is a contiguous slice.
-fn pool_into(
-    x: &Tensor,
+/// Shared pooling sweep over the `h·w` planes of `x`, each pooled into
+/// its `out_h·out_w` plane of `out`: each window folds `step` over its
+/// values, row by row from `init`, and `finish` maps the fold to the
+/// output.  The paper's 2×2 windows take an arm with the window side
+/// fixed at compile time; both arms fold every window in the same order.
+fn pool_planes(
+    x: &[f32],
     d: PoolDims,
-    out: &mut Tensor,
+    out: &mut [f32],
     init: f32,
     step: impl Fn(f32, f32) -> f32,
     finish: impl Fn(f32) -> f32,
 ) {
-    let batch = batch_of(x, d.in_len(), "pool");
+    match d.k {
+        2 => pool_planes_fixed::<2>(x, d, out, init, step, finish),
+        _ => pool_planes_any(x, d, out, init, step, finish),
+    }
+}
+
+/// [`pool_planes`] for window side `K`, one output at a time.
+fn pool_planes_fixed<const K: usize>(
+    x: &[f32],
+    d: PoolDims,
+    out: &mut [f32],
+    init: f32,
+    step: impl Fn(f32, f32) -> f32,
+    finish: impl Fn(f32) -> f32,
+) {
     let (oh, ow) = (d.out_h(), d.out_w());
-    out.resize_in_place(&[batch, d.out_len()]);
-    let planes = x.data().chunks_exact(d.h * d.w);
-    for (plane, pooled) in planes.zip(out.data_mut().chunks_exact_mut(oh * ow)) {
+    let planes = x.chunks_exact(d.h * d.w);
+    for (plane, pooled) in planes.zip(out.chunks_exact_mut(oh * ow)) {
+        for (oy, out_row) in pooled.chunks_exact_mut(ow).enumerate() {
+            let rows = &plane[oy * K * d.w..];
+            for (ox, o) in out_row.iter_mut().enumerate() {
+                let mut acc = init;
+                for dy in 0..K {
+                    let at = dy * d.w + ox * K;
+                    for &v in &rows[at..at + K] {
+                        acc = step(acc, v);
+                    }
+                }
+                *o = finish(acc);
+            }
+        }
+    }
+}
+
+/// [`pool_planes`] for any window side.  One output row at a time, so
+/// each window row is a contiguous slice.
+fn pool_planes_any(
+    x: &[f32],
+    d: PoolDims,
+    out: &mut [f32],
+    init: f32,
+    step: impl Fn(f32, f32) -> f32,
+    finish: impl Fn(f32) -> f32,
+) {
+    let (oh, ow) = (d.out_h(), d.out_w());
+    let planes = x.chunks_exact(d.h * d.w);
+    for (plane, pooled) in planes.zip(out.chunks_exact_mut(oh * ow)) {
         for (oy, out_row) in pooled.chunks_exact_mut(ow).enumerate() {
             out_row.fill(init);
             for dy in 0..d.k {

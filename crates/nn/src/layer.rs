@@ -35,6 +35,19 @@ pub trait Layer: std::fmt::Debug + Send + Sync {
     /// Implementations may panic if called before `forward`.
     fn backward(&mut self, grad_out: &Tensor) -> Tensor;
 
+    /// Accumulates the parameter gradients for `grad_out` exactly as
+    /// [`Layer::backward`] does, without computing the gradient with
+    /// respect to the input: what a network's first layer runs in
+    /// training, where nothing reads that gradient.  The default runs
+    /// `backward` and drops its result.
+    ///
+    /// # Panics
+    ///
+    /// Implementations may panic if called before `forward`.
+    fn backward_params(&mut self, grad_out: &Tensor) {
+        let _ = self.backward(grad_out);
+    }
+
     /// Mutable access to all `(parameter, gradient)` pairs, in a stable
     /// order.  Parameter-free layers return an empty vector.
     fn params_mut(&mut self) -> Vec<ParamGrad<'_>> {

@@ -209,7 +209,7 @@ mod tests {
             let logits = net.forward(&x, true);
             let (_, grad) = softmax_cross_entropy(&logits, &labels);
             net.zero_grad();
-            let _ = net.backward(&grad);
+            net.backward(&grad);
             opt.step(&mut net.params_mut());
         }
         let (loss1, _) = softmax_cross_entropy(&net.forward(&x, false), &labels);

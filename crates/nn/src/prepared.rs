@@ -5,9 +5,10 @@
 //! [`ModelSnapshot::prepare`] resolves everything that is frozen at
 //! capture time exactly once — layer kinds, `Dense` weight panels packed
 //! via [`PackedWeights`], batch-norm scales, the observation plan, the
-//! input width — and [`PreparedModel::forward_observe_into`] then runs
-//! the inference arithmetic writing into a caller-owned
-//! [`ForwardScratch`] (ping-pong carry buffers, the conv lowering, the
+//! input width, and which conv → ReLU → max-pool runs can be fused —
+//! and [`PreparedModel::forward_observe_into`] then runs the inference
+//! arithmetic writing into a caller-owned [`ForwardScratch`] (ping-pong
+//! carry buffers, the conv lowering, one sample's conv output, the
 //! logits) and a caller-owned observed-activation vector.  After the
 //! first call has sized those buffers to the batch shape, the pass
 //! performs zero heap allocation, and every output is bit-identical to
@@ -15,6 +16,13 @@
 //! one GEMM's accumulation order, the spatial and activation layers run
 //! the very kernels the layers' own forward runs ([`crate::kernels`]),
 //! and Dropout/Flatten are exact identities.
+//!
+//! A `Conv2d → Relu → MaxPool2d` run whose conv and ReLU outputs the
+//! plan does not observe runs as one fused op, one sample at a time
+//! (conv, bias, ReLU, pool), in the unfused order of arithmetic; so the
+//! paper's Network 1, monitored at fc(40), never writes its
+//! `[batch, 40·24·24]` conv and ReLU outputs.  Every other run keeps
+//! the unfused ops, which stay the oracle.
 
 use crate::kernels::{self, PoolDims};
 use crate::observe::ObservationPlan;
@@ -42,6 +50,14 @@ enum PreparedOp {
     },
     /// Max pooling.
     MaxPool(PoolDims),
+    /// A `Conv2d → Relu → MaxPool2d` run whose conv and ReLU outputs the
+    /// plan does not observe, lowered into one op at the pool's index.
+    ConvReluMaxPool {
+        dims: ConvDims,
+        w: Tensor,
+        b: Tensor,
+        pool: PoolDims,
+    },
     /// Average pooling.
     AvgPool(PoolDims),
     /// Inference batch norm with its per-channel scale resolved once.
@@ -62,11 +78,14 @@ enum PreparedOp {
     /// Dropout (inert at inference) and Flatten (data already flat):
     /// exact identities, skipped entirely unless observed.
     Identity,
+    /// The conv or ReLU of a [`PreparedOp::ConvReluMaxPool`] block,
+    /// which runs at a later index: skipped (never observed).
+    Folded,
 }
 
 /// Reusable per-worker workspace for [`PreparedModel::forward_observe_into`]:
-/// two ping-pong activation buffers, the conv lowering and the logits, all
-/// resized in place.
+/// two ping-pong activation buffers, the conv lowering, one sample's conv
+/// output and the logits, all resized in place.
 #[derive(Debug, Clone, Default)]
 pub struct ForwardScratch {
     /// The current unobserved activation.
@@ -75,6 +94,9 @@ pub struct ForwardScratch {
     spare: Tensor,
     /// One sample's `im2colᵀ` lowering, reused by every conv layer.
     lowered: Tensor,
+    /// One sample's conv output inside a fused conv → ReLU → max-pool
+    /// block, before it is pooled.
+    conv_out: Tensor,
     /// The final layer's output.
     logits: Tensor,
 }
@@ -110,6 +132,15 @@ impl ModelSnapshot {
     /// warm-up.  The serving publish/load path calls this exactly where it
     /// compiles frozen zones.
     ///
+    /// Each `Conv2d → Relu → MaxPool2d` run whose conv and ReLU outputs
+    /// `plan` does not observe (the pool output may be observed) becomes
+    /// one fused op: per sample, the conv goes into a one-sample scratch,
+    /// gets its bias and ReLU, and is pooled straight into the output, so
+    /// the batch-sized conv and ReLU outputs are never written.  The
+    /// result is bit-identical to the unfused ops, which every other run
+    /// (an observed intermediate, batch norm between conv and ReLU) keeps.
+    /// Fusion is decided here, from the plan alone.
+    ///
     /// # Panics
     ///
     /// Panics if the plan names a layer `>= self.layers.len()`, or if a
@@ -124,7 +155,7 @@ impl ModelSnapshot {
                 self.layers.len()
             );
         }
-        let ops = self
+        let mut ops: Vec<PreparedOp> = self
             .layers
             .iter()
             .map(|l| match l {
@@ -176,6 +207,24 @@ impl ModelSnapshot {
                 }
             })
             .collect();
+        for i in 2..ops.len() {
+            let pool = match &ops[i - 2..=i] {
+                [PreparedOp::Conv { dims, b, .. }, PreparedOp::Relu, PreparedOp::MaxPool(pool)]
+                    if b.len() * dims.rows() == pool.in_len()
+                        && !plan.observes(i - 2)
+                        && !plan.observes(i - 1) =>
+                {
+                    *pool
+                }
+                _ => continue,
+            };
+            if let PreparedOp::Conv { dims, w, b } =
+                std::mem::replace(&mut ops[i - 2], PreparedOp::Folded)
+            {
+                ops[i - 1] = PreparedOp::Folded;
+                ops[i] = PreparedOp::ConvReluMaxPool { dims, w, b, pool };
+            }
+        }
         PreparedModel {
             ops,
             plan: plan.clone(),
@@ -193,6 +242,13 @@ impl PreparedModel {
     /// Number of layers.
     pub fn len(&self) -> usize {
         self.ops.len()
+    }
+
+    /// Number of `Conv2d → Relu → MaxPool2d` runs fused into one op (see
+    /// [`ModelSnapshot::prepare`]).
+    pub fn fused_blocks(&self) -> usize {
+        let fused = |op: &&PreparedOp| matches!(op, PreparedOp::ConvReluMaxPool { .. });
+        self.ops.iter().filter(fused).count()
     }
 
     /// `true` for the empty model (logits are then the input).
@@ -243,8 +299,12 @@ impl PreparedModel {
             carry,
             spare,
             lowered,
+            conv_out,
             logits,
         } = scratch;
+        let mut run = |op: &PreparedOp, x: &Tensor, out: &mut Tensor| {
+            apply(op, x, out, lowered, conv_out);
+        };
         let mut src = Src::Input;
         for (i, op) in self.ops.iter().enumerate() {
             match self.plan.position(i) {
@@ -255,23 +315,24 @@ impl PreparedModel {
                         // split borrows are disjoint.
                         Src::Observed(j) => {
                             let (done, rest) = observed.split_at_mut(slot);
-                            apply(op, &done[j], &mut rest[0], lowered);
+                            run(op, &done[j], &mut rest[0]);
                         }
-                        Src::Input => apply(op, x, &mut observed[slot], lowered),
-                        Src::Carry => apply(op, carry, &mut observed[slot], lowered),
+                        Src::Input => run(op, x, &mut observed[slot]),
+                        Src::Carry => run(op, carry, &mut observed[slot]),
                     }
                     src = Src::Observed(slot);
                 }
                 None => {
-                    // Unobserved identities are exact no-ops: let the
-                    // current activation keep flowing.
-                    if matches!(op, PreparedOp::Identity) {
+                    // Unobserved identities are exact no-ops, and folded
+                    // layers run inside their block's op: let the current
+                    // activation keep flowing.
+                    if matches!(op, PreparedOp::Identity | PreparedOp::Folded) {
                         continue;
                     }
                     match src {
-                        Src::Input => apply(op, x, spare, lowered),
-                        Src::Carry => apply(op, carry, spare, lowered),
-                        Src::Observed(j) => apply(op, &observed[j], spare, lowered),
+                        Src::Input => run(op, x, spare),
+                        Src::Carry => run(op, carry, spare),
+                        Src::Observed(j) => run(op, &observed[j], spare),
                     }
                     std::mem::swap(carry, spare);
                     src = Src::Carry;
@@ -289,8 +350,16 @@ impl PreparedModel {
 /// Inference-mode forward of one prepared layer into `out`, matching the
 /// layer's `forward(.., train = false)` arithmetic exactly (the same GEMM
 /// kernel and bias pass for dense layers, the layers' own kernels for
-/// the rest).  `lowered` is the conv lowering scratch.
-fn apply(op: &PreparedOp, x: &Tensor, out: &mut Tensor, lowered: &mut Tensor) {
+/// the rest; a fused block runs exactly its three layers' arithmetic).
+/// `lowered` is the conv lowering scratch and `conv_out` the fused
+/// block's one-sample conv output.
+fn apply(
+    op: &PreparedOp,
+    x: &Tensor,
+    out: &mut Tensor,
+    lowered: &mut Tensor,
+    conv_out: &mut Tensor,
+) {
     match op {
         PreparedOp::Dense { packed, bias } => {
             packed.matmul_into(x, out);
@@ -306,6 +375,9 @@ fn apply(op: &PreparedOp, x: &Tensor, out: &mut Tensor, lowered: &mut Tensor) {
             }
         }
         PreparedOp::Conv { dims, w, b } => kernels::conv2d_into(x, *dims, w, b, lowered, out),
+        PreparedOp::ConvReluMaxPool { dims, w, b, pool } => {
+            kernels::conv2d_relu_max_pool_into(x, *dims, w, b, *pool, lowered, conv_out, out)
+        }
         PreparedOp::MaxPool(d) => kernels::max_pool_into(x, *d, out),
         PreparedOp::AvgPool(d) => kernels::avg_pool_into(x, *d, out),
         PreparedOp::BatchNorm {
@@ -317,7 +389,7 @@ fn apply(op: &PreparedOp, x: &Tensor, out: &mut Tensor, lowered: &mut Tensor) {
         } => kernels::batch_norm_into(x, *hw, mean, inv_std, gamma.data(), beta.data(), out),
         PreparedOp::Relu => kernels::relu_into(x, out),
         PreparedOp::LeakyRelu { slope } => kernels::leaky_relu_into(x, *slope, out),
-        PreparedOp::Identity => out.copy_from(x),
+        PreparedOp::Identity | PreparedOp::Folded => out.copy_from(x),
     }
 }
 
@@ -451,14 +523,24 @@ mod tests {
 
     /// Both of the paper's networks, under plans that observe conv, BN,
     /// pooling and dense layers, with the batch size changing between
-    /// calls on one scratch.
+    /// calls on one scratch.  Network 1's two conv → ReLU → max-pool
+    /// blocks run fused unless the plan observes the conv or the ReLU;
+    /// Network 2's batch norm keeps its blocks unfused.
     #[test]
     fn paper_networks_match_sequential_bit_for_bit() {
         let mut rng = StdRng::seed_from_u64(3);
         let mnist = ModelSnapshot::capture(&mnist_net(&mut rng)).expect("Network 1 captures");
         let batches = [2, 1, 3].map(|n| sparse_batch(n, 28 * 28, &mut rng));
-        for layers in [vec![0, 2, 3, 14], vec![5, 7, 15]] {
-            assert_matches_sequential(&mnist, &ObservationPlan::new(layers), &batches);
+        for (layers, fused) in [
+            (vec![0, 2, 3, 14], 0),
+            (vec![5, 7, 15], 2),
+            (vec![14], 2),
+            (vec![1, 14], 1),
+            (vec![2, 4], 1),
+        ] {
+            let plan = ObservationPlan::new(layers);
+            assert_eq!(mnist.prepare(&plan).fused_blocks(), fused, "{plan:?}");
+            assert_matches_sequential(&mnist, &plan, &batches);
         }
 
         let mut gtsrb = gtsrb_net(&mut rng);
@@ -468,7 +550,9 @@ mod tests {
         let gtsrb = ModelSnapshot::capture(&gtsrb).expect("Network 2 captures");
         let batches = [1, 3, 2].map(|n| sparse_batch(n, 3 * 32 * 32, &mut rng));
         for layers in [vec![0, 1, 3, 5, 12], vec![7, 9]] {
-            assert_matches_sequential(&gtsrb, &ObservationPlan::new(layers), &batches);
+            let plan = ObservationPlan::new(layers);
+            assert_eq!(gtsrb.prepare(&plan).fused_blocks(), 0);
+            assert_matches_sequential(&gtsrb, &plan, &batches);
         }
     }
 

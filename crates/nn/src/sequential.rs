@@ -94,14 +94,19 @@ impl Sequential {
     }
 
     /// Backpropagates `grad_out` (w.r.t. the logits) through the stack,
-    /// accumulating parameter gradients, and returns the gradient w.r.t.
-    /// the network input.
-    pub fn backward(&mut self, grad_out: &Tensor) -> Tensor {
-        let mut g = grad_out.clone();
-        for layer in self.layers.iter_mut().rev() {
-            g = layer.backward(&g);
+    /// accumulating parameter gradients: the training step's backward.
+    /// The first layer runs [`Layer::backward_params`], so the gradient
+    /// w.r.t. the network input, which no training step reads, is never
+    /// computed; [`backward_all`](Sequential::backward_all) returns it.
+    pub fn backward(&mut self, grad_out: &Tensor) {
+        let Some((first, rest)) = self.layers.split_first_mut() else {
+            return;
+        };
+        let mut g: Option<Tensor> = None;
+        for layer in rest.iter_mut().rev() {
+            g = Some(layer.backward(g.as_ref().unwrap_or(grad_out)));
         }
-        g
+        first.backward_params(g.as_ref().unwrap_or(grad_out));
     }
 
     /// Like [`backward`](Sequential::backward) but returns the gradient at
@@ -213,6 +218,8 @@ mod tests {
         assert_eq!(grads[3], g);
     }
 
+    /// `backward` skips only the input gradient: it accumulates every
+    /// parameter gradient bit for bit as `backward_all` does.
     #[test]
     fn backward_all_agrees_with_backward() {
         let mut a = tiny_net(2);
@@ -220,10 +227,19 @@ mod tests {
         let x = Tensor::from_vec(vec![1, 3], vec![0.1, -0.4, 0.9]);
         let g = Tensor::from_vec(vec![1, 2], vec![1.0, -2.0]);
         let _ = a.forward(&x, true);
-        let ga = a.backward(&g);
+        a.backward(&g);
         let _ = b.forward(&x, true);
-        let gb = b.backward_all(&g);
-        assert_eq!(ga, gb[0]);
+        let _ = b.backward_all(&g);
+        let grads = |net: &mut Sequential| -> Vec<Tensor> {
+            net.params_mut()
+                .into_iter()
+                .map(|p| p.grad.clone())
+                .collect()
+        };
+        let (ga, gb) = (grads(&mut a), grads(&mut b));
+        assert_eq!(ga.len(), 4);
+        assert_eq!(ga, gb);
+        assert!(ga.iter().all(|g| g.data().iter().any(|&v| v != 0.0)));
     }
 
     #[test]

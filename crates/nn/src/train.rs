@@ -146,7 +146,7 @@ impl Trainer {
                 let logits = model.forward(&x, true);
                 let (loss, grad) = softmax_cross_entropy(&logits, &y);
                 model.zero_grad();
-                let _ = model.backward(&grad);
+                model.backward(&grad);
                 optimizer.step(&mut model.params_mut());
                 total_loss += loss;
                 batches += 1;

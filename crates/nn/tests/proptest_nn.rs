@@ -2,7 +2,10 @@
 //! correctness against finite differences on random layer configurations,
 //! loss invariants, and training-loop sanity.
 
-use naps_nn::{softmax, softmax_cross_entropy, Conv2d, Dense, Layer, LeakyRelu, MaxPool2d, Relu};
+use naps_nn::{
+    softmax, softmax_cross_entropy, AvgPool2d, Conv2d, Dense, ForwardScratch, Layer, LeakyRelu,
+    MaxPool2d, ModelSnapshot, ObservationPlan, Relu, Sequential,
+};
 use naps_tensor::{col2im_into, im2col, max_pool2d, max_pool2d_backward, ConvDims, Tensor};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -347,8 +350,12 @@ proptest! {
         }
     }
 
-    /// The max-pooling layer's forward, training and inference alike,
-    /// equals the reference argmax-recording pooling bit-for-bit.
+    /// The pooling layers' forward, training and inference alike, equals
+    /// the reference bit-for-bit: max pooling the argmax-recording
+    /// pooling (whose strict `>` in row-major window order lets the
+    /// first of tied `±0.0` win), average pooling a row-major sum from
+    /// `0.0` scaled by `1/k²`.  On data full of `±0.0` and repeated
+    /// values, so windows tie.
     #[test]
     fn inference_max_pool_matches_training_forward(
         shape in (1usize..4, 1usize..4, 0usize..5, 0usize..5),
@@ -359,10 +366,29 @@ proptest! {
         let (h, w) = (k + extra_h, k + extra_w);
         let mut rng = StdRng::seed_from_u64(seed);
         let mut pool = MaxPool2d::new(c, h, w, k);
-        let x = Tensor::from_vec(vec![batch, c * h * w], sparse(batch * c * h * w, 0.5, &mut rng));
+        let x = Tensor::from_vec(vec![batch, c * h * w], signed_sparse(batch * c * h * w, &mut rng));
         let (want, _) = max_pool_oracle(&x, c, h, w, k);
         prop_assert_eq!(bits(&pool.forward(&x, true)), bits(&want));
         prop_assert_eq!(bits(&pool.forward(&x, false)), bits(&want));
+
+        let (oh, ow) = (h / k, w / k);
+        let mut want = Vec::new();
+        for plane in x.data().chunks_exact(h * w) {
+            for oy in 0..oh {
+                for ox in 0..ow {
+                    let mut sum = 0.0f32;
+                    for dy in 0..k {
+                        for dx in 0..k {
+                            sum += plane[(oy * k + dy) * w + ox * k + dx];
+                        }
+                    }
+                    want.push((sum * (1.0 / (k * k) as f32)).to_bits());
+                }
+            }
+        }
+        let mut avg = AvgPool2d::new(c, h, w, k);
+        prop_assert_eq!(bits(&avg.forward(&x, true)), want.clone());
+        prop_assert_eq!(bits(&avg.forward(&x, false)), want);
     }
 
     /// The backward passes are bit-identical to the per-sample reference
@@ -385,7 +411,8 @@ proptest! {
         let mut rng = StdRng::seed_from_u64(seed);
         let w = Tensor::from_vec(vec![out_c, dims.cols()], signed_sparse(out_c * dims.cols(), &mut rng));
         let b = Tensor::from_vec(vec![out_c], signed_sparse(out_c, &mut rng));
-        let mut conv = Conv2d::from_parts(dims, w.clone(), b);
+        let mut conv = Conv2d::from_parts(dims, w.clone(), b.clone());
+        let mut params_only = Conv2d::from_parts(dims, w.clone(), b);
         let mut want_w = Tensor::zeros(vec![out_c, dims.cols()]);
         let mut want_b = Tensor::zeros(vec![out_c]);
         for round in 0..2 {
@@ -393,11 +420,16 @@ proptest! {
             let g = Tensor::from_vec(vec![batch, out_len], signed_sparse(batch * out_len, &mut rng));
             let _ = conv.forward(&x, true);
             let got = conv.backward(&g);
+            let _ = params_only.forward(&x, true);
+            params_only.backward_params(&g);
             let want = conv_backward_oracle(&x, &g, dims, &w, &mut want_w, &mut want_b);
             let (got_w, got_b) = conv_grads(&mut conv);
             prop_assert_eq!(bits(&got), bits(&want), "dX, round {}, {:?}", round, dims);
             prop_assert_eq!(bits(&got_w), bits(&want_w), "dW, round {}, {:?}", round, dims);
             prop_assert_eq!(bits(&got_b), bits(&want_b), "db, round {}, {:?}", round, dims);
+            let (only_w, only_b) = conv_grads(&mut params_only);
+            prop_assert_eq!(bits(&only_w), bits(&want_w), "params-only dW, round {}", round);
+            prop_assert_eq!(bits(&only_b), bits(&want_b), "params-only db, round {}", round);
         }
 
         let (c, h, w) = (in_c, dims.in_h, dims.in_w);
@@ -440,5 +472,84 @@ proptest! {
             }
         }
         prop_assert_eq!(bits(&leaky.backward(&g)), bits(&want), "leaky relu dX");
+    }
+}
+
+/// Runs `x` through `snap` prepared for `plan` and returns the observed
+/// tensors followed by the logits.
+fn prepared_outputs(snap: &ModelSnapshot, plan: &ObservationPlan, x: &Tensor) -> Vec<Tensor> {
+    let prepared = snap.prepare(plan);
+    let mut scratch = ForwardScratch::new();
+    let mut observed = Vec::new();
+    prepared.forward_observe_into(x, &mut scratch, &mut observed);
+    observed.push(scratch.logits().clone());
+    observed
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// A prepared `Conv2d → Relu → MaxPool2d` run whose conv and ReLU
+    /// outputs are unobserved is one fused op, bit-identical to the
+    /// unfused chain — the layers' own forward (`conv2d_into`, then
+    /// `relu_into`, then `max_pool_into`) and the prepared unfused ops.
+    /// Random geometry (maps whose side is not a multiple of the pool
+    /// window included), strides 1 and 2, batches of 1 to 3, and data
+    /// full of `±0.0` and repeated values; one channel may have all-zero
+    /// weights and a `-0.0` bias, so its windows are all zeros and tie.
+    #[test]
+    fn fused_conv_block_matches_the_unfused_chain(
+        shape in (1usize..4, 1usize..5, 1usize..3, 1usize..5),
+        margin in (0usize..7, 0usize..7, 1usize..4),
+        pool_k in 1usize..4,
+        zero_channel in any::<bool>(),
+        seed in any::<u64>(),
+    ) {
+        let (in_c, k, s, out_c) = shape;
+        let (extra_h, extra_w, batch) = margin;
+        let dims = ConvDims { in_c, in_h: k + extra_h, in_w: k + extra_w, k, s };
+        let (oh, ow) = (dims.out_h(), dims.out_w());
+        let pool_k = pool_k.min(oh).min(ow);
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut w = signed_sparse(out_c * dims.cols(), &mut rng);
+        let mut b = signed_sparse(out_c, &mut rng);
+        if zero_channel {
+            for (i, v) in w[..dims.cols()].iter_mut().enumerate() {
+                *v = if i % 2 == 0 { 0.0 } else { -0.0 };
+            }
+            b[0] = -0.0;
+        }
+        let conv = Conv2d::from_parts(
+            dims,
+            Tensor::from_vec(vec![out_c, dims.cols()], w),
+            Tensor::from_vec(vec![out_c], b),
+        );
+        let mut net = Sequential::new(vec![
+            Box::new(conv),
+            Box::new(Relu::new()),
+            Box::new(MaxPool2d::new(out_c, oh, ow, pool_k)),
+        ]);
+        let snap = ModelSnapshot::capture(&net).expect("captures");
+        let in_len = in_c * dims.in_h * dims.in_w;
+        let x = Tensor::from_vec(vec![batch, in_len], signed_sparse(batch * in_len, &mut rng));
+
+        let (_, want) = net.forward_observe_plan(&x, &ObservationPlan::new(vec![]), false);
+        let unfused = prepared_outputs(&snap, &ObservationPlan::new(vec![0, 1, 2]), &x);
+        prop_assert_eq!(bits(&unfused[3]), bits(&want), "unfused prepared ops");
+        for plan in [vec![], vec![2]] {
+            let plan = ObservationPlan::new(plan);
+            prop_assert_eq!(snap.prepare(&plan).fused_blocks(), 1);
+            let fused = prepared_outputs(&snap, &plan, &x);
+            for got in &fused {
+                prop_assert_eq!(bits(got), bits(&want), "{:?} {:?} pool {}", plan, dims, pool_k);
+            }
+        }
+        for observed in [0, 1] {
+            let plan = ObservationPlan::single(observed);
+            prop_assert_eq!(snap.prepare(&plan).fused_blocks(), 0);
+            let got = prepared_outputs(&snap, &plan, &x);
+            prop_assert_eq!(bits(&got[0]), bits(&unfused[observed]));
+            prop_assert_eq!(bits(&got[1]), bits(&want));
+        }
     }
 }

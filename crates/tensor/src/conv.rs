@@ -126,6 +126,13 @@ pub fn im2col_into(input: &[f32], dims: ConvDims, out: &mut Tensor) {
 /// the layer's `[c, h, w]` output is laid out.  `input` is one sample's
 /// `[in_c, in_h, in_w]` data.
 ///
+/// At stride 1 each output row of a tap is one contiguous input run of
+/// `out_w` floats.  For the output widths of the paper's Network 1 (24
+/// after its first convolution, 8 after its second) that run is copied
+/// with a width fixed at compile time, which the compiler turns into a
+/// few vector moves instead of a `memcpy` call per run; every other
+/// width and stride takes the general loop.  Both write the same bits.
+///
 /// # Panics
 ///
 /// Panics if `input` does not have `dims.in_c * in_h * in_w` elements.
@@ -136,14 +143,32 @@ pub fn im2col_t_into(input: &[f32], dims: ConvDims, out: &mut Tensor) {
         dims.in_c * dims.in_h * dims.in_w,
         "input size does not match conv dims"
     );
-    let (ow, rows) = (dims.out_w(), dims.rows());
     // Every element below is overwritten.
-    out.resize_in_place(&[dims.cols(), rows]);
-    let (hw, kk) = (dims.in_h * dims.in_w, dims.k * dims.k);
-    for (tap, row) in out.data_mut().chunks_exact_mut(rows).enumerate() {
-        let (c, ky, kx) = (tap / kk, tap % kk / dims.k, tap % dims.k);
+    out.resize_in_place(&[dims.cols(), dims.rows()]);
+    let o = out.data_mut();
+    match (dims.s, dims.out_w()) {
+        (1, 8) => lower_t_fixed::<8>(input, dims, o),
+        (1, 24) => lower_t_fixed::<24>(input, dims, o),
+        _ => lower_t_general(input, dims, o),
+    }
+}
+
+/// The input offset of tap `tap`'s first output row: channel `c`, kernel
+/// row `ky`, kernel column `kx`.
+fn tap_origin(dims: ConvDims, tap: usize) -> usize {
+    let kk = dims.k * dims.k;
+    let (c, ky, kx) = (tap / kk, tap % kk / dims.k, tap % dims.k);
+    c * dims.in_h * dims.in_w + ky * dims.in_w + kx
+}
+
+/// The transposed lowering for any stride and width: one slice copy per
+/// output row at stride 1, one strided gather otherwise.
+fn lower_t_general(input: &[f32], dims: ConvDims, out: &mut [f32]) {
+    let ow = dims.out_w();
+    for (tap, row) in out.chunks_exact_mut(dims.rows()).enumerate() {
+        let origin = tap_origin(dims, tap);
         for (oy, dst) in row.chunks_exact_mut(ow).enumerate() {
-            let src = c * hw + (oy * dims.s + ky) * dims.in_w + kx;
+            let src = origin + oy * dims.s * dims.in_w;
             if dims.s == 1 {
                 dst.copy_from_slice(&input[src..src + ow]);
             } else {
@@ -151,6 +176,23 @@ pub fn im2col_t_into(input: &[f32], dims: ConvDims, out: &mut Tensor) {
                     *d = input[src + ox * dims.s];
                 }
             }
+        }
+    }
+}
+
+/// The stride-1 transposed lowering for output width `W`, known at
+/// compile time: each output row is a `[f32; W]` copy.
+///
+/// # Panics
+///
+/// Panics if `dims` is not stride 1 with `out_w() == W`.
+fn lower_t_fixed<const W: usize>(input: &[f32], dims: ConvDims, out: &mut [f32]) {
+    assert!(dims.s == 1 && dims.out_w() == W, "lowering width mismatch");
+    for (tap, row) in out.chunks_exact_mut(dims.rows()).enumerate() {
+        let origin = tap_origin(dims, tap);
+        for (oy, dst) in row.chunks_exact_mut(W).enumerate() {
+            let src = origin + oy * dims.in_w;
+            dst.copy_from_slice(&input[src..src + W]);
         }
     }
 }
@@ -360,6 +402,69 @@ mod tests {
             let mut lowered = Tensor::full(vec![3, 3], 7.0);
             im2col_t_into(x.data(), d, &mut lowered);
             assert_eq!(lowered, im2col(&x, d).transpose(), "k={k} s={s}");
+        }
+    }
+
+    fn bits(v: &[f32]) -> Vec<u32> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// Lowers one input of `dims` through `im2col_t_into` (whichever arm
+    /// it picks) and through the general loop, into dirty buffers, and
+    /// returns both plus the input.
+    fn both_lowerings(dims: ConvDims) -> (Vec<f32>, Vec<f32>, Vec<f32>) {
+        let n = dims.in_c * dims.in_h * dims.in_w;
+        let input: Vec<f32> = (0..n).map(|i| (i as f32 * 0.37).sin()).collect();
+        let mut dispatched = Tensor::full(vec![2, 3], 7.0);
+        im2col_t_into(&input, dims, &mut dispatched);
+        let mut general = vec![7.0; dims.cols() * dims.rows()];
+        lower_t_general(&input, dims, &mut general);
+        (input, dispatched.data().to_vec(), general)
+    }
+
+    /// Output width `W` through the fixed-width body (instantiated for
+    /// `W` whether or not `im2col_t_into` dispatches to it) and through
+    /// the dispatch, against the general loop, bit for bit: 1, 3 and 40
+    /// input channels, several kernel sides, strides 1 and 2.
+    fn check_width<const W: usize>() {
+        for in_c in [1, 3, 40] {
+            for (k, s) in [(1, 1), (3, 1), (5, 1), (2, 2), (3, 2)] {
+                let dims = ConvDims {
+                    in_c,
+                    in_h: k + 2,
+                    in_w: (W - 1) * s + k,
+                    k,
+                    s,
+                };
+                assert_eq!(dims.out_w(), W);
+                let (input, dispatched, general) = both_lowerings(dims);
+                assert_eq!(bits(&dispatched), bits(&general), "{dims:?}");
+                if s == 1 {
+                    let mut fixed = vec![7.0; general.len()];
+                    lower_t_fixed::<W>(&input, dims, &mut fixed);
+                    assert_eq!(bits(&fixed), bits(&general), "{dims:?}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn fixed_width_lowering_matches_the_general_loop() {
+        macro_rules! widths {
+            ($($w:literal)*) => { $(check_width::<$w>();)* };
+        }
+        widths!(1 2 3 4 5 6 7 8 9 10 11 12 13 14 15 16 17 18 19 20 21 22 23 24 25 26 27 28 29 30);
+        // Network 1's geometries, which take the fixed arms.
+        for (in_c, side) in [(1, 28), (40, 12)] {
+            let dims = ConvDims {
+                in_c,
+                in_h: side,
+                in_w: side,
+                k: 5,
+                s: 1,
+            };
+            let (_, dispatched, general) = both_lowerings(dims);
+            assert_eq!(bits(&dispatched), bits(&general), "{dims:?}");
         }
     }
 
