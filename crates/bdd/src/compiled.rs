@@ -168,18 +168,6 @@ impl CompiledZone {
         }
     }
 
-    /// Patterns in the small-zone index (`None` when compiled to the
-    /// flat walk).
-    pub fn small_len(&self) -> Option<usize> {
-        match &self.small {
-            Some(SmallIndex::Interval { lo, hi }) => Some((hi - lo + 1) as usize),
-            Some(SmallIndex::Sorted { stride, keys }) => {
-                Some(if *stride == 0 { 0 } else { keys.len() / stride })
-            }
-            None => None,
-        }
-    }
-
     // -----------------------------------------------------------------
     // Membership
     // -----------------------------------------------------------------
@@ -200,17 +188,6 @@ impl CompiledZone {
             Some(index) => self.small_contains(index, words),
             None => self.eval_flat(words),
         }
-    }
-
-    /// Membership of a `&[bool]` assignment (packs, then queries) — the
-    /// oracle-shaped entry the property tests drive.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `assignment.len() != num_vars`.
-    pub fn eval_bools(&self, assignment: &[bool]) -> bool {
-        assert_eq!(assignment.len(), self.num_vars, "assignment width");
-        self.eval_words(&pack_words(assignment))
     }
 
     /// The flat branch-free walk (used when no small index exists; pub
@@ -359,16 +336,6 @@ impl CompiledZone {
         }
     }
 
-    /// `&[bool]` convenience for the property tests.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `pattern.len() != num_vars`.
-    pub fn min_hamming_distance_bools(&self, pattern: &[bool]) -> Option<u32> {
-        assert_eq!(pattern.len(), self.num_vars, "pattern width");
-        self.min_hamming_distance_words(&pack_words(pattern))
-    }
-
     /// Budget-bounded [`CompiledZone::min_hamming_distance_words`]:
     /// `Some(d)` iff the distance `d` is at most `budget` — bit-identical
     /// to [`BddSnapshot::min_hamming_distance_within`], which it lowers
@@ -403,16 +370,6 @@ impl CompiledZone {
         let mut memo = vec![BOUNDED_UNVISITED; (self.nodes.len() + 2) * stride];
         let d = self.bounded_rec(self.root, words, budget, stride, &mut memo);
         (d != BOUNDED_NONE).then_some(u32::from(d))
-    }
-
-    /// `&[bool]` convenience for the property tests.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `pattern.len() != num_vars`.
-    pub fn min_hamming_distance_within_bools(&self, pattern: &[bool], budget: u32) -> Option<u32> {
-        assert_eq!(pattern.len(), self.num_vars, "pattern width");
-        self.min_hamming_distance_within_words(&pack_words(pattern), budget)
     }
 
     /// Popcount scan over the enumerated keys; `budget == u32::MAX`
@@ -786,9 +743,10 @@ mod tests {
         assert_eq!(flat.path(), CompiledPath::FlatWalk);
         for m in 0..32usize {
             let bits: Vec<bool> = (0..5).map(|i| (m >> i) & 1 == 1).collect();
+            let words = pack_words(&bits);
             let expect = snap.eval(&bits);
-            assert_eq!(compiled.eval_bools(&bits), expect, "dispatch {m:05b}");
-            assert_eq!(flat.eval_bools(&bits), expect, "flat {m:05b}");
+            assert_eq!(compiled.eval_words(&words), expect, "dispatch {m:05b}");
+            assert_eq!(flat.eval_words(&words), expect, "flat {m:05b}");
         }
         // Bit-sliced: all 32 assignments in one block.
         let packed: Vec<Vec<u64>> = (0..32usize)
@@ -816,12 +774,13 @@ mod tests {
             6,
         );
         let compiled = CompiledZone::compile(&snap);
-        assert_ne!(compiled.path(), CompiledPath::FlatWalk);
-        assert_eq!(compiled.small_len(), Some(7)); // 1 + 6 neighbours
-                                                   // Contiguous: variables 2.. free, var 0 and 1 fixed false — the
-                                                   // keys {k : bits 0,1 clear} over 3 vars are {0, 4} — not
-                                                   // contiguous; instead force a truly contiguous set: all patterns
-                                                   // with var 2 = anything, vars 0..2 forming 0..=3.
+        assert_eq!(compiled.path(), CompiledPath::SortedKeys);
+        for m in 0..64u64 {
+            let bits: Vec<bool> = (0..6).map(|i| (m >> i) & 1 == 1).collect();
+            let words = pack_words(&bits);
+            assert_eq!(compiled.eval_words(&words), snap.eval(&bits));
+        }
+        // Contiguous: the patterns with var 2 clear are the keys 0..=3.
         let snap = snapshot_of(
             |bdd| {
                 let a = bdd.nvar(2); // bit 2 clear -> keys 0..=3 over 3 vars
@@ -831,10 +790,10 @@ mod tests {
         );
         let compiled = CompiledZone::compile(&snap);
         assert_eq!(compiled.path(), CompiledPath::Interval);
-        assert_eq!(compiled.small_len(), Some(4));
         for m in 0..8u64 {
             let bits: Vec<bool> = (0..3).map(|i| (m >> i) & 1 == 1).collect();
-            assert_eq!(compiled.eval_bools(&bits), snap.eval(&bits));
+            let words = pack_words(&bits);
+            assert_eq!(compiled.eval_words(&words), snap.eval(&bits));
         }
     }
 
@@ -846,10 +805,11 @@ mod tests {
         let cf = CompiledZone::compile(&full);
         for m in 0..16usize {
             let bits: Vec<bool> = (0..4).map(|i| (m >> i) & 1 == 1).collect();
-            assert!(!ce.eval_bools(&bits));
-            assert!(cf.eval_bools(&bits));
-            assert_eq!(ce.min_hamming_distance_bools(&bits), None);
-            assert_eq!(cf.min_hamming_distance_bools(&bits), Some(0));
+            let words = pack_words(&bits);
+            assert!(!ce.eval_words(&words));
+            assert!(cf.eval_words(&words));
+            assert_eq!(ce.min_hamming_distance_words(&words), None);
+            assert_eq!(cf.min_hamming_distance_words(&words), Some(0));
         }
         // Full zone over 4 vars has 16 patterns: small, contiguous.
         assert_eq!(cf.path(), CompiledPath::Interval);
@@ -861,12 +821,12 @@ mod tests {
         let full = snapshot_of(|bdd| bdd.one(), 0);
         let ce = CompiledZone::compile(&empty);
         let cf = CompiledZone::compile(&full);
-        assert!(!ce.eval_bools(&[]));
-        assert!(cf.eval_bools(&[]));
-        assert_eq!(ce.min_hamming_distance_bools(&[]), None);
-        assert_eq!(cf.min_hamming_distance_bools(&[]), Some(0));
-        assert_eq!(cf.min_hamming_distance_within_bools(&[], 0), Some(0));
-        assert_eq!(ce.min_hamming_distance_within_bools(&[], 0), None);
+        assert!(!ce.eval_words(&[]));
+        assert!(cf.eval_words(&[]));
+        assert_eq!(ce.min_hamming_distance_words(&[]), None);
+        assert_eq!(cf.min_hamming_distance_words(&[]), Some(0));
+        assert_eq!(cf.min_hamming_distance_within_words(&[], 0), Some(0));
+        assert_eq!(ce.min_hamming_distance_within_words(&[], 0), None);
     }
 
     #[test]
@@ -883,18 +843,19 @@ mod tests {
         let flat = CompiledZone::compile_flat_only(&snap);
         for m in 0..64usize {
             let bits: Vec<bool> = (0..6).map(|i| (m >> i) & 1 == 1).collect();
+            let words = pack_words(&bits);
             let expect = snap.min_hamming_distance(&bits);
-            assert_eq!(compiled.min_hamming_distance_bools(&bits), expect);
-            assert_eq!(flat.min_hamming_distance_bools(&bits), expect);
+            assert_eq!(compiled.min_hamming_distance_words(&words), expect);
+            assert_eq!(flat.min_hamming_distance_words(&words), expect);
             for budget in 0..=7u32 {
                 let expect = snap.min_hamming_distance_within(&bits, budget);
                 assert_eq!(
-                    compiled.min_hamming_distance_within_bools(&bits, budget),
+                    compiled.min_hamming_distance_within_words(&words, budget),
                     expect,
                     "small path m={m} budget={budget}"
                 );
                 assert_eq!(
-                    flat.min_hamming_distance_within_bools(&bits, budget),
+                    flat.min_hamming_distance_within_words(&words, budget),
                     expect,
                     "flat path m={m} budget={budget}"
                 );
@@ -952,13 +913,13 @@ mod tests {
         let snap = snapshot_of(|bdd| bdd.cube_from_bools(&bits), 70);
         let compiled = CompiledZone::compile(&snap);
         assert_eq!(compiled.path(), CompiledPath::SortedKeys);
-        assert_eq!(compiled.small_len(), Some(1));
-        assert!(compiled.eval_bools(&bits));
+        assert!(compiled.eval_words(&pack_words(&bits)));
         let mut off = bits.clone();
         off[35] = true;
-        assert!(!compiled.eval_bools(&off));
-        assert_eq!(compiled.min_hamming_distance_bools(&off), Some(1));
-        assert_eq!(compiled.min_hamming_distance_within_bools(&off, 0), None);
-        assert_eq!(compiled.min_hamming_distance_within_bools(&off, 1), Some(1));
+        let off = pack_words(&off);
+        assert!(!compiled.eval_words(&off));
+        assert_eq!(compiled.min_hamming_distance_words(&off), Some(1));
+        assert_eq!(compiled.min_hamming_distance_within_words(&off, 0), None);
+        assert_eq!(compiled.min_hamming_distance_within_words(&off, 1), Some(1));
     }
 }

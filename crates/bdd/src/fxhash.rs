@@ -59,10 +59,6 @@ impl Hasher for FxHasher {
 #[allow(clippy::disallowed_types)]
 pub(crate) type HashMap<K, V> = std::collections::HashMap<K, V, BuildHasherDefault<FxHasher>>;
 
-/// `std::collections::HashSet` keyed through [`FxHasher`].
-#[allow(clippy::disallowed_types)]
-pub(crate) type HashSet<T> = std::collections::HashSet<T, BuildHasherDefault<FxHasher>>;
-
 #[cfg(test)]
 mod tests {
     use super::*;

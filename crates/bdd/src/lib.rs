@@ -38,7 +38,6 @@
 //! ```
 
 mod compiled;
-mod dot;
 mod error;
 mod fxhash;
 mod hamming;
@@ -54,5 +53,4 @@ pub use compiled::{
 };
 pub use error::BddError;
 pub use manager::{Bdd, BddStats, NodeId, VarId};
-pub use sat::SatIter;
 pub use serialize::BddSnapshot;

@@ -289,30 +289,6 @@ impl Bdd {
         acc
     }
 
-    /// Encodes a partial assignment: `Some(b)` constrains a variable,
-    /// `None` leaves it free.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `bits.len() != num_vars`.
-    pub fn cube_from_partial(&mut self, bits: &[Option<bool>]) -> NodeId {
-        assert_eq!(
-            bits.len(),
-            self.num_vars,
-            "pattern length must equal the variable count"
-        );
-        let mut acc = NodeId::ONE;
-        for (i, &b) in bits.iter().enumerate().rev() {
-            let var = i as VarId;
-            acc = match b {
-                Some(true) => self.mk_node(var, NodeId::ZERO, acc),
-                Some(false) => self.mk_node(var, acc, NodeId::ZERO),
-                None => acc,
-            };
-        }
-        acc
-    }
-
     /// Number of decision nodes reachable from `node` (terminals excluded).
     pub fn node_count(&self, node: NodeId) -> usize {
         let mut seen = vec![false; self.nodes.len()];
@@ -339,15 +315,6 @@ impl Bdd {
             quant_cache_entries: self.quant_cache.len(),
             num_vars: self.num_vars,
         }
-    }
-
-    /// Drops all operation caches and releases their memory (the unique
-    /// table is kept, canonicity is unaffected).  Useful between
-    /// construction phases to bound memory.
-    pub fn clear_caches(&mut self) {
-        self.apply_cache = HashMap::default();
-        self.not_cache = HashMap::default();
-        self.quant_cache = HashMap::default();
     }
 }
 
@@ -388,15 +355,6 @@ mod tests {
         assert!(bdd.eval(f, &[true, false, true]));
         assert!(!bdd.eval(f, &[true, true, true]));
         assert!(!bdd.eval(f, &[false, false, true]));
-    }
-
-    #[test]
-    fn cube_from_partial_leaves_free_vars() {
-        let mut bdd = Bdd::new(3);
-        let f = bdd.cube_from_partial(&[Some(true), None, Some(false)]);
-        assert!(bdd.eval(f, &[true, false, false]));
-        assert!(bdd.eval(f, &[true, true, false]));
-        assert!(!bdd.eval(f, &[true, true, true]));
     }
 
     #[test]
@@ -441,24 +399,6 @@ mod tests {
         let s = bdd.stats();
         assert!(s.allocated_nodes >= 4); // 2 terminals + 2+ decision nodes
         assert_eq!(s.num_vars, 4);
-    }
-
-    #[test]
-    fn clear_caches_preserves_semantics() {
-        let mut bdd = Bdd::new(3);
-        let a = bdd.var(0);
-        let b = bdd.var(2);
-        let f = bdd.or(a, b);
-        let _ = bdd.not(f);
-        let _ = bdd.exists(f, 2);
-        assert!(bdd.not_cache.capacity() > 0 && bdd.quant_cache.capacity() > 0);
-        bdd.clear_caches();
-        assert_eq!(bdd.apply_cache.capacity(), 0);
-        assert_eq!(bdd.not_cache.capacity(), 0);
-        assert_eq!(bdd.quant_cache.capacity(), 0);
-        let f2 = bdd.or(a, b);
-        assert_eq!(f, f2);
-        assert!(bdd.eval(f2, &[false, false, true]));
     }
 
     #[test]

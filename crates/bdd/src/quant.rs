@@ -1,4 +1,4 @@
-//! Existential / universal quantification and variable restriction.
+//! Existential quantification and the support of a function.
 
 use crate::manager::{Bdd, NodeId, VarId};
 
@@ -42,59 +42,6 @@ impl Bdd {
         let r = self.mk_node(node.var, low, high);
         self.quant_cache.insert((f, var), r);
         r
-    }
-
-    /// Existential quantification over several variables.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any variable is out of range.
-    pub fn exists_many(&mut self, f: NodeId, vars: &[VarId]) -> NodeId {
-        let mut acc = f;
-        for &v in vars {
-            acc = self.exists(acc, v);
-        }
-        acc
-    }
-
-    /// Universal quantification `∀ var . f = ¬∃ var . ¬f`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `var >= num_vars`.
-    pub fn forall(&mut self, f: NodeId, var: VarId) -> NodeId {
-        let nf = self.not(f);
-        let e = self.exists(nf, var);
-        self.not(e)
-    }
-
-    /// Restriction (cofactor) `f[var := val]`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `var >= num_vars`.
-    pub fn restrict(&mut self, f: NodeId, var: VarId, val: bool) -> NodeId {
-        assert!(
-            (var as usize) < self.num_vars,
-            "variable {var} out of range"
-        );
-        self.restrict_rec(f, var, val)
-    }
-
-    fn restrict_rec(&mut self, f: NodeId, var: VarId, val: bool) -> NodeId {
-        if f.is_terminal() {
-            return f;
-        }
-        let node = self.nodes[f.index()];
-        if node.var > var {
-            return f;
-        }
-        if node.var == var {
-            return if val { node.high } else { node.low };
-        }
-        let low = self.restrict_rec(node.low, var, val);
-        let high = self.restrict_rec(node.high, var, val);
-        self.mk_node(node.var, low, high)
     }
 
     /// Support of `f`: the sorted list of variables the function depends on.
@@ -179,40 +126,6 @@ mod tests {
         let b = bdd.exists(f, 3);
         let ba = bdd.exists(b, 1);
         assert_eq!(ab, ba);
-    }
-
-    #[test]
-    fn forall_is_dual() {
-        let mut bdd = Bdd::new(2);
-        let x0 = bdd.var(0);
-        let x1 = bdd.var(1);
-        let f = bdd.or(x0, x1);
-        // forall x0 (x0 | x1) == x1
-        let g = bdd.forall(f, 0);
-        assert_eq!(g, x1);
-    }
-
-    #[test]
-    fn restrict_cofactors() {
-        let mut bdd = Bdd::new(2);
-        let x0 = bdd.var(0);
-        let x1 = bdd.var(1);
-        let f = bdd.and(x0, x1);
-        assert_eq!(bdd.restrict(f, 0, true), x1);
-        assert_eq!(bdd.restrict(f, 0, false), bdd.zero());
-    }
-
-    #[test]
-    fn shannon_expansion_reconstructs() {
-        let mut bdd = Bdd::new(3);
-        let p = bdd.cube_from_bools(&[true, false, true]);
-        let q = bdd.cube_from_bools(&[false, false, false]);
-        let f = bdd.or(p, q);
-        let f1 = bdd.restrict(f, 0, true);
-        let f0 = bdd.restrict(f, 0, false);
-        let x = bdd.var(0);
-        let rebuilt = bdd.ite(x, f1, f0);
-        assert_eq!(f, rebuilt);
     }
 
     #[test]

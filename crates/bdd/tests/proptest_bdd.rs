@@ -146,21 +146,6 @@ proptest! {
         prop_assert_eq!(bdd.sat_count(f), uniq.len() as f64);
     }
 
-    /// sat_iter enumerates exactly the satisfying assignments.
-    #[test]
-    fn sat_iter_is_complete_and_sound(pats in pattern_set(), gamma in 0u32..2) {
-        let mut bdd = Bdd::new(VARS);
-        let f = build_set(&mut bdd, &pats);
-        let z = bdd.dilate(f, gamma);
-        let mut got: Vec<Vec<bool>> = bdd.sat_iter(z).collect();
-        got.sort();
-        got.dedup();
-        prop_assert_eq!(got.len() as f64, bdd.sat_count(z));
-        for a in &got {
-            prop_assert!(bdd.eval(z, a));
-        }
-    }
-
     /// exists is a weakening and removes the variable from the support.
     #[test]
     fn exists_weakens_and_drops_support(pats in pattern_set(), v in 0u32..(VARS as u32)) {

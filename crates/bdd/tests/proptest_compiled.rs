@@ -6,7 +6,9 @@
 //! zones take the enumerated index) and the forced flat form
 //! ([`CompiledZone::compile_flat_only`]), including the bit-sliced block
 //! evaluator, on random zones and on every degenerate shape (empty, full,
-//! width 0, budget 0 and ≥ width).
+//! width 0, budget 0 and ≥ width).  Every compiled query goes through
+//! the packed-word entry points the engine runs (`*_words`, fed by
+//! [`pack_words`]).
 
 use naps_bdd::{bit_slice_block, pack_words, Bdd, BddSnapshot, CompiledZone, NodeId};
 use proptest::prelude::*;
@@ -61,9 +63,10 @@ proptest! {
     fn compiled_eval_equals_walked(pats in pattern_set(VARS), gamma in 0u32..3) {
         let (snap, compiled, flat) = compile_both(&pats, gamma, VARS);
         for probe in all_assignments() {
+            let words = pack_words(&probe);
             let expect = snap.eval(&probe);
-            prop_assert_eq!(compiled.eval_bools(&probe), expect);
-            prop_assert_eq!(flat.eval_bools(&probe), expect);
+            prop_assert_eq!(compiled.eval_words(&words), expect);
+            prop_assert_eq!(flat.eval_words(&words), expect);
         }
     }
 
@@ -98,9 +101,10 @@ proptest! {
     fn compiled_min_hamming_equals_walked(pats in pattern_set(VARS), gamma in 0u32..3) {
         let (snap, compiled, flat) = compile_both(&pats, gamma, VARS);
         for probe in all_assignments() {
+            let words = pack_words(&probe);
             let expect = snap.min_hamming_distance(&probe);
-            prop_assert_eq!(compiled.min_hamming_distance_bools(&probe), expect);
-            prop_assert_eq!(flat.min_hamming_distance_bools(&probe), expect);
+            prop_assert_eq!(compiled.min_hamming_distance_words(&words), expect);
+            prop_assert_eq!(flat.min_hamming_distance_words(&words), expect);
         }
     }
 
@@ -115,13 +119,14 @@ proptest! {
     ) {
         let (snap, compiled, flat) = compile_both(&pats, gamma, VARS);
         for probe in all_assignments() {
+            let words = pack_words(&probe);
             let expect = snap.min_hamming_distance_within(&probe, budget);
             prop_assert_eq!(
-                compiled.min_hamming_distance_within_bools(&probe, budget), expect,
+                compiled.min_hamming_distance_within_words(&words, budget), expect,
                 "small/dispatch path, budget {}", budget
             );
             prop_assert_eq!(
-                flat.min_hamming_distance_within_bools(&probe, budget), expect,
+                flat.min_hamming_distance_within_words(&words, budget), expect,
                 "flat path, budget {}", budget
             );
         }
@@ -138,19 +143,20 @@ proptest! {
     ) {
         let (snap, compiled, flat) = compile_both(&pats, 1, WIDE);
         for probe in probes.iter().chain(&pats) {
-            prop_assert_eq!(compiled.eval_bools(probe), snap.eval(probe));
-            prop_assert_eq!(flat.eval_bools(probe), snap.eval(probe));
+            let words = pack_words(probe);
+            prop_assert_eq!(compiled.eval_words(&words), snap.eval(probe));
+            prop_assert_eq!(flat.eval_words(&words), snap.eval(probe));
             prop_assert_eq!(
-                compiled.min_hamming_distance_bools(probe),
+                compiled.min_hamming_distance_words(&words),
                 snap.min_hamming_distance(probe)
             );
             prop_assert_eq!(
-                flat.min_hamming_distance_bools(probe),
+                flat.min_hamming_distance_words(&words),
                 snap.min_hamming_distance(probe)
             );
             let expect = snap.min_hamming_distance_within(probe, budget);
-            prop_assert_eq!(compiled.min_hamming_distance_within_bools(probe, budget), expect);
-            prop_assert_eq!(flat.min_hamming_distance_within_bools(probe, budget), expect);
+            prop_assert_eq!(compiled.min_hamming_distance_within_words(&words, budget), expect);
+            prop_assert_eq!(flat.min_hamming_distance_within_words(&words, budget), expect);
         }
         // Batch dispatch over every probe at once (sliced when amortised).
         let packed: Vec<Vec<u64>> = probes.iter().map(|p| pack_words(p)).collect();
@@ -165,17 +171,18 @@ proptest! {
     /// included.
     #[test]
     fn degenerate_zones_agree(probe in pattern(VARS), budget in 0u32..((VARS as u32) + 2)) {
+        let words = pack_words(&probe);
         let bdd = Bdd::new(VARS);
         for root in [bdd.zero(), bdd.one()] {
             let snap = BddSnapshot::capture(&bdd, root);
             for zone in [CompiledZone::compile(&snap), CompiledZone::compile_flat_only(&snap)] {
-                prop_assert_eq!(zone.eval_bools(&probe), snap.eval(&probe));
+                prop_assert_eq!(zone.eval_words(&words), snap.eval(&probe));
                 prop_assert_eq!(
-                    zone.min_hamming_distance_bools(&probe),
+                    zone.min_hamming_distance_words(&words),
                     snap.min_hamming_distance(&probe)
                 );
                 prop_assert_eq!(
-                    zone.min_hamming_distance_within_bools(&probe, budget),
+                    zone.min_hamming_distance_within_words(&words, budget),
                     snap.min_hamming_distance_within(&probe, budget)
                 );
             }
@@ -185,14 +192,14 @@ proptest! {
         for root in [bdd0.zero(), bdd0.one()] {
             let snap = BddSnapshot::capture(&bdd0, root);
             for zone in [CompiledZone::compile(&snap), CompiledZone::compile_flat_only(&snap)] {
-                prop_assert_eq!(zone.eval_bools(&[]), snap.eval(&[]));
+                prop_assert_eq!(zone.eval_words(&[]), snap.eval(&[]));
                 prop_assert_eq!(
-                    zone.min_hamming_distance_bools(&[]),
+                    zone.min_hamming_distance_words(&[]),
                     snap.min_hamming_distance(&[])
                 );
                 for b in [0u32, 1, u32::MAX] {
                     prop_assert_eq!(
-                        zone.min_hamming_distance_within_bools(&[], b),
+                        zone.min_hamming_distance_within_words(&[], b),
                         snap.min_hamming_distance_within(&[], b)
                     );
                 }

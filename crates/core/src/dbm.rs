@@ -15,9 +15,8 @@
 //! `(d+1) × (d+1)` matrix `m` over a pseudo-variable `v_0 = 0`, where
 //! `m[i][j]` is an upper bound on `v_i - v_j` (`f32::INFINITY` when
 //! unconstrained).  The zone built by [`DbmZone::insert`] is the domain
-//! join of point zones and is canonical by construction; zones assembled
-//! from raw constraints via [`DbmZone::from_bounds`] are canonicalised
-//! with a Floyd–Warshall [`DbmZone::close`] pass.
+//! join of point zones and is canonical by construction: a Floyd–Warshall
+//! [`DbmZone::close`] pass leaves it unchanged.
 
 use serde::{Deserialize, Serialize};
 
@@ -65,36 +64,6 @@ impl DbmZone {
         }
     }
 
-    /// Builds a zone directly from a bound matrix: `bounds[i][j]` is the
-    /// upper bound on `v_i - v_j` with `v_0 = 0` at index 0 (use
-    /// `f32::INFINITY` for "unconstrained").  The matrix is canonicalised
-    /// with a closure pass; the result is marked non-empty.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `bounds` is not `(width + 1)²` entries long, or if the
-    /// constraint system is inconsistent (a negative cycle, e.g.
-    /// `v_1 ≤ 0 ∧ -v_1 ≤ -1`).
-    pub fn from_bounds(width: usize, bounds: Vec<f32>) -> Self {
-        let dim = width + 1;
-        assert_eq!(
-            bounds.len(),
-            dim * dim,
-            "bound matrix must be (width + 1)^2 entries"
-        );
-        let mut zone = DbmZone {
-            bounds,
-            dim,
-            count: 1,
-        };
-        zone.close();
-        assert!(
-            zone.is_consistent(),
-            "inconsistent difference-bound constraints"
-        );
-        zone
-    }
-
     /// Number of monitored neurons.
     pub fn width(&self) -> usize {
         self.dim - 1
@@ -113,20 +82,6 @@ impl DbmZone {
     #[inline]
     fn at_mut(&mut self, i: usize, j: usize) -> &mut f32 {
         &mut self.bounds[i * self.dim + j]
-    }
-
-    /// The tightest recorded upper bound on `v_i - v_j` (neuron indices,
-    /// 0-based).  `f32::INFINITY` before any insertion.
-    ///
-    /// # Panics
-    ///
-    /// Panics if an index is out of range.
-    pub fn difference_bound(&self, i: usize, j: usize) -> f32 {
-        assert!(
-            i < self.width() && j < self.width(),
-            "neuron index out of range"
-        );
-        self.at(i + 1, j + 1)
     }
 
     /// The recorded range of neuron `i` as `(lo, hi)` — the box projection
@@ -234,8 +189,8 @@ impl DbmZone {
 
     /// Floyd–Warshall shortest-path closure: tightens every bound through
     /// every intermediate variable, producing the canonical form.  Zones
-    /// grown purely by [`DbmZone::insert`] are already canonical; this is
-    /// needed after [`DbmZone::from_bounds`] or manual edits.
+    /// grown by [`DbmZone::insert`] and [`DbmZone::join`] are already
+    /// canonical, so on them this changes nothing.
     pub fn close(&mut self) {
         let dim = self.dim;
         for k in 0..dim {
@@ -257,12 +212,6 @@ impl DbmZone {
                 }
             }
         }
-    }
-
-    /// `true` when the constraint system admits at least one point (no
-    /// negative cycle: every diagonal entry is ≥ 0 after closure).
-    pub fn is_consistent(&self) -> bool {
-        (0..self.dim).all(|i| self.at(i, i) >= 0.0)
     }
 
     /// `true` when every point of `other` satisfies this zone's
@@ -308,31 +257,6 @@ impl DbmZone {
             }
         }
         self.count += other.count;
-    }
-
-    /// Standard DBM widening: bounds that grew from `self` to `newer`
-    /// jump to `+∞`, guaranteeing termination of a fixpoint iteration —
-    /// useful when a deployed refinement keeps learning online and must
-    /// stabilise.  `self` should be the older iterate.
-    ///
-    /// # Panics
-    ///
-    /// Panics if widths differ.
-    pub fn widen(&mut self, newer: &DbmZone) {
-        assert_eq!(self.width(), newer.width(), "zone width mismatch");
-        if newer.count == 0 {
-            return;
-        }
-        if self.count == 0 {
-            *self = newer.clone();
-            return;
-        }
-        for (mine, &theirs) in self.bounds.iter_mut().zip(&newer.bounds) {
-            if theirs > *mine {
-                *mine = f32::INFINITY;
-            }
-        }
-        self.count += newer.count;
     }
 }
 
@@ -417,7 +341,6 @@ mod tests {
         z.insert(&[3.0, 0.0]);
         assert_eq!(z.range(0), (1.0, 3.0));
         assert_eq!(z.range(1), (-2.0, 0.0));
-        assert_eq!(z.difference_bound(0, 1), 3.0);
     }
 
     #[test]
@@ -439,37 +362,6 @@ mod tests {
         assert!(!z.contains(&[1.5], 0.2));
         assert!(z.contains(&[1.5], 0.6));
         assert!(z.contains(&[0.6], 0.6));
-    }
-
-    #[test]
-    fn from_bounds_closes_transitive_constraints() {
-        // v1 <= 1, v2 - v1 <= 1  =>  v2 <= 2 after closure.
-        let w = 2;
-        let dim = w + 1;
-        let mut b = vec![f32::INFINITY; dim * dim];
-        for i in 0..dim {
-            b[i * dim + i] = 0.0;
-        }
-        b[dim] = 1.0; // v1 - v0 <= 1
-        b[2 * dim + 1] = 1.0; // v2 - v1 <= 1
-        let z = DbmZone::from_bounds(w, b);
-        assert_eq!(z.range(1).1, 2.0);
-        assert!(z.contains(&[1.0, 2.0], 0.0));
-        assert!(!z.contains(&[1.0, 2.5], 0.0));
-    }
-
-    #[test]
-    #[should_panic(expected = "inconsistent")]
-    fn from_bounds_rejects_negative_cycle() {
-        let w = 1;
-        let dim = w + 1;
-        let mut b = vec![f32::INFINITY; dim * dim];
-        for i in 0..dim {
-            b[i * dim + i] = 0.0;
-        }
-        b[dim] = 0.0; // v1 <= 0
-        b[1] = -1.0; // -v1 <= -1  =>  v1 >= 1: contradiction
-        let _ = DbmZone::from_bounds(w, b);
     }
 
     #[test]
@@ -527,23 +419,6 @@ mod tests {
         assert!(small.includes(&empty));
         assert!(!empty.includes(&small));
         assert!(empty.includes(&empty));
-    }
-
-    #[test]
-    fn widen_jumps_growing_bounds_to_infinity() {
-        let mut old = DbmZone::empty(1);
-        old.insert(&[1.0]);
-        let mut newer = old.clone();
-        newer.insert(&[2.0]); // upper bound grew 1.0 -> 2.0
-        old.widen(&newer);
-        assert_eq!(old.range(0).1, f32::INFINITY);
-        // The lower bound did not move, so it stays finite.
-        assert_eq!(old.range(0).0, 1.0);
-        // Widening is stable: widening with an included zone changes nothing.
-        let snapshot = old.clone();
-        let newer2 = newer.clone();
-        old.widen(&newer2);
-        assert_eq!(old.bounds, snapshot.bounds);
     }
 
     #[test]

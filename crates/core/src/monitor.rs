@@ -126,32 +126,6 @@ impl<Z: Zone> Monitor<Z> {
         self.zones.get(class).and_then(|z| z.as_ref())
     }
 
-    /// Merges `other`'s per-class seed sets into this monitor (set union,
-    /// re-dilated to this monitor's γ).  Both monitors must have been
-    /// built for the same layer, selection and class count — this is how
-    /// monitors built on disjoint data shards (different vehicles,
-    /// different collection campaigns) are combined.
-    ///
-    /// # Panics
-    ///
-    /// Panics if layer, selection or class counts differ, or if one side
-    /// monitors a class the other does not.
-    pub fn merge(&mut self, other: &Monitor<Z>) {
-        assert_eq!(self.layer, other.layer, "monitored layers differ");
-        assert_eq!(self.selection, other.selection, "selections differ");
-        assert_eq!(self.zones.len(), other.zones.len(), "class counts differ");
-        for (c, (mine, theirs)) in self.zones.iter_mut().zip(&other.zones).enumerate() {
-            match (mine, theirs) {
-                (Some(a), Some(b)) => {
-                    a.absorb(b);
-                    self.dirty[c] = true;
-                }
-                (None, None) => {}
-                _ => panic!("monitored class sets differ"),
-            }
-        }
-    }
-
     /// Feeds operator-confirmed activation patterns back into the comfort
     /// zone of `class` — the paper's Section IV adaptation loop, where an
     /// out-of-pattern decision a human vets as benign should stop
@@ -201,8 +175,8 @@ impl<Z: Zone> Monitor<Z> {
     }
 
     /// Classes whose zones changed since the last [`Monitor::take_dirty`]
-    /// (via [`Monitor::enrich`], [`Monitor::merge`] or
-    /// [`ActivationMonitor::enlarge_to`]), ascending.
+    /// (via [`Monitor::enrich`] or [`ActivationMonitor::enlarge_to`]),
+    /// ascending.
     pub fn dirty_classes(&self) -> Vec<usize> {
         self.dirty
             .iter()
@@ -609,27 +583,6 @@ mod tests {
     }
 
     #[test]
-    fn merge_combines_shard_monitors() {
-        let (mut net, xs, ys) = two_blob_problem();
-        // Build one monitor per data shard, then merge.
-        let half = xs.len() / 2;
-        let mut shard_a: Monitor<BddZone> = build_manual(&mut net, &xs[..half], &ys[..half], 1);
-        let shard_b: Monitor<BddZone> = build_manual(&mut net, &xs[half..], &ys[half..], 1);
-        let whole: Monitor<BddZone> = build_manual(&mut net, &xs, &ys, 1);
-        shard_a.merge(&shard_b);
-        // The merged monitor agrees with the monitor built on all data.
-        for x in &xs {
-            let a = shard_a.check(&mut net, x);
-            let w = whole.check(&mut net, x);
-            assert_eq!(a.verdict, w.verdict);
-            assert_eq!(a.distance_to_seeds, w.distance_to_seeds);
-        }
-        let merged_seeds: usize = shard_a.seed_counts().iter().flatten().sum();
-        let whole_seeds: usize = whole.seed_counts().iter().flatten().sum();
-        assert_eq!(merged_seeds, whole_seeds);
-    }
-
-    #[test]
     fn enrich_admits_confirmed_patterns_post_enlargement() {
         let (mut net, xs, ys) = two_blob_problem();
         let mut monitor: Monitor<BddZone> = build_manual(&mut net, &xs, &ys, 1);
@@ -717,7 +670,7 @@ mod tests {
     }
 
     #[test]
-    fn enlarge_and_merge_mark_dirty() {
+    fn enlarge_marks_dirty() {
         let (mut net, xs, ys) = two_blob_problem();
         let mut monitor: Monitor<BddZone> = build_manual(&mut net, &xs, &ys, 1);
         monitor.enlarge_to(2);
@@ -725,9 +678,6 @@ mod tests {
         // Re-requesting the same gamma changes nothing.
         monitor.enlarge_to(2);
         assert!(monitor.dirty_classes().is_empty());
-        let other: Monitor<BddZone> = build_manual(&mut net, &xs, &ys, 2);
-        monitor.merge(&other);
-        assert_eq!(monitor.dirty_classes(), vec![0, 1]);
     }
 
     #[test]

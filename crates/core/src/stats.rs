@@ -59,18 +59,6 @@ impl MonitorStats {
     pub fn warning_recall(&self) -> f64 {
         ratio(self.out_of_pattern_and_misclassified, self.misclassified)
     }
-
-    /// Merges two disjoint evaluations.
-    pub fn merge(&self, other: &MonitorStats) -> MonitorStats {
-        MonitorStats {
-            total: self.total + other.total,
-            misclassified: self.misclassified + other.misclassified,
-            out_of_pattern: self.out_of_pattern + other.out_of_pattern,
-            out_of_pattern_and_misclassified: self.out_of_pattern_and_misclassified
-                + other.out_of_pattern_and_misclassified,
-            unmonitored: self.unmonitored + other.unmonitored,
-        }
-    }
 }
 
 fn ratio(num: usize, den: usize) -> f64 {
@@ -210,21 +198,6 @@ mod tests {
         let s = MonitorStats::default();
         assert_eq!(s.misclassification_rate(), 0.0);
         assert_eq!(s.warning_precision(), 0.0);
-    }
-
-    #[test]
-    fn merge_adds_counts() {
-        let a = MonitorStats {
-            total: 10,
-            misclassified: 1,
-            out_of_pattern: 2,
-            out_of_pattern_and_misclassified: 1,
-            unmonitored: 0,
-        };
-        let b = a;
-        let m = a.merge(&b);
-        assert_eq!(m.total, 20);
-        assert_eq!(m.out_of_pattern, 4);
     }
 
     #[test]

@@ -74,18 +74,6 @@ pub trait Zone: std::fmt::Debug + Send + Sync {
     /// counting can exceed `usize` (e.g. diagram-based counting over very
     /// wide patterns) saturate at `usize::MAX` instead of wrapping.
     fn seed_count(&self) -> usize;
-
-    /// Merges another zone's **seed set** into this one (set union), then
-    /// restores this zone's γ-enlargement.  Supports building monitors
-    /// over data shards and combining them (e.g. fleet-wide pattern
-    /// collection).
-    ///
-    /// # Panics
-    ///
-    /// Panics if widths differ.
-    fn absorb(&mut self, other: &Self)
-    where
-        Self: Sized;
 }
 
 /// BDD-backed comfort zone (the paper's representation).
@@ -230,20 +218,6 @@ impl Zone for BddZone {
             count as usize
         }
     }
-
-    fn absorb(&mut self, other: &Self) {
-        assert_eq!(self.width(), other.width(), "pattern width mismatch");
-        // Transplant the other zone's seed diagram into this manager, then
-        // re-establish the gamma-ball around the union.
-        let (snap, _) = other.snapshot();
-        let other_seeds = snap
-            .restore(&mut self.bdd)
-            // naps-lint: allow(typed_errors, "the snapshot was taken from a live zone by the line above; restore of a just-taken snapshot cannot be malformed")
-            .expect("snapshot from a live zone is well-formed");
-        self.seeds = self.bdd.or(self.seeds, other_seeds);
-        let ball = self.bdd.dilate(other_seeds, self.gamma);
-        self.zone = self.bdd.or(self.zone, ball);
-    }
 }
 
 impl BddZone {
@@ -255,21 +229,6 @@ impl BddZone {
         assert_eq!(pattern.len(), self.width(), "pattern width mismatch");
         self.bdd
             .min_hamming_distance(self.zone, &pattern.to_bools())
-    }
-
-    /// Fraction of the full pattern space `{0,1}^d` covered by the
-    /// enlarged zone — the quantitative "coarseness of abstraction" of
-    /// Figure 2 (α1 ≈ 0, α3 ≈ 1).
-    ///
-    /// Computed as a normalized measure directly on the diagram
-    /// ([`naps_bdd::Bdd::sat_fraction`]), never as
-    /// `pattern_count() / 2^d`: the quotient returned `0.0` for every
-    /// width-0 zone (even one containing the empty pattern, where the
-    /// zone covers the whole space) and silently divided by `inf` —
-    /// reporting 0 coverage — for widths above 1023, where `2^d`
-    /// overflows `f64`.
-    pub fn volume_fraction(&self) -> f64 {
-        self.bdd.sat_fraction(self.zone)
     }
 
     /// Garbage-collects the underlying manager: only the seed set and the
@@ -379,11 +338,6 @@ impl Zone for ExactZone {
 
     fn seed_count(&self) -> usize {
         self.seeds.len()
-    }
-
-    fn absorb(&mut self, other: &Self) {
-        assert_eq!(self.width, other.width, "pattern width mismatch");
-        self.seeds.extend(other.seeds.iter().cloned());
     }
 }
 
@@ -653,36 +607,6 @@ mod tests {
         }
     }
 
-    fn absorb_contract<Z: Zone>() {
-        let mut a = Z::empty(5);
-        a.insert(&p(&[1, 0, 0, 0, 0]));
-        a.enlarge_to(1);
-        let mut b = Z::empty(5);
-        b.insert(&p(&[0, 0, 0, 0, 1]));
-        a.absorb(&b);
-        assert_eq!(a.seed_count(), 2);
-        // Both seeds present, both gamma-dilated in the merged zone.
-        assert!(a.contains(&p(&[1, 0, 0, 0, 0])));
-        assert!(a.contains(&p(&[0, 0, 0, 0, 1])));
-        assert!(
-            a.contains(&p(&[0, 1, 0, 0, 1])),
-            "absorbed seed not dilated"
-        );
-        assert!(!a.contains(&p(&[1, 1, 0, 0, 1])));
-        // Distances reflect the union of seeds.
-        assert_eq!(a.distance_to_seeds(&p(&[0, 0, 0, 0, 1])), Some(0));
-    }
-
-    #[test]
-    fn bdd_zone_absorb_merges_seed_sets() {
-        absorb_contract::<BddZone>();
-    }
-
-    #[test]
-    fn exact_zone_absorb_merges_seed_sets() {
-        absorb_contract::<ExactZone>();
-    }
-
     #[test]
     fn compact_preserves_zone_and_frees_nodes() {
         let mut z = BddZone::empty(10);
@@ -712,39 +636,13 @@ mod tests {
     }
 
     #[test]
-    fn volume_fraction_tracks_dilation() {
-        let mut z = BddZone::empty(6);
-        z.insert(&p(&[0, 0, 0, 0, 0, 0]));
-        assert!((z.volume_fraction() - 1.0 / 64.0).abs() < 1e-12);
-        z.enlarge_to(1);
-        assert!((z.volume_fraction() - 7.0 / 64.0).abs() < 1e-12);
-        z.enlarge_to(6);
-        assert!((z.volume_fraction() - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn volume_fraction_of_width_zero_zone() {
-        // {0,1}^0 has exactly one pattern (the empty one).  A zone that
-        // contains it covers the whole space; an empty zone covers none.
+    fn width_zero_zone_holds_the_empty_pattern() {
+        // {0,1}^0 has exactly one pattern (the empty one).
         let mut z = BddZone::empty(0);
-        assert_eq!(z.volume_fraction(), 0.0);
+        assert!(!z.contains(&Pattern::from_bools(&[])));
         z.insert(&Pattern::from_bools(&[]));
-        assert_eq!(z.volume_fraction(), 1.0);
         assert_eq!(z.seed_count(), 1);
         assert!(z.contains(&Pattern::from_bools(&[])));
-    }
-
-    #[test]
-    fn volume_fraction_survives_huge_widths() {
-        // 2^1200 overflows f64; the fraction must stay exact, not
-        // collapse to 0 (finite/inf) or NaN (inf/inf).
-        let mut z = BddZone::empty(1200);
-        assert_eq!(z.volume_fraction(), 0.0);
-        z.zone = z.bdd.one(); // full space, directly (inserting 2^1200 seeds is not an option)
-        assert_eq!(z.volume_fraction(), 1.0);
-        let v0 = z.bdd.var(0);
-        z.zone = v0; // half space
-        assert_eq!(z.volume_fraction(), 0.5);
     }
 
     #[test]

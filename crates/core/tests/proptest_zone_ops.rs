@@ -1,7 +1,7 @@
 //! Cross-backend equivalence under arbitrary **operation interleavings**:
 //! `BddZone` and `ExactZone` must implement the same set semantics not
 //! just for build-then-query usage, but for any order of `insert`,
-//! `enlarge_to`, `absorb`, `contains` and `distance_to_seeds` — in
+//! `enlarge_to`, `contains` and `distance_to_seeds` — in
 //! particular the post-`enlarge_to` `insert` path that online enrichment
 //! (`Monitor::enrich`) leans on.
 //!
@@ -20,19 +20,14 @@ fn pattern() -> impl Strategy<Value = Vec<bool>> {
     proptest::collection::vec(any::<bool>(), WIDTH)
 }
 
-/// One interpreted operation: `(kind, pattern, gamma, other_seeds)`.
-/// The surplus fields are ignored by kinds that do not need them — the
-/// vendored proptest has no `prop_oneof`, so ops are decoded from a
-/// uniform tuple shape.
-type RawOp = (u8, Vec<bool>, u32, Vec<Vec<bool>>);
+/// One interpreted operation: `(kind, pattern, gamma)`.  The surplus
+/// fields are ignored by kinds that do not need them — the vendored
+/// proptest has no `prop_oneof`, so ops are decoded from a uniform tuple
+/// shape.
+type RawOp = (u8, Vec<bool>, u32);
 
 fn op() -> impl Strategy<Value = RawOp> {
-    (
-        0u8..5,
-        pattern(),
-        0u32..4,
-        proptest::collection::vec(pattern(), 1..4),
-    )
+    (0u8..4, pattern(), 0u32..4)
 }
 
 fn program() -> impl Strategy<Value = Vec<RawOp>> {
@@ -44,7 +39,7 @@ fn program() -> impl Strategy<Value = Vec<RawOp>> {
 fn run_program(program: &[RawOp]) {
     let mut bdd = BddZone::empty(WIDTH);
     let mut exact = ExactZone::empty(WIDTH);
-    for (step, (kind, bits, gamma, other_seeds)) in program.iter().enumerate() {
+    for (step, (kind, bits, gamma)) in program.iter().enumerate() {
         let p = Pattern::from_bools(bits);
         match kind {
             0 => {
@@ -58,22 +53,6 @@ fn run_program(program: &[RawOp]) {
                 exact.enlarge_to(g);
             }
             2 => {
-                // Absorb a shard built from the same seeds on each side
-                // (the shard's own gamma is irrelevant to absorb).
-                let mut other_bdd = BddZone::empty(WIDTH);
-                let mut other_exact = ExactZone::empty(WIDTH);
-                for s in other_seeds {
-                    let sp = Pattern::from_bools(s);
-                    other_bdd.insert(&sp);
-                    other_exact.insert(&sp);
-                }
-                let g = *gamma % 2;
-                other_bdd.enlarge_to(g);
-                other_exact.enlarge_to(g);
-                bdd.absorb(&other_bdd);
-                exact.absorb(&other_exact);
-            }
-            3 => {
                 assert_eq!(
                     bdd.contains(&p),
                     exact.contains(&p),
@@ -126,40 +105,26 @@ proptest! {
 #[test]
 fn enrich_shaped_interleaving_agrees() {
     // The exact shape the live-update path produces: build, enlarge,
-    // then keep inserting (and absorbing a late shard) post-enlargement.
+    // then keep inserting post-enlargement.
     let as_ops: Vec<RawOp> = vec![
         (
             0,
             vec![true, false, true, false, true, false, true, false],
             0,
-            vec![],
         ),
-        (0, vec![false; WIDTH], 0, vec![]),
-        (1, vec![false; WIDTH], 2, vec![]), // enlarge to 2
-        (0, vec![true; WIDTH], 0, vec![]),  // post-enlarge insert
-        (
-            3,
-            vec![true, true, true, true, true, true, true, false],
-            0,
-            vec![],
-        ), // query
-        (
-            2,
-            vec![false; WIDTH],
-            1,
-            vec![vec![false, true, false, true, false, true, false, true]],
-        ),
+        (0, vec![false; WIDTH], 0),
+        (1, vec![false; WIDTH], 2), // enlarge to 2
+        (0, vec![true; WIDTH], 0),  // post-enlarge insert
+        (2, vec![true, true, true, true, true, true, true, false], 0), // query
         (
             0,
             vec![true, true, false, false, true, true, false, false],
             0,
-            vec![],
         ),
         (
-            4,
+            3,
             vec![true, false, false, false, false, false, false, false],
             0,
-            vec![],
         ),
     ];
     run_program(&as_ops);

@@ -2,7 +2,7 @@
 //!
 //! `check_batch`'s front half — pack the batch, run the plan-observed
 //! forward pass, extract per-row patterns — is compute-bound instead of
-//! allocator-bound: weights are pre-packed once at freeze/publish/load
+//! allocator-bound: the model is prepared once at freeze/publish/load
 //! ([`naps_nn::PreparedModel`]), and each engine worker owns a
 //! [`naps_core::prepared::PreparedObserver`] whose batch / carry /
 //! pattern storage is refilled in place across micro-batches.
@@ -219,7 +219,7 @@ fn compare(
     alloc_count: fn() -> u64,
 ) -> ForwardFixture {
     let frozen = FrozenLayeredMonitor::from_single(FrozenMonitor::freeze(monitor));
-    // The cold half, once: capture the frozen weights and pre-pack them
+    // The cold half, once: capture the frozen weights and prepare them
     // against the monitor's observation plan — exactly what the engine
     // does per replica at construction.
     let snapshot = ModelSnapshot::capture(&model).expect("built-in layers capture");

@@ -170,42 +170,6 @@ impl FrontCarPipeline {
         warned as f64 / n as f64
     }
 
-    /// Simulates a rolling drive: starting from `scenario`, advance the
-    /// kinematics for `steps` ticks of `dt` seconds (random relative
-    /// speeds), monitoring every tick.  Returns the per-tick outcomes —
-    /// the sequence-level view a highway pilot's supervisor would consume.
-    pub fn run_sequence(
-        &mut self,
-        mut scenario: Scenario,
-        steps: usize,
-        dt: f32,
-        rng: &mut impl Rng,
-    ) -> Vec<StepOutcome> {
-        let mut outcomes = Vec::with_capacity(steps);
-        for _ in 0..steps {
-            outcomes.push(self.step(&scenario, rng));
-            let speeds: Vec<f32> = scenario
-                .vehicles
-                .iter()
-                .map(|_| rng.gen_range(-6.0..6.0))
-                .collect();
-            scenario.advance(dt, &speeds, rng);
-            // Occasionally a new vehicle enters sensor range.
-            if scenario.vehicles.len() < crate::scenario::MAX_VEHICLES && rng.gen::<f32>() < 0.1 {
-                let mut fresh = Scenario::sample(scenario.conditions, rng);
-                if let Some(v) = fresh.vehicles.pop() {
-                    scenario.vehicles.push(v);
-                }
-            }
-        }
-        outcomes
-    }
-
-    /// The underlying selection network.
-    pub fn model_mut(&mut self) -> &mut Sequential {
-        &mut self.model
-    }
-
     /// The monitor.
     pub fn monitor(&self) -> &Monitor<BddZone> {
         &self.monitor
@@ -264,18 +228,6 @@ mod tests {
             // In-pattern implies the pattern is inside the zone; distance
             // may still be positive (gamma ball) but must exist.
             assert!(out.distance_to_seeds.is_some());
-        }
-    }
-
-    #[test]
-    fn sequences_monitor_every_tick() {
-        let mut rng = StdRng::seed_from_u64(4);
-        let mut pipe = FrontCarPipeline::train(small_config(), &mut rng);
-        let start = Scenario::sample(Conditions::nominal(), &mut rng);
-        let outcomes = pipe.run_sequence(start, 30, 0.5, &mut rng);
-        assert_eq!(outcomes.len(), 30);
-        for o in &outcomes {
-            assert!(o.selected < NUM_CLASSES);
         }
     }
 

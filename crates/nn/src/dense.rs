@@ -14,7 +14,12 @@ pub struct Dense {
     b: Tensor,
     grad_w: Tensor,
     grad_b: Tensor,
-    cached_x: Option<Tensor>,
+    /// The input of the last forward pass, which backward needs for
+    /// `dW`.  Kept on inference passes too, because gradient saliency
+    /// backpropagates through one.  One buffer, reused while the batch
+    /// size repeats; a batch of another size replaces it, so one large
+    /// batch (a whole test set) does not stay allocated afterwards.
+    input: Tensor,
     in_features: usize,
     out_features: usize,
 }
@@ -32,7 +37,7 @@ impl Dense {
             b: Tensor::zeros(vec![out_features]),
             grad_w: Tensor::zeros(vec![in_features, out_features]),
             grad_b: Tensor::zeros(vec![out_features]),
-            cached_x: None,
+            input: Tensor::default(),
             in_features,
             out_features,
         }
@@ -50,7 +55,7 @@ impl Dense {
         Dense {
             grad_w: Tensor::zeros(vec![in_features, out_features]),
             grad_b: Tensor::zeros(vec![out_features]),
-            cached_x: None,
+            input: Tensor::default(),
             in_features,
             out_features,
             w,
@@ -99,7 +104,11 @@ impl Layer for Dense {
             self.in_features,
             x.shape()
         );
-        self.cached_x = Some(x.clone());
+        if self.input.len() == x.len() {
+            self.input.copy_from(x);
+        } else {
+            self.input = x.clone();
+        }
         let mut y = x.matmul(&self.w);
         // Broadcast-add bias per row.
         let out = self.out_features;
@@ -120,13 +129,9 @@ impl Layer for Dense {
     }
 
     fn backward_params(&mut self, grad_out: &Tensor) {
-        let x = self
-            .cached_x
-            .as_ref()
-            // naps-lint: allow(typed_errors, "Layer::backward contract: forward caches first; misuse is a caller bug, not a runtime error path")
-            .expect("backward called before forward");
+        assert!(!self.input.is_empty(), "backward called before forward");
         // dW += x^T @ g ; db += column sums of g.
-        let gw = x.matmul_at(grad_out);
+        let gw = self.input.matmul_at(grad_out);
         self.grad_w.add_assign(&gw);
         let gb = grad_out.sum_rows();
         self.grad_b.add_assign(&gb);
@@ -251,6 +256,49 @@ mod tests {
         }
         d.zero_grad();
         assert_eq!(d.grad_w.sum(), 0.0);
+    }
+
+    /// The kept input buffer holds only the last batch: after inference
+    /// forwards at batch 5, then at batch 3 twice (the second reuses the
+    /// buffer in place), backward computes exactly the gradients of a
+    /// fresh layer that saw only the last batch-3 forward.
+    #[test]
+    fn reused_input_buffer_backpropagates_only_the_last_batch() {
+        let mut rng = StdRng::seed_from_u64(11);
+        let mut fresh = Dense::new(4, 3, &mut rng);
+        let mut reused = fresh.clone();
+        let x5 = Tensor::from_vec(
+            vec![5, 4],
+            (0..20).map(|i| (i as f32 * 0.37).sin()).collect(),
+        );
+        let x3 = Tensor::from_vec(
+            vec![3, 4],
+            (0..12).map(|i| (i as f32 * 0.61).cos()).collect(),
+        );
+        let g = Tensor::from_vec(vec![3, 3], (0..9).map(|i| i as f32 - 4.0).collect());
+        let _ = reused.forward(&x5, false);
+        let _ = reused.forward(&x3.map(|v| -2.0 * v), false);
+        let _ = reused.forward(&x3, false);
+        let _ = fresh.forward(&x3, false);
+        let dx_reused = reused.backward(&g);
+        let dx_fresh = fresh.backward(&g);
+        let bits = |t: &Tensor| {
+            (
+                t.shape().to_vec(),
+                t.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
+            )
+        };
+        assert_eq!(bits(&reused.grad_w), bits(&fresh.grad_w), "dW");
+        assert_eq!(bits(&reused.grad_b), bits(&fresh.grad_b), "db");
+        assert_eq!(bits(&dx_reused), bits(&dx_fresh), "dX");
+    }
+
+    #[test]
+    #[should_panic(expected = "backward called before forward")]
+    fn backward_before_forward_panics() {
+        let mut rng = StdRng::seed_from_u64(0);
+        let mut d = Dense::new(2, 2, &mut rng);
+        let _ = d.backward(&Tensor::ones(vec![1, 2]));
     }
 
     #[test]

@@ -53,7 +53,6 @@ mod pool;
 mod prepared;
 mod relu;
 mod saliency;
-mod schedule;
 mod sequential;
 mod serialize;
 mod stats;
@@ -77,8 +76,7 @@ pub use pool::MaxPool2d;
 pub use prepared::{ForwardScratch, PreparedModel};
 pub use relu::Relu;
 pub use saliency::{saliency_by_backward, saliency_from_output_weights, top_k_fraction};
-pub use schedule::{ConstantLr, CosineDecay, EarlyStop, LrSchedule, StepDecay};
 pub use sequential::Sequential;
 pub use serialize::{LayerSnapshot, ModelSnapshot, SnapshotError};
 pub use stats::activation_moments;
-pub use train::{FitOptions, TrainConfig, TrainReport, Trainer};
+pub use train::{TrainConfig, TrainReport, Trainer};

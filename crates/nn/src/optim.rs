@@ -11,13 +11,6 @@ pub trait Optimizer {
     /// Applies one update step and leaves gradients untouched (call
     /// [`crate::Sequential::zero_grad`] afterwards).
     fn step(&mut self, params: &mut [ParamGrad<'_>]);
-
-    /// The current learning rate.
-    fn lr(&self) -> f32;
-
-    /// Replaces the learning rate (used by [`crate::LrSchedule`]s between
-    /// epochs; optimizer state such as momentum is unaffected).
-    fn set_lr(&mut self, lr: f32);
 }
 
 /// Stochastic gradient descent with classical momentum.
@@ -42,14 +35,6 @@ impl Sgd {
 }
 
 impl Optimizer for Sgd {
-    fn lr(&self) -> f32 {
-        self.lr
-    }
-
-    fn set_lr(&mut self, lr: f32) {
-        self.lr = lr;
-    }
-
     fn step(&mut self, params: &mut [ParamGrad<'_>]) {
         if self.velocity.len() != params.len() {
             self.velocity = params
@@ -105,14 +90,6 @@ impl Adam {
 }
 
 impl Optimizer for Adam {
-    fn lr(&self) -> f32 {
-        self.lr
-    }
-
-    fn set_lr(&mut self, lr: f32) {
-        self.lr = lr;
-    }
-
     fn step(&mut self, params: &mut [ParamGrad<'_>]) {
         if self.m.len() != params.len() {
             self.m = params

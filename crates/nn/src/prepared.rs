@@ -3,10 +3,10 @@
 //! [`Sequential::forward_observe_plan`](crate::Sequential::forward_observe_plan)
 //! allocates a fresh output tensor per layer per call.
 //! [`ModelSnapshot::prepare`] resolves everything that is frozen at
-//! capture time exactly once — layer kinds, `Dense` weight panels packed
-//! via [`PackedWeights`], batch-norm scales, the observation plan, the
-//! input width, and which conv → ReLU → max-pool runs can be fused —
-//! and [`PreparedModel::forward_observe_into`] then runs the inference
+//! capture time exactly once — layer kinds, weights, batch-norm scales,
+//! the observation plan, the input width, and which conv → ReLU →
+//! max-pool runs can be fused — and
+//! [`PreparedModel::forward_observe_into`] then runs the inference
 //! arithmetic writing into a caller-owned [`ForwardScratch`] (ping-pong
 //! carry buffers, the conv lowering, one sample's conv output, the
 //! logits) and a caller-owned observed-activation vector.  After the
@@ -28,19 +28,14 @@ use crate::kernels::{self, PoolDims};
 use crate::observe::ObservationPlan;
 use crate::serialize::{LayerSnapshot, ModelSnapshot};
 use crate::{conv, dense, norm};
-use naps_tensor::{ConvDims, PackedWeights, Tensor};
+use naps_tensor::{ConvDims, Tensor};
 
 /// One layer of a [`PreparedModel`]: weight- and kind-dispatch resolved at
 /// preparation time.
 #[derive(Debug, Clone)]
 enum PreparedOp {
-    /// Fully-connected layer with its weight panel packed once.
-    Dense {
-        /// The `[in, out]` panel, packed for `x @ w` products.
-        packed: PackedWeights,
-        /// Bias vector `[out]`.
-        bias: Tensor,
-    },
+    /// Fully-connected layer: weights `[in, out]` and bias `[out]`.
+    Dense { w: Tensor, b: Tensor },
     /// Convolution: kernel `[out_c, in_c*k*k]` and bias `[out_c]`, run
     /// output-stationary.
     Conv {
@@ -115,8 +110,8 @@ impl ForwardScratch {
     }
 }
 
-/// A [`ModelSnapshot`] with its frozen parts resolved for serving: packed
-/// weight panels, a fixed observation plan and the input width.
+/// A [`ModelSnapshot`] with its frozen parts resolved for serving: its
+/// weights, a fixed observation plan and the input width.
 #[derive(Debug, Clone)]
 pub struct PreparedModel {
     ops: Vec<PreparedOp>,
@@ -125,8 +120,8 @@ pub struct PreparedModel {
 }
 
 impl ModelSnapshot {
-    /// Resolves the frozen half of the forward pass once: packs every
-    /// `Dense` weight panel, turns batch-norm variances into scales and
+    /// Resolves the frozen half of the forward pass once: copies every
+    /// layer's weights, turns batch-norm variances into scales and
     /// fixes the observation plan, so that
     /// [`PreparedModel::forward_observe_into`] never allocates after
     /// warm-up.  The serving publish/load path calls this exactly where it
@@ -162,8 +157,8 @@ impl ModelSnapshot {
                 LayerSnapshot::Dense { w, b } => {
                     dense::check_parts(w, b);
                     PreparedOp::Dense {
-                        packed: PackedWeights::pack(w),
-                        bias: b.clone(),
+                        w: w.clone(),
+                        b: b.clone(),
                     }
                 }
                 LayerSnapshot::Conv2d { dims, w, b } => {
@@ -361,10 +356,10 @@ fn apply(
     conv_out: &mut Tensor,
 ) {
     match op {
-        PreparedOp::Dense { packed, bias } => {
-            packed.matmul_into(x, out);
-            let width = packed.out_features();
-            let b = bias.data();
+        PreparedOp::Dense { w, b } => {
+            x.matmul_into(w, out);
+            let width = w.shape()[1];
+            let b = b.data();
             let rows = out.shape()[0];
             let data = out.data_mut();
             for r in 0..rows {

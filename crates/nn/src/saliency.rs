@@ -54,9 +54,7 @@ pub fn saliency_by_backward(
         monitored_layer < model.len(),
         "monitored layer {monitored_layer} out of range"
     );
-    let acts = model.forward_all(probes, false);
-    // naps-lint: allow(typed_errors, "forward_all always returns the input plus one activation per layer; never empty")
-    let logits = acts.last().expect("nonempty activations");
+    let logits = model.forward(probes, false);
     let (batch, classes) = (logits.shape()[0], logits.shape()[1]);
     assert!(
         class < classes,

@@ -139,11 +139,6 @@ impl Sequential {
         }
     }
 
-    /// Total number of trainable scalars.
-    pub fn num_parameters(&mut self) -> usize {
-        self.params_mut().iter().map(|p| p.param.len()).sum()
-    }
-
     /// Architecture summary in the paper's Table I notation, e.g.
     /// `"conv(40), maxpool, fc(320), relu, fc(10)"`.
     pub fn summary(&self) -> String {
@@ -240,13 +235,6 @@ mod tests {
         assert_eq!(ga.len(), 4);
         assert_eq!(ga, gb);
         assert!(ga.iter().all(|g| g.data().iter().any(|&v| v != 0.0)));
-    }
-
-    #[test]
-    fn num_parameters_counts_all() {
-        let mut net = tiny_net(3);
-        // (3*5 + 5) + (5*2 + 2) = 32
-        assert_eq!(net.num_parameters(), 32);
     }
 
     #[test]

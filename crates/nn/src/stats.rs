@@ -7,14 +7,18 @@
 //! to an on/off pattern monitor.  [`activation_moments`] computes the
 //! mean and variance each ranking needs.
 
+use crate::observe::ObservationPlan;
 use crate::sequential::Sequential;
+use crate::train::Trainer;
 use naps_tensor::Tensor;
 
 /// Per-neuron mean and (population) variance of the output of `layer`
 /// over `samples`, evaluated in inference mode in batches.
 ///
-/// The monitored activation is `forward_all(..)[layer + 1]`, matching the
-/// convention of `naps-core`'s monitor builder.
+/// Each batch runs one forward that keeps only the output of `layer`
+/// ([`Sequential::forward_observe_plan`] with
+/// [`ObservationPlan::single`]), as `naps-core`'s monitor builder
+/// observes it.
 ///
 /// # Panics
 ///
@@ -51,16 +55,12 @@ pub fn activation_moments(
     let mut sum: Vec<f64> = Vec::new();
     let mut sum_sq: Vec<f64> = Vec::new();
     let mut count = 0usize;
+    let plan = ObservationPlan::single(layer);
     let indices: Vec<usize> = (0..samples.len()).collect();
     for chunk in indices.chunks(batch_size) {
-        let feat = samples[chunk[0]].len();
-        let mut data = Vec::with_capacity(chunk.len() * feat);
-        for &i in chunk {
-            data.extend_from_slice(samples[i].data());
-        }
-        let batch = Tensor::from_vec(vec![chunk.len(), feat], data);
-        let acts = model.forward_all(&batch, false);
-        let monitored = &acts[layer + 1];
+        let batch = Trainer::make_batch(samples, chunk);
+        let (observed, _) = model.forward_observe_plan(&batch, &plan, false);
+        let monitored = &observed[0];
         let width = monitored.shape()[1];
         if sum.is_empty() {
             sum = vec![0.0; width];

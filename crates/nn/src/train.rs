@@ -2,7 +2,6 @@
 
 use crate::loss::{accuracy, softmax_cross_entropy};
 use crate::optim::Optimizer;
-use crate::schedule::{EarlyStop, EarlyStopState, LrSchedule};
 use crate::sequential::Sequential;
 use naps_tensor::Tensor;
 use rand::seq::SliceRandom;
@@ -36,19 +35,6 @@ pub struct TrainReport {
     pub epoch_losses: Vec<f32>,
     /// Training accuracy after the final epoch.
     pub final_train_accuracy: f64,
-    /// The epoch (0-based) at which early stopping fired, or `None` when
-    /// all configured epochs ran.
-    pub stopped_at: Option<usize>,
-}
-
-/// Optional knobs for [`Trainer::fit_with`].
-#[derive(Debug, Default)]
-pub struct FitOptions<'a> {
-    /// Per-epoch learning-rate schedule (base rate taken from the
-    /// optimizer when training starts).
-    pub schedule: Option<&'a dyn LrSchedule>,
-    /// Stop when the epoch loss plateaus.
-    pub early_stop: Option<EarlyStop>,
 }
 
 /// Drives mini-batch gradient descent on a [`Sequential`] model.
@@ -100,43 +86,11 @@ impl Trainer {
         optimizer: &mut dyn Optimizer,
         rng: &mut impl Rng,
     ) -> TrainReport {
-        self.fit_with(
-            model,
-            samples,
-            labels,
-            optimizer,
-            &FitOptions::default(),
-            rng,
-        )
-    }
-
-    /// Like [`Trainer::fit`], with a learning-rate schedule and/or early
-    /// stopping (see [`FitOptions`]).  The optimizer's rate on entry is
-    /// the schedule's base rate and is restored on exit.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `samples.len() != labels.len()` or the set is empty.
-    pub fn fit_with(
-        &self,
-        model: &mut Sequential,
-        samples: &[Tensor],
-        labels: &[usize],
-        optimizer: &mut dyn Optimizer,
-        options: &FitOptions<'_>,
-        rng: &mut impl Rng,
-    ) -> TrainReport {
         assert_eq!(samples.len(), labels.len(), "one label per sample");
         assert!(!samples.is_empty(), "empty training set");
-        let base_lr = optimizer.lr();
-        let mut stopper = options.early_stop.map(EarlyStopState::new);
-        let mut stopped_at = None;
         let mut order: Vec<usize> = (0..samples.len()).collect();
         let mut epoch_losses = Vec::with_capacity(self.config.epochs);
         for epoch in 0..self.config.epochs {
-            if let Some(schedule) = options.schedule {
-                optimizer.set_lr(schedule.lr_at(epoch, base_lr));
-            }
             order.shuffle(rng);
             let mut total_loss = 0.0f32;
             let mut batches = 0usize;
@@ -153,26 +107,14 @@ impl Trainer {
             }
             let mean_loss = total_loss / batches as f32;
             if self.config.verbose {
-                println!(
-                    "epoch {:>3}: loss {mean_loss:.4} (lr {:.2e})",
-                    epoch + 1,
-                    optimizer.lr()
-                );
+                println!("epoch {:>3}: loss {mean_loss:.4}", epoch + 1);
             }
             epoch_losses.push(mean_loss);
-            if let Some(st) = stopper.as_mut() {
-                if st.update(mean_loss) {
-                    stopped_at = Some(epoch);
-                    break;
-                }
-            }
         }
-        optimizer.set_lr(base_lr);
         let final_train_accuracy = self.evaluate(model, samples, labels);
         TrainReport {
             epoch_losses,
             final_train_accuracy,
-            stopped_at,
         }
     }
 
@@ -285,76 +227,7 @@ mod tests {
     }
 
     #[test]
-    fn fit_with_schedule_decays_and_restores_lr() {
-        use crate::schedule::StepDecay;
-        let mut rng = StdRng::seed_from_u64(3);
-        let (xs, ys) = blobs(20, &mut rng);
-        let mut net = Sequential::new(vec![
-            Box::new(Dense::new(2, 12, &mut rng)),
-            Box::new(Relu::new()),
-            Box::new(Dense::new(12, 3, &mut rng)),
-        ]);
-        let trainer = Trainer::new(TrainConfig {
-            epochs: 20,
-            batch_size: 16,
-            verbose: false,
-        });
-        let mut opt = Adam::new(0.02);
-        let schedule = StepDecay::new(5, 0.5);
-        let report = trainer.fit_with(
-            &mut net,
-            &xs,
-            &ys,
-            &mut opt,
-            &FitOptions {
-                schedule: Some(&schedule),
-                early_stop: None,
-            },
-            &mut rng,
-        );
-        use crate::optim::Optimizer as _;
-        assert_eq!(opt.lr(), 0.02, "base rate not restored");
-        assert_eq!(report.stopped_at, None);
-        assert!(report.final_train_accuracy > 0.9);
-    }
-
-    #[test]
-    fn fit_with_early_stop_halts_on_plateau() {
-        use crate::schedule::EarlyStop;
-        let mut rng = StdRng::seed_from_u64(5);
-        let (xs, ys) = blobs(20, &mut rng);
-        let mut net = Sequential::new(vec![
-            Box::new(Dense::new(2, 16, &mut rng)),
-            Box::new(Relu::new()),
-            Box::new(Dense::new(16, 3, &mut rng)),
-        ]);
-        let trainer = Trainer::new(TrainConfig {
-            epochs: 200,
-            batch_size: 16,
-            verbose: false,
-        });
-        let mut opt = Adam::new(0.02);
-        let report = trainer.fit_with(
-            &mut net,
-            &xs,
-            &ys,
-            &mut opt,
-            &FitOptions {
-                schedule: None,
-                early_stop: Some(EarlyStop::new(8, 1e-4)),
-            },
-            &mut rng,
-        );
-        // Easy blobs converge long before 200 epochs: the stopper fires
-        // and the loss history is correspondingly short.
-        let stopped = report.stopped_at.expect("should stop early");
-        assert!(stopped < 199, "never stopped");
-        assert_eq!(report.epoch_losses.len(), stopped + 1);
-        assert!(report.final_train_accuracy > 0.9);
-    }
-
-    #[test]
-    fn fit_without_options_matches_defaults() {
+    fn fit_records_one_loss_per_epoch() {
         let mut rng = StdRng::seed_from_u64(9);
         let (xs, ys) = blobs(5, &mut rng);
         let mut net = Sequential::new(vec![Box::new(Dense::new(2, 3, &mut rng))]);
@@ -365,7 +238,6 @@ mod tests {
         });
         let mut opt = Sgd::new(0.01, 0.9);
         let report = trainer.fit(&mut net, &xs, &ys, &mut opt, &mut rng);
-        assert_eq!(report.stopped_at, None);
         assert_eq!(report.epoch_losses.len(), 2);
     }
 

@@ -158,24 +158,6 @@ proptest! {
         }
     }
 
-    /// Learning-rate schedules stay within (0, base] and cosine decay is
-    /// monotone non-increasing.
-    #[test]
-    fn schedules_stay_bounded(base in 1e-4f32..1.0, every in 1usize..10, total in 1usize..50) {
-        use naps_nn::{CosineDecay, LrSchedule, StepDecay};
-        let step = StepDecay::new(every, 0.5);
-        let cosine = CosineDecay::new(total, base * 1e-3);
-        let mut prev_cos = f32::INFINITY;
-        for epoch in 0..60 {
-            let s = step.lr_at(epoch, base);
-            prop_assert!(s > 0.0 && s <= base);
-            let c = cosine.lr_at(epoch, base);
-            prop_assert!(c > 0.0 && c <= base + 1e-9);
-            prop_assert!(c <= prev_cos + 1e-6, "cosine rose at epoch {}", epoch);
-            prev_cos = c;
-        }
-    }
-
     /// Activation moments: variance is non-negative and the mean of a
     /// constant batch is that constant with zero variance.
     #[test]

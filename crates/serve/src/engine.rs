@@ -636,8 +636,8 @@ impl MonitorEngine {
 
     /// Validates the sizing knobs and spawns one worker per prepared
     /// model.  Preparation is the serving counterpart of zone
-    /// compilation: the cold half packs every weight panel once so the
-    /// steady-state worker loop never packs or allocates for weights.
+    /// compilation: the cold half copies every weight once so the
+    /// steady-state worker loop never allocates for weights.
     fn start(
         monitor: FrozenLayeredMonitor,
         models: Vec<PreparedModel>,

@@ -684,7 +684,7 @@ impl FrozenLayeredMonitor {
     }
 
     /// The allocation-free counterpart of
-    /// [`FrozenLayeredMonitor::observe_batch`]: runs the pre-packed
+    /// [`FrozenLayeredMonitor::observe_batch`]: runs the prepared
     /// forward pass and refills `observer`'s reused storage, returning
     /// the live rows.  Bit-identical to the allocating path — `model`
     /// must have been prepared with this monitor's

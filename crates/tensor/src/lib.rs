@@ -9,9 +9,9 @@
 //!
 //! # The GEMM
 //!
-//! Every matrix product here — [`Tensor::matmul`], [`Tensor::matmul_at`],
-//! [`Tensor::matmul_bt`], their `_into` forms, [`PackedWeights`] and
-//! [`matmul_slice_into`] — runs one kernel, so the conv and dense layers
+//! Every matrix product here — [`Tensor::matmul`], [`Tensor::matmul_into`],
+//! [`Tensor::matmul_at`], [`Tensor::matmul_bt`] and [`matmul_slice_into`]
+//! — runs one kernel, so the conv and dense layers
 //! of `naps-nn`, forward and backward, share it.  It is register-tiled:
 //! a 4-row × `NR`-column tile of the output stays in registers for the
 //! whole sweep over the shared dimension, reading the right operand
@@ -50,6 +50,6 @@ mod tensor;
 pub use conv::{
     col2im_into, im2col, im2col_into, im2col_t_into, max_pool2d, max_pool2d_backward, ConvDims,
 };
-pub use linalg::{matmul_slice_into, PackedWeights};
+pub use linalg::matmul_slice_into;
 pub use rng::{xavier_uniform, Randn};
 pub use tensor::Tensor;

@@ -2,8 +2,8 @@
 //! transpose.  The transposed variants avoid materialising intermediate
 //! transposes inside backpropagation.
 //!
-//! All products run through one GEMM, `gemm`, so `matmul`, `matmul_at`,
-//! `matmul_bt`, their `_into` forms, [`PackedWeights`] and
+//! All products run through one GEMM, `gemm`, so `matmul`,
+//! [`Tensor::matmul_into`], `matmul_at`, `matmul_bt` and
 //! [`matmul_slice_into`] — and with them the convolutions and dense
 //! layers of `naps-nn`, forward and backward — share a single kernel.
 //!
@@ -329,26 +329,14 @@ impl Tensor {
     ///
     /// Panics if either operand is not 2-D or the shared dimension differs.
     pub fn matmul_at(&self, other: &Tensor) -> Tensor {
-        let (mut pack, mut out) = (Tensor::default(), Tensor::default());
-        self.matmul_at_into(other, &mut pack, &mut out);
-        out
-    }
-
-    /// Like [`Tensor::matmul_at`], but packs `self^T` into the caller's
-    /// `pack` scratch and writes the product into `out` — both resized in
-    /// place, so repeated calls are allocation-free after warm-up.
-    /// Bit-identical to `matmul_at`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if either operand is not 2-D or the shared dimension differs.
-    pub fn matmul_at_into(&self, other: &Tensor, pack: &mut Tensor, out: &mut Tensor) {
         let (k, m) = dims2(self, "matmul_at lhs");
         let (k2, n) = dims2(other, "matmul_at rhs");
         assert_eq!(k, k2, "matmul_at shared dimensions differ: {k} vs {k2}");
-        self.transpose_into(pack);
+        let pack = self.transpose();
+        let mut out = Tensor::default();
         out.resize_zeroed(&[m, n]);
         gemm(m, k, n, pack.data(), other.data(), out.data_mut());
+        out
     }
 
     /// Matrix product with a transposed right operand:
@@ -362,28 +350,14 @@ impl Tensor {
     ///
     /// Panics if either operand is not 2-D or the shared dimension differs.
     pub fn matmul_bt(&self, other: &Tensor) -> Tensor {
-        let (mut pack, mut out) = (Tensor::default(), Tensor::default());
-        self.matmul_bt_into(other, &mut pack, &mut out);
-        out
-    }
-
-    /// Like [`Tensor::matmul_bt`], but packs `other^T` into the caller's
-    /// `pack` scratch and writes the product into `out` — both resized in
-    /// place, so repeated calls are allocation-free after warm-up.  (For
-    /// weights frozen across many calls, pack once with
-    /// [`PackedWeights::pack_transposed`] instead.)  Bit-identical to
-    /// `matmul_bt`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if either operand is not 2-D or the shared dimension differs.
-    pub fn matmul_bt_into(&self, other: &Tensor, pack: &mut Tensor, out: &mut Tensor) {
         let (m, k) = dims2(self, "matmul_bt lhs");
         let (n, k2) = dims2(other, "matmul_bt rhs");
         assert_eq!(k, k2, "matmul_bt shared dimensions differ: {k} vs {k2}");
-        other.transpose_into(pack);
+        let pack = other.transpose();
+        let mut out = Tensor::default();
         out.resize_zeroed(&[m, n]);
         gemm(m, k, n, self.data(), pack.data(), out.data_mut());
+        out
     }
 
     /// Transpose of a 2-D tensor.
@@ -392,19 +366,8 @@ impl Tensor {
     ///
     /// Panics if the tensor is not 2-D.
     pub fn transpose(&self) -> Tensor {
-        let mut out = Tensor::default();
-        self.transpose_into(&mut out);
-        out
-    }
-
-    /// Transpose of a 2-D tensor, written into the caller-provided `out`
-    /// (resized in place; allocation-free after warm-up).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the tensor is not 2-D.
-    pub fn transpose_into(&self, out: &mut Tensor) {
         let (m, n) = dims2(self, "transpose");
+        let mut out = Tensor::default();
         out.resize_in_place(&[n, m]);
         let a = self.data();
         let o = out.data_mut();
@@ -413,6 +376,7 @@ impl Tensor {
                 o[j * m + i] = a[i * n + j];
             }
         }
+        out
     }
 
     /// Sums a 2-D tensor over its rows, returning a `[cols]` tensor.
@@ -431,93 +395,6 @@ impl Tensor {
             }
         }
         Tensor::from_vec(vec![n], out)
-    }
-}
-
-/// A weight matrix packed once into the `[k, n]` layout the GEMM streams,
-/// for repeated products against frozen weights.
-///
-/// Serving weights are frozen at publish/load time, yet `matmul_bt`
-/// re-packs `other^T` on every call.  `PackedWeights` moves that work to
-/// construction: [`PackedWeights::pack`] stores the `[k,n]` panel verbatim
-/// for `x @ w` products, [`PackedWeights::pack_transposed`] stores `w^T`
-/// once for `x @ w^T` products.  Both then run the same GEMM kernel
-/// with the same per-element accumulation order as the per-call paths,
-/// so results are bit-identical.
-#[derive(Debug, Clone, PartialEq)]
-pub struct PackedWeights {
-    /// The `[k, n]` right-hand panel exactly as `gemm` streams it.
-    panel: Tensor,
-}
-
-impl PackedWeights {
-    /// Packs `w` (`[k, n]`) for `x @ w` products.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `w` is not 2-D.
-    pub fn pack(w: &Tensor) -> Self {
-        dims2(w, "pack");
-        PackedWeights { panel: w.clone() }
-    }
-
-    /// Packs `w` (`[n, k]`) for `x @ w^T` products; the transpose happens
-    /// exactly once, here.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `w` is not 2-D.
-    pub fn pack_transposed(w: &Tensor) -> Self {
-        dims2(w, "pack_transposed");
-        PackedWeights {
-            panel: w.transpose(),
-        }
-    }
-
-    /// The shared (input) dimension `k` of the packed product.
-    #[inline]
-    pub fn in_features(&self) -> usize {
-        self.panel.shape()[0]
-    }
-
-    /// The output dimension `n` of the packed product.
-    #[inline]
-    pub fn out_features(&self) -> usize {
-        self.panel.shape()[1]
-    }
-
-    /// The packed `[k, n]` panel.
-    #[inline]
-    pub fn panel(&self) -> &Tensor {
-        &self.panel
-    }
-
-    /// `x @ panel` written into `out` (resized in place; allocation-free
-    /// after warm-up).  Bit-identical to `x.matmul(&w)` for a
-    /// [`PackedWeights::pack`]-ed `w`, and to `x.matmul_bt(&w)` for a
-    /// [`PackedWeights::pack_transposed`]-ed `w`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `x` is not 2-D or its width differs from `in_features`.
-    pub fn matmul_into(&self, x: &Tensor, out: &mut Tensor) {
-        let (m, k) = dims2(x, "packed matmul lhs");
-        assert_eq!(
-            k,
-            self.in_features(),
-            "packed matmul inner dimensions differ: {k} vs {}",
-            self.in_features()
-        );
-        let n = self.out_features();
-        out.resize_zeroed(&[m, n]);
-        gemm(m, k, n, x.data(), self.panel.data(), out.data_mut());
-    }
-
-    /// Allocating convenience form of [`PackedWeights::matmul_into`].
-    pub fn matmul(&self, x: &Tensor) -> Tensor {
-        let mut out = Tensor::default();
-        self.matmul_into(x, &mut out);
-        out
     }
 }
 
@@ -651,20 +528,11 @@ mod tests {
             // The transposed variants reduce to the same kernel.
             assert_eq!(a.transpose().matmul_at(&b), c, "m={m} matmul_at");
             assert_eq!(a.matmul_bt(&b.transpose()), c, "m={m} matmul_bt");
-            // The into/packed variants share the kernel and must match
+            // The into variant shares the kernel and must match
             // bit-for-bit too, including when the scratch is reused dirty.
-            let mut pack = Tensor::from_vec(vec![3], vec![9., 9., 9.]);
             let mut out = Tensor::from_vec(vec![3], vec![9., 9., 9.]);
             a.matmul_into(&b, &mut out);
             assert_bits_eq(&out, &c, "matmul_into");
-            a.transpose().matmul_at_into(&b, &mut pack, &mut out);
-            assert_bits_eq(&out, &c, "matmul_at_into");
-            a.matmul_bt_into(&b.transpose(), &mut pack, &mut out);
-            assert_bits_eq(&out, &c, "matmul_bt_into");
-            PackedWeights::pack(&b).matmul_into(&a, &mut out);
-            assert_bits_eq(&out, &c, "PackedWeights::pack");
-            PackedWeights::pack_transposed(&b.transpose()).matmul_into(&a, &mut out);
-            assert_bits_eq(&out, &c, "PackedWeights::pack_transposed");
         }
     }
 
@@ -762,38 +630,12 @@ mod tests {
     }
 
     #[test]
-    fn packed_weights_report_dimensions() {
-        let w = b32(); // [3, 2]
-        let p = PackedWeights::pack(&w);
-        assert_eq!((p.in_features(), p.out_features()), (3, 2));
-        assert_eq!(p.panel(), &w);
-        let pt = PackedWeights::pack_transposed(&w); // packs [2, 3]
-        assert_eq!((pt.in_features(), pt.out_features()), (2, 3));
-        assert_eq!(
-            pt.matmul(&Tensor::from_vec(vec![1, 2], vec![1., 0.]))
-                .data(),
-            &[7., 9., 11.]
-        );
-    }
-
-    #[test]
     fn into_variants_resize_reused_scratch() {
-        // A scratch that is too large must shrink, one that is too small
-        // must grow — and the result must be untainted by old contents.
+        // A scratch that is too large must shrink, and the result must
+        // be untainted by old contents.
         let mut out = Tensor::zeros(vec![7, 7]);
         a23().matmul_into(&b32(), &mut out);
         assert_eq!(out.shape(), &[2, 2]);
         assert_eq!(out.data(), &[58., 64., 139., 154.]);
-        let mut t = Tensor::default();
-        a23().transpose_into(&mut t);
-        assert_eq!(t.shape(), &[3, 2]);
-        assert_eq!(t, a23().transpose());
-    }
-
-    #[test]
-    #[should_panic(expected = "packed matmul inner dimensions")]
-    fn packed_matmul_rejects_width_mismatch() {
-        let p = PackedWeights::pack(&b32());
-        let _ = p.matmul(&Tensor::zeros(vec![1, 2]));
     }
 }

@@ -96,11 +96,6 @@ impl Tensor {
         &mut self.data
     }
 
-    /// Consumes the tensor, returning its flat buffer.
-    pub fn into_data(self) -> Vec<f32> {
-        self.data
-    }
-
     /// Reinterprets the buffer under a new shape of equal element count.
     ///
     /// # Panics
@@ -205,15 +200,6 @@ impl Tensor {
     /// Panics on shape mismatch.
     pub fn sub(&self, other: &Tensor) -> Tensor {
         self.zip_map(other, |a, b| a - b)
-    }
-
-    /// Elementwise (Hadamard) product.
-    ///
-    /// # Panics
-    ///
-    /// Panics on shape mismatch.
-    pub fn mul(&self, other: &Tensor) -> Tensor {
-        self.zip_map(other, |a, b| a * b)
     }
 
     /// In-place `self += other`.
@@ -355,7 +341,6 @@ mod tests {
         let b = Tensor::from_vec(vec![3], vec![4., 5., 6.]);
         assert_eq!(a.add(&b).data(), &[5., 7., 9.]);
         assert_eq!(b.sub(&a).data(), &[3., 3., 3.]);
-        assert_eq!(a.mul(&b).data(), &[4., 10., 18.]);
     }
 
     #[test]
