@@ -34,8 +34,6 @@ pub struct GammaStats {
 pub struct GammaSweep {
     /// Largest γ to evaluate.
     pub max_gamma: u32,
-    /// Evaluation batch size.
-    pub batch_size: usize,
     /// Which zone each validation sample is checked against (see
     /// [`EvalMode`]).
     pub mode: EvalMode,
@@ -45,7 +43,6 @@ impl Default for GammaSweep {
     fn default() -> Self {
         GammaSweep {
             max_gamma: 3,
-            batch_size: 64,
             mode: EvalMode::ByPrediction,
         }
     }
@@ -89,8 +86,7 @@ impl GammaSweep {
         let mut out = Vec::new();
         for gamma in monitor.gamma()..=self.max_gamma {
             monitor.enlarge_to(gamma);
-            let stats =
-                evaluate_with_mode(monitor, model, samples, labels, self.batch_size, self.mode);
+            let stats = evaluate_with_mode(monitor, model, samples, labels, self.mode);
             out.push(GammaStats { gamma, stats });
         }
         out

@@ -49,8 +49,8 @@ pub trait MonitorOutcome {
 ///
 /// Implementors define the per-input [`ActivationMonitor::check`]; the
 /// provided [`ActivationMonitor::check_batch`] loops over it, and
-/// implementations with a cheaper batched path (one forward pass for the
-/// whole batch) override it.  `check_batch` must be equivalent to mapping
+/// implementations with a cheaper batched path (one forward pass per
+/// chunk of the batch) override it.  `check_batch` must be equivalent to mapping
 /// `check` over the inputs.
 ///
 /// # Thread safety

@@ -1,14 +1,11 @@
 //! Monitor construction — Algorithm 1 of the paper.
 
-use crate::batch::{forward_observe_plan, pack_batch, ObservationPlan, ObservedBatch};
+use crate::batch::{observe_rows, ObservationPlan};
 use crate::monitor::Monitor;
 use crate::selection::NeuronSelection;
 use crate::zone::Zone;
 use naps_nn::Sequential;
 use naps_tensor::Tensor;
-
-/// Training inputs per forward pass of the replay.
-const REPLAY_BATCH: usize = 64;
 
 /// Builds a [`Monitor`] from a trained network and its training set,
 /// following Algorithm 1:
@@ -74,10 +71,10 @@ impl MonitorBuilder {
     /// Runs Algorithm 1: replays `(samples, labels)` through `model` and
     /// assembles the per-class comfort zones.
     ///
-    /// The replay runs one forward pass per 64 training inputs.  The
-    /// monitored layer's width is read off the first of those batches;
-    /// if no [`NeuronSelection`] was supplied, all of its neurons are
-    /// monitored.
+    /// The replay is one [`observe_rows`] pass: one forward pass per 64
+    /// training inputs.  The monitored layer's width is read off the
+    /// first replayed input; if no [`NeuronSelection`] was supplied, all
+    /// of its neurons are monitored.
     ///
     /// # Panics
     ///
@@ -98,8 +95,8 @@ impl MonitorBuilder {
     /// Algorithm 1 over one replay of the training set, shared by
     /// [`MonitorBuilder::build`] and [`MonitorBuilder::build_refined`].
     ///
-    /// One forward pass per [`REPLAY_BATCH`] inputs observes only the
-    /// monitored layer; the first batch shows the layer's width.  Every
+    /// One [`observe_rows`] pass observes only the monitored layer; the
+    /// first replayed input shows the layer's width.  Every
     /// monitored class gets an empty zone and an extra recorder from
     /// `empty`.  Each correctly classified input's pattern goes into its
     /// class's zone, and its full monitored row, in training-set order,
@@ -128,18 +125,11 @@ impl MonitorBuilder {
         let monitored_class =
             |c: usize| -> bool { self.classes.as_ref().is_none_or(|cs| cs.contains(&c)) };
         let mut recorded = None;
-        for (xs, ys) in samples
-            .chunks(REPLAY_BATCH)
-            .zip(labels.chunks(REPLAY_BATCH))
-        {
-            let ObservedBatch {
-                predicted,
-                observed,
-            } = forward_observe_plan(model, &pack_batch(xs), &plan);
-            let monitored = &observed[0];
+        observe_rows(model, samples, &plan, |i, p, row| {
+            let monitored = row.layer(0);
             // Lines 1-3: empty zones for monitored classes.
             let (selection, classes) = recorded.get_or_insert_with(|| {
-                let layer_width = monitored.shape()[1];
+                let layer_width = monitored.len();
                 let selection = self
                     .selection
                     .clone()
@@ -158,22 +148,20 @@ impl MonitorBuilder {
             });
             // Lines 4-8: record visited patterns of correctly classified
             // training inputs.
-            for (r, (&label, &p)) in ys.iter().zip(&predicted).enumerate() {
-                assert!(
-                    label < num_classes,
-                    "label {label} out of range for {num_classes} classes"
-                );
-                if p == label {
-                    if let Some((zone, recorder)) = classes[label].as_mut() {
-                        let row = monitored.row(r);
-                        zone.insert(&selection.pattern_from(row));
-                        record(recorder, selection, row);
-                    }
+            let label = labels[i];
+            assert!(
+                label < num_classes,
+                "label {label} out of range for {num_classes} classes"
+            );
+            if p == label {
+                if let Some((zone, recorder)) = classes[label].as_mut() {
+                    zone.insert(&selection.pattern_from(monitored));
+                    record(recorder, selection, monitored);
                 }
             }
-        }
-        // naps-lint: allow(typed_errors, "the training set was asserted non-empty, so the first batch initialised the zones")
-        let (selection, classes) = recorded.expect("at least one replayed batch");
+        });
+        // naps-lint: allow(typed_errors, "the training set was asserted non-empty, so the first replayed input initialised the zones")
+        let (selection, classes) = recorded.expect("at least one replayed input");
         let (mut zones, recorders): (Vec<Option<Z>>, _) =
             classes.into_iter().map(Option::unzip).unzip();
 

@@ -10,7 +10,7 @@
 //! cell-wise in a single call.
 
 use crate::activation::{ActivationMonitor, MonitorOutcome};
-use crate::batch::{forward_observe_plan, pack_batch, ObservationPlan, ObservedBatch};
+use crate::batch::{observe_rows, ObservationPlan};
 use crate::builder::MonitorBuilder;
 use crate::monitor::{Monitor, MonitorReport, Verdict};
 use crate::zone::{BddZone, Zone};
@@ -138,8 +138,11 @@ impl<Z: Zone> GridMonitor<Z> {
     }
 
     /// Checks one frame: `cell_inputs[r * cols + c]` is the feature
-    /// vector the shared head sees for that cell.  The whole frame runs
-    /// through the shared head in **one** forward pass.
+    /// vector the shared head sees for that cell.  The frame runs through
+    /// the shared head in one [`observe_rows`] pass (one forward pass per
+    /// 64 cells), then row `i` is judged against cell `i`'s zones.  All
+    /// cells share layer and selection (checked in
+    /// [`GridMonitor::from_cells`]), so the pass can be shared.
     ///
     /// # Panics
     ///
@@ -151,33 +154,17 @@ impl<Z: Zone> GridMonitor<Z> {
             self.rows * self.cols,
             "one input per grid cell"
         );
-        self.judge_packed(head, &pack_batch(cell_inputs))
-    }
-
-    /// Judges a packed `[cells, feat]` frame: one forward pass through the
-    /// shared head, then row `i` is judged against cell `i`'s zones.  All
-    /// cells share layer and selection (checked in
-    /// [`GridMonitor::from_cells`]), so the pass can be shared.
-    fn judge_packed(&self, head: &mut Sequential, batch: &Tensor) -> GridReport {
-        let ObservedBatch {
-            predicted: predictions,
-            observed,
-        } = forward_observe_plan(head, batch, &ObservationPlan::single(self.cells[0].layer()));
-        let monitored = &observed[0];
         let selection = self.cells[0].selection();
-        let cells: Vec<MonitorReport> = predictions
-            .into_iter()
-            .enumerate()
-            .map(|(i, predicted)| {
-                self.cells[i].report(predicted, &selection.pattern_from(monitored.row(i)))
-            })
-            .collect();
-        let out_of_pattern_cells = cells
-            .iter()
-            .enumerate()
-            .filter(|(_, r)| r.verdict == Verdict::OutOfPattern)
-            .map(|(i, _)| i)
-            .collect();
+        let plan = ObservationPlan::single(self.cells[0].layer());
+        let mut cells = Vec::with_capacity(cell_inputs.len());
+        let mut out_of_pattern_cells = Vec::new();
+        observe_rows(head, cell_inputs, &plan, |i, predicted, row| {
+            let report = self.cells[i].report(predicted, &selection.pattern_from(row.layer(0)));
+            if report.verdict == Verdict::OutOfPattern {
+                out_of_pattern_cells.push(i);
+            }
+            cells.push(report);
+        });
         GridReport {
             cells,
             out_of_pattern_cells,
@@ -206,8 +193,12 @@ impl<Z: Zone> ActivationMonitor for GridMonitor<Z> {
             input.len()
         );
         let feat = input.len() / cells;
-        let batch = Tensor::from_vec(vec![cells, feat], input.data().to_vec());
-        self.judge_packed(model, &batch)
+        let cell_inputs: Vec<Tensor> = input
+            .data()
+            .chunks(feat)
+            .map(|row| Tensor::from_vec(vec![feat], row.to_vec()))
+            .collect();
+        self.check_frame(model, &cell_inputs)
     }
 
     /// Grows every cell's zones to radius `gamma`.

@@ -263,7 +263,7 @@ impl<Z: Zone> Monitor<Z> {
         grade(report, distance_to_zone, others, query)
     }
 
-    /// Batched graded judgement sharing one forward pass: the graded
+    /// Batched graded judgement sharing the forward passes: the graded
     /// counterpart of [`ActivationMonitor::check_batch`].  Element `i`
     /// equals `check_graded` on input `i`.
     pub fn check_graded_batch(
@@ -310,7 +310,8 @@ impl<Z: Zone> ActivationMonitor for Monitor<Z> {
             .expect("one report per input")
     }
 
-    /// Batched judgement sharing one forward pass across the batch.
+    /// Batched judgement sharing one forward pass per 64 inputs
+    /// ([`observe_rows`](crate::batch::observe_rows)).
     fn check_batch(&self, model: &mut Sequential, inputs: &[Tensor]) -> Vec<MonitorReport> {
         self.observe_batch(model, inputs)
             .into_iter()

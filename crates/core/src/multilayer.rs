@@ -6,9 +6,9 @@
 //! layers encode higher-level features, earlier layers coarser ones, and
 //! an input can be familiar to one abstraction level yet alien to another.
 //! [`LayeredMonitor`] wraps any number of [`Monitor`]s over the same
-//! network and evaluates them with a **single forward pass** per query
-//! that, via [`ObservationPlan`], retains **only** the monitored layers'
-//! activations — adding a monitored layer costs one extra pattern lookup,
+//! network and evaluates them with **one forward pass** per query (per
+//! 64 queries in a batch) that, via [`ObservationPlan`], retains **only**
+//! the monitored layers' activations — adding a monitored layer costs one extra pattern lookup,
 //! never an extra forward pass or an unobserved layer's allocation.
 
 use crate::activation::{ActivationMonitor, MonitorOutcome};
@@ -252,7 +252,7 @@ impl<Z: Zone> LayeredMonitor<Z> {
         )
     }
 
-    /// Batched graded joint check: one forward pass, then per layer the
+    /// Batched graded joint check: one observation pass, then per layer the
     /// full graded ranking ([`Monitor::check_graded_pattern`]) — element
     /// `i` of each report is bit-identical to grading monitor `i` alone
     /// on the same input.
@@ -294,9 +294,10 @@ impl<Z: Zone> ActivationMonitor for LayeredMonitor<Z> {
             .expect("one report per input")
     }
 
-    /// Batched joint check: one forward pass for the whole batch,
-    /// regardless of how many layers are monitored, retaining only the
-    /// planned layers' activations.
+    /// Batched joint check: one forward pass per 64 inputs
+    /// ([`observe_rows`](crate::batch::observe_rows)), regardless of how
+    /// many layers are monitored, retaining only the planned layers'
+    /// activations.
     fn check_batch(&self, model: &mut Sequential, inputs: &[Tensor]) -> Vec<LayeredReport> {
         self.observe_batch(model, inputs)
             .into_iter()

@@ -10,7 +10,7 @@
 //! monitor: a combined `InPattern` requires both abstractions to accept.
 
 use crate::activation::{ActivationMonitor, MonitorOutcome};
-use crate::batch::{forward_observe_plan, pack_batch, ObservationPlan, ObservedBatch};
+use crate::batch::{observe_rows, ObservationPlan};
 use crate::builder::MonitorBuilder;
 use crate::dbm::DbmZone;
 use crate::interval::IntervalZone;
@@ -129,48 +129,32 @@ impl<Z: Zone> ActivationMonitor for RefinedMonitor<Z> {
             .expect("one report per input")
     }
 
-    /// Batched refined judgement: one forward pass for the whole batch,
-    /// then per-row binary and numeric verdicts.
+    /// Batched refined judgement: one [`observe_rows`] pass, then per-row
+    /// binary and numeric verdicts.
     fn check_batch(&self, model: &mut Sequential, inputs: &[Tensor]) -> Vec<RefinedReport> {
-        if inputs.is_empty() {
-            return Vec::new();
-        }
-        let batch = pack_batch(inputs);
-        let ObservedBatch {
-            predicted: predictions,
-            observed,
-        } = forward_observe_plan(
-            model,
-            &batch,
-            &ObservationPlan::single(self.monitor.layer()),
-        );
-        let monitored = &observed[0];
         let selection = self.monitor.selection();
-        predictions
-            .into_iter()
-            .enumerate()
-            .map(|(r, predicted)| {
-                let full = monitored.row(r);
-                let pattern = selection.pattern_from(full);
-                let binary = self.monitor.check_pattern(predicted, &pattern);
-                let (numeric, violation) =
-                    self.numeric_verdict(predicted, &selection.values_from(full));
-                let combined = match (binary, numeric) {
-                    (Verdict::OutOfPattern, _) | (_, Verdict::OutOfPattern) => {
-                        Verdict::OutOfPattern
-                    }
-                    (Verdict::Unmonitored, Verdict::Unmonitored) => Verdict::Unmonitored,
-                    _ => Verdict::InPattern,
-                };
-                RefinedReport {
-                    predicted,
-                    binary,
-                    numeric,
-                    combined,
-                    violation,
-                }
-            })
-            .collect()
+        let mut out = Vec::with_capacity(inputs.len());
+        let plan = ObservationPlan::single(self.monitor.layer());
+        observe_rows(model, inputs, &plan, |_, predicted, row| {
+            let full = row.layer(0);
+            let pattern = selection.pattern_from(full);
+            let binary = self.monitor.check_pattern(predicted, &pattern);
+            let (numeric, violation) =
+                self.numeric_verdict(predicted, &selection.values_from(full));
+            let combined = match (binary, numeric) {
+                (Verdict::OutOfPattern, _) | (_, Verdict::OutOfPattern) => Verdict::OutOfPattern,
+                (Verdict::Unmonitored, Verdict::Unmonitored) => Verdict::Unmonitored,
+                _ => Verdict::InPattern,
+            };
+            out.push(RefinedReport {
+                predicted,
+                binary,
+                numeric,
+                combined,
+                violation,
+            });
+        });
+        out
     }
 
     /// Graded judgement through the **binary** monitor: the numeric

@@ -97,16 +97,8 @@ pub fn evaluate<Z: Zone>(
     model: &mut Sequential,
     samples: &[Tensor],
     labels: &[usize],
-    batch_size: usize,
 ) -> MonitorStats {
-    evaluate_with_mode(
-        monitor,
-        model,
-        samples,
-        labels,
-        batch_size,
-        EvalMode::ByPrediction,
-    )
+    evaluate_with_mode(monitor, model, samples, labels, EvalMode::ByPrediction)
 }
 
 /// Like [`evaluate`] but with an explicit [`EvalMode`].
@@ -119,33 +111,28 @@ pub fn evaluate_with_mode<Z: Zone>(
     model: &mut Sequential,
     samples: &[Tensor],
     labels: &[usize],
-    batch_size: usize,
     mode: EvalMode,
 ) -> MonitorStats {
     assert_eq!(samples.len(), labels.len(), "one label per sample");
     let mut stats = MonitorStats::default();
-    let indices: Vec<usize> = (0..samples.len()).collect();
-    for chunk in indices.chunks(batch_size.max(1)) {
-        let batch: Vec<Tensor> = chunk.iter().map(|&i| samples[i].clone()).collect();
-        let observed = monitor.observe_batch(model, &batch);
-        for (&i, (predicted, pattern)) in chunk.iter().zip(&observed) {
-            let zone_class = match mode {
-                EvalMode::ByPrediction => *predicted,
-                EvalMode::ByLabel => labels[i],
-            };
-            match monitor.check_pattern(zone_class, pattern) {
-                Verdict::Unmonitored => stats.unmonitored += 1,
-                verdict => {
-                    stats.total += 1;
-                    let mis = *predicted != labels[i];
+    let observed = monitor.observe_batch(model, samples);
+    for ((predicted, pattern), &label) in observed.iter().zip(labels) {
+        let zone_class = match mode {
+            EvalMode::ByPrediction => *predicted,
+            EvalMode::ByLabel => label,
+        };
+        match monitor.check_pattern(zone_class, pattern) {
+            Verdict::Unmonitored => stats.unmonitored += 1,
+            verdict => {
+                stats.total += 1;
+                let mis = *predicted != label;
+                if mis {
+                    stats.misclassified += 1;
+                }
+                if verdict == Verdict::OutOfPattern {
+                    stats.out_of_pattern += 1;
                     if mis {
-                        stats.misclassified += 1;
-                    }
-                    if verdict == Verdict::OutOfPattern {
-                        stats.out_of_pattern += 1;
-                        if mis {
-                            stats.out_of_pattern_and_misclassified += 1;
-                        }
+                        stats.out_of_pattern_and_misclassified += 1;
                     }
                 }
             }
@@ -221,7 +208,7 @@ mod tests {
         });
         trainer.fit(&mut net, &xs, &ys, &mut Adam::new(0.05), &mut rng);
         let monitor = MonitorBuilder::new(1, 0).build::<ExactZone>(&mut net, &xs, &ys, 2);
-        let stats = evaluate(&monitor, &mut net, &xs, &ys, 16);
+        let stats = evaluate(&monitor, &mut net, &xs, &ys);
         // Every correctly classified training sample is in pattern, so all
         // warnings (if any) coincide with misclassifications.
         assert_eq!(
@@ -258,18 +245,12 @@ mod tests {
             .with_classes(vec![0])
             .build::<ExactZone>(&mut net, &xs, &ys, 2);
         let by_label =
-            super::evaluate_with_mode(&monitor, &mut net, &xs, &ys, 16, super::EvalMode::ByLabel);
+            super::evaluate_with_mode(&monitor, &mut net, &xs, &ys, super::EvalMode::ByLabel);
         // All class-0 samples are monitored by label.
         assert_eq!(by_label.total, 20);
         assert_eq!(by_label.unmonitored, 20);
-        let by_pred = super::evaluate_with_mode(
-            &monitor,
-            &mut net,
-            &xs,
-            &ys,
-            16,
-            super::EvalMode::ByPrediction,
-        );
+        let by_pred =
+            super::evaluate_with_mode(&monitor, &mut net, &xs, &ys, super::EvalMode::ByPrediction);
         // In by-prediction mode the totals follow the predictions instead.
         assert_eq!(by_pred.total + by_pred.unmonitored, 40);
     }

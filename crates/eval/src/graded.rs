@@ -29,12 +29,11 @@
 
 use crate::config::RunConfig;
 use crate::report::{pct, rule, write_json};
+use crate::streams::{corrupted_stream, novelty_stream, SHIFTS};
 use naps_core::{
     BddZone, DriftConfig, DriftStatus, GradedQuery, Monitor, MonitorBuilder, Triage, Verdict,
 };
-use naps_data::corrupt::{apply, Corruption};
-use naps_data::novelty::{render_gray, Novelty};
-use naps_data::{digits, Dataset};
+use naps_data::digits;
 use naps_nn::{mlp, Adam, TrainConfig, Trainer};
 use naps_serve::{EngineConfig, FrozenMonitor, MonitorEngine};
 use naps_tensor::Tensor;
@@ -151,35 +150,6 @@ pub struct GradedTriage {
     pub drifting_on_clean: usize,
 }
 
-/// The deployment-time corruption mix (cycled per sample).
-const SHIFTS: [Corruption; 3] = [
-    Corruption::GaussianNoise(0.35),
-    Corruption::Fog(0.45),
-    Corruption::Brightness(0.6),
-];
-
-fn corrupted_stream(val: &Dataset, seed: u64) -> Vec<Tensor> {
-    let mut rng = StdRng::seed_from_u64(seed);
-    val.samples
-        .iter()
-        .enumerate()
-        .map(|(i, s)| apply(s, 1, 28, SHIFTS[i % SHIFTS.len()], &mut rng))
-        .collect()
-}
-
-fn novelty_stream(n: usize, seed: u64) -> Vec<Tensor> {
-    let kinds = [
-        Novelty::Scooter,
-        Novelty::Asterisk,
-        Novelty::Spiral,
-        Novelty::Static,
-    ];
-    let mut rng = StdRng::seed_from_u64(seed);
-    (0..n)
-        .map(|i| render_gray(kinds[i % kinds.len()], 28, &mut rng))
-        .collect()
-}
-
 fn histogram(stream: &str, graded: &[naps_core::GradedReport], budget: u32) -> StreamHistogram {
     let mut counts = vec![0usize; budget as usize + 1];
     let mut beyond = 0usize;
@@ -276,7 +246,7 @@ pub fn run(cfg: &RunConfig) -> GradedTriage {
     let budget = gamma + 1;
     let query = GradedQuery::new(budget, 3);
 
-    let corrupted = corrupted_stream(&val, cfg.seed.wrapping_add(31));
+    let corrupted = corrupted_stream(&val, &SHIFTS, cfg.seed.wrapping_add(31));
     let novel = novelty_stream(if cfg.full { 120 } else { 48 }, cfg.seed.wrapping_add(62));
 
     let workers = 2;

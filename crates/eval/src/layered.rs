@@ -34,17 +34,15 @@
 
 use crate::config::RunConfig;
 use crate::report::{pct, rule, write_json};
+use crate::streams::{corrupted_stream, novelty_stream, SHIFTS};
 use naps_core::batch::{pack_batch, ObservationPlan};
 use naps_core::{
     ActivationMonitor, BddZone, CombinePolicy, LayeredMonitor, LayeredReport, Monitor,
     MonitorBuilder, Verdict,
 };
-use naps_data::corrupt::{apply, Corruption};
-use naps_data::novelty::{render_gray, Novelty};
 use naps_data::{digits, Dataset};
 use naps_nn::{mlp, Adam, Sequential, TrainConfig, Trainer};
 use naps_serve::{EngineConfig, MonitorEngine};
-use naps_tensor::Tensor;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
@@ -53,9 +51,6 @@ use std::time::Instant;
 /// ReLU tap indices monitored by the layered family, deepest first (the
 /// deepest is the paper's default single layer and the baseline).
 const MONITORED_LAYERS: [usize; 3] = [5, 3, 1];
-
-/// Batch size of the sequential sweeps.
-const CHUNK: usize = 64;
 
 /// One monitored layer's description.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -152,35 +147,6 @@ pub struct LayeredEval {
     pub observation: ObservationWin,
 }
 
-/// The deployment-time corruption mix (cycled per sample).
-const SHIFTS: [Corruption; 3] = [
-    Corruption::GaussianNoise(0.35),
-    Corruption::Fog(0.45),
-    Corruption::Brightness(0.6),
-];
-
-fn corrupted_stream(val: &Dataset, seed: u64) -> Vec<Tensor> {
-    let mut rng = StdRng::seed_from_u64(seed);
-    val.samples
-        .iter()
-        .enumerate()
-        .map(|(i, s)| apply(s, 1, 28, SHIFTS[i % SHIFTS.len()], &mut rng))
-        .collect()
-}
-
-fn novelty_stream(n: usize, seed: u64) -> Vec<Tensor> {
-    let kinds = [
-        Novelty::Scooter,
-        Novelty::Asterisk,
-        Novelty::Spiral,
-        Novelty::Static,
-    ];
-    let mut rng = StdRng::seed_from_u64(seed);
-    (0..n)
-        .map(|i| render_gray(kinds[i % kinds.len()], 28, &mut rng))
-        .collect()
-}
-
 /// Warn rate of `rule` over per-layer verdict vectors.
 fn rate(reports: &[LayeredReport], rule: impl Fn(&LayeredReport) -> bool) -> f64 {
     if reports.is_empty() {
@@ -203,18 +169,6 @@ fn build_monitor(
     );
     m.compact();
     m
-}
-
-fn sequential_sweep(
-    layered: &LayeredMonitor<BddZone>,
-    model: &mut Sequential,
-    inputs: &[Tensor],
-) -> Vec<LayeredReport> {
-    let mut out = Vec::with_capacity(inputs.len());
-    for chunk in inputs.chunks(CHUNK) {
-        out.extend(layered.check_batch(model, chunk));
-    }
-    out
 }
 
 /// Runs the layered-monitoring experiment and writes
@@ -264,13 +218,13 @@ pub fn run(cfg: &RunConfig) -> LayeredEval {
     // stream feeds every row.
     let layered = LayeredMonitor::new(monitors, CombinePolicy::Any);
 
-    let corrupted = corrupted_stream(&val, cfg.seed.wrapping_add(31));
+    let corrupted = corrupted_stream(&val, &SHIFTS, cfg.seed.wrapping_add(31));
     let novel = novelty_stream(if cfg.full { 120 } else { 48 }, cfg.seed.wrapping_add(62));
 
     println!("[sequential layered sweeps over clean / corrupted / novelty]");
-    let clean_reports = sequential_sweep(&layered, &mut model, &val.samples);
-    let corrupt_reports = sequential_sweep(&layered, &mut model, &corrupted);
-    let novel_reports = sequential_sweep(&layered, &mut model, &novel);
+    let clean_reports = layered.check_batch(&mut model, &val.samples);
+    let corrupt_reports = layered.check_batch(&mut model, &corrupted);
+    let novel_reports = layered.check_batch(&mut model, &novel);
 
     let policy_rate = |reports: &[LayeredReport], policy: CombinePolicy| {
         rate(reports, |r| {
@@ -354,7 +308,7 @@ pub fn run(cfg: &RunConfig) -> LayeredEval {
         model.reset_forward_passes();
         for _ in 0..2 {
             let t = Instant::now();
-            let reports = sequential_sweep(&family, &mut model, &val.samples);
+            let reports = family.check_batch(&mut model, &val.samples);
             let us = t.elapsed().as_secs_f64() * 1e6;
             best_us = best_us.min(us / reports.len().max(1) as f64);
         }

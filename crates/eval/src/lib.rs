@@ -41,6 +41,7 @@ pub mod online;
 pub mod refinement;
 pub mod report;
 pub mod selection;
+pub mod streams;
 pub mod table1;
 pub mod table2;
 pub mod throughput;

@@ -22,12 +22,12 @@
 
 use crate::config::RunConfig;
 use crate::report::{pct, rule, write_json};
+use crate::streams::{corrupted_stream, novelty_stream};
 use naps_core::{
     ActivationMonitor, BddZone, Monitor, MonitorBuilder, MonitorReport, Pattern, Verdict,
 };
-use naps_data::corrupt::{apply, Corruption};
-use naps_data::novelty::{render_gray, Novelty};
-use naps_data::{digits, Dataset};
+use naps_data::corrupt::Corruption;
+use naps_data::digits;
 use naps_nn::{mlp, Adam, Sequential, TrainConfig, Trainer};
 use naps_serve::{EngineConfig, EpochReport, FrozenLayeredMonitor, FrozenMonitor, MonitorEngine};
 use naps_tensor::Tensor;
@@ -158,38 +158,13 @@ fn confirm_benign(
     confirmed
 }
 
-/// The deployment-time corruption mix (cycled per sample).
+/// The deployment-time corruption mix (cycled per sample; milder than
+/// [`crate::streams::SHIFTS`]).
 const SHIFTS: [Corruption; 3] = [
     Corruption::GaussianNoise(0.25),
     Corruption::Fog(0.35),
     Corruption::Brightness(0.55),
 ];
-
-/// Corrupts the validation stream deterministically (one fixed tensor
-/// per sample, so pre- and post-enrichment phases replay the identical
-/// stream).
-fn shifted_stream(val: &Dataset, seed: u64) -> Vec<Tensor> {
-    let mut rng = StdRng::seed_from_u64(seed);
-    val.samples
-        .iter()
-        .enumerate()
-        .map(|(i, s)| apply(s, 1, 28, SHIFTS[i % SHIFTS.len()], &mut rng))
-        .collect()
-}
-
-/// A stream of genuine novelties (classes the network never saw).
-fn novelty_stream(n: usize, seed: u64) -> Vec<Tensor> {
-    let kinds = [
-        Novelty::Scooter,
-        Novelty::Asterisk,
-        Novelty::Spiral,
-        Novelty::Static,
-    ];
-    let mut rng = StdRng::seed_from_u64(seed);
-    (0..n)
-        .map(|i| render_gray(kinds[i % kinds.len()], 28, &mut rng))
-        .collect()
-}
 
 /// Runs the online-adaptation experiment and writes
 /// `results/online.json`.
@@ -232,7 +207,9 @@ pub fn run(cfg: &RunConfig) -> OnlineAdaptation {
     monitor.take_dirty(); // construction is epoch 0's baseline, not an update
 
     let workers = 2;
-    let shifted = shifted_stream(&val, cfg.seed.wrapping_add(101));
+    // One fixed tensor per sample, so pre- and post-enrichment phases
+    // replay the identical stream.
+    let shifted = corrupted_stream(&val, &SHIFTS, cfg.seed.wrapping_add(101));
     let novel = novelty_stream(if cfg.full { 120 } else { 48 }, cfg.seed.wrapping_add(202));
     let engine = MonitorEngine::new(
         &monitor,
@@ -440,8 +417,8 @@ mod tests {
     fn shifted_stream_is_deterministic() {
         let mut rng = StdRng::seed_from_u64(3);
         let ds = digits::generate(2, digits::DigitStyle::clean(), &mut rng);
-        let a = shifted_stream(&ds, 9);
-        let b = shifted_stream(&ds, 9);
+        let a = corrupted_stream(&ds, &SHIFTS, 9);
+        let b = corrupted_stream(&ds, &SHIFTS, 9);
         assert_eq!(a, b, "replays must be bit-identical");
         assert_ne!(a, ds.samples, "corruption must change the stream");
     }

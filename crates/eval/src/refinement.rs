@@ -129,26 +129,21 @@ pub fn run(cfg: &RunConfig) -> Refinement {
 
     println!("[evaluating detectors on the validation split]");
     let total = trained.val.samples.len();
-    let mut observations = Vec::with_capacity(total);
-    for (xs, ys) in trained
-        .val
-        .samples
-        .chunks(64)
-        .zip(trained.val.labels.chunks(64))
-    {
-        let by_box = boxes.check_batch(&mut trained.model, xs);
-        let by_dbm = dbms.check_batch(&mut trained.model, xs);
-        for ((b, d), &label) in by_box.iter().zip(&by_dbm).zip(ys) {
-            observations.push(Observation {
-                miscls: b.predicted != label,
-                binary_warn: b.binary == Verdict::OutOfPattern,
-                // An empty envelope (class never correctly predicted in
-                // training) rejects everything: infinite violation.
-                box_violation: b.violation.unwrap_or(f32::INFINITY),
-                dbm_violation: d.violation.unwrap_or(f32::INFINITY),
-            });
-        }
-    }
+    let by_box = boxes.check_batch(&mut trained.model, &trained.val.samples);
+    let by_dbm = dbms.check_batch(&mut trained.model, &trained.val.samples);
+    let observations: Vec<Observation> = by_box
+        .iter()
+        .zip(&by_dbm)
+        .zip(&trained.val.labels)
+        .map(|((b, d), &label)| Observation {
+            miscls: b.predicted != label,
+            binary_warn: b.binary == Verdict::OutOfPattern,
+            // An empty envelope (class never correctly predicted in
+            // training) rejects everything: infinite violation.
+            box_violation: b.violation.unwrap_or(f32::INFINITY),
+            dbm_violation: d.violation.unwrap_or(f32::INFINITY),
+        })
+        .collect();
 
     let miscls_total = observations.iter().filter(|o| o.miscls).count();
     let tally = |warn: &dyn Fn(&Observation) -> bool, name: &str| -> RefinementRow {

@@ -112,44 +112,6 @@ impl Scenario {
         }
     }
 
-    /// Advances the scenario by `dt` seconds of highway kinematics:
-    /// vehicles drift longitudinally with their relative speed, drop off
-    /// the scenario once passed, and occasionally change lanes.
-    ///
-    /// `rel_speeds[i]` is vehicle `i`'s speed relative to the ego vehicle
-    /// in m/s (negative = ego is closing in).  This turns single-shot
-    /// sampling into a rolling simulation for sequence-level experiments.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `rel_speeds.len() != vehicles.len()`.
-    pub fn advance(&mut self, dt: f32, rel_speeds: &[f32], rng: &mut impl Rng) {
-        assert_eq!(
-            rel_speeds.len(),
-            self.vehicles.len(),
-            "one relative speed per vehicle"
-        );
-        let mut survivors = Vec::with_capacity(self.vehicles.len());
-        for (v, &dv) in self.vehicles.iter().zip(rel_speeds) {
-            let mut v = *v;
-            v.distance += dv * dt;
-            // Passed the ego vehicle or out of sensor range: drop.
-            if v.distance <= 2.0 || v.distance > 150.0 {
-                continue;
-            }
-            // Rare lane change.
-            if rng.gen::<f32>() < 0.02 * dt {
-                let delta: i32 = if rng.gen() { 1 } else { -1 };
-                let lane = v.lane as i32 + delta;
-                if (0..NUM_LANES as i32).contains(&lane) {
-                    v.lane = lane as usize;
-                }
-            }
-            survivors.push(v);
-        }
-        self.vehicles = survivors;
-    }
-
     /// Ground truth: index (into `vehicles`) of the nearest vehicle in the
     /// ego lane, or `None` when no vehicle is ahead in the ego lane — the
     /// paper's special class "⊥".
@@ -237,51 +199,6 @@ mod tests {
         assert!(Conditions::heavy_rain().dropout > nominal.dropout);
         assert!(Conditions::dense_cutins().min_distance < nominal.min_distance);
         assert!(Conditions::degraded_sensor().detection_noise > nominal.detection_noise);
-    }
-
-    #[test]
-    fn advance_moves_vehicles_and_culls_passed_ones() {
-        let mut rng = StdRng::seed_from_u64(5);
-        let mut s = Scenario {
-            ego_lane: 1,
-            vehicles: vec![
-                Vehicle {
-                    lane: 1,
-                    distance: 50.0,
-                    lateral: 0.0,
-                    width: 2.0,
-                },
-                Vehicle {
-                    lane: 0,
-                    distance: 5.0,
-                    lateral: 0.0,
-                    width: 2.0,
-                },
-            ],
-            conditions: Conditions::nominal(),
-        };
-        // Vehicle 0 pulls away (+5 m/s), vehicle 1 is overtaken (-10 m/s).
-        s.advance(1.0, &[5.0, -10.0], &mut rng);
-        assert_eq!(s.vehicles.len(), 1);
-        assert!((s.vehicles[0].distance - 55.0).abs() < 1e-5);
-    }
-
-    #[test]
-    fn advance_over_time_keeps_state_valid() {
-        let mut rng = StdRng::seed_from_u64(6);
-        let mut s = Scenario::sample(Conditions::dense_cutins(), &mut rng);
-        for _ in 0..50 {
-            let speeds: Vec<f32> = s
-                .vehicles
-                .iter()
-                .map(|_| rng.gen_range(-8.0..8.0))
-                .collect();
-            s.advance(0.5, &speeds, &mut rng);
-            for v in &s.vehicles {
-                assert!(v.lane < NUM_LANES);
-                assert!(v.distance > 2.0 && v.distance <= 150.0);
-            }
-        }
     }
 
     #[test]

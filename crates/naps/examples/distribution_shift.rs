@@ -70,7 +70,7 @@ fn main() {
     );
     for (name, corruption) in shifts {
         let shifted = shift_dataset(&val, 1, 28, corruption, &mut rng);
-        let stats = evaluate(&monitor, &mut net, &shifted.samples, &shifted.labels, 64);
+        let stats = evaluate(&monitor, &mut net, &shifted.samples, &shifted.labels);
         // Interval-zone violations on the same data.
         let mut violations = 0usize;
         for s in &shifted.samples {

@@ -107,7 +107,6 @@ fn main() {
         &mut net,
         &val.samples,
         &val.labels,
-        64,
         EvalMode::ByLabel,
     );
     println!("[final] {final_stats}");

@@ -6,10 +6,9 @@ use naps::monitor::ActivationMonitor;
 use naps::monitor::{BddZone, MonitorBuilder, Pattern, Zone};
 use naps::nn::{mlp, Adam, TrainConfig, Trainer};
 use naps::tensor::Tensor;
-use parking_lot::RwLock;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::sync::Arc;
+use std::sync::{Arc, RwLock};
 
 #[test]
 fn monitor_pattern_queries_are_shareable_across_threads() {
@@ -89,7 +88,7 @@ fn model_behind_rwlock_serves_monitored_checks() {
         handles.push(std::thread::spawn(move || {
             // Forward passes mutate layer caches, so take the write lock —
             // the monitor itself stays shared.
-            let mut guard = net.write();
+            let mut guard = net.write().expect("model lock poisoned");
             m.check(&mut guard, &probe)
         }));
     }

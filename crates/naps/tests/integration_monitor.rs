@@ -76,7 +76,7 @@ fn gamma_monotonicity_on_validation_data() {
     let mut prev_oop = usize::MAX;
     for gamma in 0..4 {
         monitor.enlarge_to(gamma);
-        let stats = evaluate(&monitor, &mut net, &val.samples, &val.labels, 64);
+        let stats = evaluate(&monitor, &mut net, &val.samples, &val.labels);
         assert!(
             stats.out_of_pattern <= prev_oop,
             "gamma {gamma}: warnings grew from {prev_oop} to {}",
@@ -152,8 +152,8 @@ fn harder_validation_data_warns_more_than_training_data() {
         &train.labels,
         10,
     );
-    let on_train = evaluate(&monitor, &mut net, &train.samples, &train.labels, 64);
-    let on_val = evaluate(&monitor, &mut net, &val.samples, &val.labels, 64);
+    let on_train = evaluate(&monitor, &mut net, &train.samples, &train.labels);
+    let on_val = evaluate(&monitor, &mut net, &val.samples, &val.labels);
     assert!(
         on_val.out_of_pattern_rate() >= on_train.out_of_pattern_rate(),
         "validation ({}) should warn at least as often as training ({})",

@@ -88,8 +88,8 @@ fn fewer_monitored_neurons_coarsen_the_abstraction() {
         .with_selection(sel)
         .with_classes(vec![STOP_SIGN_CLASS])
         .build::<BddZone>(&mut net, &train.samples, &train.labels, 43);
-    let stats_all = evaluate(&all, &mut net, &val.samples, &val.labels, 64);
-    let stats_quarter = evaluate(&quarter, &mut net, &val.samples, &val.labels, 64);
+    let stats_all = evaluate(&all, &mut net, &val.samples, &val.labels);
+    let stats_quarter = evaluate(&quarter, &mut net, &val.samples, &val.labels);
     assert!(
         stats_quarter.out_of_pattern <= stats_all.out_of_pattern,
         "projection must not add warnings: {} > {}",

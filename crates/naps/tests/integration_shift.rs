@@ -56,9 +56,9 @@ fn heavy_corruption_raises_the_warning_rate() {
         10,
     );
     let mut rng = StdRng::seed_from_u64(11);
-    let clean = evaluate(&monitor, &mut net, &val.samples, &val.labels, 64);
+    let clean = evaluate(&monitor, &mut net, &val.samples, &val.labels);
     let noisy = shift_dataset(&val, 1, 28, Corruption::GaussianNoise(0.35), &mut rng);
-    let shifted = evaluate(&monitor, &mut net, &noisy.samples, &noisy.labels, 64);
+    let shifted = evaluate(&monitor, &mut net, &noisy.samples, &noisy.labels);
     // Degeneracy guard (see DISCRIMINATIVE_FIXTURE_SEED): a comfort zone
     // that covers everything makes both rates 0.0 and the comparison
     // below vacuous.  Fail loudly instead of passing silently.

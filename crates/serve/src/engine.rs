@@ -46,8 +46,8 @@
 //!   returns [`SubmitError::Saturated`] instead.
 //! * **Equivalence.** Workers run the prepared, allocation-free forward
 //!   pass ([`naps_nn::PreparedModel`]), which is bit-identical to the
-//!   `pack_batch` → `forward_observe_plan` pipeline of the sequential
-//!   [`naps_core::Monitor::check_batch`] /
+//!   chunked `observe_rows` pass (`forward_observe_plan` per 64 rows) of
+//!   the sequential [`naps_core::Monitor::check_batch`] /
 //!   [`naps_core::LayeredMonitor::check_batch`], and share the same
 //!   zone lookups, so verdicts are bit-identical to sequential checking
 //!   regardless of how requests interleave (asserted by the crate's

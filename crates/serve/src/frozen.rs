@@ -480,7 +480,7 @@ impl FrozenMonitor {
     }
 
     /// Extracts `(predicted class, monitored pattern)` pairs for a batch
-    /// with one shared forward pass — the frozen counterpart of
+    /// with one shared forward pass per 64 inputs — the frozen counterpart of
     /// [`Monitor::observe_batch`] (both run
     /// [`observe_single_layer_batch`]), and the front half of
     /// [`FrozenMonitor::check_batch`].
@@ -492,10 +492,10 @@ impl FrozenMonitor {
         observe_single_layer_batch(model, inputs, self.layer, &self.selection)
     }
 
-    /// Batched judgement sharing one forward pass — the same packed path
-    /// as [`Monitor`]'s
-    /// [`check_batch`](naps_core::ActivationMonitor::check_batch) (`pack_batch` →
-    /// `forward_observe_plan` → batched verdicts), so verdicts are
+    /// Batched judgement — the same chunked observation pass as
+    /// [`Monitor`]'s
+    /// [`check_batch`](naps_core::ActivationMonitor::check_batch)
+    /// (`observe_rows` → per-row verdicts), so verdicts are
     /// bit-identical to the live monitor's.
     pub fn check_batch(&self, model: &mut Sequential, inputs: &[Tensor]) -> Vec<MonitorReport> {
         let observed = self.observe_batch(model, inputs);
@@ -667,8 +667,8 @@ impl FrozenLayeredMonitor {
     }
 
     /// Extracts, for each input, the predicted class plus one observed
-    /// pattern per monitored layer — **one** forward pass for the whole
-    /// batch retaining only the planned layers' activations, the common
+    /// pattern per monitored layer — **one** forward pass per 64 inputs
+    /// retaining only the planned layers' activations, the common
     /// front half of every layered check.
     pub fn observe_batch(
         &self,

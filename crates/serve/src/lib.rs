@@ -26,9 +26,9 @@
 //! [`check`](naps_core::ActivationMonitor::check) /
 //! [`check_batch`](naps_core::ActivationMonitor::check_batch) on a
 //! [`naps_core::Monitor`] or [`naps_core::LayeredMonitor`]: every path runs
-//! one forward pass retaining only the monitored layers' activations —
+//! forward passes retaining only the monitored layers' activations —
 //! in the engine the prepared, allocation-free pass, bit-identical to
-//! the sequential `pack_batch` → `forward_observe_plan` pipeline — model
+//! the sequential chunked `observe_rows` pass — model
 //! replicas are exact parameter copies, and frozen-snapshot queries
 //! agree with the live BDD manager query-for-query (pinned by property
 //! tests in `naps-bdd` and the concurrency suite here).
