@@ -7,40 +7,14 @@
 //! changing their semantics — the membership walk stays linear in the
 //! variable count either way.
 //!
-//! Two entry points:
-//!
-//! * [`Bdd::permute`] rebuilds chosen roots under an explicit permutation
-//!   (e.g. one computed from activation statistics or gradient saliency
-//!   by `naps-core`).
-//! * [`Bdd::sift`] searches for a good order with greedy adjacent-swap
-//!   hill climbing, the simplest member of the sifting family.  Each
-//!   trial swap rebuilds the diagrams, so the search costs
-//!   `O(passes · num_vars)` rebuilds — intended for offline monitor
-//!   preparation, not for runtime.
+//! [`Bdd::permute`] rebuilds chosen roots under an explicit permutation
+//! (e.g. one computed from activation statistics by `naps-core`'s
+//! `order_by_bias`).
 
 use crate::fxhash::HashMap;
 use crate::manager::{Bdd, NodeId, VarId};
 
 impl Bdd {
-    /// Number of distinct decision nodes reachable from any of `roots`
-    /// (terminals excluded) — the live size of a multi-rooted diagram.
-    pub fn live_node_count(&self, roots: &[NodeId]) -> usize {
-        let mut seen = vec![false; self.nodes.len()];
-        let mut stack: Vec<NodeId> = roots.to_vec();
-        let mut count = 0;
-        while let Some(n) = stack.pop() {
-            if n.is_terminal() || seen[n.index()] {
-                continue;
-            }
-            seen[n.index()] = true;
-            count += 1;
-            let nd = &self.nodes[n.index()];
-            stack.push(nd.low);
-            stack.push(nd.high);
-        }
-        count
-    }
-
     /// Rebuilds `roots` into a fresh manager under the variable
     /// permutation `perm`, where old variable `v` becomes new variable
     /// `perm[v]`.
@@ -106,71 +80,6 @@ impl Bdd {
         let created = fresh.ite(var, high, low);
         map.insert(node, created);
         created
-    }
-
-    /// Greedy adjacent-swap sifting: repeatedly sweeps over neighbouring
-    /// variable pairs, keeps a swap whenever it shrinks the live node
-    /// count of `roots`, and stops after `max_passes` sweeps or when a
-    /// sweep finds no improvement.
-    ///
-    /// Returns the reordered manager, the translated roots, and the
-    /// overall permutation (old variable → new variable, suitable for
-    /// translating query assignments).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `max_passes` is zero.
-    ///
-    /// # Example
-    ///
-    /// ```
-    /// use naps_bdd::Bdd;
-    ///
-    /// let mut bdd = Bdd::new(4);
-    /// let f = bdd.cube_from_bools(&[true, true, false, true]);
-    /// let (sifted, roots, perm) = bdd.sift(&[f], 2);
-    /// // Semantics survive under the reported renaming.
-    /// let mut renamed = vec![false; 4];
-    /// for (v, &b) in [true, true, false, true].iter().enumerate() {
-    ///     renamed[perm[v] as usize] = b;
-    /// }
-    /// assert!(sifted.eval(roots[0], &renamed));
-    /// ```
-    pub fn sift(&self, roots: &[NodeId], max_passes: usize) -> (Bdd, Vec<NodeId>, Vec<VarId>) {
-        assert!(max_passes > 0, "max_passes must be positive");
-        let n = self.num_vars;
-        let identity: Vec<VarId> = (0..n as VarId).collect();
-        // Start from a compacted copy so trial rebuilds do not drag
-        // garbage along.
-        let (mut best, mut best_roots) = self.permute(roots, &identity);
-        let mut best_size = best.live_node_count(&best_roots);
-        let mut total_perm = identity.clone();
-
-        for _ in 0..max_passes {
-            let mut improved = false;
-            for pos in 0..n.saturating_sub(1) {
-                let mut swap = identity.clone();
-                swap[pos] = (pos + 1) as VarId;
-                swap[pos + 1] = pos as VarId;
-                let (trial, trial_roots) = best.permute(&best_roots, &swap);
-                // Drop construction garbage before measuring.
-                let (trial, trial_roots) = trial.compact(&trial_roots);
-                let size = trial.live_node_count(&trial_roots);
-                if size < best_size {
-                    best = trial;
-                    best_roots = trial_roots;
-                    best_size = size;
-                    for p in &mut total_perm {
-                        *p = swap[*p as usize];
-                    }
-                    improved = true;
-                }
-            }
-            if !improved {
-                break;
-            }
-        }
-        (best, best_roots, total_perm)
     }
 }
 
@@ -279,66 +188,6 @@ mod tests {
                 fresh.eval(roots[0], &apply_perm(&a, &perm))
             );
         }
-    }
-
-    #[test]
-    fn sift_never_grows_and_preserves_semantics() {
-        // Same pairing function: sifting should rediscover (or beat) the
-        // adjacent order starting from the bad one.
-        let n = 6;
-        let mut bdd = Bdd::new(n);
-        let mut f = bdd.one();
-        for i in 0..3u32 {
-            let a = bdd.var(i);
-            let b = bdd.var(i + 3);
-            let x = bdd.xor(a, b);
-            let eq = bdd.not(x);
-            f = bdd.and(f, eq);
-        }
-        let before = bdd.node_count(f);
-        let (sifted, roots, perm) = bdd.sift(&[f], 10);
-        let after = sifted.node_count(roots[0]);
-        assert!(
-            after <= before,
-            "sifting grew the diagram: {before} -> {after}"
-        );
-        assert!(
-            after < before,
-            "pairing function should improve under sifting"
-        );
-        for a in assignments(n) {
-            assert_eq!(
-                bdd.eval(f, &a),
-                sifted.eval(roots[0], &apply_perm(&a, &perm)),
-                "assignment {a:?}"
-            );
-        }
-    }
-
-    #[test]
-    fn sift_on_symmetric_function_is_a_fixpoint() {
-        // Totally symmetric functions have the same size under every
-        // order; sifting must terminate after one no-improvement pass.
-        let mut bdd = Bdd::new(5);
-        let mut f = bdd.zero();
-        for v in 0..5u32 {
-            let x = bdd.var(v);
-            f = bdd.or(f, x);
-        }
-        let before = bdd.node_count(f);
-        let (sifted, roots, perm) = bdd.sift(&[f], 3);
-        assert_eq!(sifted.node_count(roots[0]), before);
-        assert_eq!(perm, vec![0, 1, 2, 3, 4], "no swap should be kept");
-    }
-
-    #[test]
-    fn live_node_count_deduplicates_shared_structure() {
-        let mut bdd = Bdd::new(4);
-        let f = bdd.cube_from_bools(&[true, true, false, true]);
-        let g = f; // same function twice
-        assert_eq!(bdd.live_node_count(&[f, g]), bdd.node_count(f));
-        assert_eq!(bdd.live_node_count(&[]), 0);
-        assert_eq!(bdd.live_node_count(&[bdd.one()]), 0);
     }
 
     #[test]

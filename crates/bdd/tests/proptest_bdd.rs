@@ -278,34 +278,6 @@ proptest! {
             prop_assert_eq!(bdd.eval(f, &a), back.eval(r2[0], &a));
         }
     }
-
-    /// Sifting never grows the diagram and preserves semantics under the
-    /// reported permutation.
-    #[test]
-    fn sift_shrinks_or_keeps_and_preserves(pats in pattern_set(), gamma in 0u32..2) {
-        let mut bdd = Bdd::new(VARS);
-        let f = build_set(&mut bdd, &pats);
-        let z = bdd.dilate(f, gamma);
-        let before = bdd.node_count(z);
-        let (sifted, roots, perm) = bdd.sift(&[z], 4);
-        prop_assert!(sifted.node_count(roots[0]) <= before);
-        for a in all_assignments_again() {
-            prop_assert_eq!(bdd.eval(z, &a), sifted.eval(roots[0], &apply_perm(&a, &perm)));
-        }
-    }
-
-    /// live_node_count of shared roots never exceeds the per-root sum and
-    /// never undercounts a single root.
-    #[test]
-    fn live_node_count_bounds(a in pattern_set(), b in pattern_set()) {
-        let mut bdd = Bdd::new(VARS);
-        let f = build_set(&mut bdd, &a);
-        let g = build_set(&mut bdd, &b);
-        let live = bdd.live_node_count(&[f, g]);
-        prop_assert!(live <= bdd.node_count(f) + bdd.node_count(g));
-        prop_assert!(live >= bdd.node_count(f));
-        prop_assert!(live >= bdd.node_count(g));
-    }
 }
 
 proptest! {

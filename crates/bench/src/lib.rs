@@ -1,10 +1,11 @@
-//! Shared fixtures for the Criterion benchmarks.
+//! Shared fixtures.
 //!
-//! The benches (one per paper table/figure, plus BDD ablations) need small
-//! trained models and pre-recorded activation patterns; building them here
-//! keeps the `benches/*.rs` files declarative.
+//! The evals and the benchmark (`perfbench/`) need clustered activation
+//! patterns, zones built from them, and a small trained serving MLP;
+//! building them here keeps every eval and the benchmark on the same
+//! inputs.
 
-use naps_core::{BddZone, ExactZone, Monitor, MonitorBuilder, Pattern, Zone};
+use naps_core::{BddZone, Monitor, MonitorBuilder, Pattern, Zone};
 use naps_nn::{mlp, Adam, Sequential, TrainConfig, Trainer};
 use naps_tensor::Tensor;
 use rand::rngs::StdRng;
@@ -43,52 +44,8 @@ pub fn zone_from_patterns<Z: Zone>(patterns: &[Pattern], gamma: u32) -> Z {
     z
 }
 
-/// A small trained classifier over 2-D blobs plus its training data —
-/// enough network to exercise the full monitored path without minutes of
-/// training inside a benchmark.
-pub fn small_trained_model(classes: usize, seed: u64) -> (Sequential, Vec<Tensor>, Vec<usize>) {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut net = mlp(&[2, 32, classes], &mut rng);
-    let mut xs = Vec::new();
-    let mut ys = Vec::new();
-    for c in 0..classes {
-        let angle = c as f32 * std::f32::consts::TAU / classes as f32;
-        for k in 0..40 {
-            let jitter = (k as f32 * 0.37).sin() * 0.2;
-            xs.push(Tensor::from_vec(
-                vec![2],
-                vec![2.0 * angle.cos() + jitter, 2.0 * angle.sin() - jitter],
-            ));
-            ys.push(c);
-        }
-    }
-    let trainer = Trainer::new(TrainConfig {
-        epochs: 30,
-        batch_size: 32,
-        verbose: false,
-    });
-    trainer.fit(&mut net, &xs, &ys, &mut Adam::new(0.02), &mut rng);
-    (net, xs, ys)
-}
-
-/// A monitor over the small trained model.
-pub fn small_monitor(
-    classes: usize,
-    gamma: u32,
-    seed: u64,
-) -> (Monitor<BddZone>, Sequential, Vec<Tensor>) {
-    let (mut net, xs, ys) = small_trained_model(classes, seed);
-    let monitor = MonitorBuilder::new(1, gamma).build::<BddZone>(&mut net, &xs, &ys, classes);
-    (monitor, net, xs)
-}
-
-/// Convenience alias so benches can name both backends uniformly.
-pub type BddBackend = BddZone;
-/// The explicit-set baseline backend.
-pub type ExactBackend = ExactZone;
-
 /// The serving-throughput fixture shared by the serving evals, the
-/// benches and `perfbench`'s `wire_small` workload: a classifier wide
+/// gateway soak test and `perfbench`'s `wire_small` workload: a classifier wide
 /// enough that the forward pass dominates per-query cost (so parallel
 /// speedup is measurable rather than drowned in queueing overhead), its
 /// monitor, and a mixed in/out-of-distribution probe workload.
@@ -148,7 +105,6 @@ pub fn serving_fixture(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use naps_core::ActivationMonitor;
 
     #[test]
     fn clustered_patterns_have_requested_shape() {
@@ -164,12 +120,5 @@ mod tests {
         for p in &ps {
             assert!(z.contains(p));
         }
-    }
-
-    #[test]
-    fn small_monitor_builds() {
-        let (monitor, mut net, xs) = small_monitor(3, 1, 2);
-        let rep = monitor.check(&mut net, &xs[0]);
-        assert!(rep.predicted < 3);
     }
 }

@@ -33,7 +33,7 @@
 use crate::pattern::Pattern;
 use crate::selection::NeuronSelection;
 use naps_nn::Sequential;
-use naps_tensor::Tensor;
+use naps_tensor::{argmax, Tensor};
 
 pub use naps_nn::{ForwardScratch, ObservationPlan, PreparedModel};
 
@@ -66,17 +66,6 @@ pub fn pack_batch_into(inputs: &[Tensor], out: &mut Tensor) {
         assert_eq!(t.len(), feat, "inconsistent input widths");
         data[i * feat..(i + 1) * feat].copy_from_slice(t.data());
     }
-}
-
-/// Index of the largest logit (first wins on ties), i.e. `dec(in)`.
-pub fn argmax(row: &[f32]) -> usize {
-    let mut best = 0;
-    for (i, &v) in row.iter().enumerate() {
-        if v > row[best] {
-            best = i;
-        }
-    }
-    best
 }
 
 /// One observed batch: per-row predicted classes plus the retained

@@ -33,7 +33,7 @@
 //! | [`DriftDetector`] | Section I: out-of-pattern rate as a distribution-shift indicator |
 //! | [`LayeredMonitor`] | joint monitoring of several ReLU layers (extension) |
 //! | [`GridMonitor`] | Section V item (1): per-grid-cell monitors for YOLO-style heads |
-//! | [`order_by_bias`], [`order_by_saliency`] | BDD variable-ordering heuristics (extension) |
+//! | [`order_by_bias`] | a BDD variable-ordering heuristic (extension) |
 //!
 //! # Quickstart
 //!
@@ -96,7 +96,7 @@ pub use monitor::{Monitor, MonitorReport, MonitorSnapshot, Verdict};
 pub use multilayer::{
     validate_monitor_family, CombinePolicy, LayeredGradedReport, LayeredMonitor, LayeredReport,
 };
-pub use ordering::{order_by_bias, order_by_saliency};
+pub use ordering::order_by_bias;
 pub use pattern::Pattern;
 pub use refined::{NumericDomain, RefinedMonitor, RefinedReport};
 pub use selection::NeuronSelection;

@@ -1,22 +1,15 @@
-//! Static variable-ordering heuristics for BDD-backed zones.
+//! A static variable-ordering heuristic for BDD-backed zones.
 //!
 //! The size of a comfort-zone BDD depends on the order in which the
 //! monitored neurons are tested; the default — neuron index — is
-//! arbitrary.  This module derives permutations from quantities the
-//! monitor already has:
+//! arbitrary.  [`order_by_bias`] places the most *biased* neurons
+//! (activation frequency far from ½ over the recorded patterns) first:
+//! near-constant bits at the top of the diagram funnel most paths
+//! through a few nodes.
 //!
-//! * [`order_by_bias`] places the most *biased* neurons (activation
-//!   frequency far from ½ over the recorded patterns) first.  Near-
-//!   constant bits at the top of the diagram funnel most paths through a
-//!   few nodes.
-//! * [`order_by_saliency`] places the most salient neurons (Section II's
-//!   gradient criterion) first, so the bits that matter most for the
-//!   decision are tested earliest.
-//!
-//! Both return `perm` with `perm[neuron] = position`, the convention of
+//! It returns `perm` with `perm[neuron] = position`, the convention of
 //! [`naps_bdd::Bdd::permute`]; [`crate::BddZone::node_count_under`]
-//! measures the effect without committing to it.  Ordering is a
-//! heuristic: the `bench_reorder` ablation quantifies when it pays off.
+//! measures the effect without committing to it.
 
 use crate::pattern::Pattern;
 
@@ -57,37 +50,9 @@ pub fn order_by_bias(patterns: &[Pattern]) -> Vec<u32> {
     }
     let n = patterns.len() as f64;
     let bias = |i: usize| (ones[i] as f64 / n - 0.5).abs();
-    rank_descending(width, bias)
-}
-
-/// Permutation ordering neurons by absolute gradient saliency, most
-/// salient first (the same `|∂n_c/∂n_i|` criterion Section II uses to
-/// *select* neurons, reused to *order* them).
-///
-/// # Panics
-///
-/// Panics if `saliency` is empty.
-///
-/// # Example
-///
-/// ```
-/// use naps_core::order_by_saliency;
-///
-/// // Neuron 2 is most influential, then 0, then 1.
-/// assert_eq!(order_by_saliency(&[0.5, -0.1, 2.0]), vec![1, 2, 0]);
-/// ```
-pub fn order_by_saliency(saliency: &[f32]) -> Vec<u32> {
-    assert!(!saliency.is_empty(), "need at least one neuron");
-    rank_descending(saliency.len(), |i| f64::from(saliency[i].abs()))
-}
-
-/// Ranks `0..width` by `key` descending (stable on ties) and returns
-/// `perm[i] = rank of i`.
-fn rank_descending(width: usize, key: impl Fn(usize) -> f64) -> Vec<u32> {
     let mut idx: Vec<usize> = (0..width).collect();
-    // `total_cmp` is a total order: a NaN key sorts deterministically
-    // (after +inf) instead of panicking the ranking.
-    idx.sort_by(|&a, &b| key(b).total_cmp(&key(a)).then(a.cmp(&b)));
+    // Descending bias, ties by index; `total_cmp` is a total order.
+    idx.sort_by(|&a, &b| bias(b).total_cmp(&bias(a)).then(a.cmp(&b)));
     let mut perm = vec![0u32; width];
     for (pos, &neuron) in idx.iter().enumerate() {
         perm[neuron] = pos as u32;
@@ -124,19 +89,12 @@ mod tests {
     #[test]
     fn outputs_are_permutations() {
         let pats = [p(&[1, 0, 1]), p(&[0, 0, 1])];
-        for perm in [order_by_bias(&pats), order_by_saliency(&[0.3, 0.3, -0.9])] {
-            let mut seen = vec![false; perm.len()];
-            for &q in &perm {
-                assert!(!seen[q as usize], "duplicate position {q}");
-                seen[q as usize] = true;
-            }
+        let perm = order_by_bias(&pats);
+        let mut seen = vec![false; perm.len()];
+        for &q in &perm {
+            assert!(!seen[q as usize], "duplicate position {q}");
+            seen[q as usize] = true;
         }
-    }
-
-    #[test]
-    fn saliency_ties_break_by_index() {
-        assert_eq!(order_by_saliency(&[1.0, 1.0, 1.0]), vec![0, 1, 2]);
-        assert_eq!(order_by_saliency(&[-2.0, 2.0]), vec![0, 1]);
     }
 
     #[test]
@@ -174,11 +132,5 @@ mod tests {
     #[should_panic(expected = "at least one pattern")]
     fn empty_pattern_set_is_rejected() {
         let _ = order_by_bias(&[]);
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one neuron")]
-    fn empty_saliency_is_rejected() {
-        let _ = order_by_saliency(&[]);
     }
 }

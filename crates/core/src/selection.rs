@@ -80,7 +80,7 @@ impl NeuronSelection {
 
     /// Monitors the top `fraction` of neurons ranked by an arbitrary
     /// per-neuron score — e.g. activation variance over the training set,
-    /// the alternative selection criterion the `selection` ablation
+    /// the alternative selection rule the `selection` ablation
     /// compares against gradient saliency.
     ///
     /// # Panics

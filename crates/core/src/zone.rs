@@ -251,8 +251,8 @@ impl BddZone {
     /// Size of the enlarged zone when the monitored neurons are reordered
     /// by `perm` (`perm[neuron] = position`, see
     /// [`naps_bdd::Bdd::permute`]) — a what-if measurement for the
-    /// ordering heuristics of [`crate::order_by_bias`] and
-    /// [`crate::order_by_saliency`].  The zone itself is unchanged.
+    /// ordering heuristic of [`crate::order_by_bias`].  The zone itself
+    /// is unchanged.
     ///
     /// # Panics
     ///
@@ -260,14 +260,6 @@ impl BddZone {
     pub fn node_count_under(&self, perm: &[u32]) -> usize {
         let (fresh, roots) = self.bdd.permute(&[self.zone], perm);
         fresh.node_count(roots[0])
-    }
-
-    /// Like [`BddZone::node_count_under`], but lets greedy sifting
-    /// (see [`naps_bdd::Bdd::sift`]) search for the order; returns the
-    /// best size found and the corresponding permutation.
-    pub fn sifted_node_count(&self, max_passes: usize) -> (usize, Vec<u32>) {
-        let (fresh, roots, perm) = self.bdd.sift(&[self.zone], max_passes);
-        (fresh.node_count(roots[0]), perm)
     }
 }
 

@@ -1,10 +1,10 @@
 //! Measures the allocation-free prepared serving forward pass against
 //! the allocating baseline on the dense serving fixture and on the
-//! paper's conv Network 1, and writes `results/forward.json`
+//! paper's conv networks 1 and 2, and writes `results/forward.json`
 //! (per-micro-batch-size QPS, allocations per batch on each path).  The
 //! binary installs a counting global allocator so
 //! allocations-per-request is measured, not estimated.  Exits non-zero
-//! when the prepared path allocates at all in steady state on either
+//! when the prepared path allocates at all in steady state on any
 //! fixture, when the dense single-row speedup falls below 1.3x, or when
 //! any prepared row diverges from the allocating path — the hot path
 //! must stay allocation-free, worthwhile, and bit-identical.

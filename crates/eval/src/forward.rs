@@ -7,25 +7,28 @@
 //! [`naps_core::prepared::PreparedObserver`] whose batch / carry /
 //! pattern storage is refilled in place across micro-batches.
 //!
-//! This experiment drives both paths over two fixtures at the engine's
+//! This experiment drives both paths over three fixtures at the engine's
 //! micro-batch sizes — the shared dense serving fixture and the paper's
-//! convolutional Network 1 ([`naps_nn::mnist_net`], monitored at fc(40))
-//! — measures rows per second before and after, counts heap allocations
-//! per micro-batch on each path via the driving binary's counting global
-//! allocator, and verifies the prepared rows are **identical** to the
-//! allocating path's on the whole workload.  It writes
+//! convolutional networks 1 ([`naps_nn::mnist_net`], monitored at
+//! fc(40)) and 2 ([`naps_nn::gtsrb_net`], with batch norm, monitored at
+//! fc(84)) — measures rows per second before and after, counts heap
+//! allocations per micro-batch on each path via the driving binary's
+//! counting global allocator, and verifies the prepared rows are
+//! **identical** to the allocating path's on the whole workload.  It writes
 //! `results/forward.json`; the driving binary exits non-zero when the
-//! prepared path allocates at all in steady state on either fixture,
-//! when the dense single-row speedup falls below 1.3x, or on any
-//! divergence.
+//! prepared path allocates at all in steady state on any fixture, when
+//! the dense single-row speedup falls below 1.3x, or on any divergence.
 
 use crate::config::RunConfig;
 use crate::report::{rule, write_json};
 use naps_bench::serving_fixture;
+use naps_core::batch::pack_batch;
 use naps_core::prepared::PreparedObserver;
 use naps_core::{BddZone, MonitorBuilder};
-use naps_data::digits;
-use naps_nn::{mnist_net, ModelSnapshot, Sequential, MNIST_MONITOR_LAYER};
+use naps_data::{digits, signs, Dataset};
+use naps_nn::{
+    gtsrb_net, mnist_net, ModelSnapshot, Sequential, GTSRB_MONITOR_LAYER, MNIST_MONITOR_LAYER,
+};
 use naps_serve::{FrozenLayeredMonitor, FrozenMonitor};
 use naps_tensor::Tensor;
 use rand::rngs::StdRng;
@@ -57,7 +60,8 @@ pub struct ForwardRow {
 /// Both paths on one model.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct ForwardFixture {
-    /// Which model: `"dense"` (the serving fixture) or `"mnist_net"`.
+    /// Which model: `"dense"` (the serving fixture), `"mnist_net"` or
+    /// `"gtsrb_net"`.
     pub model: String,
     /// Probe rows driven through each path per timed pass.
     pub workload: usize,
@@ -78,7 +82,7 @@ pub const SCHEMA_VERSION: u32 = 2;
 pub struct ForwardEval {
     /// Version of this JSON result shape (bump on breaking change).
     pub schema_version: u32,
-    /// The dense serving fixture, then Network 1.
+    /// The dense serving fixture, then Network 1, then Network 2.
     pub fixtures: Vec<ForwardFixture>,
     /// Total prepared-path allocations across every steady-state timed
     /// micro-batch of every fixture (the hard gate: zero).
@@ -132,13 +136,13 @@ fn time_alternating<A, P>(
     (total_rows / alloc_total, total_rows / prep_total, median)
 }
 
-/// Runs the allocating-vs-prepared comparison on both fixtures and
+/// Runs the allocating-vs-prepared comparison on every fixture and
 /// writes `results/forward.json`.  `alloc_count` reads the driving
 /// binary's counting global allocator (monotone allocation events); the
 /// library cannot own the `#[global_allocator]` itself.
 pub fn run(cfg: &RunConfig, alloc_count: fn() -> u64) -> ForwardEval {
     println!("== Allocation-free prepared forward pass vs allocating baseline ==");
-    let (probes_n, rounds) = if cfg.full { (1920, 9) } else { (480, 15) };
+    let (probes_n, rounds) = if cfg.full { (1920, 25) } else { (480, 101) };
     let (monitor, model, probes) = serving_fixture(6, probes_n, cfg.seed);
     let dense = compare(
         "dense",
@@ -150,26 +154,36 @@ pub fn run(cfg: &RunConfig, alloc_count: fn() -> u64) -> ForwardEval {
         alloc_count,
     );
 
-    // Network 1, untrained (the forward pass costs the same), monitored
-    // at fc(40) from its own predictions on clean digits.
+    // The paper's conv networks, untrained (the forward pass costs the
+    // same), each monitored at its paper layer from its own predictions.
     let (train_per_class, probes_per_class, rounds) = if cfg.full { (6, 10, 3) } else { (2, 4, 1) };
     let mut rng = StdRng::seed_from_u64(cfg.seed);
-    let mut net = mnist_net(&mut rng);
+    let net = mnist_net(&mut rng);
     let train = digits::generate(train_per_class, digits::DigitStyle::clean(), &mut rng);
-    let labels = predictions(&mut net, &train.samples);
-    let monitor = MonitorBuilder::new(MNIST_MONITOR_LAYER, 1).build::<BddZone>(
-        &mut net,
-        &train.samples,
-        &labels,
-        10,
-    );
     let probes = digits::generate(probes_per_class, digits::DigitStyle::hard(), &mut rng);
-    let conv = compare(
+    let conv = conv_fixture(
         "mnist_net",
-        &monitor,
         net,
-        &probes.samples,
-        &[1, 8, 32],
+        &train,
+        &probes,
+        MNIST_MONITOR_LAYER,
+        rounds,
+        alloc_count,
+    );
+
+    // Network 2 has 43 classes, so fewer images per class; one training
+    // pass moves its batch-norm running statistics off their defaults.
+    let (train_per_class, probes_per_class) = if cfg.full { (2, 3) } else { (1, 1) };
+    let mut net = gtsrb_net(&mut rng);
+    let train = signs::generate(train_per_class, signs::SignStyle::clean(), &mut rng);
+    let probes = signs::generate(probes_per_class, signs::SignStyle::hard(), &mut rng);
+    net.forward(&pack_batch(&train.samples), true);
+    let gtsrb = conv_fixture(
+        "gtsrb_net",
+        net,
+        &train,
+        &probes,
+        GTSRB_MONITOR_LAYER,
         rounds,
         alloc_count,
     );
@@ -179,7 +193,7 @@ pub fn run(cfg: &RunConfig, alloc_count: fn() -> u64) -> ForwardEval {
         .iter()
         .find(|r| r.batch_size == 1)
         .map_or(0.0, |r| r.speedup);
-    let fixtures = vec![dense, conv];
+    let fixtures = vec![dense, conv, gtsrb];
     let steady_state_allocs = fixtures.iter().map(|f| f.steady_state_allocs).sum();
     let all_identical = fixtures.iter().all(|f| f.all_identical);
     println!(
@@ -198,12 +212,37 @@ pub fn run(cfg: &RunConfig, alloc_count: fn() -> u64) -> ForwardEval {
     result
 }
 
-/// The model's own argmax per sample.
-fn predictions(net: &mut Sequential, samples: &[Tensor]) -> Vec<usize> {
-    samples
+/// Monitors `net` at `layer` (γ = 1) from its own predictions on
+/// `train`, then compares both paths on `probes` at batch sizes 1, 8, 32.
+fn conv_fixture(
+    name: &str,
+    mut net: Sequential,
+    train: &Dataset,
+    probes: &Dataset,
+    layer: usize,
+    rounds: usize,
+    alloc_count: fn() -> u64,
+) -> ForwardFixture {
+    let labels: Vec<usize> = train
+        .samples
         .iter()
         .map(|x| net.predict(&x.clone().reshape(vec![1, x.len()]))[0])
-        .collect()
+        .collect();
+    let monitor = MonitorBuilder::new(layer, 1).build::<BddZone>(
+        &mut net,
+        &train.samples,
+        &labels,
+        train.num_classes,
+    );
+    compare(
+        name,
+        &monitor,
+        net,
+        &probes.samples,
+        &[1, 8, 32],
+        rounds,
+        alloc_count,
+    )
 }
 
 /// Drives the allocating and the prepared observe path over `probes` in

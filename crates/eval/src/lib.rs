@@ -15,7 +15,8 @@
 //! | `layered` | multi-layer monitoring — Any/All/Majority detection-vs-FPR vs the single-layer baseline, layered engine ≡ sequential equivalence, marginal cost per extra monitored layer (`results/layered.json`; exits non-zero when serving diverges, Any detects less than the baseline, or extra layers add forward passes) |
 //! | `compiled` | compiled zone evaluators — compiled-vs-walked speedup per query kind plus fast-path census (`results/compiled.json`; exits non-zero when any compiled answer diverges from the walked oracle or the batched membership speedup falls below 2x) |
 //! | `gateway` | the TCP wire boundary — loopback soak with concurrent clients, saturation-burst shedding, malformed-byte abuse (`results/gateway.json`; exits non-zero on any lost request, wire/in-process verdict divergence, missing typed shed response, or a server that stops serving) |
-//! | `forward` | the allocation-free prepared forward pass — prepared weights + reused scratch vs the allocating baseline on the dense serving fixture and conv Network 1, with a counting global allocator (`results/forward.json`; exits non-zero when the prepared path allocates in steady state, the dense single-row speedup falls below 1.3x, or any row diverges) |
+//! | `complexity` | the BDD's complexity claim (Section I) and Section V's refinement costs — log-log slopes of query time against width and stored patterns for `BddZone`, `ExactZone`, `IntervalZone` and `DbmZone` (`results/complexity.json`; exits non-zero when a slope leaves the bound stated in the module) |
+//! | `forward` | the allocation-free prepared forward pass — prepared weights + reused scratch vs the allocating baseline on the dense serving fixture and conv networks 1 and 2, with a counting global allocator (`results/forward.json`; exits non-zero when the prepared path allocates in steady state, the dense single-row speedup falls below 1.3x, or any row diverges) |
 //!
 //! Each binary prints the paper-format rows and writes machine-readable
 //! JSON under `results/`.  Run with `--full` for paper-scale workloads
@@ -30,6 +31,7 @@
 
 pub mod case_study;
 pub mod compiled;
+pub mod complexity;
 pub mod config;
 pub mod drift;
 pub mod fig2;

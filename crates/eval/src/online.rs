@@ -10,7 +10,8 @@
 //! and the new snapshot is **hot-swapped** into the running
 //! [`MonitorEngine`] without dropping a request.  This experiment
 //! replays that loop end to end and records, per epoch: the
-//! out-of-pattern rate, the serving QPS, the swap latency, the QPS while
+//! out-of-pattern rate, the serving QPS, the enrichment time, the swap
+//! latency, the QPS while
 //! the swap happens, and whether persistence
 //! ([`FrozenLayeredMonitor::save`]/[`FrozenLayeredMonitor::load`])
 //! round-trips the published snapshot exactly.
@@ -55,7 +56,7 @@ pub struct OnlinePhase {
 }
 
 /// The `schema_version` [`run`] stamps on [`OnlineAdaptation`].
-pub const SCHEMA_VERSION: u32 = 1;
+pub const SCHEMA_VERSION: u32 = 2;
 
 /// The full online-adaptation trajectory.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -68,6 +69,9 @@ pub struct OnlineAdaptation {
     pub enriched_patterns: usize,
     /// Classes the enrichment touched (dirty set at publish time).
     pub dirty_classes: usize,
+    /// Wall time of `Monitor::enrich` over every confirmed class plus
+    /// the pre-publish `compact_dirty`.
+    pub enrich_us: f64,
     /// Wall time of `MonitorEngine::publish` (the hot swap itself).
     pub swap_latency_us: f64,
     /// QPS of the stream segment that was in flight while the swap
@@ -236,17 +240,19 @@ pub fn run(cfg: &RunConfig) -> OnlineAdaptation {
     // ---- Operator review: confirm correct-but-warned drift inputs ----
     let oracle0: Vec<MonitorReport> = monitor.check_batch(&mut model, &shifted);
     let confirmed = confirm_benign(&monitor, &mut model, &shifted, &val.labels);
+    let enrich_start = Instant::now();
     let mut enriched_patterns = 0usize;
     for (class, patterns) in &confirmed {
         enriched_patterns += monitor
             .enrich(*class, patterns)
             .expect("confirmed classes are monitored");
     }
+    monitor.compact_dirty();
+    let enrich_us = enrich_start.elapsed().as_secs_f64() * 1e6;
     println!(
         "[operator confirmed {enriched_patterns} benign patterns across {} classes]",
         confirmed.len()
     );
-    monitor.compact_dirty();
     let dirty_classes = monitor.take_dirty().len();
     let frozen1 = FrozenMonitor::freeze(&monitor);
     let oracle1: Vec<MonitorReport> = monitor.check_batch(&mut model, &shifted);
@@ -314,6 +320,7 @@ pub fn run(cfg: &RunConfig) -> OnlineAdaptation {
         phases,
         enriched_patterns,
         dirty_classes,
+        enrich_us,
         swap_latency_us,
         qps_during_update,
         verdicts_attributable,
@@ -353,10 +360,11 @@ fn print_table(result: &OnlineAdaptation) {
     }
     rule(72);
     println!(
-        "enriched {} patterns over {} classes; swap {:.0}µs; {:.0} qps under \
-         update; verdicts attributable: {}; persisted: {}",
+        "enriched {} patterns over {} classes in {:.0}µs; swap {:.0}µs; {:.0} qps \
+         under update; verdicts attributable: {}; persisted: {}",
         result.enriched_patterns,
         result.dirty_classes,
+        result.enrich_us,
         result.swap_latency_us,
         result.qps_during_update,
         result.verdicts_attributable,

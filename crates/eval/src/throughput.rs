@@ -72,8 +72,8 @@ pub struct Throughput {
     pub hardware_threads: usize,
     /// Probes served per measured configuration.
     pub workload: usize,
-    /// Speedup of the 4-worker / batch-128 configuration (the ISSUE 2
-    /// acceptance-criterion cell; target ≥ 3x).
+    /// Speedup of the 4-worker / batch-128 configuration (the gated
+    /// cell; target ≥ 3x).
     pub speedup_4w_batch128: f64,
     /// Whether that cell met the ≥ 3x target — `None` when the run had
     /// fewer than 4 hardware threads, where the target is unreachable
@@ -187,7 +187,7 @@ pub fn run(cfg: &RunConfig) -> Throughput {
         "a parallel configuration diverged from sequential verdicts"
     );
 
-    // The acceptance-criterion cell: 4 workers at micro-batch 128 should
+    // The gated cell: 4 workers at micro-batch 128 should
     // reach >= 3x sequential QPS — judged only on hardware that can
     // physically deliver it (>= 4 threads).
     let speedup_4w_batch128 = rows

@@ -3,6 +3,7 @@
 //! a contract.
 
 use naps_eval::case_study::{CaseStudy, ConditionResult};
+use naps_eval::complexity::{Complexity, Curve, GammaPoint, Point};
 use naps_eval::fig2::{Fig2, SpectrumPoint};
 use naps_eval::table1::{Table1, Table1Row};
 use naps_eval::table2::{Table2, Table2Block, Table2Row};
@@ -87,6 +88,39 @@ fn case_study_roundtrips() {
 }
 
 #[test]
+fn complexity_roundtrips() {
+    let c = Complexity {
+        schema_version: 1,
+        curves: vec![Curve {
+            zone: "DbmZone".into(),
+            swept: "width".into(),
+            points: vec![Point {
+                size: 128,
+                ns_per_query: 16_118.5,
+            }],
+            slope: 2.02,
+            max_slope: None,
+            min_slope: Some(1.5),
+            pass: true,
+        }],
+        query_vs_gamma: vec![GammaPoint {
+            gamma: 3,
+            ns_per_query: 245.0,
+            zone_nodes: 615_571,
+        }],
+        all_pass: true,
+    };
+    let json = serde_json::to_string(&c).expect("serialize");
+    let back: Complexity = serde_json::from_str(&json).expect("deserialize");
+    assert_eq!(back.curves[0].zone, "DbmZone");
+    assert_eq!(back.curves[0].points[0].size, 128);
+    assert_eq!(back.curves[0].max_slope, None);
+    assert_eq!(back.curves[0].min_slope, Some(1.5));
+    assert_eq!(back.query_vs_gamma[0].zone_nodes, 615_571);
+    assert!(back.all_pass);
+}
+
+#[test]
 fn config_profiles_scale_consistently() {
     use naps_eval::RunConfig;
     let fast = RunConfig::default();
@@ -124,8 +158,8 @@ struct Stamped {
 #[test]
 fn checked_in_results_match_their_emitters() {
     use naps_eval::{
-        case_study, compiled, drift, fig2, forward, gateway, graded, layered, online, refinement,
-        selection, table1, table2, throughput,
+        case_study, compiled, complexity, drift, fig2, forward, gateway, graded, layered, online,
+        refinement, selection, table1, table2, throughput,
     };
     let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../results");
     let mut checked = 0;
@@ -143,6 +177,10 @@ fn checked_in_results_match_their_emitters() {
             "compiled.json" => (
                 schema_of(name, &json, |r: &compiled::CompiledEval| r.schema_version),
                 compiled::SCHEMA_VERSION,
+            ),
+            "complexity.json" => (
+                schema_of(name, &json, |r: &complexity::Complexity| r.schema_version),
+                complexity::SCHEMA_VERSION,
             ),
             "forward.json" => (
                 schema_of(name, &json, |r: &forward::ForwardEval| r.schema_version),

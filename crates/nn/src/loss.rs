@@ -1,6 +1,6 @@
 //! Softmax, cross-entropy loss, and accuracy.
 
-use naps_tensor::Tensor;
+use naps_tensor::{argmax, Tensor};
 
 /// Row-wise softmax of a `[batch, classes]` logits tensor.
 ///
@@ -57,24 +57,16 @@ pub fn softmax_cross_entropy(logits: &Tensor, labels: &[usize]) -> (f32, Tensor)
 ///
 /// Panics if `labels.len()` differs from the batch size.
 pub fn accuracy(logits: &Tensor, labels: &[usize]) -> f64 {
-    let (batch, classes) = (logits.shape()[0], logits.shape()[1]);
+    let batch = logits.shape()[0];
     assert_eq!(labels.len(), batch, "one label per batch row required");
     if batch == 0 {
         return 0.0;
     }
-    let mut correct = 0usize;
-    for (r, &label) in labels.iter().enumerate() {
-        let row = logits.row(r);
-        let mut best = 0;
-        for c in 1..classes {
-            if row[c] > row[best] {
-                best = c;
-            }
-        }
-        if best == label {
-            correct += 1;
-        }
-    }
+    let correct = labels
+        .iter()
+        .enumerate()
+        .filter(|&(r, &label)| argmax(logits.row(r)) == label)
+        .count();
     correct as f64 / batch as f64
 }
 

@@ -2,7 +2,7 @@
 //! boundary-gradient collection.
 
 use crate::layer::{Layer, ParamGrad};
-use naps_tensor::Tensor;
+use naps_tensor::{argmax, Tensor};
 
 /// A feed-forward stack of layers, applied in order.
 ///
@@ -152,19 +152,8 @@ impl Sequential {
     /// Predicted class per sample: argmax over logits.
     pub fn predict(&mut self, x: &Tensor) -> Vec<usize> {
         let logits = self.forward(x, false);
-        let classes = logits.shape()[1];
         (0..logits.shape()[0])
-            .map(|r| {
-                let row = logits.row(r);
-                let mut best = 0;
-                for (i, &v) in row.iter().enumerate() {
-                    if v > row[best] {
-                        best = i;
-                    }
-                }
-                let _ = classes;
-                best
-            })
+            .map(|r| argmax(logits.row(r)))
             .collect()
     }
 }

@@ -1,8 +1,8 @@
 //! Shared fixture for the `naps-serve` integration suites.
 //!
-//! Lives here (not in `naps-bench`, which hosts the other shared
-//! fixtures) because `naps-bench`'s dev-dependencies include
-//! `naps-serve` — the bench crate cannot be a dependency of this one.
+//! Lives here, not in `naps-bench` (the evals' and the benchmark's
+//! shared fixtures), because only these suites use this geometry: a
+//! four-class 2-D classifier whose probes make all three verdicts occur.
 //! Both the concurrency and the hot-swap suite must exercise the *same*
 //! trained geometry; keeping one definition means any retuning for the
 //! vendored RNG stream (see PR 1's fixture history) happens once.

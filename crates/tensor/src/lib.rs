@@ -52,4 +52,4 @@ pub use conv::{
 };
 pub use linalg::matmul_slice_into;
 pub use rng::{xavier_uniform, Randn};
-pub use tensor::Tensor;
+pub use tensor::{argmax, Tensor};

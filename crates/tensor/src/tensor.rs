@@ -267,22 +267,22 @@ impl Tensor {
         self.data.clear();
         self.data.extend_from_slice(&src.data);
     }
+}
 
-    /// Index of the maximum element of a 1-D tensor (ties break low).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the tensor is empty.
-    pub fn argmax(&self) -> usize {
-        assert!(!self.data.is_empty(), "argmax of an empty tensor");
-        let mut best = 0;
-        for (i, &v) in self.data.iter().enumerate() {
-            if v > self.data[best] {
-                best = i;
-            }
+/// Index of the largest value in `row`, i.e. the predicted class `dec(in)`
+/// of a logits row.  A first-wins `>` scan: ties break low, and since no
+/// comparison with NaN holds, a NaN after index 0 is never picked while a
+/// NaN at index 0 is never left (so index 0 is returned).  An empty row
+/// yields 0.
+#[inline]
+pub fn argmax(row: &[f32]) -> usize {
+    let mut best = 0;
+    for (i, &v) in row.iter().enumerate() {
+        if v > row[best] {
+            best = i;
         }
-        best
     }
+    best
 }
 
 impl FromIterator<f32> for Tensor {
@@ -362,8 +362,20 @@ mod tests {
 
     #[test]
     fn argmax_breaks_ties_low() {
-        let t = Tensor::from_vec(vec![4], vec![1., 3., 3., 0.]);
-        assert_eq!(t.argmax(), 1);
+        let nan = f32::NAN;
+        let table: [(&[f32], usize); 8] = [
+            (&[1., 3., 3., 0.], 1),
+            (&[2., 2., 2.], 0),
+            (&[-3., -1., -2.], 1),
+            (&[-1., -1., -5.], 0),
+            (&[nan, 5., 9.], 0),
+            (&[1., nan, 0.5], 0),
+            (&[1., nan, 4., 4.], 2),
+            (&[-2., nan, -1.], 2),
+        ];
+        for (row, want) in table {
+            assert_eq!(argmax(row), want, "row {row:?}");
+        }
     }
 
     #[test]
