@@ -30,6 +30,17 @@
 //!   ([`BddSnapshot::min_hamming_distance_within`]) ported onto the same
 //!   compiled structure, so graded verdicts ride the compiled path too.
 //!
+//! **Bits, not levels.**  A snapshot may test its variables in any order
+//! (each comfort zone has its own).  Every compiled node stores the
+//! *variable* it tests, so each step reads the pattern's own bit, and the
+//! walks, the bit-sliced pass and both distance sweeps cost the same in
+//! any order: they only follow child links, which point towards the
+//! terminals whatever the order.  Levels matter at compile time only, in
+//! the snapshot's saturating sat-count and key enumeration
+//! ([`BddSnapshot::minterms`]); the keys are plain variable-indexed
+//! patterns, so the small-zone index — and the [`CompiledPath`] it picks —
+//! is a function of the set alone, the same in every order.
+//!
 //! Compiled evaluators are **derived, never serialized**: persistence
 //! stores snapshots only, and loading recompiles (deterministically — a
 //! recompiled evaluator is `==` to a freshly frozen one).
@@ -57,8 +68,9 @@ pub const SMALL_ZONE_MAX_PATTERNS: u64 = 2048;
 /// costs more than it saves).
 const SLICED_MIN_GROUP: usize = 8;
 
-/// One lowered decision node: `(var, low, high)` with child indices in
-/// the same `0`/`1`-are-terminals encoding as [`BddSnapshot`].
+/// One lowered decision node: `(var, low, high)` — the variable whose
+/// pattern bit it tests, and child indices in the same
+/// `0`/`1`-are-terminals encoding as [`BddSnapshot`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct CompiledNode {
     var: VarId,
@@ -119,8 +131,8 @@ impl CompiledZone {
     pub fn compile(snapshot: &BddSnapshot) -> Self {
         let mut zone = Self::compile_flat_only(snapshot);
         if zone.num_vars > 0 {
-            if let Some(count) = zone.bounded_sat_count(SMALL_ZONE_MAX_PATTERNS) {
-                zone.small = Some(zone.build_small_index(count));
+            if let Some(keys) = snapshot.minterms(SMALL_ZONE_MAX_PATTERNS) {
+                zone.small = Some(SmallIndex::from_sorted(keys, zone.words_per_pattern));
             }
         }
         zone
@@ -515,117 +527,21 @@ impl CompiledZone {
         }
         verdict
     }
+}
 
-    // -----------------------------------------------------------------
-    // Compilation of the small-zone index
-    // -----------------------------------------------------------------
-
-    /// Exact satisfying-assignment count when it is at most `limit`,
-    /// `None` otherwise.  Bottom-up over the topo-ordered array with
-    /// saturating arithmetic: skipped levels double the child's count.
-    // naps-lint: allow-fn(panic_freedom, "counts has one slot per node plus the two terminals; children precede parents in a validated topo order, so every child offset was already written")
-    fn bounded_sat_count(&self, limit: u64) -> Option<u64> {
-        let level = |entry: u32| -> u32 {
-            if entry < 2 {
-                self.num_vars as u32
-            } else {
-                self.nodes[entry as usize - 2].var
-            }
-        };
-        // Saturating `count << levels` — each variable level skipped
-        // between a node and its child doubles the child's count.
-        let shifted = |count: u64, levels: u32| -> u64 {
-            if count == 0 {
-                0
-            } else if levels >= 64 || count > (u64::MAX >> levels) {
-                u64::MAX
-            } else {
-                count << levels
-            }
-        };
-        // counts[entry] = satisfying assignments over the variables from
-        // the entry's own level down (children precede parents, so one
-        // forward pass suffices).
-        let mut counts = vec![0u64; self.nodes.len() + 2];
-        counts[1] = 1;
-        for (i, n) in self.nodes.iter().enumerate() {
-            let low = shifted(counts[n.low as usize], level(n.low) - n.var - 1);
-            let high = shifted(counts[n.high as usize], level(n.high) - n.var - 1);
-            counts[i + 2] = low.saturating_add(high);
-        }
-        // Variables above the root's level are free as well.
-        let total = match self.root {
-            0 => 0,
-            1 => shifted(1, self.num_vars as u32),
-            r => shifted(counts[r as usize], level(r)),
-        };
-        (total <= limit).then_some(total)
-    }
-
-    /// Enumerates the zone's `count` satisfying patterns into sorted
-    /// packed keys, collapsing to an interval when they are contiguous.
-    // naps-lint: allow-fn(panic_freedom, "keys_flat's length is a multiple of stride and key indices stay below keys_flat.len()/stride; lvl < num_vars makes lvl>>6 < stride; compile-time only, never on the serving path")
-    fn build_small_index(&self, count: u64) -> SmallIndex {
-        let stride = self.words_per_pattern;
-        let mut keys_flat: Vec<u64> = Vec::with_capacity(count as usize * stride);
-        // Stack of (entry, next level to decide, partial key).
-        let mut stack: Vec<(u32, u32, Vec<u64>)> = Vec::new();
-        if self.root != 0 {
-            stack.push((self.root, 0, vec![0u64; stride]));
-        }
-        let level = |entry: u32| -> u32 {
-            if entry < 2 {
-                self.num_vars as u32
-            } else {
-                self.nodes[entry as usize - 2].var
-            }
-        };
-        while let Some((entry, lvl, key)) = stack.pop() {
-            if lvl as usize == self.num_vars {
-                debug_assert_eq!(entry, 1);
-                keys_flat.extend_from_slice(&key);
-                continue;
-            }
-            if level(entry) > lvl {
-                // Free variable: branch both ways.
-                let mut with_true = key.clone();
-                with_true[(lvl >> 6) as usize] |= 1u64 << (lvl & 63);
-                stack.push((entry, lvl + 1, with_true));
-                stack.push((entry, lvl + 1, key));
-            } else {
-                let n = self.nodes[entry as usize - 2];
-                if n.high != 0 {
-                    let mut with_true = key.clone();
-                    with_true[(lvl >> 6) as usize] |= 1u64 << (lvl & 63);
-                    stack.push((n.high, lvl + 1, with_true));
-                }
-                if n.low != 0 {
-                    stack.push((n.low, lvl + 1, key));
-                }
-            }
-        }
-        // Sort keys as word slices so membership can binary-search.
-        let mut indexed: Vec<usize> = (0..keys_flat.len() / stride.max(1)).collect();
-        if stride > 0 {
-            indexed.sort_by(|&a, &b| {
-                keys_flat[a * stride..(a + 1) * stride]
-                    .cmp(&keys_flat[b * stride..(b + 1) * stride])
-            });
-        }
-        let sorted: Vec<u64> = indexed
-            .iter()
-            .flat_map(|&i| keys_flat[i * stride..(i + 1) * stride].iter().copied())
-            .collect();
-        if stride == 1 && !sorted.is_empty() {
-            let (lo, hi) = (sorted[0], sorted[sorted.len() - 1]);
-            if hi - lo + 1 == sorted.len() as u64 {
+impl SmallIndex {
+    /// The index of a zone whose satisfying patterns are `keys` (sorted
+    /// packed patterns, `stride` words each): an interval when they are
+    /// contiguous single words, else the sorted keys themselves.
+    // naps-lint: allow-fn(panic_freedom, "the first/last index is taken only when the key list is non-empty; compile-time only, never on the serving path")
+    fn from_sorted(keys: Vec<u64>, stride: usize) -> Self {
+        if stride == 1 && !keys.is_empty() {
+            let (lo, hi) = (keys[0], keys[keys.len() - 1]);
+            if hi - lo + 1 == keys.len() as u64 {
                 return SmallIndex::Interval { lo, hi };
             }
         }
-        SmallIndex::Sorted {
-            stride,
-            keys: sorted,
-        }
+        SmallIndex::Sorted { stride, keys }
     }
 }
 

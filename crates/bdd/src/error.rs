@@ -30,6 +30,9 @@ pub enum BddError {
         /// Human-readable reason.
         reason: &'static str,
     },
+    /// A snapshot was restored into a manager that tests the variables in
+    /// another order than the snapshot's.
+    OrderMismatch,
 }
 
 impl fmt::Display for BddError {
@@ -44,6 +47,12 @@ impl fmt::Display for BddError {
             }
             BddError::MalformedSnapshot { reason } => {
                 write!(f, "malformed snapshot: {reason}")
+            }
+            BddError::OrderMismatch => {
+                write!(
+                    f,
+                    "snapshot and manager test the variables in different orders"
+                )
             }
         }
     }

@@ -120,9 +120,9 @@ mod tests {
 
     #[test]
     fn sequential_ids_spread_over_bucket_and_tag_bits() {
-        // Unique-table keys: 64 variables of 2048 consecutive nodes each.
+        // Unique-table keys: 64 levels of 2048 consecutive nodes each.
         let nodes = hashes((0..N).map(|i| Node {
-            var: i >> 11,
+            level: i >> 11,
             low: NodeId(i + 2),
             high: NodeId(i + 3),
         }));
@@ -136,7 +136,7 @@ mod tests {
         }));
         assert_spread("(Op, NodeId, NodeId)", &apply);
 
-        // Dilation / quantification memo keys: (node, radius or variable).
+        // Dilation / quantification memo keys: (node, radius or level).
         let memo = hashes((0..N).map(|i| (NodeId((i >> 2) + 2), i & 3)));
         assert_spread("(NodeId, u32)", &memo);
     }

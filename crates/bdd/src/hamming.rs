@@ -50,7 +50,7 @@ impl Bdd {
         let hi_flipped = self.ball_rec(node.low, k - 1, memo);
         let low = self.or(lo, lo_flipped);
         let high = self.or(hi, hi_flipped);
-        let r = self.mk_node(node.var, low, high);
+        let r = self.mk_node(node.level, low, high);
         memo.insert((f, k), r);
         r
     }
@@ -97,7 +97,7 @@ impl Bdd {
             return d;
         }
         let node = self.nodes[f.index()];
-        let bit = pattern[node.var as usize];
+        let bit = pattern[self.order[node.level as usize] as usize];
         let agree = if bit { node.high } else { node.low };
         let disagree = if bit { node.low } else { node.high };
         let d_agree = self.min_dist_rec(agree, pattern, memo);
@@ -175,7 +175,7 @@ impl Bdd {
             return d;
         }
         let node = self.nodes[f.index()];
-        let bit = pattern[node.var as usize];
+        let bit = pattern[self.order[node.level as usize] as usize];
         let agree = if bit { node.high } else { node.low };
         let disagree = if bit { node.low } else { node.high };
         let d_agree = self.bounded_dist_rec(agree, pattern, slack, memo);

@@ -21,6 +21,11 @@
 //!   of the manager (arena allocation, no garbage collection — monitors are
 //!   built once and then queried).
 //! * All boolean connectives are memoised through an operation cache.
+//! * The variable order is part of the manager ([`Bdd::with_order`]) and of
+//!   every [`BddSnapshot`]; assignments, patterns and queries are always
+//!   indexed by variable, so the order changes a diagram's size, never its
+//!   meaning.  [`Bdd::union_of_cubes`] builds a pattern set bottom-up in
+//!   any order; [`Bdd::reorder`] re-expresses finished diagrams in another.
 //!
 //! # Example
 //!

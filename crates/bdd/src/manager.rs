@@ -4,9 +4,10 @@ use crate::fxhash::HashMap;
 
 /// Index of a boolean variable, `0 ..< num_vars`.
 ///
-/// Variables are ordered by their index: variable `0` is tested first on
-/// every root-to-terminal path.  For activation-pattern monitors, variable
-/// `i` corresponds to the `i`-th monitored neuron.
+/// For activation-pattern monitors, variable `i` corresponds to the
+/// `i`-th monitored neuron.  Every assignment, pattern and query is
+/// indexed by variable; the order in which a diagram *tests* the
+/// variables is the manager's [`Bdd::order`].
 pub type VarId = u32;
 
 /// A reference to a BDD node (and thus to the boolean function rooted there).
@@ -36,11 +37,12 @@ impl NodeId {
     }
 }
 
-/// A decision node: tests `var`, follows `low` when the variable is 0 and
-/// `high` when it is 1.
+/// A decision node: tests the variable at `level` of the manager's order
+/// (`order[level]`), follows `low` when it is 0 and `high` when it is 1.
+/// Children sit at strictly larger levels.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub(crate) struct Node {
-    pub var: VarId,
+    pub level: u32,
     pub low: NodeId,
     pub high: NodeId,
 }
@@ -68,11 +70,16 @@ pub struct BddStats {
 }
 
 /// A manager for reduced ordered binary decision diagrams over a fixed set
-/// of variables.
+/// of variables, tested in a fixed variable order.
 ///
 /// All functions created by one manager share structure through a unique
 /// table (hash-consing), so two [`NodeId`]s produced by the same manager are
 /// equal **iff** they denote the same boolean function.
+///
+/// The order is part of the manager: [`Bdd::new`] tests variable `0`
+/// first, [`Bdd::with_order`] any permutation.  A diagram's size depends
+/// on it, its meaning does not — every query takes assignments indexed by
+/// variable, whatever the order.
 ///
 /// # Example
 ///
@@ -96,8 +103,12 @@ pub struct Bdd {
     pub(crate) unique: HashMap<Node, NodeId>,
     pub(crate) apply_cache: HashMap<(Op, NodeId, NodeId), NodeId>,
     pub(crate) not_cache: HashMap<NodeId, NodeId>,
-    pub(crate) quant_cache: HashMap<(NodeId, VarId), NodeId>,
+    pub(crate) quant_cache: HashMap<(NodeId, u32), NodeId>,
     pub(crate) num_vars: usize,
+    /// `order[level]` is the variable tested at `level`.
+    pub(crate) order: Vec<VarId>,
+    /// `level_of[var]` is the level at which `var` is tested.
+    pub(crate) level_of: Vec<u32>,
 }
 
 impl Bdd {
@@ -113,16 +124,46 @@ impl Bdd {
             num_vars < (u32::MAX - 2) as usize,
             "variable count {num_vars} out of range"
         );
-        // Terminals occupy ids 0 and 1 with a pseudo-variable beyond every
-        // real variable so ordering comparisons stay uniform.
-        let term_var = num_vars as VarId;
+        Self::with_order((0..num_vars as VarId).collect())
+    }
+
+    /// Creates a manager over `order.len()` variables that tests
+    /// `order[0]` first, then `order[1]`, and so on.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `order` is not a permutation of `0 .. order.len()`.
+    ///
+    /// # Example
+    ///
+    /// ```
+    /// use naps_bdd::Bdd;
+    ///
+    /// // Test variable 2 first: the cube is still indexed by variable.
+    /// let mut bdd = Bdd::with_order(vec![2, 0, 1]);
+    /// let f = bdd.cube_from_bools(&[true, false, false]);
+    /// assert!(bdd.eval(f, &[true, false, false]));
+    /// assert_eq!(bdd.node_var(f), Some(2));
+    /// ```
+    pub fn with_order(order: Vec<VarId>) -> Self {
+        let num_vars = order.len();
+        assert!(
+            num_vars < (u32::MAX - 2) as usize,
+            "variable count {num_vars} out of range"
+        );
+        let Some(level_of) = invert_order(&order) else {
+            panic!("not a permutation of 0..num_vars: {order:?}");
+        };
+        // Terminals occupy ids 0 and 1 with a pseudo-level beyond every
+        // real level so ordering comparisons stay uniform.
+        let term_level = num_vars as u32;
         let zero = Node {
-            var: term_var,
+            level: term_level,
             low: NodeId::ZERO,
             high: NodeId::ZERO,
         };
         let one = Node {
-            var: term_var,
+            level: term_level,
             low: NodeId::ONE,
             high: NodeId::ONE,
         };
@@ -133,6 +174,8 @@ impl Bdd {
             not_cache: HashMap::default(),
             quant_cache: HashMap::default(),
             num_vars,
+            order,
+            level_of,
         }
     }
 
@@ -140,6 +183,13 @@ impl Bdd {
     #[inline]
     pub fn num_vars(&self) -> usize {
         self.num_vars
+    }
+
+    /// The variable order: `order()[level]` is the variable tested at
+    /// `level` (the identity for [`Bdd::new`]).
+    #[inline]
+    pub fn order(&self) -> &[VarId] {
+        &self.order
     }
 
     /// The constant-false function (empty pattern set).
@@ -164,7 +214,7 @@ impl Bdd {
             (var as usize) < self.num_vars,
             "variable {var} out of range"
         );
-        self.mk_node(var, NodeId::ZERO, NodeId::ONE)
+        self.mk_node(self.level_of[var as usize], NodeId::ZERO, NodeId::ONE)
     }
 
     /// The negated projection function of variable `var`.
@@ -177,7 +227,7 @@ impl Bdd {
             (var as usize) < self.num_vars,
             "variable {var} out of range"
         );
-        self.mk_node(var, NodeId::ONE, NodeId::ZERO)
+        self.mk_node(self.level_of[var as usize], NodeId::ONE, NodeId::ZERO)
     }
 
     /// Variable tested at `node`, or `None` for terminals.
@@ -186,7 +236,7 @@ impl Bdd {
         if node.is_terminal() {
             None
         } else {
-            Some(self.nodes[node.index()].var)
+            Some(self.order[self.nodes[node.index()].level as usize])
         }
     }
 
@@ -213,12 +263,12 @@ impl Bdd {
     }
 
     /// Hash-consing constructor: returns the canonical node for
-    /// `(var, low, high)`, creating it only if it does not exist.
-    pub(crate) fn mk_node(&mut self, var: VarId, low: NodeId, high: NodeId) -> NodeId {
+    /// `(level, low, high)`, creating it only if it does not exist.
+    pub(crate) fn mk_node(&mut self, level: u32, low: NodeId, high: NodeId) -> NodeId {
         if low == high {
             return low; // reduction rule
         }
-        let key = Node { var, low, high };
+        let key = Node { level, low, high };
         if let Some(&id) = self.unique.get(&key) {
             return id;
         }
@@ -228,13 +278,13 @@ impl Bdd {
         id
     }
 
-    /// The "level" used for ordering comparisons; terminals sort last.
+    /// The level used for ordering comparisons; terminals sort last.
     #[inline]
-    pub(crate) fn level(&self, node: NodeId) -> VarId {
+    pub(crate) fn level(&self, node: NodeId) -> u32 {
         if node.is_terminal() {
-            self.num_vars as VarId
+            self.num_vars as u32
         } else {
-            self.nodes[node.index()].var
+            self.nodes[node.index()].level
         }
     }
 
@@ -256,7 +306,7 @@ impl Bdd {
         let mut cur = node;
         while !cur.is_terminal() {
             let n = &self.nodes[cur.index()];
-            cur = if assignment[n.var as usize] {
+            cur = if assignment[self.order[n.level as usize] as usize] {
                 n.high
             } else {
                 n.low
@@ -278,15 +328,87 @@ impl Bdd {
             "pattern length must equal the variable count"
         );
         let mut acc = NodeId::ONE;
-        for (i, &b) in bits.iter().enumerate().rev() {
-            let var = i as VarId;
-            acc = if b {
-                self.mk_node(var, NodeId::ZERO, acc)
+        for level in (0..self.num_vars).rev() {
+            let level_u32 = level as u32;
+            acc = if bits[self.order[level] as usize] {
+                self.mk_node(level_u32, NodeId::ZERO, acc)
             } else {
-                self.mk_node(var, acc, NodeId::ZERO)
+                self.mk_node(level_u32, acc, NodeId::ZERO)
             };
         }
         acc
+    }
+
+    /// The set of exactly `patterns` — a union of cubes built bottom-up in
+    /// one pass, with no intermediate diagrams.
+    ///
+    /// Each pattern is `ceil(num_vars / 64)` packed words, least-significant
+    /// bit of word 0 = variable 0.  The patterns are re-keyed in the
+    /// manager's order (level 0 most significant), sorted and
+    /// deduplicated; the diagram is then the sorted keys' trie with equal
+    /// subtries shared by hash-consing, each node made once.  Inserting
+    /// the same patterns one [`Bdd::or`] at a time yields the same node,
+    /// at the cost of re-walking every shared prefix.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a pattern has fewer words than `num_vars` needs.
+    ///
+    /// # Example
+    ///
+    /// ```
+    /// use naps_bdd::Bdd;
+    ///
+    /// let mut bdd = Bdd::with_order(vec![1, 0]);
+    /// let set = bdd.union_of_cubes(&[&[0b01], &[0b10], &[0b01]]);
+    /// let a = bdd.cube_from_bools(&[true, false]);
+    /// let b = bdd.cube_from_bools(&[false, true]);
+    /// assert_eq!(set, bdd.or(a, b));
+    /// ```
+    pub fn union_of_cubes(&mut self, patterns: &[&[u64]]) -> NodeId {
+        if patterns.is_empty() {
+            return NodeId::ZERO;
+        }
+        if self.num_vars == 0 {
+            return NodeId::ONE;
+        }
+        let words = self.num_vars.div_ceil(64);
+        let mut keys = vec![0u64; patterns.len() * words];
+        for (pattern, key) in patterns.iter().zip(keys.chunks_exact_mut(words)) {
+            assert!(pattern.len() >= words, "pattern words too short");
+            for (level, &var) in self.order.iter().enumerate() {
+                let var = var as usize;
+                if (pattern[var / 64] >> (var % 64)) & 1 == 1 {
+                    key[level / 64] |= 1 << (63 - level % 64);
+                }
+            }
+        }
+        let mut sorted: Vec<&[u64]> = keys.chunks_exact(words).collect();
+        sorted.sort_unstable();
+        sorted.dedup();
+        self.trie(&sorted, 0)
+    }
+
+    /// The diagram of the non-empty sorted, distinct level-keys `keys`
+    /// below `level`: they split where the level's bit turns to 1.
+    fn trie(&mut self, keys: &[&[u64]], level: u32) -> NodeId {
+        if level as usize == self.num_vars {
+            return NodeId::ONE;
+        }
+        let (word, shift) = ((level / 64) as usize, 63 - level % 64);
+        let split = keys.partition_point(|k| (k[word] >> shift) & 1 == 0);
+        let (zeros, ones) = keys.split_at(split);
+        let low = if zeros.is_empty() {
+            NodeId::ZERO
+        } else {
+            self.trie(zeros, level + 1)
+        };
+        let high = if ones.is_empty() {
+            NodeId::ZERO
+        } else {
+            self.trie(ones, level + 1)
+        };
+        self.mk_node(level, low, high)
     }
 
     /// Number of decision nodes reachable from `node` (terminals excluded).
@@ -316,6 +438,20 @@ impl Bdd {
             num_vars: self.num_vars,
         }
     }
+}
+
+/// `level_of` for `order` (`level_of[order[l]] = l`), or `None` when
+/// `order` is not a permutation of `0 .. order.len()`.
+pub(crate) fn invert_order(order: &[VarId]) -> Option<Vec<u32>> {
+    let mut level_of = vec![u32::MAX; order.len()];
+    for (level, &var) in order.iter().enumerate() {
+        let slot = level_of.get_mut(var as usize)?;
+        if *slot != u32::MAX {
+            return None;
+        }
+        *slot = level as u32;
+    }
+    Some(level_of)
 }
 
 #[cfg(test)]
@@ -445,7 +581,7 @@ impl Bdd {
     /// is final, compacting shrinks the arena to exactly the live nodes.
     /// Returns the new manager and the translated roots (same order).
     pub fn compact(&self, roots: &[NodeId]) -> (Bdd, Vec<NodeId>) {
-        let mut fresh = Bdd::new(self.num_vars);
+        let mut fresh = Bdd::with_order(self.order.clone());
         let mut map: HashMap<NodeId, NodeId> = HashMap::default();
         map.insert(NodeId::ZERO, NodeId::ZERO);
         map.insert(NodeId::ONE, NodeId::ONE);
@@ -468,7 +604,7 @@ impl Bdd {
         let n = self.nodes[node.index()];
         let low = self.copy_into(n.low, fresh, map);
         let high = self.copy_into(n.high, fresh, map);
-        let created = fresh.mk_node(n.var, low, high);
+        let created = fresh.mk_node(n.level, low, high);
         map.insert(node, created);
         created
     }

@@ -37,7 +37,7 @@ impl Bdd {
         let node = self.nodes[f.index()];
         let low = self.not(node.low);
         let high = self.not(node.high);
-        let r = self.mk_node(node.var, low, high);
+        let r = self.mk_node(node.level, low, high);
         self.not_cache.insert(f, r);
         r
     }
@@ -84,14 +84,14 @@ impl Bdd {
         }
         let lf = self.level(f);
         let lg = self.level(g);
-        let var = lf.min(lg);
-        let (f0, f1) = if lf == var {
+        let level = lf.min(lg);
+        let (f0, f1) = if lf == level {
             let n = self.nodes[f.index()];
             (n.low, n.high)
         } else {
             (f, f)
         };
-        let (g0, g1) = if lg == var {
+        let (g0, g1) = if lg == level {
             let n = self.nodes[g.index()];
             (n.low, n.high)
         } else {
@@ -99,7 +99,7 @@ impl Bdd {
         };
         let low = self.apply(op, f0, g0);
         let high = self.apply(op, f1, g1);
-        let r = self.mk_node(var, low, high);
+        let r = self.mk_node(level, low, high);
         self.apply_cache.insert((op, f, g), r);
         r
     }

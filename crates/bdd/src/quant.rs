@@ -19,28 +19,29 @@ impl Bdd {
             (var as usize) < self.num_vars,
             "variable {var} out of range"
         );
-        self.exists_rec(f, var)
+        let level = self.level_of[var as usize];
+        self.exists_rec(f, level)
     }
 
-    fn exists_rec(&mut self, f: NodeId, var: VarId) -> NodeId {
+    fn exists_rec(&mut self, f: NodeId, level: u32) -> NodeId {
         if f.is_terminal() {
             return f;
         }
         let node = self.nodes[f.index()];
-        if node.var > var {
-            // `var` does not occur below this node (ordering), nothing to do.
+        if node.level > level {
+            // The level does not occur below this node (ordering).
             return f;
         }
-        if node.var == var {
+        if node.level == level {
             return self.or(node.low, node.high);
         }
-        if let Some(&r) = self.quant_cache.get(&(f, var)) {
+        if let Some(&r) = self.quant_cache.get(&(f, level)) {
             return r;
         }
-        let low = self.exists_rec(node.low, var);
-        let high = self.exists_rec(node.high, var);
-        let r = self.mk_node(node.var, low, high);
-        self.quant_cache.insert((f, var), r);
+        let low = self.exists_rec(node.low, level);
+        let high = self.exists_rec(node.high, level);
+        let r = self.mk_node(node.level, low, high);
+        self.quant_cache.insert((f, level), r);
         r
     }
 
@@ -55,7 +56,7 @@ impl Bdd {
             }
             seen[n.index()] = true;
             let nd = &self.nodes[n.index()];
-            in_support[nd.var as usize] = true;
+            in_support[self.order[nd.level as usize] as usize] = true;
             stack.push(nd.low);
             stack.push(nd.high);
         }

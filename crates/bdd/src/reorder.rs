@@ -1,67 +1,63 @@
-//! Variable reordering.
+//! Moving diagrams between variable orders.
 //!
 //! BDD size is notoriously sensitive to the variable order.  For
-//! activation-pattern monitors the default order is the neuron index,
-//! which is arbitrary; reordering the monitored neurons can shrink the
-//! stored comfort zones (less memory on the deployed ECU) without
-//! changing their semantics — the membership walk stays linear in the
-//! variable count either way.
-//!
-//! [`Bdd::permute`] rebuilds chosen roots under an explicit permutation
-//! (e.g. one computed from activation statistics by `naps-core`'s
-//! `order_by_bias`).
+//! activation-pattern monitors the order is a property of each zone's
+//! manager ([`Bdd::with_order`]): `naps-core` seals every comfort zone in
+//! its own activation-bias order and builds it there from the start, so
+//! the serving path never reorders.  [`Bdd::reorder`] re-expresses
+//! finished diagrams under another order — the same functions, tested in
+//! a different sequence — e.g. to compare a zone with one built in index
+//! order, whose canonical form it then reproduces node for node.
 
 use crate::fxhash::HashMap;
 use crate::manager::{Bdd, NodeId, VarId};
 
 impl Bdd {
-    /// Rebuilds `roots` into a fresh manager under the variable
-    /// permutation `perm`, where old variable `v` becomes new variable
-    /// `perm[v]`.
+    /// Rebuilds `roots` into a fresh manager whose variable order is
+    /// `order` (see [`Bdd::with_order`]).  Every function keeps its
+    /// meaning: `old.eval(root, a) == new.eval(root', a)` for every
+    /// assignment `a`.
     ///
-    /// Semantics are preserved up to renaming: for every assignment `a`,
-    /// `old.eval(root, a) == new.eval(root', a')` with
-    /// `a'[perm[v]] = a[v]`.
+    /// Each node is rebuilt through `ite` on its variable, which restores
+    /// the ordering invariant wherever the new order moves a variable
+    /// below its children.  It is a construction-time tool, not a fast
+    /// path.
     ///
     /// # Panics
     ///
-    /// Panics if `perm` is not a permutation of `0 .. num_vars`.
+    /// Panics if `order` is not a permutation of `0 .. num_vars`.
     ///
     /// # Example
     ///
     /// ```
-    /// use naps_bdd::Bdd;
+    /// use naps_bdd::{Bdd, BddSnapshot};
     ///
-    /// let mut bdd = Bdd::new(3);
+    /// let mut bdd = Bdd::with_order(vec![2, 0, 1]);
     /// let f = bdd.cube_from_bools(&[true, false, true]);
-    /// // Move variable 0 to position 2 (and shift the others down).
-    /// let (fresh, roots) = bdd.permute(&[f], &[2, 0, 1]);
-    /// // Old assignment [1,0,1] becomes [0,1,1] under the renaming.
-    /// assert!(fresh.eval(roots[0], &[false, true, true]));
+    /// let (fresh, roots) = bdd.reorder(&[f], &[0, 1, 2]);
+    /// assert!(fresh.eval(roots[0], &[true, false, true]));
+    /// // Canonical: the same set built in index order.
+    /// let mut direct = Bdd::new(3);
+    /// let g = direct.cube_from_bools(&[true, false, true]);
+    /// assert_eq!(
+    ///     BddSnapshot::capture(&fresh, roots[0]),
+    ///     BddSnapshot::capture(&direct, g)
+    /// );
     /// ```
-    pub fn permute(&self, roots: &[NodeId], perm: &[VarId]) -> (Bdd, Vec<NodeId>) {
-        assert_eq!(perm.len(), self.num_vars, "permutation length mismatch");
-        let mut hit = vec![false; self.num_vars];
-        for &p in perm {
-            assert!(
-                (p as usize) < self.num_vars && !hit[p as usize],
-                "not a permutation of 0..num_vars"
-            );
-            hit[p as usize] = true;
-        }
-        let mut fresh = Bdd::new(self.num_vars);
+    pub fn reorder(&self, roots: &[NodeId], order: &[VarId]) -> (Bdd, Vec<NodeId>) {
+        assert_eq!(order.len(), self.num_vars, "order length mismatch");
+        let mut fresh = Bdd::with_order(order.to_vec());
         let mut map: HashMap<NodeId, NodeId> = HashMap::default();
         let new_roots = roots
             .iter()
-            .map(|&r| self.permute_node(r, perm, &mut fresh, &mut map))
+            .map(|&r| self.reorder_node(r, &mut fresh, &mut map))
             .collect();
         (fresh, new_roots)
     }
 
-    fn permute_node(
+    fn reorder_node(
         &self,
         node: NodeId,
-        perm: &[VarId],
         fresh: &mut Bdd,
         map: &mut HashMap<NodeId, NodeId>,
     ) -> NodeId {
@@ -72,11 +68,9 @@ impl Bdd {
             return m;
         }
         let n = self.nodes[node.index()];
-        let low = self.permute_node(n.low, perm, fresh, map);
-        let high = self.permute_node(n.high, perm, fresh, map);
-        // The permuted variable may now sit below its children's levels,
-        // so rebuild through `ite`, which restores the ordering invariant.
-        let var = fresh.var(perm[n.var as usize]);
+        let low = self.reorder_node(n.low, fresh, map);
+        let high = self.reorder_node(n.high, fresh, map);
+        let var = fresh.var(self.order[n.level as usize]);
         let created = fresh.ite(var, high, low);
         map.insert(node, created);
         created
@@ -87,33 +81,12 @@ impl Bdd {
 mod tests {
     use super::*;
 
-    /// `a'[perm[v]] = a[v]`.
-    fn apply_perm(assignment: &[bool], perm: &[VarId]) -> Vec<bool> {
-        let mut out = vec![false; assignment.len()];
-        for (v, &b) in assignment.iter().enumerate() {
-            out[perm[v] as usize] = b;
-        }
-        out
-    }
-
     fn assignments(n: usize) -> impl Iterator<Item = Vec<bool>> {
         (0..1usize << n).map(move |m| (0..n).map(|b| (m >> b) & 1 == 1).collect())
     }
 
     #[test]
-    fn identity_permutation_is_a_copy() {
-        let mut bdd = Bdd::new(4);
-        let a = bdd.var(0);
-        let b = bdd.var(3);
-        let f = bdd.xor(a, b);
-        let (fresh, roots) = bdd.permute(&[f], &[0, 1, 2, 3]);
-        for a in assignments(4) {
-            assert_eq!(bdd.eval(f, &a), fresh.eval(roots[0], &a));
-        }
-    }
-
-    #[test]
-    fn permute_preserves_semantics_up_to_renaming() {
+    fn reorder_preserves_semantics() {
         let mut bdd = Bdd::new(4);
         // f = (x0 & x1) | (!x2 & x3)
         let x0 = bdd.var(0);
@@ -123,23 +96,36 @@ mod tests {
         let l = bdd.and(x0, x1);
         let r = bdd.and(nx2, x3);
         let f = bdd.or(l, r);
-        let perm: Vec<VarId> = vec![3, 1, 0, 2]; // old v -> new perm[v]
-        let (fresh, roots) = bdd.permute(&[f], &perm);
+        let (fresh, roots) = bdd.reorder(&[f], &[3, 1, 0, 2]);
+        assert_eq!(fresh.order(), &[3, 1, 0, 2]);
         for a in assignments(4) {
             assert_eq!(
                 bdd.eval(f, &a),
-                fresh.eval(roots[0], &apply_perm(&a, &perm)),
+                fresh.eval(roots[0], &a),
                 "assignment {a:?}"
             );
         }
     }
 
     #[test]
+    fn identity_permutation_is_a_copy() {
+        let mut bdd = Bdd::new(4);
+        let a = bdd.var(0);
+        let b = bdd.var(3);
+        let f = bdd.xor(a, b);
+        let (fresh, roots) = bdd.reorder(&[f], &[0, 1, 2, 3]);
+        assert_eq!(
+            crate::BddSnapshot::capture(&fresh, roots[0]),
+            crate::BddSnapshot::capture(&bdd, f)
+        );
+    }
+
+    #[test]
     fn permute_reverse_order_of_a_cube_keeps_node_count() {
         let mut bdd = Bdd::new(6);
         let f = bdd.cube_from_bools(&[true, false, true, true, false, true]);
-        let perm: Vec<VarId> = (0..6).rev().collect();
-        let (fresh, roots) = bdd.permute(&[f], &perm);
+        let order: Vec<VarId> = (0..6).rev().collect();
+        let (fresh, roots) = bdd.reorder(&[f], &order);
         // A minterm cube has one node per variable under any order.
         assert_eq!(fresh.node_count(roots[0]), 6);
     }
@@ -149,8 +135,7 @@ mod tests {
         let mut bdd = Bdd::new(3);
         let f = bdd.cube_from_bools(&[true, true, false]);
         let g = bdd.dilate(f, 1);
-        let (fresh, roots) = bdd.permute(&[f, g], &[2, 0, 1]);
-        let mut fresh = fresh;
+        let (mut fresh, roots) = bdd.reorder(&[f, g], &[2, 0, 1]);
         assert!(
             fresh.implies(roots[0], roots[1]),
             "f ⊆ dilate(f) must survive"
@@ -158,14 +143,28 @@ mod tests {
     }
 
     #[test]
+    fn reorder_there_and_back_is_the_identity() {
+        let mut bdd = Bdd::new(5);
+        let p = bdd.cube_from_bools(&[true, false, true, false, true]);
+        let q = bdd.cube_from_bools(&[false, false, true, true, true]);
+        let u = bdd.or(p, q);
+        let z = bdd.dilate(u, 1);
+        let (there, r1) = bdd.reorder(&[z], &[4, 2, 0, 3, 1]);
+        let (back, r2) = there.reorder(&r1, &[0, 1, 2, 3, 4]);
+        assert_eq!(
+            crate::BddSnapshot::capture(&back, r2[0]),
+            crate::BddSnapshot::capture(&bdd, z)
+        );
+    }
+
+    #[test]
     fn interleaved_vs_blocked_order_changes_size() {
-        // The classic example: f = (x0 ↔ x1') & (x2 ↔ x3') is small when
-        // related variables are adjacent and blows up when they are far
-        // apart.  With 3 pairs the effect is already visible.
+        // The classic example: f = (x0 ↔ x3) & (x1 ↔ x4) & (x2 ↔ x5) is
+        // small when related variables are adjacent and blows up when they
+        // are far apart.
         let n = 6;
         let mut bdd = Bdd::new(n);
         let mut f = bdd.one();
-        // Pairs under the *bad* order: (0,3), (1,4), (2,5).
         for i in 0..3u32 {
             let a = bdd.var(i);
             let b = bdd.var(i + 3);
@@ -173,20 +172,15 @@ mod tests {
             let eq = bdd.not(x);
             f = bdd.and(f, eq);
         }
-        let bad_size = bdd.node_count(f);
-        // Permute to adjacency: 0->0, 3->1, 1->2, 4->3, 2->4, 5->5.
-        let perm: Vec<VarId> = vec![0, 2, 4, 1, 3, 5];
-        let (fresh, roots) = bdd.permute(&[f], &perm);
-        let good_size = fresh.node_count(roots[0]);
+        let blocked = bdd.node_count(f);
+        let (fresh, roots) = bdd.reorder(&[f], &[0, 3, 1, 4, 2, 5]);
+        let interleaved = fresh.node_count(roots[0]);
         assert!(
-            good_size < bad_size,
-            "adjacent pairing should shrink: {bad_size} -> {good_size}"
+            interleaved < blocked,
+            "adjacent pairing should shrink: {blocked} -> {interleaved}"
         );
         for a in assignments(n) {
-            assert_eq!(
-                bdd.eval(f, &a),
-                fresh.eval(roots[0], &apply_perm(&a, &perm))
-            );
+            assert_eq!(bdd.eval(f, &a), fresh.eval(roots[0], &a));
         }
     }
 
@@ -195,14 +189,14 @@ mod tests {
     fn duplicate_target_is_rejected() {
         let mut bdd = Bdd::new(3);
         let f = bdd.var(0);
-        let _ = bdd.permute(&[f], &[0, 0, 2]);
+        let _ = bdd.reorder(&[f], &[0, 0, 2]);
     }
 
     #[test]
-    #[should_panic(expected = "permutation length mismatch")]
+    #[should_panic(expected = "order length mismatch")]
     fn wrong_length_is_rejected() {
         let mut bdd = Bdd::new(3);
         let f = bdd.var(0);
-        let _ = bdd.permute(&[f], &[0, 1]);
+        let _ = bdd.reorder(&[f], &[0, 1]);
     }
 }

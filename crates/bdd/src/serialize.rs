@@ -3,8 +3,8 @@
 
 use crate::error::BddError;
 use crate::fxhash::HashMap;
-use crate::manager::{Bdd, NodeId, VarId};
-use serde::{Deserialize, Serialize};
+use crate::manager::{invert_order, Bdd, NodeId, VarId};
+use serde::{Deserialize, Serialize, Value};
 
 /// Memo byte meaning "no satisfying assignment within the remaining
 /// budget" in [`BddSnapshot::min_hamming_distance_within`].  Budgets at
@@ -17,7 +17,16 @@ const BOUNDED_UNVISITED: u8 = 0xFF;
 ///
 /// Nodes are stored in topological order (children before parents), with
 /// indices `0` and `1` reserved for the terminals, so restoring is a single
-/// forward pass of hash-consing insertions.
+/// forward pass of hash-consing insertions.  [`BddSnapshot::capture`]
+/// numbers them by a post-order walk from the root, so a snapshot — and
+/// its bytes — depends only on the function and the variable order, never
+/// on how the manager built it.
+///
+/// Each node records the *variable* it tests, so every query indexes
+/// assignments by variable whatever the order.  The order itself
+/// ([`BddSnapshot::order`]) travels with the snapshot; it is serialized
+/// only when it differs from index order, so index-ordered snapshots keep
+/// the byte format they always had.
 ///
 /// # Example
 ///
@@ -34,7 +43,7 @@ const BOUNDED_UNVISITED: u8 = 0xFF;
 /// assert!(fresh.eval(restored, &[true, false, true]));
 /// # Ok::<(), naps_bdd::BddError>(())
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BddSnapshot {
     num_vars: usize,
     /// `(var, low, high)` triples; `low`/`high` index into this list shifted
@@ -42,10 +51,14 @@ pub struct BddSnapshot {
     nodes: Vec<(VarId, u32, u32)>,
     /// Index (same encoding) of the root.
     root: u32,
+    /// The variable order (`order[level]` is tested at `level`), empty
+    /// when it is index order.
+    order: Vec<VarId>,
 }
 
 impl BddSnapshot {
-    /// Captures the function rooted at `root` from `bdd`.
+    /// Captures the function rooted at `root` from `bdd`, with `bdd`'s
+    /// variable order.
     pub fn capture(bdd: &Bdd, root: NodeId) -> Self {
         let mut order: Vec<NodeId> = Vec::new();
         let mut index_of: HashMap<NodeId, u32> = HashMap::default();
@@ -82,10 +95,40 @@ impl BddSnapshot {
                 )
             })
             .collect();
+        let var_order = bdd.order();
+        let index_ordered = var_order.iter().enumerate().all(|(l, &v)| l == v as usize);
         BddSnapshot {
             num_vars: bdd.num_vars(),
             nodes,
             root: encode(root, &index_of),
+            order: if index_ordered {
+                Vec::new()
+            } else {
+                var_order.to_vec()
+            },
+        }
+    }
+
+    /// The variable order the diagram tests its variables in:
+    /// `order()[level]` is the variable at `level`.  Restore into a
+    /// manager made with [`Bdd::with_order`] of this order.
+    pub fn order(&self) -> Vec<VarId> {
+        if self.order.is_empty() {
+            (0..self.num_vars as VarId).collect()
+        } else {
+            self.order.clone()
+        }
+    }
+
+    /// `level_of[var]` for the snapshot's order, `None` when a stored
+    /// order is not a permutation of the variables.
+    fn level_of(&self) -> Option<Vec<u32>> {
+        if self.order.is_empty() {
+            Some((0..self.num_vars as u32).collect())
+        } else if self.order.len() == self.num_vars {
+            invert_order(&self.order)
+        } else {
+            None
         }
     }
 
@@ -342,6 +385,9 @@ impl BddSnapshot {
     /// past its own definition, [`BddError::MalformedSnapshot`] if a node
     /// violates reducedness or the variable order.
     pub fn validate(&self) -> Result<(), BddError> {
+        let level_of = self.level_of().ok_or(BddError::MalformedSnapshot {
+            reason: "variable order is not a permutation of the variables",
+        })?;
         for (i, &(var, low, high)) in self.nodes.iter().enumerate() {
             let slot = i + 2;
             if low as usize >= slot || high as usize >= slot {
@@ -360,7 +406,7 @@ impl BddSnapshot {
             for child in [low, high] {
                 if child >= 2 {
                     let child_var = self.nodes[child as usize - 2].0;
-                    if child_var <= var {
+                    if level_of[child_var as usize] <= level_of[var as usize] {
                         return Err(BddError::MalformedSnapshot {
                             reason: "variable ordering violated",
                         });
@@ -381,8 +427,9 @@ impl BddSnapshot {
     /// # Errors
     ///
     /// Returns [`BddError::VarCountMismatch`] if `bdd` was created with a
-    /// different variable count, plus everything
-    /// [`BddSnapshot::validate`] rejects.
+    /// different variable count, [`BddError::OrderMismatch`] if it tests
+    /// the variables in another order than [`BddSnapshot::order`], plus
+    /// everything [`BddSnapshot::validate`] rejects.
     pub fn restore(&self, bdd: &mut Bdd) -> Result<NodeId, BddError> {
         if self.num_vars != bdd.num_vars() {
             return Err(BddError::VarCountMismatch {
@@ -391,15 +438,171 @@ impl BddSnapshot {
             });
         }
         self.validate()?;
+        if bdd.order() != self.order().as_slice() {
+            return Err(BddError::OrderMismatch);
+        }
         let mut ids: Vec<NodeId> = Vec::with_capacity(self.nodes.len() + 2);
         ids.push(NodeId::ZERO);
         ids.push(NodeId::ONE);
         for &(var, low, high) in &self.nodes {
             let lo = ids[low as usize];
             let hi = ids[high as usize];
-            ids.push(bdd.mk_node(var, lo, hi));
+            let level = bdd.level_of[var as usize];
+            ids.push(bdd.mk_node(level, lo, hi));
         }
         Ok(ids[self.root as usize])
+    }
+
+    /// Every satisfying assignment, or `None` when there are more than
+    /// `limit`.  Each is `ceil(num_vars / 64)` packed words
+    /// (least-significant bit of word 0 = variable 0), and they come
+    /// sorted as word slices.
+    ///
+    /// A bottom-up count over the node array, saturating at `limit`,
+    /// decides first; only then are the assignments enumerated, so the
+    /// cost stays proportional to `limit × num_vars` however large the set.
+    /// The snapshot must be valid ([`BddSnapshot::validate`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics if a stored order is not a permutation of the variables.
+    ///
+    /// # Example
+    ///
+    /// ```
+    /// use naps_bdd::{Bdd, BddSnapshot};
+    ///
+    /// let mut bdd = Bdd::with_order(vec![1, 0]);
+    /// let f = bdd.var(1); // x1: the assignments 10 and 11 (LSB first)
+    /// let snap = BddSnapshot::capture(&bdd, f);
+    /// assert_eq!(snap.minterms(4), Some(vec![0b10, 0b11]));
+    /// assert_eq!(snap.minterms(1), None);
+    /// ```
+    pub fn minterms(&self, limit: u64) -> Option<Vec<u64>> {
+        let Some(level_of) = self.level_of() else {
+            panic!("malformed snapshot: variable order is not a permutation");
+        };
+        let order = self.order();
+        let level = |entry: u32| -> u32 {
+            if entry < 2 {
+                self.num_vars as u32
+            } else {
+                level_of[self.nodes[entry as usize - 2].0 as usize]
+            }
+        };
+        let count = self.bounded_sat_count(limit, &level)?;
+        let stride = self.num_vars.div_ceil(64);
+        let mut keys: Vec<u64> = Vec::with_capacity(count as usize * stride);
+        // Stack of (entry, next level to decide, partial key).
+        let mut stack: Vec<(u32, u32, Vec<u64>)> = Vec::new();
+        if self.root != 0 {
+            stack.push((self.root, 0, vec![0u64; stride]));
+        }
+        while let Some((entry, lvl, key)) = stack.pop() {
+            if lvl as usize == self.num_vars {
+                debug_assert_eq!(entry, 1);
+                keys.extend_from_slice(&key);
+                continue;
+            }
+            let var = order[lvl as usize];
+            let set = |mut key: Vec<u64>| {
+                key[(var >> 6) as usize] |= 1u64 << (var & 63);
+                key
+            };
+            if level(entry) > lvl {
+                // Free variable: branch both ways.
+                stack.push((entry, lvl + 1, set(key.clone())));
+                stack.push((entry, lvl + 1, key));
+            } else {
+                let (_, low, high) = self.nodes[entry as usize - 2];
+                if high != 0 {
+                    stack.push((high, lvl + 1, set(key.clone())));
+                }
+                if low != 0 {
+                    stack.push((low, lvl + 1, key));
+                }
+            }
+        }
+        if stride > 0 {
+            let mut sorted: Vec<&[u64]> = keys.chunks_exact(stride).collect();
+            sorted.sort_unstable();
+            keys = sorted.concat();
+        }
+        Some(keys)
+    }
+
+    /// Exact satisfying-assignment count when it is at most `limit`,
+    /// `None` otherwise.  Bottom-up over the topo-ordered array with
+    /// saturating arithmetic: skipped levels double the child's count.
+    fn bounded_sat_count(&self, limit: u64, level: &impl Fn(u32) -> u32) -> Option<u64> {
+        // Saturating `count << levels` — each level skipped between a
+        // node and its child doubles the child's count.
+        let shifted = |count: u64, levels: u32| -> u64 {
+            if count == 0 {
+                0
+            } else if levels >= 64 || count > (u64::MAX >> levels) {
+                u64::MAX
+            } else {
+                count << levels
+            }
+        };
+        // counts[entry] = satisfying assignments over the levels from the
+        // entry's own level down (children precede parents, so one forward
+        // pass suffices).
+        let mut counts = vec![0u64; self.nodes.len() + 2];
+        counts[1] = 1;
+        for (i, &(_, low, high)) in self.nodes.iter().enumerate() {
+            let own = level(i as u32 + 2);
+            let low = shifted(counts[low as usize], level(low) - own - 1);
+            let high = shifted(counts[high as usize], level(high) - own - 1);
+            counts[i + 2] = low.saturating_add(high);
+        }
+        // Levels above the root's are free as well.
+        let total = match self.root {
+            0 => 0,
+            1 => shifted(1, self.num_vars as u32),
+            r => shifted(counts[r as usize], level(r)),
+        };
+        (total <= limit).then_some(total)
+    }
+}
+
+/// Written by hand so that the order field appears only when it is not
+/// index order: index-ordered snapshots serialize exactly as they did
+/// before diagrams carried an order.
+impl Serialize for BddSnapshot {
+    fn to_value(&self) -> Value {
+        let mut fields = vec![
+            ("num_vars".to_string(), self.num_vars.to_value()),
+            ("nodes".to_string(), self.nodes.to_value()),
+            ("root".to_string(), self.root.to_value()),
+        ];
+        if !self.order.is_empty() {
+            fields.push(("order".to_string(), self.order.to_value()));
+        }
+        Value::Map(fields)
+    }
+}
+
+/// A missing order field means index order; an explicit index order is
+/// normalised to the same (empty) form, so equality does not depend on
+/// which was written.
+impl Deserialize for BddSnapshot {
+    fn from_value(v: &Value) -> Result<Self, serde::Error> {
+        let num_vars: usize = Deserialize::from_value(v.field("num_vars")?)?;
+        let mut order: Vec<VarId> = match v.field("order") {
+            Ok(order) => Deserialize::from_value(order)?,
+            Err(_) => Vec::new(),
+        };
+        if order.len() == num_vars && order.iter().enumerate().all(|(l, &var)| l == var as usize) {
+            order.clear();
+        }
+        Ok(BddSnapshot {
+            num_vars,
+            nodes: Deserialize::from_value(v.field("nodes")?)?,
+            root: Deserialize::from_value(v.field("root")?)?,
+            order,
+        })
     }
 }
 
@@ -456,6 +659,7 @@ mod tests {
             num_vars: 2,
             nodes: vec![(0, 5, 1)],
             root: 2,
+            order: Vec::new(),
         };
         let mut fresh = Bdd::new(2);
         assert!(matches!(
@@ -470,6 +674,7 @@ mod tests {
             num_vars: 2,
             nodes: vec![(0, 1, 1)],
             root: 2,
+            order: Vec::new(),
         };
         let mut fresh = Bdd::new(2);
         assert!(matches!(
@@ -492,6 +697,7 @@ mod tests {
             num_vars: 2,
             nodes: vec![(0, 0, 1)],
             root: 9,
+            order: Vec::new(),
         };
         assert!(matches!(
             snap.validate(),
@@ -506,6 +712,7 @@ mod tests {
             num_vars: 2,
             nodes: vec![(0, 0, 1), (1, 2, 1)],
             root: 3,
+            order: Vec::new(),
         };
         assert!(snap.validate().is_err());
         // Swapping the variables fixes it.
@@ -513,6 +720,7 @@ mod tests {
             num_vars: 2,
             nodes: vec![(1, 0, 1), (0, 2, 1)],
             root: 3,
+            order: Vec::new(),
         };
         assert_eq!(ok.validate(), Ok(()));
     }

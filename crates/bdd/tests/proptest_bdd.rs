@@ -220,62 +220,100 @@ proptest! {
     }
 }
 
-/// A random permutation of `0..VARS`, built by ranking random keys.
+/// A random variable order: a permutation of `0..VARS`, built by ranking
+/// random keys.
 fn permutation() -> impl Strategy<Value = Vec<u32>> {
     proptest::collection::vec(any::<u32>(), VARS).prop_map(|keys| {
-        let mut idx: Vec<usize> = (0..VARS).collect();
-        idx.sort_by_key(|&i| (keys[i], i));
-        let mut perm = vec![0u32; VARS];
-        for (pos, &i) in idx.iter().enumerate() {
-            perm[i] = pos as u32;
-        }
-        perm
+        let mut order: Vec<u32> = (0..VARS as u32).collect();
+        order.sort_by_key(|&v| (keys[v as usize], v));
+        order
     })
-}
-
-fn apply_perm(assignment: &[bool], perm: &[u32]) -> Vec<bool> {
-    let mut out = vec![false; assignment.len()];
-    for (v, &b) in assignment.iter().enumerate() {
-        out[perm[v] as usize] = b;
-    }
-    out
 }
 
 fn all_assignments_again() -> impl Iterator<Item = Vec<bool>> {
     (0..1usize << VARS).map(|m| (0..VARS).map(|b| (m >> b) & 1 == 1).collect())
 }
 
+/// Packs a pattern LSB-first into one word (`VARS` < 64).
+fn word(p: &[bool]) -> u64 {
+    p.iter()
+        .enumerate()
+        .fold(0, |w, (i, &b)| w | (u64::from(b) << i))
+}
+
 proptest! {
-    /// Permutation preserves semantics up to variable renaming, including
-    /// through a dilation.
+    /// Reordering keeps every function's meaning, including through a
+    /// dilation, and lands on the diagram built in that order directly.
     #[test]
-    fn permute_preserves_semantics(pats in pattern_set(), perm in permutation(), gamma in 0u32..2) {
+    fn permute_preserves_semantics(pats in pattern_set(), order in permutation(), gamma in 0u32..2) {
         let mut bdd = Bdd::new(VARS);
         let f = build_set(&mut bdd, &pats);
         let z = bdd.dilate(f, gamma);
-        let (fresh, roots) = bdd.permute(&[f, z], &perm);
+        let (fresh, roots) = bdd.reorder(&[f, z], &order);
         for a in all_assignments_again() {
-            let pa = apply_perm(&a, &perm);
-            prop_assert_eq!(bdd.eval(f, &a), fresh.eval(roots[0], &pa));
-            prop_assert_eq!(bdd.eval(z, &a), fresh.eval(roots[1], &pa));
+            prop_assert_eq!(bdd.eval(f, &a), fresh.eval(roots[0], &a));
+            prop_assert_eq!(bdd.eval(z, &a), fresh.eval(roots[1], &a));
         }
+        let mut direct = Bdd::with_order(order.clone());
+        let g = build_set(&mut direct, &pats);
+        let dz = direct.dilate(g, gamma);
+        prop_assert_eq!(BddSnapshot::capture(&fresh, roots[1]), BddSnapshot::capture(&direct, dz));
     }
 
-    /// Permuting twice with perm then its inverse restores the original
-    /// node count (canonicity under renaming round-trip).
+    /// Reordering to `order` and back to index order restores the
+    /// original diagram (canonicity in each order).
     #[test]
-    fn permute_inverse_roundtrips_size(pats in pattern_set(), perm in permutation()) {
+    fn permute_inverse_roundtrips_size(pats in pattern_set(), order in permutation()) {
         let mut bdd = Bdd::new(VARS);
         let f = build_set(&mut bdd, &pats);
-        let (once, r1) = bdd.permute(&[f], &perm);
-        let mut inverse = vec![0u32; VARS];
-        for (v, &p) in perm.iter().enumerate() {
-            inverse[p as usize] = v as u32;
-        }
-        let (back, r2) = once.permute(&r1, &inverse);
+        let (once, r1) = bdd.reorder(&[f], &order);
+        let identity: Vec<u32> = (0..VARS as u32).collect();
+        let (back, r2) = once.reorder(&r1, &identity);
         prop_assert_eq!(back.node_count(r2[0]), bdd.node_count(f));
+        prop_assert_eq!(BddSnapshot::capture(&back, r2[0]), BddSnapshot::capture(&bdd, f));
+    }
+
+    /// The bottom-up union of cubes is the node a cube-at-a-time `or`
+    /// builds, in any order and with duplicates.
+    #[test]
+    fn union_of_cubes_matches_or(pats in pattern_set(), order in permutation()) {
+        let mut bdd = Bdd::with_order(order);
+        let expected = build_set(&mut bdd, &pats);
+        let words: Vec<[u64; 1]> = pats.iter().chain(&pats).map(|p| [word(p)]).collect();
+        let refs: Vec<&[u64]> = words.iter().map(|w| w.as_slice()).collect();
+        prop_assert_eq!(bdd.union_of_cubes(&refs), expected);
+    }
+
+    /// A snapshot in any order survives JSON and restores into a manager
+    /// of its own order; its queries and its enumerated patterns match
+    /// the manager's.
+    #[test]
+    fn ordered_snapshot_roundtrips(pats in pattern_set(), order in permutation(), gamma in 0u32..2) {
+        let mut bdd = Bdd::with_order(order.clone());
+        let f = build_set(&mut bdd, &pats);
+        let z = bdd.dilate(f, gamma);
+        let snap = BddSnapshot::capture(&bdd, z);
+        prop_assert_eq!(snap.order(), order.clone());
+        let json = serde_json::to_string(&snap).expect("serialize");
+        let back: BddSnapshot = serde_json::from_str(&json).expect("deserialize");
+        prop_assert_eq!(&back, &snap);
+        prop_assert_eq!(back.validate(), Ok(()));
+        let mut fresh = Bdd::with_order(back.order());
+        let r = back.restore(&mut fresh).expect("restore");
+        let mut expected = Vec::new();
         for a in all_assignments_again() {
-            prop_assert_eq!(bdd.eval(f, &a), back.eval(r2[0], &a));
+            prop_assert_eq!(fresh.eval(r, &a), bdd.eval(z, &a));
+            prop_assert_eq!(snap.eval(&a), bdd.eval(z, &a));
+            prop_assert_eq!(snap.min_hamming_distance(&a), bdd.min_hamming_distance(z, &a));
+            if bdd.eval(z, &a) {
+                expected.push(word(&a));
+            }
+        }
+        expected.sort_unstable();
+        prop_assert_eq!(snap.minterms(1 << VARS), Some(expected));
+        // Restoring into a manager of another order is refused.
+        if order.iter().enumerate().any(|(l, &v)| l != v as usize) {
+            prop_assert_eq!(snap.restore(&mut Bdd::new(VARS)), Err(naps_bdd::BddError::OrderMismatch));
         }
     }
 }

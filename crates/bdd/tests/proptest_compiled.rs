@@ -8,7 +8,8 @@
 //! evaluator, on random zones and on every degenerate shape (empty, full,
 //! width 0, budget 0 and ≥ width).  Every compiled query goes through
 //! the packed-word entry points the engine runs (`*_words`, fed by
-//! [`pack_words`]).
+//! [`pack_words`]).  Zones are built in random variable orders: compiled
+//! nodes test their variable's bit, so every order must answer alike.
 
 use naps_bdd::{bit_slice_block, pack_words, Bdd, BddSnapshot, CompiledZone, NodeId};
 use proptest::prelude::*;
@@ -39,13 +40,23 @@ fn all_assignments() -> impl Iterator<Item = Vec<bool>> {
     (0..1usize << VARS).map(|m| (0..VARS).map(|b| (m >> b) & 1 == 1).collect())
 }
 
-/// A dilated random zone captured as a snapshot plus both compiled forms.
+/// A random variable order over `width` variables.
+fn order(width: usize) -> impl Strategy<Value = Vec<u32>> {
+    proptest::collection::vec(any::<u32>(), width).prop_map(move |keys| {
+        let mut order: Vec<u32> = (0..width as u32).collect();
+        order.sort_by_key(|&v| (keys[v as usize], v));
+        order
+    })
+}
+
+/// A dilated random zone, built in `order`, captured as a snapshot plus
+/// both compiled forms.
 fn compile_both(
     pats: &[Vec<bool>],
     gamma: u32,
-    width: usize,
+    order: Vec<u32>,
 ) -> (BddSnapshot, CompiledZone, CompiledZone) {
-    let mut bdd = Bdd::new(width);
+    let mut bdd = Bdd::with_order(order);
     let f = build_set(&mut bdd, pats);
     let z = bdd.dilate(f, gamma);
     let snap = BddSnapshot::capture(&bdd, z);
@@ -60,8 +71,8 @@ proptest! {
     /// Membership: compiled dispatch and forced-flat walk both equal the
     /// walked snapshot on every assignment of the cube.
     #[test]
-    fn compiled_eval_equals_walked(pats in pattern_set(VARS), gamma in 0u32..3) {
-        let (snap, compiled, flat) = compile_both(&pats, gamma, VARS);
+    fn compiled_eval_equals_walked(pats in pattern_set(VARS), gamma in 0u32..3, order in order(VARS)) {
+        let (snap, compiled, flat) = compile_both(&pats, gamma, order);
         for probe in all_assignments() {
             let words = pack_words(&probe);
             let expect = snap.eval(&probe);
@@ -75,8 +86,8 @@ proptest! {
     /// runs the node array, so `flat` and `compiled` share it — pin the
     /// flat one and the `eval_many` dispatch of both).
     #[test]
-    fn bit_sliced_block_equals_walked(pats in pattern_set(VARS), gamma in 0u32..3) {
-        let (snap, compiled, flat) = compile_both(&pats, gamma, VARS);
+    fn bit_sliced_block_equals_walked(pats in pattern_set(VARS), gamma in 0u32..3, order in order(VARS)) {
+        let (snap, compiled, flat) = compile_both(&pats, gamma, order);
         let packed: Vec<Vec<u64>> = all_assignments().map(|p| pack_words(&p)).collect();
         let expected: Vec<bool> = all_assignments().map(|p| snap.eval(&p)).collect();
         for chunk_start in (0..packed.len()).step_by(64) {
@@ -98,8 +109,8 @@ proptest! {
 
     /// Unbounded min-Hamming: both compiled forms equal the walked sweep.
     #[test]
-    fn compiled_min_hamming_equals_walked(pats in pattern_set(VARS), gamma in 0u32..3) {
-        let (snap, compiled, flat) = compile_both(&pats, gamma, VARS);
+    fn compiled_min_hamming_equals_walked(pats in pattern_set(VARS), gamma in 0u32..3, order in order(VARS)) {
+        let (snap, compiled, flat) = compile_both(&pats, gamma, order);
         for probe in all_assignments() {
             let words = pack_words(&probe);
             let expect = snap.min_hamming_distance(&probe);
@@ -116,8 +127,9 @@ proptest! {
         pats in pattern_set(VARS),
         gamma in 0u32..3,
         budget in 0u32..((VARS as u32) + 2),
+        order in order(VARS),
     ) {
-        let (snap, compiled, flat) = compile_both(&pats, gamma, VARS);
+        let (snap, compiled, flat) = compile_both(&pats, gamma, order);
         for probe in all_assignments() {
             let words = pack_words(&probe);
             let expect = snap.min_hamming_distance_within(&probe, budget);
@@ -140,8 +152,9 @@ proptest! {
         pats in pattern_set(WIDE),
         probes in proptest::collection::vec(pattern(WIDE), 8..24),
         budget in 0u32..6,
+        order in order(WIDE),
     ) {
-        let (snap, compiled, flat) = compile_both(&pats, 1, WIDE);
+        let (snap, compiled, flat) = compile_both(&pats, 1, order);
         for probe in probes.iter().chain(&pats) {
             let words = pack_words(probe);
             prop_assert_eq!(compiled.eval_words(&words), snap.eval(probe));
@@ -205,6 +218,17 @@ proptest! {
                 }
             }
         }
+    }
+
+    /// The small-zone index is a function of the set: a zone compiled in
+    /// any order picks the path, and enumerates the keys, of the
+    /// index-order compile.
+    #[test]
+    fn compiled_index_ignores_the_order(pats in pattern_set(VARS), gamma in 0u32..3, order in order(VARS)) {
+        let (snap, compiled, _) = compile_both(&pats, gamma, order);
+        let (index_snap, index_compiled, _) = compile_both(&pats, gamma, (0..VARS as u32).collect());
+        prop_assert_eq!(compiled.path(), index_compiled.path());
+        prop_assert_eq!(snap.minterms(1 << VARS), index_snap.minterms(1 << VARS));
     }
 
     /// Compilation is deterministic: compiling the same snapshot twice

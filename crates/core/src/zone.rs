@@ -7,10 +7,39 @@
 //! [`ExactZone`] is the obvious explicit alternative — a hash set of seed
 //! patterns with per-seed Hamming checks — kept as a semantic reference and
 //! as the baseline the benchmarks compare against.
+//!
+//! # The sealed lifecycle of a [`BddZone`]
+//!
+//! A BDD's size depends on its variable order, and a zone's order is part
+//! of its diagram.  A zone therefore does not build its diagram while
+//! Algorithm 1 replays the training set: [`Zone::insert`] only buffers the
+//! patterns.  The first [`Zone::enlarge_to`], query or snapshot **seals**
+//! the buffer:
+//!
+//! 1. sort and deduplicate the buffered patterns;
+//! 2. fix the variable order as [`crate::order_by_bias`] over the
+//!    distinct patterns (ties by neuron index);
+//! 3. build the seed diagram bottom-up from the sorted keys
+//!    ([`naps_bdd::Bdd::union_of_cubes`]), each node made once;
+//! 4. dilate to the zone's γ.
+//!
+//! A sealed zone's diagram is a function of its distinct seeds alone, so
+//! every route to the same seeds — [`crate::MonitorBuilder::build`], or
+//! `empty` → `insert` (any order, any duplicates) → `enlarge_to` by hand —
+//! yields the same diagram, byte for byte.  Patterns inserted after
+//! sealing ([`crate::Monitor::enrich`]) go straight into the diagram, in
+//! the order already fixed.  `&self` queries may seal an unsealed zone
+//! (the diagram sits in a [`OnceLock`]), which is what a query at γ = 0
+//! before any `enlarge_to` does.
+//!
+//! Every query still takes neuron-indexed patterns: the order only
+//! decides how big the diagram is, never what it answers.
 
+use crate::ordering::order_by_bias;
 use crate::pattern::Pattern;
 use naps_bdd::{Bdd, BddSnapshot, NodeId};
 use std::collections::HashSet;
+use std::sync::OnceLock;
 
 /// Storage for one class's γ-comfort zone.
 ///
@@ -76,31 +105,81 @@ pub trait Zone: std::fmt::Debug + Send + Sync {
     fn seed_count(&self) -> usize;
 }
 
-/// BDD-backed comfort zone (the paper's representation).
+/// BDD-backed comfort zone (the paper's representation), sealed in its
+/// own activation-bias variable order (see the module docs).
 #[derive(Debug)]
 pub struct BddZone {
+    width: usize,
+    gamma: u32,
+    /// Patterns inserted before the diagram was first needed; emptied
+    /// once a `&mut` call finds the zone sealed.
+    pending: Vec<Pattern>,
+    diagram: OnceLock<Diagram>,
+}
+
+/// A sealed zone's manager, with the seed set and the enlarged zone.
+#[derive(Debug)]
+struct Diagram {
     bdd: Bdd,
     seeds: NodeId,
     zone: NodeId,
-    gamma: u32,
+}
+
+impl Diagram {
+    /// Seals `patterns`: distinct patterns, their bias order, the seed
+    /// diagram built bottom-up in it, dilated to `gamma`.
+    fn seal(width: usize, patterns: &[Pattern], gamma: u32) -> Self {
+        let mut distinct: Vec<&Pattern> = patterns.iter().collect();
+        distinct.sort_unstable_by(|a, b| a.words().cmp(b.words()));
+        distinct.dedup();
+        let order = if distinct.is_empty() {
+            (0..width as u32).collect()
+        } else {
+            order_by_bias(&distinct)
+        };
+        let mut bdd = Bdd::with_order(order);
+        let keys: Vec<&[u64]> = distinct.iter().map(|p| p.words()).collect();
+        let seeds = bdd.union_of_cubes(&keys);
+        let zone = bdd.dilate(seeds, gamma);
+        Diagram { bdd, seeds, zone }
+    }
 }
 
 impl BddZone {
+    /// The diagram, sealing the insert buffer first if needed.
+    fn diagram(&self) -> &Diagram {
+        self.diagram
+            .get_or_init(|| Diagram::seal(self.width, &self.pending, self.gamma))
+    }
+
+    /// The diagram for a change, sealing first if needed; the buffer is
+    /// released once the zone is sealed.
+    fn diagram_mut(&mut self) -> &mut Diagram {
+        self.diagram();
+        self.pending = Vec::new();
+        let Some(diagram) = self.diagram.get_mut() else {
+            unreachable!("sealed on the line above");
+        };
+        diagram
+    }
+
     /// Decision-diagram node count of the enlarged zone (a size metric for
     /// the benchmarks).
     pub fn node_count(&self) -> usize {
-        self.bdd.node_count(self.zone)
+        let d = self.diagram();
+        d.bdd.node_count(d.zone)
     }
 
     /// Number of patterns contained in the enlarged zone.
     pub fn pattern_count(&self) -> f64 {
-        self.bdd.sat_count(self.zone)
+        let d = self.diagram();
+        d.bdd.sat_count(d.zone)
     }
 
     /// Serializable snapshot of the **seed** set plus γ; restoring
     /// re-dilates, which is cheaper than storing the enlarged diagram.
     pub fn snapshot(&self) -> (BddSnapshot, u32) {
-        (BddSnapshot::capture(&self.bdd, self.seeds), self.gamma)
+        (self.seed_snapshot(), self.gamma)
     }
 
     /// Serializable snapshot of the **enlarged** zone `Z^γ_c` itself.
@@ -110,64 +189,71 @@ impl BddZone {
     /// serving layer can answer membership queries directly on the
     /// immutable snapshot ([`BddSnapshot::eval`]) with no manager, no
     /// re-dilation and no locking.  `naps-serve` freezes one of these per
-    /// class and shares it across worker threads behind an `Arc`.
+    /// class and shares it across worker threads behind an `Arc`.  Both
+    /// snapshots carry the zone's variable order.
     pub fn zone_snapshot(&self) -> BddSnapshot {
-        BddSnapshot::capture(&self.bdd, self.zone)
+        let d = self.diagram();
+        BddSnapshot::capture(&d.bdd, d.zone)
     }
 
     /// Snapshot of the **seed** set `Z^0_c` alone (the first component of
     /// [`BddZone::snapshot`]), used for frozen distance-to-seeds queries.
     pub fn seed_snapshot(&self) -> BddSnapshot {
-        BddSnapshot::capture(&self.bdd, self.seeds)
+        let d = self.diagram();
+        BddSnapshot::capture(&d.bdd, d.seeds)
     }
 
-    /// Restores a zone from a snapshot produced by [`BddZone::snapshot`].
+    /// Restores a zone from a snapshot produced by [`BddZone::snapshot`],
+    /// in the snapshot's own variable order.
     ///
     /// # Errors
     ///
     /// Returns the underlying [`naps_bdd::BddError`] if the snapshot is
     /// corrupt or has a different width.
     pub fn from_snapshot(snapshot: &BddSnapshot, gamma: u32) -> Result<Self, naps_bdd::BddError> {
-        let mut bdd = Bdd::new(snapshot.num_vars());
+        snapshot.validate()?;
+        let mut bdd = Bdd::with_order(snapshot.order());
         let seeds = snapshot.restore(&mut bdd)?;
         let zone = bdd.dilate(seeds, gamma);
         Ok(BddZone {
-            bdd,
-            seeds,
-            zone,
+            width: snapshot.num_vars(),
             gamma,
+            pending: Vec::new(),
+            diagram: OnceLock::from(Diagram { bdd, seeds, zone }),
         })
     }
 }
 
 impl Zone for BddZone {
     fn empty(width: usize) -> Self {
-        let bdd = Bdd::new(width);
-        let zero = bdd.zero();
         BddZone {
-            bdd,
-            seeds: zero,
-            zone: zero,
+            width,
             gamma: 0,
+            pending: Vec::new(),
+            diagram: OnceLock::new(),
         }
     }
 
     fn width(&self) -> usize {
-        self.bdd.num_vars()
+        self.width
     }
 
     fn insert(&mut self, pattern: &Pattern) {
-        assert_eq!(pattern.len(), self.width(), "pattern width mismatch");
-        let cube = self.bdd.cube_from_bools(&pattern.to_bools());
-        self.seeds = self.bdd.or(self.seeds, cube);
-        // Keep the enlarged zone consistent with the current gamma: new
-        // seeds are dilated on insertion (cheap for gamma established
-        // later; builders insert first and enlarge once).
+        assert_eq!(pattern.len(), self.width, "pattern width mismatch");
+        let Some(d) = self.diagram.get_mut() else {
+            self.pending.push(pattern.clone());
+            return;
+        };
+        self.pending = Vec::new();
+        let cube = d.bdd.cube_from_bools(&pattern.to_bools());
+        d.seeds = d.bdd.or(d.seeds, cube);
+        // Keep the enlarged zone consistent with the current gamma: a
+        // seed inserted after sealing is dilated on insertion.
         if self.gamma == 0 {
-            self.zone = self.seeds;
+            d.zone = d.seeds;
         } else {
-            let ball = self.bdd.dilate(cube, self.gamma);
-            self.zone = self.bdd.or(self.zone, ball);
+            let ball = d.bdd.dilate(cube, self.gamma);
+            d.zone = d.bdd.or(d.zone, ball);
         }
     }
 
@@ -178,8 +264,13 @@ impl Zone for BddZone {
             self.gamma
         );
         let extra = gamma - self.gamma;
-        if extra > 0 {
-            self.zone = self.bdd.dilate(self.zone, extra);
+        if self.diagram.get().is_none() {
+            // Seal straight at the new radius.
+            self.gamma = gamma;
+            self.diagram_mut();
+        } else if extra > 0 {
+            let d = self.diagram_mut();
+            d.zone = d.bdd.dilate(d.zone, extra);
             self.gamma = gamma;
         }
     }
@@ -189,19 +280,21 @@ impl Zone for BddZone {
     }
 
     fn contains(&self, pattern: &Pattern) -> bool {
-        assert_eq!(pattern.len(), self.width(), "pattern width mismatch");
-        self.bdd.eval(self.zone, &pattern.to_bools())
+        assert_eq!(pattern.len(), self.width, "pattern width mismatch");
+        let d = self.diagram();
+        d.bdd.eval(d.zone, &pattern.to_bools())
     }
 
     fn distance_to_seeds(&self, pattern: &Pattern) -> Option<u32> {
-        self.bdd
-            .min_hamming_distance(self.seeds, &pattern.to_bools())
+        let d = self.diagram();
+        d.bdd.min_hamming_distance(d.seeds, &pattern.to_bools())
     }
 
     fn distance_to_zone_within(&self, pattern: &Pattern, budget: u32) -> Option<u32> {
-        assert_eq!(pattern.len(), self.width(), "pattern width mismatch");
-        self.bdd
-            .min_hamming_distance_within(self.zone, &pattern.to_bools(), budget)
+        assert_eq!(pattern.len(), self.width, "pattern width mismatch");
+        let d = self.diagram();
+        d.bdd
+            .min_hamming_distance_within(d.zone, &pattern.to_bools(), budget)
     }
 
     /// Counted on the diagram via [`naps_bdd::Bdd::sat_count`], which
@@ -211,7 +304,8 @@ impl Zone for BddZone {
     /// to `usize::MAX` rather than truncating, and counts above `2^53`
     /// are subject to `f64` rounding.
     fn seed_count(&self) -> usize {
-        let count = self.bdd.sat_count(self.seeds);
+        let d = self.diagram();
+        let count = d.bdd.sat_count(d.seeds);
         if count >= usize::MAX as f64 {
             usize::MAX
         } else {
@@ -226,40 +320,30 @@ impl BddZone {
     /// reference [`Zone::distance_to_zone_within`] is verified and
     /// benchmarked against.  `Some(0)` ⇔ [`Zone::contains`].
     pub fn distance_to_zone(&self, pattern: &Pattern) -> Option<u32> {
-        assert_eq!(pattern.len(), self.width(), "pattern width mismatch");
-        self.bdd
-            .min_hamming_distance(self.zone, &pattern.to_bools())
+        assert_eq!(pattern.len(), self.width, "pattern width mismatch");
+        let d = self.diagram();
+        d.bdd.min_hamming_distance(d.zone, &pattern.to_bools())
     }
 
     /// Garbage-collects the underlying manager: only the seed set and the
-    /// enlarged zone survive.  Construction and γ sweeps leave many dead
-    /// intermediate diagrams behind; compacting a finished zone typically
-    /// shrinks its arena by an order of magnitude before deployment.
+    /// enlarged zone survive, in the same variable order.  Construction
+    /// and γ sweeps leave many dead intermediate diagrams behind;
+    /// compacting a finished zone typically shrinks its arena by an order
+    /// of magnitude before deployment.
     pub fn compact(&mut self) {
-        let (fresh, roots) = self.bdd.compact(&[self.seeds, self.zone]);
-        self.bdd = fresh;
-        self.seeds = roots[0];
-        self.zone = roots[1];
+        let d = self.diagram_mut();
+        let (fresh, roots) = d.bdd.compact(&[d.seeds, d.zone]);
+        *d = Diagram {
+            bdd: fresh,
+            seeds: roots[0],
+            zone: roots[1],
+        };
     }
 
     /// Total nodes allocated in the manager (live + garbage); compare
     /// before/after [`BddZone::compact`].
     pub fn allocated_nodes(&self) -> usize {
-        self.bdd.stats().allocated_nodes
-    }
-
-    /// Size of the enlarged zone when the monitored neurons are reordered
-    /// by `perm` (`perm[neuron] = position`, see
-    /// [`naps_bdd::Bdd::permute`]) — a what-if measurement for the
-    /// ordering heuristic of [`crate::order_by_bias`].  The zone itself
-    /// is unchanged.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `perm` is not a permutation of `0..width`.
-    pub fn node_count_under(&self, perm: &[u32]) -> usize {
-        let (fresh, roots) = self.bdd.permute(&[self.zone], perm);
-        fresh.node_count(roots[0])
+        self.diagram().bdd.stats().allocated_nodes
     }
 }
 
@@ -339,6 +423,16 @@ mod tests {
 
     fn p(bits: &[u8]) -> Pattern {
         Pattern::from_bools(&bits.iter().map(|&b| b == 1).collect::<Vec<_>>())
+    }
+
+    /// `snapshot`'s function re-expressed in index order: by canonicity,
+    /// the snapshot a zone of the same set built in index order captures.
+    fn in_index_order(snapshot: &BddSnapshot) -> BddSnapshot {
+        let mut bdd = Bdd::with_order(snapshot.order());
+        let root = snapshot.restore(&mut bdd).expect("restore");
+        let identity: Vec<u32> = (0..snapshot.num_vars() as u32).collect();
+        let (fresh, roots) = bdd.reorder(&[root], &identity);
+        BddSnapshot::capture(&fresh, roots[0])
     }
 
     fn backend_contract<Z: Zone>() {
@@ -516,9 +610,11 @@ mod tests {
             for s in &seeds[1..] {
                 after.insert(s);
             }
+            // Sealed around one seed, `after` keeps index order; the sets
+            // are the same.
             assert_eq!(
-                before.zone_snapshot(),
-                after.zone_snapshot(),
+                in_index_order(&before.zone_snapshot()),
+                in_index_order(&after.zone_snapshot()),
                 "gamma={gamma}"
             );
         }
@@ -549,7 +645,10 @@ mod tests {
             zone.insert(s);
         }
         zone.enlarge_to(gamma);
-        assert_eq!(zone.zone_snapshot(), BddSnapshot::capture(&bdd, f));
+        assert_eq!(
+            in_index_order(&zone.zone_snapshot()),
+            BddSnapshot::capture(&bdd, f)
+        );
     }
 
     #[test]
@@ -642,17 +741,68 @@ mod tests {
         // A full seed space over 80 neurons counts 2^80 > usize::MAX;
         // the old `as usize` cast reported a nonsense number.
         let mut z = BddZone::empty(80);
-        z.seeds = z.bdd.one();
+        z.diagram_mut().seeds = NodeId::ONE;
         assert_eq!(z.seed_count(), usize::MAX);
         // Beyond 1023 vars sat_count is infinite; still saturates.
         let mut w = BddZone::empty(1200);
-        w.seeds = w.bdd.one();
+        w.diagram_mut().seeds = NodeId::ONE;
         assert_eq!(w.seed_count(), usize::MAX);
         // Small counts are still exact.
         let mut s = BddZone::empty(8);
         s.insert(&p(&[1, 0, 1, 0, 1, 0, 1, 0]));
         s.insert(&p(&[0, 1, 0, 1, 0, 1, 0, 1]));
         assert_eq!(s.seed_count(), 2);
+    }
+
+    #[test]
+    fn sealing_fixes_the_bias_order_of_the_distinct_seeds() {
+        let seeds = clustered(40, 12, 3);
+        let mut zone = BddZone::empty(12);
+        for s in seeds.iter().chain(&seeds[..10]) {
+            zone.insert(s);
+        }
+        zone.enlarge_to(1);
+        let mut distinct = seeds.clone();
+        distinct.sort_by(|a, b| a.words().cmp(b.words()));
+        distinct.dedup();
+        assert_eq!(zone.zone_snapshot().order(), order_by_bias(&distinct));
+        assert_eq!(zone.seed_snapshot().order(), order_by_bias(&distinct));
+    }
+
+    #[test]
+    fn sealed_zone_is_a_function_of_its_distinct_seeds() {
+        let seeds = clustered(60, 20, 9);
+        let mut forward = BddZone::empty(20);
+        for s in &seeds {
+            forward.insert(s);
+        }
+        forward.enlarge_to(2);
+        // Reversed, with duplicates, queried at γ = 0 before enlarging
+        // (which seals), then enlarged in two steps.
+        let mut shuffled = BddZone::empty(20);
+        for s in seeds.iter().rev().chain(&seeds[..7]) {
+            shuffled.insert(s);
+        }
+        assert_eq!(shuffled.seed_count(), forward.seed_count());
+        assert!(shuffled.contains(&seeds[3]));
+        shuffled.enlarge_to(1);
+        shuffled.enlarge_to(2);
+        assert_eq!(shuffled.zone_snapshot(), forward.zone_snapshot());
+        assert_eq!(shuffled.seed_snapshot(), forward.seed_snapshot());
+    }
+
+    #[test]
+    fn snapshot_roundtrip_keeps_the_order() {
+        let seeds = clustered(30, 16, 5);
+        let mut zone = BddZone::empty(16);
+        for s in &seeds {
+            zone.insert(s);
+        }
+        zone.enlarge_to(1);
+        let (snap, gamma) = zone.snapshot();
+        let restored = BddZone::from_snapshot(&snap, gamma).expect("restore");
+        assert_eq!(restored.zone_snapshot(), zone.zone_snapshot());
+        assert_eq!(restored.seed_snapshot(), zone.seed_snapshot());
     }
 
     #[test]

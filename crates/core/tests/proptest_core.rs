@@ -250,20 +250,23 @@ proptest! {
         prop_assert_eq!(det.observed(), hits.len());
     }
 
-    /// Ordering heuristics always emit permutations, and measuring a zone
-    /// under them reports a positive size for non-empty zones.
+    /// The bias heuristic always emits a permutation, and a sealed zone
+    /// carries it: the bias order of its distinct seeds.
     #[test]
     fn ordering_outputs_are_valid_permutations(seeds in pattern_set()) {
         use naps_core::order_by_bias;
-        let pats: Vec<Pattern> = seeds.iter().map(|s| Pattern::from_bools(s)).collect();
-        let perm = order_by_bias(&pats);
-        let mut seen = vec![false; perm.len()];
-        for &p in &perm {
+        let mut pats: Vec<Pattern> = seeds.iter().map(|s| Pattern::from_bools(s)).collect();
+        let order = order_by_bias(&pats);
+        let mut seen = vec![false; order.len()];
+        for &p in &order {
             prop_assert!(!seen[p as usize]);
             seen[p as usize] = true;
         }
+        pats.sort_by(|a, b| a.words().cmp(b.words()));
+        pats.dedup();
         let zone: BddZone = build(&seeds, 1);
-        prop_assert!(zone.node_count_under(&perm) > 0);
+        prop_assert_eq!(zone.zone_snapshot().order(), order_by_bias(&pats));
+        prop_assert!(zone.node_count() > 0);
     }
 
     /// Layered-monitor policy algebra: Any ≥ Majority ≥ All in warning
@@ -291,5 +294,103 @@ proptest! {
         for p in [CombinePolicy::Any, CombinePolicy::All, CombinePolicy::Majority] {
             prop_assert_eq!(p.combine(&verdicts) == Verdict::Unmonitored, all_abstain);
         }
+    }
+}
+
+/// `n` patterns of `width` bits clustered around a few centres, each
+/// seed a centre with up to three bits flipped — the shape of a trained
+/// class's patterns, driven by one seed so the case is reproducible.
+fn clustered(n: usize, width: usize, seed: u64) -> Vec<Pattern> {
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+    let mut rng = StdRng::seed_from_u64(seed);
+    let centres: Vec<Vec<bool>> = (0..1 + n % 3)
+        .map(|_| (0..width).map(|_| rng.gen::<bool>()).collect())
+        .collect();
+    (0..n)
+        .map(|_| {
+            let mut bits = centres[rng.gen_range(0..centres.len())].clone();
+            for _ in 0..rng.gen_range(0..4usize) {
+                let i = rng.gen_range(0..width);
+                bits[i] = !bits[i];
+            }
+            Pattern::from_bools(&bits)
+        })
+        .collect()
+}
+
+/// `zone`'s enlarged-zone snapshot re-expressed in index order.
+fn index_ordered_zone(zone: &BddZone) -> naps_bdd::BddSnapshot {
+    use naps_bdd::{Bdd, BddSnapshot};
+    let snap = zone.zone_snapshot();
+    let mut bdd = Bdd::with_order(snap.order());
+    let root = snap.restore(&mut bdd).expect("restore");
+    let identity: Vec<u32> = (0..snap.num_vars() as u32).collect();
+    let (fresh, roots) = bdd.reorder(&[root], &identity);
+    BddSnapshot::capture(&fresh, roots[0])
+}
+
+/// Every query of a sealed zone, of its compiled (frozen) form, and of
+/// the explicit reference agree on `probes`.
+fn assert_zone_agrees(bdd: &BddZone, exact: &ExactZone, probes: &[Pattern]) {
+    use naps_bdd::{CompiledPath, CompiledZone};
+    let zone_eval = CompiledZone::compile(&bdd.zone_snapshot());
+    let seed_eval = CompiledZone::compile(&bdd.seed_snapshot());
+    for p in probes {
+        prop_assert_eq!(bdd.contains(p), exact.contains(p));
+        prop_assert_eq!(zone_eval.eval_words(p.words()), exact.contains(p));
+        prop_assert_eq!(bdd.distance_to_seeds(p), exact.distance_to_seeds(p));
+        prop_assert_eq!(
+            seed_eval.min_hamming_distance_words(p.words()),
+            exact.distance_to_seeds(p)
+        );
+        for budget in 0..=3 {
+            let expect = exact.distance_to_zone_within(p, budget);
+            prop_assert_eq!(bdd.distance_to_zone_within(p, budget), expect);
+            prop_assert_eq!(
+                zone_eval.min_hamming_distance_within_words(p.words(), budget),
+                expect
+            );
+        }
+    }
+    prop_assert_eq!(bdd.seed_count(), exact.seed_count());
+    // The compiled path is a property of the set: the index-order
+    // compile of the same zone picks the same one.
+    let index_path: CompiledPath = CompiledZone::compile(&index_ordered_zone(bdd)).path();
+    prop_assert_eq!(zone_eval.path(), index_path);
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(40))]
+
+    /// A zone sealed in its own bias order answers every query like the
+    /// explicit reference, live and compiled, across the 64-bit word
+    /// edge and at every γ the monitors use — and keeps doing so after
+    /// patterns are enriched into the sealed diagram.
+    #[test]
+    fn sealed_zones_match_the_explicit_reference(
+        width in 1usize..131,
+        gamma in 0u32..4,
+        n in 1usize..14,
+        seed in any::<u64>(),
+    ) {
+        let seeds = clustered(n, width, seed);
+        let probes = clustered(24, width, seed ^ 0x5eed);
+        let mut bdd = BddZone::empty(width);
+        let mut exact = ExactZone::empty(width);
+        for s in &seeds {
+            bdd.insert(s);
+            exact.insert(s);
+        }
+        bdd.enlarge_to(gamma);
+        exact.enlarge_to(gamma);
+        let all: Vec<Pattern> = probes.iter().chain(&seeds).cloned().collect();
+        assert_zone_agrees(&bdd, &exact, &all);
+        // Enrichment: the first probes become seeds post-sealing.
+        for p in &probes[..3] {
+            bdd.insert(p);
+            exact.insert(p);
+        }
+        assert_zone_agrees(&bdd, &exact, &all);
     }
 }

@@ -13,6 +13,16 @@
 //! A [`FrozenMonitor`] is one layer's table of frozen zones indexed by
 //! class; a [`FrozenLayeredMonitor`] holds one such table per monitored
 //! layer and is the one judge every serving path runs.
+//!
+//! **Persist formats.**  [`FrozenLayeredMonitor::save`] writes a format-2
+//! layered container whose per-layer records are format 3: each zone's
+//! two snapshots carry the variable order the zone was sealed in.
+//! Format-1 records — a bare pre-layered file, or the layers of a
+//! container written before zones had their own order — carry none.
+//! Loading one re-seals each zone's seed set the way a fresh
+//! [`BddZone`] does and re-dilates it to γ (the stored enlarged diagram
+//! is not needed), so a legacy file loads `==` to a fresh freeze of the
+//! same zones.
 
 use naps_bdd::{BddError, BddSnapshot, CompiledZone};
 use naps_core::batch::{
@@ -160,10 +170,9 @@ impl FrozenZone {
     }
 }
 
-/// On-disk shape of a [`FrozenZone`]: the two snapshots plus γ, in the
-/// exact field layout frozen zones serialized as before evaluators were
-/// compiled — old files keep loading, and new files are byte-identical
-/// to what the pre-compiled code wrote.
+/// On-disk shape of a [`FrozenZone`]: the two snapshots plus γ.  Each
+/// snapshot carries the zone's variable order (written only when it is
+/// not index order); compiled evaluators are rebuilt on load.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 struct PersistedZone {
     zone: BddSnapshot,
@@ -171,12 +180,49 @@ struct PersistedZone {
     gamma: u32,
 }
 
+/// A legacy (format-1 record) seed set holding more patterns than this
+/// is refused instead of re-sealed; re-sealing enumerates every pattern.
+const LEGACY_SEED_LIMIT: u64 = 1 << 20;
+
 impl PersistedZone {
     /// Recompiles the persisted snapshots into a serving zone.  Callers
     /// must have validated the snapshots first ([`BddSnapshot::validate`])
     /// — the compiled evaluators index them unchecked.
     fn into_frozen(self) -> FrozenZone {
         FrozenZone::from_snapshots(self.zone, self.seeds, self.gamma)
+    }
+
+    /// Re-seals a zone of a format-1 record, written before zones carried
+    /// their own variable order: its seed set goes through a fresh
+    /// [`BddZone`]'s lifecycle (insert every pattern, enlarge to γ), so
+    /// the loaded zone equals a fresh freeze of the same zone.  The
+    /// stored enlarged diagram is not needed.  Callers must have
+    /// validated the seed snapshot.
+    fn reseal(self) -> Result<FrozenZone, PersistError> {
+        use naps_core::Zone;
+        let width = self.seeds.num_vars();
+        let mut zone = BddZone::empty(width);
+        if width == 0 {
+            // One pattern exists (the empty one); the set holds it or not.
+            if self.seeds.eval(&[]) {
+                zone.insert(&Pattern::from_bools(&[]));
+            }
+        } else {
+            let keys = self
+                .seeds
+                .minterms(LEGACY_SEED_LIMIT)
+                .ok_or(PersistError::Incompatible(
+                    "legacy seed set too large to re-seal",
+                ))?;
+            for key in keys.chunks_exact(width.div_ceil(64)) {
+                let bits: Vec<bool> = (0..width)
+                    .map(|i| (key[i / 64] >> (i % 64)) & 1 == 1)
+                    .collect();
+                zone.insert(&Pattern::from_bools(&bits));
+            }
+        }
+        zone.enlarge_to(self.gamma);
+        Ok(FrozenZone::freeze(&zone))
     }
 }
 
@@ -249,7 +295,9 @@ impl Error for PersistError {
 
 /// On-disk shape of a [`FrozenMonitor`]: one record per class, plus the
 /// metadata needed to re-attach to a model.  It is one layer of a
-/// format-2 container, and on its own the whole of a format-1 file.
+/// format-2 layered container, and on its own the whole of a pre-layered
+/// format-1 file.  Records written today are format 3 (their snapshots
+/// carry variable orders); format-1 records predate orders.
 #[derive(Debug, Serialize, Deserialize)]
 struct PersistedMonitor {
     format: u32,
@@ -263,8 +311,15 @@ struct PersistedMonitor {
     zones: Vec<Option<PersistedZone>>,
 }
 
-/// Version tag of [`PersistedMonitor`]; bump on breaking layout changes.
-const PERSIST_FORMAT: u32 = 1;
+/// Version tag of [`PersistedMonitor`] as written today: its zone
+/// snapshots carry their variable order.  Bump on breaking layout
+/// changes.
+const PERSIST_FORMAT: u32 = 3;
+
+/// The tag of records written before zones carried a variable order: a
+/// bare pre-layered file (format 1), or each layer of a layered
+/// container written then.  Their zones are re-sealed on load.
+const LEGACY_RECORD_FORMAT: u32 = 1;
 
 impl FrozenMonitor {
     /// Freezes every class zone of a live monitor.  The epoch starts at
@@ -318,11 +373,14 @@ impl FrozenMonitor {
     }
 
     /// Validates ([`BddSnapshot::validate`]) and reassembles one
-    /// persisted per-layer record.
+    /// persisted per-layer record; a legacy record's zones are re-sealed
+    /// (see [`PersistedZone::reseal`]).
     fn from_persisted(persisted: PersistedMonitor) -> Result<Self, PersistError> {
-        if persisted.format != PERSIST_FORMAT {
-            return Err(PersistError::Incompatible("unknown format version"));
-        }
+        let legacy = match persisted.format {
+            PERSIST_FORMAT => false,
+            LEGACY_RECORD_FORMAT => true,
+            _ => return Err(PersistError::Incompatible("unknown format version")),
+        };
         if persisted.num_shards == 0 {
             return Err(PersistError::Incompatible("zero shards"));
         }
@@ -336,15 +394,19 @@ impl FrozenMonitor {
                 ));
             }
         }
+        let mut zones = Vec::with_capacity(persisted.zones.len());
+        for z in persisted.zones {
+            zones.push(match z {
+                None => None,
+                Some(z) if legacy => Some(Arc::new(z.reseal()?)),
+                Some(z) => Some(Arc::new(z.into_frozen())),
+            });
+        }
         Ok(FrozenMonitor {
             layer: persisted.layer,
             gamma: persisted.gamma,
             selection: persisted.selection,
-            zones: persisted
-                .zones
-                .into_iter()
-                .map(|z| z.map(|z| Arc::new(z.into_frozen())))
-                .collect(),
+            zones,
             epoch: persisted.epoch,
         })
     }
@@ -806,9 +868,10 @@ impl FrozenLayeredMonitor {
         (self.verdict(predicted, per_layer), graded)
     }
 
-    /// Persists the whole family — every layer's class snapshots plus the
-    /// combine policy and epoch — as a versioned JSON container
-    /// (format 2).  [`FrozenLayeredMonitor::load`] restores it.
+    /// Persists the whole family — every layer's class snapshots, each
+    /// with its zone's variable order, plus the combine policy and epoch
+    /// — as a versioned JSON container (format 2, its per-layer records
+    /// format 3).  [`FrozenLayeredMonitor::load`] restores it.
     ///
     /// # Errors
     ///
@@ -825,12 +888,15 @@ impl FrozenLayeredMonitor {
     }
 
     /// Restores a monitor saved by [`FrozenLayeredMonitor::save`] **or**
-    /// a pre-layered single-monitor file (format 1, one bare per-layer
-    /// record) — old single-layer files keep loading forever, as the
-    /// `N = 1` case (policy `Any`).  Every zone snapshot of every layer
-    /// is structurally validated before it is accepted: the serving hot
+    /// a file written before zones carried their own variable order: a
+    /// layered container whose records are format 1, or a pre-layered
+    /// single-monitor file (format 1, one bare per-layer record) that
+    /// loads as the `N = 1` case (policy `Any`).  Every zone snapshot of every layer is
+    /// structurally validated before it is accepted: the serving hot
     /// path walks snapshots without bounds checks, so corrupt bytes must
-    /// be rejected here, not discovered mid-query.
+    /// be rejected here, not discovered mid-query.  The zones of format-1
+    /// records are re-sealed from their seed sets and re-dilated to γ, so
+    /// such a file loads `==` to a fresh freeze of the same zones.
     ///
     /// # Errors
     ///
@@ -873,8 +939,8 @@ struct PersistedLayeredMonitor {
 }
 
 /// Version tag of [`PersistedLayeredMonitor`].  Format 1 is the
-/// pre-layered [`PersistedMonitor`]; bump past 2 on breaking layout
-/// changes.
+/// pre-layered bare [`PersistedMonitor`]; bump past 2 on breaking
+/// container layout changes (the per-layer records carry their own tag).
 const PERSIST_FORMAT_LAYERED: u32 = 2;
 
 #[cfg(test)]
@@ -1008,6 +1074,46 @@ mod tests {
                 assert_eq!(restored.report(c, &pat), frozen.report(c, &pat));
             }
         }
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn zone_orders_persist_and_legacy_records_reseal() {
+        let mut monitor = sample_monitor(5);
+        // Enriched after sealing: the new seeds join class 0's diagram in
+        // the order already fixed, which a fresh seal would not pick.
+        let fresh_seeds = [p(&[1, 1, 1, 1, 1, 1]), p(&[0, 1, 0, 1, 1, 1])];
+        assert_eq!(monitor.enrich(0, &fresh_seeds).expect("monitored"), 2);
+        let frozen = FrozenLayeredMonitor::from(FrozenMonitor::freeze(&monitor));
+        let path = temp_path("orders.json");
+        frozen.save(&path).expect("save");
+        let text = std::fs::read_to_string(&path).expect("read");
+        assert!(text.contains("\"format\":3"), "{text}");
+        assert_eq!(FrozenLayeredMonitor::load(&path).expect("load"), frozen);
+
+        // The same bytes tagged as a legacy record: every zone is
+        // re-sealed from its seeds, so it equals a fresh freeze of zones
+        // built from those seeds alone.
+        std::fs::write(&path, text.replace("\"format\":3", "\"format\":1")).expect("write");
+        let legacy = FrozenLayeredMonitor::load(&path).expect("legacy load");
+        let rebuilt: Vec<Option<BddZone>> = (0..5)
+            .map(|c| {
+                monitor.zone(c).map(|z| {
+                    let (snap, gamma) = z.snapshot();
+                    let mut fresh = BddZone::empty(6);
+                    let keys = snap.minterms(64).expect("small");
+                    for key in keys {
+                        let bits: Vec<bool> = (0..6).map(|i| (key >> i) & 1 == 1).collect();
+                        fresh.insert(&Pattern::from_bools(&bits));
+                    }
+                    fresh.enlarge_to(gamma);
+                    fresh
+                })
+            })
+            .collect();
+        let expected =
+            FrozenMonitor::freeze(&Monitor::from_zones(rebuilt, 1, NeuronSelection::all(6), 1));
+        assert_eq!(legacy, FrozenLayeredMonitor::from(expected));
         let _ = std::fs::remove_file(&path);
     }
 

@@ -49,7 +49,9 @@
 //! [`MonitorEngine::check_batch`]) is the
 //! [`LayeredEpochReport::into_single`] projection.  [`FrozenLayeredMonitor::save`] writes a versioned
 //! container that [`FrozenLayeredMonitor::load`] restores — including
-//! pre-layered single-monitor files (format 1), lifted to `N = 1`.
+//! pre-layered single-monitor files (format 1), lifted to `N = 1`, and
+//! files written before zones carried their own variable order, whose
+//! zones are re-sealed on load.
 //!
 //! ## Live updates
 //!
