@@ -1,8 +1,8 @@
 //! Compiled zone evaluators: the serving-time lowering of a
 //! [`BddSnapshot`].
 //!
-//! A snapshot is already a flat, topo-ordered node array, but the serving
-//! hot path still *interprets* it: one root-to-terminal walk per pattern,
+//! A snapshot is already a flat, topo-ordered node array, but walking it
+//! *interprets* it: one root-to-terminal walk per pattern,
 //! each step a data-dependent branch and a data-dependent load.  This
 //! module lowers a snapshot once — at freeze/publish time — into a
 //! [`CompiledZone`] that answers the same queries faster, keeping the BDD
@@ -23,7 +23,8 @@
 //! * **Small-zone index** — when the zone holds at most
 //!   [`SMALL_ZONE_MAX_PATTERNS`] patterns, compilation enumerates them
 //!   outright and membership becomes a range check (contiguous sets) or a
-//!   binary search over sorted keys; min-Hamming becomes a popcount scan.
+//!   binary search in place over the sorted keys, allocation-free;
+//!   min-Hamming becomes a popcount scan.
 //!   Seed sets — queried for the distance column of *every* verdict — are
 //!   almost always this shape.
 //! * **Bounded min-Hamming** — the budget-pruned top-down search
@@ -47,6 +48,7 @@
 
 use crate::manager::VarId;
 use crate::serialize::BddSnapshot;
+use std::cmp::Ordering;
 
 /// Memo byte meaning "no satisfying assignment within the remaining
 /// budget" (mirrors the walked snapshot's encoding).
@@ -301,7 +303,7 @@ impl CompiledZone {
         out
     }
 
-    // naps-lint: allow-fn(panic_freedom, "Interval is built only for single-word zones and Sorted returns early on stride 0; callers assert words.len() >= words_per_pattern == stride")
+    // naps-lint: allow-fn(panic_freedom, "Interval is built only for single-word zones and Sorted returns early on stride 0; callers assert words.len() >= words_per_pattern == stride, and every probed key index is below keys.len() / stride")
     fn small_contains(&self, index: &SmallIndex, words: &[u64]) -> bool {
         match index {
             SmallIndex::Interval { lo, hi } => {
@@ -312,11 +314,18 @@ impl CompiledZone {
                 if *stride == 0 {
                     return false;
                 }
+                // Binary search over the strided key array in place.
                 let probe = &words[..*stride];
-                keys.chunks_exact(*stride)
-                    .collect::<Vec<_>>()
-                    .binary_search_by(|k| (*k).cmp(probe))
-                    .is_ok()
+                let (mut lo, mut hi) = (0, keys.len() / stride);
+                while lo < hi {
+                    let mid = lo + (hi - lo) / 2;
+                    match keys[mid * stride..(mid + 1) * stride].cmp(probe) {
+                        Ordering::Less => lo = mid + 1,
+                        Ordering::Greater => hi = mid,
+                        Ordering::Equal => return true,
+                    }
+                }
+                false
             }
         }
     }

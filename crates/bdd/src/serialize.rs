@@ -158,11 +158,13 @@ impl BddSnapshot {
     /// restoring it into a manager: a single root-to-terminal walk over the
     /// immutable node array.
     ///
-    /// This is the lock-free serving path of `naps-serve`: a snapshot is
-    /// plain data with no caches or interior mutability, so any number of
-    /// threads can evaluate one `Arc<BddSnapshot>` concurrently, each query
-    /// touching at most one node per variable.  Agrees bit-for-bit with
-    /// [`Bdd::eval`] on the restored function.
+    /// A snapshot is plain data with no caches or interior mutability, so
+    /// any number of threads can evaluate one `Arc<BddSnapshot>`
+    /// concurrently, each query touching at most one node per variable.
+    /// `naps-serve` serves the [`CompiledZone`](crate::CompiledZone)
+    /// compiled from a snapshot; this walk is the oracle that evaluator is
+    /// pinned bit-identical to.  Agrees bit-for-bit with [`Bdd::eval`] on
+    /// the restored function.
     ///
     /// # Panics
     ///
@@ -236,10 +238,12 @@ impl BddSnapshot {
     /// typically a small fraction of the array for the graded monitor's
     /// budgets (≤ γ + 2).
     ///
-    /// This is the serving-path query behind `naps-serve`'s graded
-    /// verdicts: like [`BddSnapshot::eval`] it takes `&self` on plain
-    /// immutable data, so any number of threads may query one
-    /// `Arc<BddSnapshot>` concurrently.  Agrees with the unbounded query
+    /// Like [`BddSnapshot::eval`] it takes `&self` on plain immutable
+    /// data, so any number of threads may query one `Arc<BddSnapshot>`
+    /// concurrently.  `naps-serve`'s graded verdicts run its lowering onto
+    /// the compiled node array
+    /// ([`CompiledZone::min_hamming_distance_within_words`](crate::CompiledZone::min_hamming_distance_within_words));
+    /// this DP is that query's oracle.  Agrees with the unbounded query
     /// whenever the true distance is within `budget` (pinned by property
     /// tests against both the unbounded sweep and the manager DP).
     ///

@@ -18,10 +18,13 @@
 //!   a **novelty** (nothing in training was ever close), anything else
 //!   out-of-pattern is a near-miss worth ranking by distance.
 //!
-//! Distances are computed with the budget-bounded early-exit DP
-//! ([`naps_bdd::Bdd::min_hamming_distance_within`] /
-//! [`naps_bdd::BddSnapshot::min_hamming_distance_within`]), so the hot
-//! path never sweeps a whole diagram for a pattern that is far away.
+//! Distances are computed with the budget-bounded early-exit DP, so no
+//! query sweeps a whole diagram for a pattern that is far away: on a live
+//! zone [`naps_bdd::Bdd::min_hamming_distance_within`], and on the
+//! serving path its lowering onto the compiled node array
+//! ([`naps_bdd::CompiledZone::min_hamming_distance_within_words`]), with
+//! [`naps_bdd::BddSnapshot::min_hamming_distance_within`] as that
+//! lowering's oracle.
 
 use crate::activation::MonitorOutcome;
 use crate::monitor::{MonitorReport, Verdict};

@@ -186,11 +186,12 @@ impl BddZone {
     ///
     /// Unlike [`BddZone::snapshot`] — which stores only the seed set and
     /// re-dilates on restore — this captures the dilated diagram, so a
-    /// serving layer can answer membership queries directly on the
-    /// immutable snapshot ([`BddSnapshot::eval`]) with no manager, no
-    /// re-dilation and no locking.  `naps-serve` freezes one of these per
-    /// class and shares it across worker threads behind an `Arc`.  Both
-    /// snapshots carry the zone's variable order.
+    /// serving layer needs no manager, no re-dilation and no locking.
+    /// `naps-serve` freezes one of these per class, compiles it into a
+    /// [`naps_bdd::CompiledZone`] that every serving query runs on, and
+    /// keeps the snapshot as what persists and as the walked oracle
+    /// ([`BddSnapshot::eval`]).  Both snapshots carry the zone's variable
+    /// order.
     pub fn zone_snapshot(&self) -> BddSnapshot {
         let d = self.diagram();
         BddSnapshot::capture(&d.bdd, d.zone)

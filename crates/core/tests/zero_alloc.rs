@@ -6,11 +6,14 @@
 //! allocations across many consecutive micro-batches — on an MLP and on
 //! the paper's convolutional Network 1 — the invariant the `forward`
 //! eval gates end to end and the `hot_path_alloc` analyzer rule guards
-//! textually.
+//! textually.  A compiled zone's small-zone membership query, which
+//! judges every pattern of a zone small enough to enumerate, is held to
+//! zero allocations too.
 
+use naps_bdd::{CompiledPath, CompiledZone};
 use naps_core::batch::ObservationPlan;
 use naps_core::prepared::PreparedObserver;
-use naps_core::NeuronSelection;
+use naps_core::{BddZone, NeuronSelection, Pattern, Zone};
 use naps_nn::{mnist_net, Dense, Layer, ModelSnapshot, Relu, Sequential, MNIST_MONITOR_LAYER};
 use naps_tensor::Tensor;
 use rand::rngs::StdRng;
@@ -186,5 +189,48 @@ fn warmed_conv_observer_allocates_nothing_in_steady_state() {
         after - before,
         0,
         "a warmed conv PreparedObserver must not touch the allocator in steady state"
+    );
+}
+
+/// Membership on a compiled zone's sorted-key index (multi-word keys: 70
+/// neurons, two words per pattern) searches the keys in place: no query,
+/// member or not, touches the allocator.
+#[test]
+fn sorted_key_membership_allocates_nothing() {
+    let width = 70;
+    let seeds: Vec<Pattern> = (0..6)
+        .map(|s| {
+            Pattern::from_bools(
+                &(0..width)
+                    .map(|i| (i * 7 + s * 11) % 5 == 0)
+                    .collect::<Vec<_>>(),
+            )
+        })
+        .collect();
+    let mut zone = BddZone::empty(width);
+    for p in &seeds {
+        zone.insert(p);
+    }
+    zone.enlarge_to(1);
+    let compiled = CompiledZone::compile(&zone.zone_snapshot());
+    assert_eq!(compiled.path(), CompiledPath::SortedKeys);
+    let far = Pattern::from_bools(&[true; 70]);
+    let probes: Vec<(&[u64], bool)> = seeds
+        .iter()
+        .map(|p| (p.words(), true))
+        .chain([(far.words(), false)])
+        .collect();
+
+    let before = allocations();
+    for _ in 0..50 {
+        for &(words, member) in &probes {
+            assert_eq!(std::hint::black_box(compiled.eval_words(words)), member);
+        }
+    }
+    let after = allocations();
+    assert_eq!(
+        after - before,
+        0,
+        "a sorted-key membership query must not touch the allocator"
     );
 }

@@ -16,9 +16,12 @@
 //!   class — versus the always-predicted-class baseline, which by
 //!   construction scores zero on misclassified inputs;
 //! * **bounded-vs-unbounded speedup**: the budget-bounded early-exit DP
-//!   against the full-array sweep, on the same frozen zones and query
-//!   mix, with exact agreement (truncation at the budget) verified
-//!   query-for-query;
+//!   against the full-array sweep, with exact agreement (truncation at
+//!   the budget) verified query-for-query, in two rows: the monitor's
+//!   own frozen zones on the streams' patterns (a few hundred nodes
+//!   each, where a full sweep is already cheap), and one large synthetic
+//!   zone (300 clustered 40-bit seeds at γ = 1, about 17,000 nodes) on
+//!   clustered probes, the regime the DP's pruning exists for;
 //! * **drift hookup**: per-class detectors armed on the engine, stable
 //!   on the clean stream, alarming (epoch-stamped) on the corrupted one.
 //!
@@ -30,12 +33,14 @@
 use crate::config::RunConfig;
 use crate::report::{pct, rule, write_json};
 use crate::streams::{corrupted_stream, novelty_stream, SHIFTS};
+use naps_bench::{clustered_patterns, zone_from_patterns};
 use naps_core::{
-    BddZone, DriftConfig, DriftStatus, GradedQuery, Monitor, MonitorBuilder, Triage, Verdict,
+    BddZone, DriftConfig, DriftStatus, GradedQuery, Monitor, MonitorBuilder, Pattern, Triage,
+    Verdict,
 };
 use naps_data::digits;
 use naps_nn::{mlp, Adam, TrainConfig, Trainer};
-use naps_serve::{EngineConfig, FrozenMonitor, MonitorEngine};
+use naps_serve::{EngineConfig, FrozenMonitor, FrozenZone, MonitorEngine};
 use naps_tensor::Tensor;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -87,12 +92,18 @@ pub struct Attribution {
     pub full_stream_baseline: f64,
 }
 
-/// Bounded-vs-unbounded DP timing on the frozen zones.
+/// Bounded-vs-unbounded DP timing on one set of frozen zones.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct BoundedSpeedup {
-    /// The budget the bounded DP ran with (≤ γ + 2).
+    /// Which zones were timed: `monitor` (the trained monitor's zones,
+    /// queried with the streams' patterns) or `synthetic` (one large
+    /// clustered zone, queried with clustered probes).
+    pub zones: String,
+    /// Nodes of the largest timed zone's compiled diagram.
+    pub max_zone_nodes: usize,
+    /// The budget the bounded DP ran with.
     pub budget: u32,
-    /// Distance queries timed (patterns × classes).
+    /// Distance queries timed (patterns × zones).
     pub queries: usize,
     /// Wall time of the unbounded full-sweep path, microseconds.
     pub unbounded_us: f64,
@@ -122,7 +133,12 @@ pub struct DriftSummary {
 }
 
 /// The `schema_version` [`run`] stamps on [`GradedTriage`].
-pub const SCHEMA_VERSION: u32 = 1;
+pub const SCHEMA_VERSION: u32 = 2;
+
+/// Seeds of the synthetic zone (clustered, 40 bits wide).
+const SYNTHETIC_SEEDS: usize = 300;
+/// Probes timed against the synthetic zone.
+const SYNTHETIC_PROBES: usize = 1_000;
 
 /// The full graded-triage result (`results/graded.json`).
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -137,8 +153,9 @@ pub struct GradedTriage {
     pub histograms: Vec<StreamHistogram>,
     /// Nearest-class attribution on the corrupted stream.
     pub attribution: Attribution,
-    /// Bounded-vs-unbounded DP timing.
-    pub speedup: BoundedSpeedup,
+    /// Bounded-vs-unbounded DP timing: the monitor's zones, then the
+    /// large synthetic zone.
+    pub speedup: Vec<BoundedSpeedup>,
     /// Every served graded verdict was bit-identical to sequential
     /// `check_graded_batch` (the serving correctness gate).
     pub served_matches_sequential: bool,
@@ -357,49 +374,24 @@ pub fn run(cfg: &RunConfig) -> GradedTriage {
 
     // ---- Bounded vs unbounded DP on the frozen zones ----
     let frozen = FrozenMonitor::freeze(&monitor);
-    let patterns: Vec<naps_core::Pattern> = monitor
+    let patterns: Vec<Pattern> = monitor
         .observe_batch(&mut model, &val.samples)
         .into_iter()
         .chain(monitor.observe_batch(&mut model, &corrupted))
         .chain(monitor.observe_batch(&mut model, &novel))
         .map(|(_, p)| p)
         .collect();
-    let classes: Vec<usize> = (0..frozen.num_classes())
-        .filter(|&c| frozen.zone(c).is_some())
+    let zones: Vec<&FrozenZone> = (0..frozen.num_classes())
+        .filter_map(|c| frozen.zone(c))
         .collect();
-    let t0 = Instant::now();
-    let mut unbounded: Vec<Option<u32>> = Vec::with_capacity(patterns.len() * classes.len());
-    for p in &patterns {
-        for &c in &classes {
-            unbounded.push(frozen.zone(c).expect("monitored").distance_to_zone(p));
-        }
-    }
-    let unbounded_us = t0.elapsed().as_secs_f64() * 1e6;
-    let t1 = Instant::now();
-    let mut bounded: Vec<Option<u32>> = Vec::with_capacity(patterns.len() * classes.len());
-    for p in &patterns {
-        for &c in &classes {
-            bounded.push(
-                frozen
-                    .zone(c)
-                    .expect("monitored")
-                    .distance_to_zone_within(p, budget),
-            );
-        }
-    }
-    let bounded_us = t1.elapsed().as_secs_f64() * 1e6;
-    let agrees = unbounded
-        .iter()
-        .zip(&bounded)
-        .all(|(u, b)| *b == u.filter(|&d| d <= budget));
-    let speedup = BoundedSpeedup {
-        budget,
-        queries: patterns.len() * classes.len(),
-        unbounded_us,
-        bounded_us,
-        speedup: unbounded_us / bounded_us.max(f64::EPSILON),
-        agrees_with_unbounded: agrees,
-    };
+    let monitor_row = time_bounded_dp("monitor", &zones, &patterns, budget);
+
+    let seed = cfg.seed.wrapping_add(93);
+    let seeds = clustered_patterns(SYNTHETIC_SEEDS, 40, 1, seed);
+    let large = FrozenZone::freeze(&zone_from_patterns::<BddZone>(&seeds, 1));
+    let probes = clustered_patterns(SYNTHETIC_PROBES, 40, 4, seed.wrapping_add(1));
+    let synthetic_row = time_bounded_dp("synthetic", &[&large], &probes, budget);
+    let speedup = vec![monitor_row, synthetic_row];
 
     engine.shutdown();
     let result = GradedTriage {
@@ -417,6 +409,48 @@ pub fn run(cfg: &RunConfig) -> GradedTriage {
     print_table(&result);
     write_json(&cfg.out_dir, "graded", &result);
     result
+}
+
+/// Times the unbounded sweep, then the bounded DP at `budget`, over
+/// every (pattern, zone) pair, and checks that each bounded answer is
+/// the unbounded one truncated at the budget.
+fn time_bounded_dp(
+    label: &str,
+    zones: &[&FrozenZone],
+    patterns: &[Pattern],
+    budget: u32,
+) -> BoundedSpeedup {
+    let pairs = || {
+        patterns
+            .iter()
+            .flat_map(|p| zones.iter().map(move |z| (p, *z)))
+    };
+    let t0 = Instant::now();
+    let unbounded: Vec<Option<u32>> = pairs().map(|(p, z)| z.distance_to_zone(p)).collect();
+    let unbounded_us = t0.elapsed().as_secs_f64() * 1e6;
+    let t1 = Instant::now();
+    let bounded: Vec<Option<u32>> = pairs()
+        .map(|(p, z)| z.distance_to_zone_within(p, budget))
+        .collect();
+    let bounded_us = t1.elapsed().as_secs_f64() * 1e6;
+    let agrees = unbounded
+        .iter()
+        .zip(&bounded)
+        .all(|(u, b)| *b == u.filter(|&d| d <= budget));
+    BoundedSpeedup {
+        zones: label.to_string(),
+        max_zone_nodes: zones
+            .iter()
+            .map(|z| z.zone_eval().node_count())
+            .max()
+            .unwrap_or(0),
+        budget,
+        queries: unbounded.len(),
+        unbounded_us,
+        bounded_us,
+        speedup: unbounded_us / bounded_us.max(f64::EPSILON),
+        agrees_with_unbounded: agrees,
+    }
 }
 
 fn print_table(result: &GradedTriage) {
@@ -450,12 +484,14 @@ fn print_table(result: &GradedTriage) {
         pct(a.full_stream_accuracy),
         pct(a.full_stream_baseline),
     );
-    let s = &result.speedup;
-    println!(
-        "bounded DP: {:.2}x vs unbounded over {} queries at budget {} (agree: {}); \
-         served==sequential: {}",
-        s.speedup, s.queries, s.budget, s.agrees_with_unbounded, result.served_matches_sequential
-    );
+    for s in &result.speedup {
+        println!(
+            "bounded DP, {} zones (≤ {} nodes): {:.2}x vs unbounded over {} queries at \
+             budget {} (agree: {})",
+            s.zones, s.max_zone_nodes, s.speedup, s.queries, s.budget, s.agrees_with_unbounded
+        );
+    }
+    println!("served==sequential: {}", result.served_matches_sequential);
     println!(
         "drift: {} classes drifting after corrupted stream ({} on clean)",
         result.drifting_classes, result.drifting_on_clean

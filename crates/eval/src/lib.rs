@@ -11,7 +11,7 @@
 //! | `selection` | Section II ablation — gradient saliency vs variance vs random neuron selection |
 //! | `throughput` | ROADMAP north star — parallel `MonitorEngine` QPS vs sequential checking, with verdict-equivalence verification |
 //! | `online_adaptation` | Section IV deployment loop — drift stream, operator-confirmed enrichment, hot snapshot swap, persistence (`results/online.json`; exits non-zero when the out-of-pattern rate fails to drop) |
-//! | `graded` | graded distance verdicts — per-stream distance histograms, nearest-class misclassification attribution, bounded-vs-unbounded DP speedup, per-class drift (`results/graded.json`; exits non-zero when the bounded DP disagrees, serving diverges from sequential grading, or attribution fails to beat the baseline) |
+//! | `graded` | graded distance verdicts — per-stream distance histograms, nearest-class misclassification attribution, bounded-vs-unbounded DP speedup on the monitor's zones and on one large synthetic zone, per-class drift (`results/graded.json`; exits non-zero when the bounded DP disagrees, serving diverges from sequential grading, or attribution fails to beat the baseline) |
 //! | `layered` | multi-layer monitoring — Any/All/Majority detection-vs-FPR vs the single-layer baseline, layered engine ≡ sequential equivalence, marginal cost per extra monitored layer (`results/layered.json`; exits non-zero when serving diverges, Any detects less than the baseline, or extra layers add forward passes) |
 //! | `compiled` | compiled zone evaluators — compiled-vs-walked speedup per query kind plus fast-path census (`results/compiled.json`; exits non-zero when any compiled answer diverges from the walked oracle or the batched membership speedup falls below 2x) |
 //! | `gateway` | the TCP wire boundary — loopback soak with concurrent clients, saturation-burst shedding, malformed-byte abuse (`results/gateway.json`; exits non-zero on any lost request, wire/in-process verdict divergence, missing typed shed response, or a server that stops serving) |

@@ -16,7 +16,7 @@ use naps_serve::{EpochReport, LayeredEpochReport};
 use naps_tensor::Tensor;
 use std::fmt;
 use std::io::Write;
-use std::net::{Shutdown, TcpStream, ToSocketAddrs};
+use std::net::{TcpStream, ToSocketAddrs};
 
 /// Why a client call failed.
 #[derive(Debug)]
@@ -165,15 +165,6 @@ impl GatewayClient {
     pub fn recv(&mut self) -> Result<(u64, Response), ClientError> {
         let payload = proto::read_frame(&mut self.stream, self.max_frame_len)?;
         Ok(proto::decode_response(&payload)?)
-    }
-
-    /// Half-closes the write side, telling the gateway no more requests
-    /// are coming; pending responses can still be [`recv`]'d.
-    ///
-    /// [`recv`]: GatewayClient::recv
-    pub fn finish_sending(&mut self) -> Result<(), ClientError> {
-        self.stream.shutdown(Shutdown::Write)?;
-        Ok(())
     }
 
     fn expect_single(&mut self, id: u64) -> Result<EpochReport, ClientError> {

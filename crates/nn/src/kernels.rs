@@ -1,7 +1,7 @@
 //! The forward computation of the spatial and activation layers.
-//! `Conv2d`, `MaxPool2d`, `AvgPool2d`, `Relu` and `LeakyRelu` run these
-//! kernels in their `forward`, in training and inference alike (`train`
-//! only decides what a layer keeps for backward), and the prepared
+//! `Conv2d`, `MaxPool2d` and `Relu` run these kernels in their
+//! `forward`, in training and inference alike (`train` only decides
+//! what a layer keeps for backward), and the prepared
 //! serving path ([`crate::PreparedModel`]) runs the same functions, as
 //! it runs batch norm's inference kernel.  So each layer has one forward
 //! implementation, and training, inference and serving agree bit for
@@ -33,13 +33,12 @@
 //!   unfused chain's), then the max-pool fold straight into the
 //!   sample's output slice.  The batch-sized conv and ReLU outputs are
 //!   never written;
-//! * pooling folds each window row by row: max pooling keeps the
-//!   running `>` comparison, average pooling sums from `0.0` and scales
-//!   by `1/k²`.  One fold serves the layers, the prepared op and the
-//!   fused block; 2×2 windows take an arm with the window side fixed at
-//!   compile time, folding in the same order.  Max-pool backward
-//!   re-scans the window with the same rule for its winner;
-//! * ReLU is `max(0, x)` and leaky ReLU `x` if `x > 0`, else `slope · x`;
+//! * max pooling folds each window row by row with the running `>`
+//!   comparison from `-∞`.  One fold serves the layer, the prepared op
+//!   and the fused block; 2×2 windows take an arm with the window side
+//!   fixed at compile time, folding in the same order.  Max-pool
+//!   backward re-scans the window with the same rule for its winner;
+//! * ReLU is `max(0, x)`;
 //! * batch norm computes `(x − mean) · inv_std`, then `g · xh + b`.
 
 use naps_tensor::{im2col_t_into, matmul_slice_into, ConvDims, Tensor};
@@ -187,102 +186,66 @@ pub(crate) fn max_pool_into(x: &Tensor, d: PoolDims, out: &mut Tensor) {
     max_pool_planes(x.data(), d, out.data_mut());
 }
 
-/// The max-pooling fold over whole `h·w` planes of `x` into `out`: the
-/// running `>` comparison from `-∞`.
+/// The max-pooling fold over the `h·w` planes of `x`, each pooled into
+/// its `out_h·out_w` plane of `out`: each window keeps the running `>`
+/// comparison from `-∞`, row by row.  The paper's 2×2 windows take an
+/// arm with the window side fixed at compile time; both arms fold every
+/// window in the same order.
 fn max_pool_planes(x: &[f32], d: PoolDims, out: &mut [f32]) {
-    let step = |best: f32, v: f32| if v > best { v } else { best };
-    pool_planes(x, d, out, f32::NEG_INFINITY, step, |best| best);
-}
-
-/// Average pooling of a `[batch, c*h*w]` batch into `out`
-/// (`[batch, c*out_h*out_w]`).
-pub(crate) fn avg_pool_into(x: &Tensor, d: PoolDims, out: &mut Tensor) {
-    let batch = batch_of(x, d.in_len(), "pool");
-    out.resize_in_place(&[batch, d.out_len()]);
-    let inv = 1.0 / (d.k * d.k) as f32;
-    pool_planes(
-        x.data(),
-        d,
-        out.data_mut(),
-        0.0,
-        |sum, v| sum + v,
-        |sum| sum * inv,
-    );
-}
-
-/// Shared pooling sweep over the `h·w` planes of `x`, each pooled into
-/// its `out_h·out_w` plane of `out`: each window folds `step` over its
-/// values, row by row from `init`, and `finish` maps the fold to the
-/// output.  The paper's 2×2 windows take an arm with the window side
-/// fixed at compile time; both arms fold every window in the same order.
-fn pool_planes(
-    x: &[f32],
-    d: PoolDims,
-    out: &mut [f32],
-    init: f32,
-    step: impl Fn(f32, f32) -> f32,
-    finish: impl Fn(f32) -> f32,
-) {
     match d.k {
-        2 => pool_planes_fixed::<2>(x, d, out, init, step, finish),
-        _ => pool_planes_any(x, d, out, init, step, finish),
+        2 => max_pool_planes_fixed::<2>(x, d, out),
+        _ => max_pool_planes_any(x, d, out),
     }
 }
 
-/// [`pool_planes`] for window side `K`, one output at a time.
-fn pool_planes_fixed<const K: usize>(
-    x: &[f32],
-    d: PoolDims,
-    out: &mut [f32],
-    init: f32,
-    step: impl Fn(f32, f32) -> f32,
-    finish: impl Fn(f32) -> f32,
-) {
+/// The running-maximum step: `v` replaces `best` only if strictly
+/// greater, so the first of tied values (and of `±0.0`) wins.
+#[inline(always)]
+fn max_step(best: f32, v: f32) -> f32 {
+    if v > best {
+        v
+    } else {
+        best
+    }
+}
+
+/// [`max_pool_planes`] for window side `K`, one output at a time.
+fn max_pool_planes_fixed<const K: usize>(x: &[f32], d: PoolDims, out: &mut [f32]) {
     let (oh, ow) = (d.out_h(), d.out_w());
     let planes = x.chunks_exact(d.h * d.w);
     for (plane, pooled) in planes.zip(out.chunks_exact_mut(oh * ow)) {
         for (oy, out_row) in pooled.chunks_exact_mut(ow).enumerate() {
             let rows = &plane[oy * K * d.w..];
             for (ox, o) in out_row.iter_mut().enumerate() {
-                let mut acc = init;
+                let mut best = f32::NEG_INFINITY;
                 for dy in 0..K {
                     let at = dy * d.w + ox * K;
                     for &v in &rows[at..at + K] {
-                        acc = step(acc, v);
+                        best = max_step(best, v);
                     }
                 }
-                *o = finish(acc);
+                *o = best;
             }
         }
     }
 }
 
-/// [`pool_planes`] for any window side.  One output row at a time, so
-/// each window row is a contiguous slice.
-fn pool_planes_any(
-    x: &[f32],
-    d: PoolDims,
-    out: &mut [f32],
-    init: f32,
-    step: impl Fn(f32, f32) -> f32,
-    finish: impl Fn(f32) -> f32,
-) {
+/// [`max_pool_planes`] for any window side.  One output row at a time,
+/// so each window row is a contiguous slice.
+fn max_pool_planes_any(x: &[f32], d: PoolDims, out: &mut [f32]) {
     let (oh, ow) = (d.out_h(), d.out_w());
     let planes = x.chunks_exact(d.h * d.w);
     for (plane, pooled) in planes.zip(out.chunks_exact_mut(oh * ow)) {
         for (oy, out_row) in pooled.chunks_exact_mut(ow).enumerate() {
-            out_row.fill(init);
+            out_row.fill(f32::NEG_INFINITY);
             for dy in 0..d.k {
                 let start = (oy * d.k + dy) * d.w;
                 let in_row = &plane[start..start + ow * d.k];
                 for (o, window) in out_row.iter_mut().zip(in_row.chunks_exact(d.k)) {
                     for &v in window {
-                        *o = step(*o, v);
+                        *o = max_step(*o, v);
                     }
                 }
-            }
-            for o in out_row {
-                *o = finish(*o);
             }
         }
     }
@@ -320,9 +283,4 @@ pub(crate) fn batch_norm_into(
 /// ReLU of a batch into `out`: `max(0, x)` per element.
 pub(crate) fn relu_into(x: &Tensor, out: &mut Tensor) {
     x.map_into(out, |v| v.max(0.0));
-}
-
-/// Leaky ReLU of a batch into `out`: `x` where `x > 0`, else `slope · x`.
-pub(crate) fn leaky_relu_into(x: &Tensor, slope: f32, out: &mut Tensor) {
-    x.map_into(out, |v| if v > 0.0 { v } else { slope * v });
 }

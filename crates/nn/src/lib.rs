@@ -10,9 +10,10 @@
 //! * softmax cross-entropy loss and [`Sgd`] / [`Adam`] optimizers;
 //! * **activation taps**: [`Sequential::forward_observe_plan`] runs one
 //!   forward pass that retains exactly the layers an [`ObservationPlan`]
-//!   names (plus the logits) — the monitor family's only observation
-//!   path — while [`Sequential::forward_all`] remains as the
-//!   whole-depth diagnostics tap;
+//!   names (plus the logits) — the in-process observers' path and the
+//!   oracle of the prepared serving path ([`PreparedModel`]) — while
+//!   [`Sequential::forward_all`] remains as the whole-depth diagnostics
+//!   tap;
 //! * **gradient saliency** (`∂n_c/∂n_i`, Section II of the paper) for
 //!   selecting the most decision-relevant neurons to monitor, including the
 //!   special case where the monitored layer feeds a linear output layer.
@@ -37,13 +38,10 @@
 //! assert!(loss > 0.0);
 //! ```
 
-mod avgpool;
 mod conv;
 mod dense;
-mod dropout;
 mod kernels;
 mod layer;
-mod leaky;
 mod loss;
 mod models;
 mod norm;
@@ -58,12 +56,9 @@ mod serialize;
 mod stats;
 mod train;
 
-pub use avgpool::AvgPool2d;
 pub use conv::Conv2d;
 pub use dense::Dense;
-pub use dropout::Dropout;
 pub use layer::{Flatten, Layer, ParamGrad};
-pub use leaky::LeakyRelu;
 pub use loss::{accuracy, softmax, softmax_cross_entropy};
 pub use models::{
     gtsrb_net, mlp, mnist_net, GTSRB_MONITOR_LAYER, GTSRB_MONITOR_WIDTH, MNIST_MONITOR_LAYER,

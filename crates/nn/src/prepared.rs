@@ -15,7 +15,7 @@
 //! the `Sequential` path with `train = false`: dense layers share the
 //! one GEMM's accumulation order, the spatial and activation layers run
 //! the very kernels the layers' own forward runs ([`crate::kernels`]),
-//! and Dropout/Flatten are exact identities.
+//! and Flatten is an exact identity.
 //!
 //! A `Conv2d → Relu → MaxPool2d` run whose conv and ReLU outputs the
 //! plan does not observe runs as one fused op, one sample at a time
@@ -53,8 +53,6 @@ enum PreparedOp {
         b: Tensor,
         pool: PoolDims,
     },
-    /// Average pooling.
-    AvgPool(PoolDims),
     /// Inference batch norm with its per-channel scale resolved once.
     BatchNorm {
         hw: usize,
@@ -65,13 +63,8 @@ enum PreparedOp {
     },
     /// ReLU activation.
     Relu,
-    /// Leaky ReLU with its slope.
-    LeakyRelu {
-        /// Negative-side slope.
-        slope: f32,
-    },
-    /// Dropout (inert at inference) and Flatten (data already flat):
-    /// exact identities, skipped entirely unless observed.
+    /// Flatten (data already flat): an exact identity, skipped entirely
+    /// unless observed.
     Identity,
     /// The conv or ReLU of a [`PreparedOp::ConvReluMaxPool`] block,
     /// which runs at a later index: skipped (never observed).
@@ -172,9 +165,6 @@ impl ModelSnapshot {
                 LayerSnapshot::MaxPool2d { c, h, w, k } => {
                     PreparedOp::MaxPool(PoolDims::new(*c, *h, *w, *k))
                 }
-                LayerSnapshot::AvgPool2d { c, h, w, k } => {
-                    PreparedOp::AvgPool(PoolDims::new(*c, *h, *w, *k))
-                }
                 LayerSnapshot::BatchNorm2d {
                     hw,
                     eps,
@@ -196,10 +186,7 @@ impl ModelSnapshot {
                     }
                 }
                 LayerSnapshot::Relu => PreparedOp::Relu,
-                LayerSnapshot::LeakyRelu { slope } => PreparedOp::LeakyRelu { slope: *slope },
-                LayerSnapshot::Dropout { .. } | LayerSnapshot::Flatten { .. } => {
-                    PreparedOp::Identity
-                }
+                LayerSnapshot::Flatten { .. } => PreparedOp::Identity,
             })
             .collect();
         for i in 2..ops.len() {
@@ -374,7 +361,6 @@ fn apply(
             kernels::conv2d_relu_max_pool_into(x, *dims, w, b, *pool, lowered, conv_out, out)
         }
         PreparedOp::MaxPool(d) => kernels::max_pool_into(x, *d, out),
-        PreparedOp::AvgPool(d) => kernels::avg_pool_into(x, *d, out),
         PreparedOp::BatchNorm {
             hw,
             mean,
@@ -383,7 +369,6 @@ fn apply(
             beta,
         } => kernels::batch_norm_into(x, *hw, mean, inv_std, gamma.data(), beta.data(), out),
         PreparedOp::Relu => kernels::relu_into(x, out),
-        PreparedOp::LeakyRelu { slope } => kernels::leaky_relu_into(x, *slope, out),
         PreparedOp::Identity | PreparedOp::Folded => out.copy_from(x),
     }
 }
@@ -391,12 +376,9 @@ fn apply(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::avgpool::AvgPool2d;
     use crate::conv::Conv2d;
     use crate::dense::Dense;
-    use crate::dropout::Dropout;
     use crate::layer::{Flatten, Layer};
-    use crate::leaky::LeakyRelu;
     use crate::models::{gtsrb_net, mlp, mnist_net};
     use crate::norm::BatchNorm2d;
     use crate::pool::MaxPool2d;
@@ -475,8 +457,7 @@ mod tests {
                 Tensor::from_vec(vec![2, 3], vec![1., -1., 0.5, 0.25, 2., -0.75]),
                 Tensor::from_vec(vec![3], vec![0.1, -0.2, 0.3]),
             )),
-            Box::new(LeakyRelu::new(0.1)),
-            Box::new(Dropout::new(0.4, 3)),
+            Box::new(Relu::new()),
             Box::new(Dense::from_parts(
                 Tensor::from_vec(vec![3, 2], vec![1., 0., -1., 2., 0.5, 0.5]),
                 Tensor::zeros(vec![2]),
@@ -484,11 +465,12 @@ mod tests {
         ];
         let snap = ModelSnapshot::capture(&Sequential::new(dense_head)).expect("captures");
         let x = Tensor::from_vec(vec![2, 2], vec![0.6, -1.4, 2.2, 0.0]);
-        assert_matches_sequential(&snap, &ObservationPlan::new(vec![0, 1, 2, 3, 4]), &[x]);
+        assert_matches_sequential(&snap, &ObservationPlan::new(vec![0, 1, 2, 3]), &[x]);
 
         // 1×8×8 → conv(2, k3) → BN → ReLU → maxpool 2 → conv(3, k2) →
-        // avgpool 2 → flatten → fc(2), with BN running stats moved off
-        // their defaults by a few training passes.
+        // ReLU → maxpool 2 → flatten → fc(2), with BN running stats moved
+        // off their defaults by a few training passes.  The second block
+        // runs fused unless the plan observes its conv or ReLU.
         let dims = |in_c, side, k| naps_tensor::ConvDims {
             in_c,
             in_h: side,
@@ -502,7 +484,8 @@ mod tests {
             Box::new(Relu::new()),
             Box::new(MaxPool2d::new(2, 6, 6, 2)),
             Box::new(Conv2d::new(dims(2, 3, 2), 3, &mut rng)),
-            Box::new(AvgPool2d::new(3, 2, 2, 2)),
+            Box::new(Relu::new()),
+            Box::new(MaxPool2d::new(3, 2, 2, 2)),
             Box::new(Flatten::new(3)),
             Box::new(Dense::new(3, 2, &mut rng)),
         ];
@@ -512,8 +495,11 @@ mod tests {
         }
         let snap = ModelSnapshot::capture(&net).expect("captures");
         let batches = [1, 3, 2].map(|n| sparse_batch(n, 64, &mut rng));
-        assert_matches_sequential(&snap, &ObservationPlan::new((0..8).collect()), &batches);
-        assert_matches_sequential(&snap, &ObservationPlan::new(vec![2, 5]), &batches);
+        for (layers, fused) in [((0..9).collect(), 0), (vec![2, 6], 1), (vec![2, 5], 0)] {
+            let plan = ObservationPlan::new(layers);
+            assert_eq!(snap.prepare(&plan).fused_blocks(), fused, "{plan:?}");
+            assert_matches_sequential(&snap, &plan, &batches);
+        }
     }
 
     /// Both of the paper's networks, under plans that observe conv, BN,

@@ -26,49 +26,32 @@ impl Relu {
     }
 }
 
-/// Records `x > 0` per element of `x` into `mask`, reusing its buffer.
-pub(crate) fn record_mask(mask: &mut Option<Vec<bool>>, x: &Tensor) {
-    let mask = mask.get_or_insert_with(Vec::new);
-    mask.clear();
-    mask.extend(x.data().iter().map(|&v| v > 0.0));
-}
-
-/// `grad_out` where the recorded input was positive and `off(g)` where it
-/// was not, chosen by a select per element.
-///
-/// # Panics
-///
-/// Panics if no mask was recorded or its length differs from `grad_out`.
-pub(crate) fn gate(
-    mask: &Option<Vec<bool>>,
-    grad_out: &Tensor,
-    off: impl Fn(f32) -> f32,
-) -> Tensor {
-    // naps-lint: allow(typed_errors, "Layer::backward contract: forward caches first; misuse is a caller bug, not a runtime error path")
-    let mask = mask.as_ref().expect("backward called before forward");
-    assert_eq!(
-        mask.len(),
-        grad_out.len(),
-        "gradient shape changed between forward and backward"
-    );
-    let data = grad_out.data().iter().zip(mask);
-    let data = data.map(|(&g, &on)| if on { g } else { off(g) }).collect();
-    Tensor::from_vec(grad_out.shape().to_vec(), data)
-}
-
 // The mask is kept in inference mode too: gradient saliency
 // backpropagates through an inference-mode forward pass.
 impl Layer for Relu {
     fn forward(&mut self, x: &Tensor, _train: bool) -> Tensor {
         let mut y = Tensor::default();
         kernels::relu_into(x, &mut y);
-        record_mask(&mut self.mask, x);
+        let mask = self.mask.get_or_insert_with(Vec::new);
+        mask.clear();
+        mask.extend(x.data().iter().map(|&v| v > 0.0));
         self.out_len = x.shape().iter().skip(1).product();
         y
     }
 
+    // `grad_out` where the recorded input was positive, `+0.0` where it
+    // was not.
     fn backward(&mut self, grad_out: &Tensor) -> Tensor {
-        gate(&self.mask, grad_out, |_| 0.0)
+        // naps-lint: allow(typed_errors, "Layer::backward contract: forward caches first; misuse is a caller bug, not a runtime error path")
+        let mask = self.mask.as_ref().expect("backward called before forward");
+        assert_eq!(
+            mask.len(),
+            grad_out.len(),
+            "gradient shape changed between forward and backward"
+        );
+        let data = grad_out.data().iter().zip(mask);
+        let data = data.map(|(&g, &on)| if on { g } else { 0.0 }).collect();
+        Tensor::from_vec(grad_out.shape().to_vec(), data)
     }
 
     fn output_len(&self) -> usize {

@@ -3,19 +3,16 @@
 //! the companion of [`naps_core`-style] monitor snapshots, so a monitored
 //! network ships as two JSON files.
 //!
-//! Every built-in layer is supported — dense, convolution, max/average
-//! pooling, batch norm (with its running statistics), the activations,
-//! dropout and flatten — so both of the paper's networks round-trip.
+//! Every built-in layer is supported — dense, convolution, max pooling,
+//! batch norm (with its running statistics), ReLU and flatten — so both
+//! of the paper's networks round-trip.
 //! Stateful training caches are not captured: snapshots restore in
 //! inference-ready state.  A custom [`Layer`] implementation cannot be
 //! captured ([`SnapshotError::UnsupportedLayer`]).
 
-use crate::avgpool::AvgPool2d;
 use crate::conv::Conv2d;
 use crate::dense::Dense;
-use crate::dropout::Dropout;
 use crate::layer::{Flatten, Layer};
-use crate::leaky::LeakyRelu;
 use crate::norm::BatchNorm2d;
 use crate::pool::MaxPool2d;
 use crate::relu::Relu;
@@ -38,16 +35,6 @@ pub enum LayerSnapshot {
     },
     /// ReLU activation.
     Relu,
-    /// Leaky ReLU with its slope.
-    LeakyRelu {
-        /// Negative-side slope.
-        slope: f32,
-    },
-    /// Dropout (restored with a fresh deterministic RNG).
-    Dropout {
-        /// Drop probability.
-        p: f32,
-    },
     /// Flatten marker with its feature count.
     Flatten {
         /// Features per sample.
@@ -64,17 +51,6 @@ pub enum LayerSnapshot {
     },
     /// Max pooling of `[c, h, w]` maps with window = stride = `k`.
     MaxPool2d {
-        /// Channels.
-        c: usize,
-        /// Map height.
-        h: usize,
-        /// Map width.
-        w: usize,
-        /// Window side length.
-        k: usize,
-    },
-    /// Average pooling of `[c, h, w]` maps with window = stride = `k`.
-    AvgPool2d {
         /// Channels.
         c: usize,
         /// Map height.
@@ -103,22 +79,18 @@ pub enum LayerSnapshot {
 }
 
 impl LayerSnapshot {
-    /// The input width this layer fixes, `None` for width-preserving
-    /// layers (activations, dropout) that take any width.
+    /// The input width this layer fixes, `None` for ReLU, which takes
+    /// any width.
     pub(crate) fn input_len(&self) -> Option<usize> {
         match self {
             LayerSnapshot::Dense { w, .. } => Some(w.shape()[0]),
             LayerSnapshot::Flatten { features } => Some(*features),
             LayerSnapshot::Conv2d { dims, .. } => Some(dims.in_c * dims.in_h * dims.in_w),
-            LayerSnapshot::MaxPool2d { c, h, w, .. } | LayerSnapshot::AvgPool2d { c, h, w, .. } => {
-                Some(c * h * w)
-            }
+            LayerSnapshot::MaxPool2d { c, h, w, .. } => Some(c * h * w),
             LayerSnapshot::BatchNorm2d {
                 hw, running_mean, ..
             } => Some(running_mean.len() * hw),
-            LayerSnapshot::Relu
-            | LayerSnapshot::LeakyRelu { .. }
-            | LayerSnapshot::Dropout { .. } => None,
+            LayerSnapshot::Relu => None,
         }
     }
 }
@@ -176,10 +148,6 @@ impl ModelSnapshot {
                 }
             } else if any.downcast_ref::<Relu>().is_some() {
                 LayerSnapshot::Relu
-            } else if let Some(l) = any.downcast_ref::<LeakyRelu>() {
-                LayerSnapshot::LeakyRelu { slope: l.slope() }
-            } else if let Some(d) = any.downcast_ref::<Dropout>() {
-                LayerSnapshot::Dropout { p: d.probability() }
             } else if let Some(f) = any.downcast_ref::<Flatten>() {
                 LayerSnapshot::Flatten {
                     features: f.output_len(),
@@ -193,14 +161,6 @@ impl ModelSnapshot {
             } else if let Some(p) = any.downcast_ref::<MaxPool2d>() {
                 let d = p.dims;
                 LayerSnapshot::MaxPool2d {
-                    c: d.c,
-                    h: d.h,
-                    w: d.w,
-                    k: d.k,
-                }
-            } else if let Some(p) = any.downcast_ref::<AvgPool2d>() {
-                let d = p.dims;
-                LayerSnapshot::AvgPool2d {
                     c: d.c,
                     h: d.h,
                     w: d.w,
@@ -226,8 +186,7 @@ impl ModelSnapshot {
         Ok(ModelSnapshot { layers })
     }
 
-    /// Rebuilds the model.  Dropout layers get a fixed seed (they are
-    /// inert at inference anyway).
+    /// Rebuilds the model.
     pub fn restore(&self) -> Sequential {
         let layers: Vec<Box<dyn Layer>> = self
             .layers
@@ -238,17 +197,12 @@ impl ModelSnapshot {
                         Box::new(Dense::from_parts(w.clone(), b.clone()))
                     }
                     LayerSnapshot::Relu => Box::new(Relu::new()),
-                    LayerSnapshot::LeakyRelu { slope } => Box::new(LeakyRelu::new(*slope)),
-                    LayerSnapshot::Dropout { p } => Box::new(Dropout::new(*p, 0)),
                     LayerSnapshot::Flatten { features } => Box::new(Flatten::new(*features)),
                     LayerSnapshot::Conv2d { dims, w, b } => {
                         Box::new(Conv2d::from_parts(*dims, w.clone(), b.clone()))
                     }
                     LayerSnapshot::MaxPool2d { c, h, w, k } => {
                         Box::new(MaxPool2d::new(*c, *h, *w, *k))
-                    }
-                    LayerSnapshot::AvgPool2d { c, h, w, k } => {
-                        Box::new(AvgPool2d::new(*c, *h, *w, *k))
                     }
                     LayerSnapshot::BatchNorm2d {
                         hw,
@@ -290,23 +244,43 @@ mod tests {
         assert_eq!(net.forward(&x, false), restored.forward(&x, false));
     }
 
+    /// Every layer kind the format expresses is captured as its own
+    /// variant and restored to the same layer: conv → batch norm → ReLU →
+    /// max pool → flatten → dense, with batch norm's running statistics
+    /// moved off their defaults.
     #[test]
     fn snapshot_preserves_layer_variants() {
+        let mut rng = StdRng::seed_from_u64(4);
+        let dims = ConvDims {
+            in_c: 1,
+            in_h: 5,
+            in_w: 5,
+            k: 2,
+            s: 1,
+        };
         let layers: Vec<Box<dyn Layer>> = vec![
-            Box::new(Dense::from_parts(
-                Tensor::from_vec(vec![2, 2], vec![1., 0., 0., 1.]),
-                Tensor::zeros(vec![2]),
-            )),
-            Box::new(LeakyRelu::new(0.1)),
-            Box::new(Dropout::new(0.3, 7)),
-            Box::new(Flatten::new(2)),
+            Box::new(Conv2d::new(dims, 2, &mut rng)),
+            Box::new(BatchNorm2d::new(2, 4, 4)),
             Box::new(Relu::new()),
+            Box::new(MaxPool2d::new(2, 4, 4, 2)),
+            Box::new(Flatten::new(8)),
+            Box::new(Dense::new(8, 3, &mut rng)),
         ];
         let mut net = Sequential::new(layers);
-        let x = Tensor::from_vec(vec![1, 2], vec![0.5, -0.5]);
-        let _ = net.forward(&x, false);
+        let x = Tensor::randn(vec![2, 25], 1.0, &mut rng);
+        let _ = net.forward(&x, true);
         let snap = ModelSnapshot::capture(&net).expect("capture");
-        assert_eq!(snap.layers.len(), 5);
+        assert!(matches!(
+            snap.layers.as_slice(),
+            [
+                LayerSnapshot::Conv2d { .. },
+                LayerSnapshot::BatchNorm2d { .. },
+                LayerSnapshot::Relu,
+                LayerSnapshot::MaxPool2d { k: 2, .. },
+                LayerSnapshot::Flatten { features: 8 },
+                LayerSnapshot::Dense { .. },
+            ]
+        ));
         let mut restored = snap.restore();
         assert_eq!(restored.summary(), net.summary());
         assert_eq!(restored.forward(&x, false), net.forward(&x, false));
@@ -392,6 +366,19 @@ mod tests {
     fn mismatched_batch_norm_stats_fail_at_prepare() {
         let snap: ModelSnapshot = serde_json::from_str(SHORT_BN_JSON).expect("well-formed JSON");
         let _ = snap.prepare(&crate::ObservationPlan::new(vec![0]));
+    }
+
+    /// A snapshot naming a layer kind the format does not express (here
+    /// a leaky ReLU, which this crate no longer has) fails to load with
+    /// the deserializer's typed error naming the variant; nothing panics.
+    #[test]
+    fn unknown_layer_kind_fails_to_load_with_a_typed_error() {
+        let json = r#"{"layers":[{"Dense":{"w":{"shape":[1,1],"data":[1.0]},"b":{"shape":[1],"data":[0.0]}}},{"LeakyRelu":{"slope":0.1}}]}"#;
+        let err = serde_json::from_str::<ModelSnapshot>(json).expect_err("unknown layer kind");
+        assert!(
+            err.to_string().contains("unknown variant `LeakyRelu`"),
+            "unexpected error: {err}"
+        );
     }
 
     /// Snapshots written before the spatial variants existed still load.

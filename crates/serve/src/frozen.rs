@@ -4,11 +4,14 @@
 //! (hash-consing tables, operation caches) and so cannot be queried from
 //! several threads without locks.  Freezing captures each class's
 //! **enlarged** comfort zone and its seed set as [`BddSnapshot`]s — plain
-//! node arrays with no caches — behind `Arc`s.  Membership becomes a
-//! root-to-terminal walk ([`BddSnapshot::eval`]) and distance-to-seeds a
-//! bottom-up sweep ([`BddSnapshot::min_hamming_distance`]); both take
-//! `&self`, touch nothing mutable, and are therefore lock-free on the
-//! serving hot path.
+//! node arrays with no caches — and compiles each into a
+//! [`CompiledZone`], all behind `Arc`s.  Every serving query (membership,
+//! distance to the seeds, the bounded graded distance) runs on the
+//! compiled form; the snapshots are what persists and the walked
+//! snapshot queries ([`BddSnapshot::eval`],
+//! [`BddSnapshot::min_hamming_distance`]) are the oracle the compiled
+//! path is pinned to.  Every query takes `&self` and touches nothing
+//! mutable, so the serving hot path is lock-free.
 //!
 //! A [`FrozenMonitor`] is one layer's table of frozen zones indexed by
 //! class; a [`FrozenLayeredMonitor`] holds one such table per monitored
@@ -511,8 +514,10 @@ impl FrozenMonitor {
     /// [`Monitor::check_graded_pattern`], and **bit-identical** to it —
     /// the per-class bounded distances feed the same shared
     /// ranking/triage implementation ([`naps_core::graded::grade`]), and
-    /// the snapshot DP agrees with the manager DP query-for-query (pinned
-    /// by `naps-bdd`'s property tests).
+    /// the compiled bounded DP
+    /// ([`CompiledZone::min_hamming_distance_within_words`]) agrees with
+    /// the manager DP query-for-query (pinned by `naps-bdd`'s property
+    /// tests).
     pub fn check_graded_pattern(
         &self,
         predicted: usize,

@@ -11,7 +11,7 @@
 //!
 //! | Type | Role |
 //! |---|---|
-//! | [`FrozenZone`] | one class's zone + seeds as immutable [`naps_bdd::BddSnapshot`]s |
+//! | [`FrozenZone`] | one class's zone + seeds as immutable [`naps_bdd::BddSnapshot`]s, compiled for serving |
 //! | [`FrozenMonitor`] | one layer's deployable monitor: a frozen zone per class |
 //! | [`FrozenLayeredMonitor`] / [`LayeredVerdict`] | the epoch-versioned N-layer family the engine serves (single-layer = N = 1) |
 //! | [`MonitorEngine`] | the worker pool over one FIFO: five entry points (`check`, `check_batch`, `check_layered_batch`, `submit`, `try_submit_with`), batching, backpressure, hot swap |

@@ -190,17 +190,6 @@ pub enum Outcome {
     ReplayDivergence { at: usize, wanted: usize },
 }
 
-impl Outcome {
-    /// Whether this outcome is a checker finding (as opposed to a
-    /// clean, pruned, or bounded run).
-    pub fn is_failure(&self) -> bool {
-        matches!(
-            self,
-            Outcome::Deadlock(_) | Outcome::Panic { .. } | Outcome::ReplayDivergence { .. }
-        )
-    }
-}
-
 /// The result of one simulated run.
 #[derive(Debug, Clone)]
 pub struct RunResult {
