@@ -65,11 +65,18 @@ pub trait MonitorOutcome {
 /// parallel `MonitorEngine` and is pinned by compile-time assertions in
 /// the crate's tests.
 ///
-/// The **model** is the non-shareable half: [`naps_nn::Layer::forward`]
-/// caches activations for backprop, so `check`/`check_batch` take
-/// `&mut Sequential`.  Concurrent checkers must either replicate the
-/// model (one replica per thread — what `naps-serve` does, via
-/// [`naps_nn::ModelSnapshot`]) or serialise forward passes behind a lock.
+/// The **model** is the non-shareable half: `check`/`check_batch` take
+/// `&mut Sequential`, whose forward-pass counter every observation
+/// advances.  Concurrent checkers must either replicate the model (one
+/// replica per thread — what `naps-serve` does, via
+/// [`naps_nn::ModelSnapshot`]) or serialise checks behind a lock.
+///
+/// # Panics
+///
+/// The crate's monitors observe through
+/// [`Sequential::observe_rows`], so their checks panic on a model that
+/// holds a layer from outside `naps-nn` (which cannot be captured and
+/// prepared).
 pub trait ActivationMonitor {
     /// What one query returns.
     type Report: MonitorOutcome;

@@ -1,72 +1,42 @@
 //! Shared batched-forward scaffolding for the monitor family.
 //!
 //! Every batch check follows the same shape — pack the per-input rows
-//! into one `[n, feat]` tensor, run a single forward pass, argmax the
-//! logits per row, read the monitored layers' activations — and only the
-//! final judgement differs.  Two drivers run that shape:
+//! into `[n, feat]` tensors, run the forward pass, argmax the logits per
+//! row, read the monitored layers' activations — and only the final
+//! judgement differs.  One forward driver runs that shape, the prepared,
+//! allocation-free [`PreparedModel`]:
 //!
-//! - the **live and write side** observes through one pass,
-//!   [`observe_rows`]: it packs at most 64 inputs at a time into one
-//!   reused tensor, runs [`forward_observe_plan`] once per chunk and
-//!   hands each row's index, predicted class and planned activations to
-//!   a callback, in input order.  Its callers are
+//! - **in process**, every observer runs
+//!   [`Sequential::observe_rows`]: it prepares the model once per call,
+//!   packs at most 64 inputs at a time into one reused tensor and hands
+//!   each row's index, predicted class and planned activations to a
+//!   callback, in input order.  Its callers are
 //!   [`crate::MonitorBuilder`]'s training-set replay, the single-layer
 //!   and layered checks ([`observe_single_layer_batch`],
 //!   [`observe_layered_batch`], and through them
 //!   [`crate::stats::evaluate_with_mode`]), [`crate::RefinedMonitor`]'s
 //!   and [`crate::GridMonitor`]'s checks.  No in-process forward pass
 //!   takes more than 64 rows;
-//! - **serving** (`naps-serve`'s engine workers) runs the prepared,
-//!   allocation-free pass, [`ObservedBatch::refill`] on a
-//!   [`PreparedModel`].
+//! - **serving** (`naps-serve`'s engine workers) keeps one prepared model
+//!   per replica and refills one [`ObservedBatch`] in place per
+//!   micro-batch ([`ObservedBatch::refill`]).
 //!
-//! [`naps_nn::Sequential::forward_observe_plan`] is the oracle for both:
-//! the prepared forward is pinned bit-identical to it, so served
-//! verdicts equal sequential ones.  A row's forward result does not
+//! [`forward_observe_plan`] (on [`Sequential::forward_observe_plan`]) is
+//! the allocating oracle both are pinned bit-identical to; nothing in
+//! production observes through it.  A row's forward result does not
 //! depend on the rows packed beside it, so chunking moves no verdict.
 //!
 //! Observation goes through [`ObservationPlan`]s: the forward pass keeps
 //! **only** the planned layers' activations (plus the logits), so a
-//! monitor watching two of a ten-layer network's ReLUs allocates two
-//! intermediate tensors per chunk, not ten.
+//! monitor watching two of a ten-layer network's ReLUs writes two
+//! observed tensors per chunk, not ten.
 
 use crate::pattern::Pattern;
 use crate::selection::NeuronSelection;
 use naps_nn::Sequential;
 use naps_tensor::{argmax, Tensor};
 
-pub use naps_nn::{ForwardScratch, ObservationPlan, PreparedModel};
-
-/// Inputs per forward pass of [`observe_rows`].
-const OBSERVE_BATCH: usize = 64;
-
-/// Packs per-input rows into one `[n, feat]` batch tensor.
-///
-/// # Panics
-///
-/// Panics if `inputs` is empty or the inputs have inconsistent widths.
-pub fn pack_batch(inputs: &[Tensor]) -> Tensor {
-    let mut out = Tensor::default();
-    pack_batch_into(inputs, &mut out);
-    out
-}
-
-/// Like [`pack_batch`], but writes into the caller-provided `out` tensor
-/// (resized in place; allocation-free once its capacity has reached the
-/// high-water batch size).
-///
-/// # Panics
-///
-/// Panics if `inputs` is empty or the inputs have inconsistent widths.
-pub fn pack_batch_into(inputs: &[Tensor], out: &mut Tensor) {
-    let feat = inputs[0].len();
-    out.resize_in_place(&[inputs.len(), feat]);
-    let data = out.data_mut();
-    for (i, t) in inputs.iter().enumerate() {
-        assert_eq!(t.len(), feat, "inconsistent input widths");
-        data[i * feat..(i + 1) * feat].copy_from_slice(t.data());
-    }
-}
+pub use naps_nn::{pack_batch, pack_batch_into, ForwardScratch, ObservationPlan, PreparedModel};
 
 /// One observed batch: per-row predicted classes plus the retained
 /// activations of every planned layer.
@@ -104,10 +74,9 @@ impl ObservedBatch {
 /// the planned layers' activations, and returns them with the per-row
 /// predicted classes.
 ///
-/// The one forward of [`observe_rows`], the live and write side's
-/// observation pass, on [`Sequential::forward_observe_plan`] — the
-/// oracle the prepared serving pass ([`ObservedBatch::refill`]) is
-/// pinned bit-identical to.
+/// The allocating oracle, on [`Sequential::forward_observe_plan`]: the
+/// prepared forward ([`ObservedBatch::refill`],
+/// [`Sequential::observe_rows`]) is pinned bit-identical to it.
 pub fn forward_observe_plan(
     model: &mut Sequential,
     batch: &Tensor,
@@ -122,60 +91,11 @@ pub fn forward_observe_plan(
     }
 }
 
-/// One input's planned activations, as [`observe_rows`] hands them out.
-#[derive(Debug, Clone, Copy)]
-pub struct ObservedRow<'a> {
-    observed: &'a [Tensor],
-    row: usize,
-}
-
-impl<'a> ObservedRow<'a> {
-    /// The input's output of `plan.layers()[slot]` — index monitored
-    /// layers via [`ObservationPlan::position`].
-    pub fn layer(&self, slot: usize) -> &'a [f32] {
-        self.observed[slot].row(self.row)
-    }
-}
-
-/// The live and write side's one observation pass: observes `inputs`
-/// through `model`, keeping only the `plan`ned layers, and calls
-/// `each(index, predicted, activations)` once per input, in input order.
-///
-/// At most 64 inputs are packed into one reused batch tensor per
-/// [`forward_observe_plan`] call, so `n` inputs take ⌈n/64⌉ forward
-/// passes and no pass holds more than 64 rows of any layer.
-///
-/// # Panics
-///
-/// Panics if the inputs have inconsistent widths.
-pub fn observe_rows(
-    model: &mut Sequential,
-    inputs: &[Tensor],
-    plan: &ObservationPlan,
-    mut each: impl FnMut(usize, usize, ObservedRow<'_>),
-) {
-    let mut batch = Tensor::default();
-    for (c, chunk) in inputs.chunks(OBSERVE_BATCH).enumerate() {
-        pack_batch_into(chunk, &mut batch);
-        let ObservedBatch {
-            predicted,
-            observed,
-        } = forward_observe_plan(model, &batch, plan);
-        for (r, p) in predicted.into_iter().enumerate() {
-            let row = ObservedRow {
-                observed: &observed,
-                row: r,
-            };
-            each(c * OBSERVE_BATCH + r, p, row);
-        }
-    }
-}
-
 /// Extracts, for each input, the predicted class plus one pattern per
 /// `(layer, selection)` tap — the shared front half of every
 /// **layered** check, live ([`crate::LayeredMonitor`]) and frozen
-/// (`naps-serve`'s layered family): [`observe_rows`], then per-tap
-/// pattern extraction.  Keeping it here means the
+/// (`naps-serve`'s layered family): [`Sequential::observe_rows`], then
+/// per-tap pattern extraction.  Keeping it here means the
 /// engine-vs-sequential bit-identical guarantee rests on a single
 /// extraction implementation.
 ///
@@ -184,7 +104,9 @@ pub fn observe_rows(
 ///
 /// # Panics
 ///
-/// Panics if a tap's layer is not in the plan.
+/// Panics if a tap's layer is not in the plan, and as
+/// [`Sequential::observe_rows`] does (a model with a layer from outside
+/// `naps-nn` cannot be observed).
 pub fn observe_layered_batch<'a>(
     model: &mut Sequential,
     inputs: &[Tensor],
@@ -192,7 +114,7 @@ pub fn observe_layered_batch<'a>(
     taps: impl Iterator<Item = (usize, &'a NeuronSelection)> + Clone,
 ) -> Vec<(usize, Vec<Pattern>)> {
     let mut out = Vec::with_capacity(inputs.len());
-    observe_rows(model, inputs, plan, |_, p, row| {
+    model.observe_rows(inputs, plan, |_, p, row| {
         let patterns = taps
             .clone()
             .map(|(layer, selection)| {
@@ -211,6 +133,10 @@ pub fn observe_layered_batch<'a>(
 /// front half of every single-layer check, live ([`crate::Monitor`]) and
 /// frozen (`naps-serve`'s `FrozenMonitor`).  The same pass and
 /// extraction, with one pattern per row instead of a one-element list.
+///
+/// # Panics
+///
+/// As [`Sequential::observe_rows`] does.
 pub fn observe_single_layer_batch(
     model: &mut Sequential,
     inputs: &[Tensor],
@@ -218,14 +144,9 @@ pub fn observe_single_layer_batch(
     selection: &NeuronSelection,
 ) -> Vec<(usize, Pattern)> {
     let mut out = Vec::with_capacity(inputs.len());
-    observe_rows(
-        model,
-        inputs,
-        &ObservationPlan::single(layer),
-        |_, p, row| {
-            out.push((p, selection.pattern_from(row.layer(0))));
-        },
-    );
+    model.observe_rows(inputs, &ObservationPlan::single(layer), |_, p, row| {
+        out.push((p, selection.pattern_from(row.layer(0))));
+    });
     out
 }
 

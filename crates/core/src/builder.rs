@@ -1,6 +1,6 @@
 //! Monitor construction — Algorithm 1 of the paper.
 
-use crate::batch::{observe_rows, ObservationPlan};
+use crate::batch::ObservationPlan;
 use crate::monitor::Monitor;
 use crate::selection::NeuronSelection;
 use crate::zone::Zone;
@@ -71,16 +71,17 @@ impl MonitorBuilder {
     /// Runs Algorithm 1: replays `(samples, labels)` through `model` and
     /// assembles the per-class comfort zones.
     ///
-    /// The replay is one [`observe_rows`] pass: one forward pass per 64
-    /// training inputs.  The monitored layer's width is read off the
-    /// first replayed input; if no [`NeuronSelection`] was supplied, all
-    /// of its neurons are monitored.
+    /// The replay is one [`Sequential::observe_rows`] pass: one prepared
+    /// forward pass per 64 training inputs.  The monitored layer's width
+    /// is read off the first replayed input; if no [`NeuronSelection`]
+    /// was supplied, all of its neurons are monitored.
     ///
     /// # Panics
     ///
     /// Panics if `samples.len() != labels.len()`, the training set is
-    /// empty, a label is `>= num_classes`, or the monitored layer index is
-    /// out of range.
+    /// empty, a label is `>= num_classes`, the monitored layer index is
+    /// out of range, or `model` holds a layer from outside `naps-nn`
+    /// ([`Sequential::observe_rows`]).
     pub fn build<Z: Zone>(
         &self,
         model: &mut Sequential,
@@ -95,7 +96,8 @@ impl MonitorBuilder {
     /// Algorithm 1 over one replay of the training set, shared by
     /// [`MonitorBuilder::build`] and [`MonitorBuilder::build_refined`].
     ///
-    /// One [`observe_rows`] pass observes only the monitored layer; the
+    /// One [`Sequential::observe_rows`] pass observes only the monitored
+    /// layer; the
     /// first replayed input shows the layer's width.  Every
     /// monitored class gets an empty zone and an extra recorder from
     /// `empty`.  Each correctly classified input's pattern goes into its
@@ -125,7 +127,7 @@ impl MonitorBuilder {
         let monitored_class =
             |c: usize| -> bool { self.classes.as_ref().is_none_or(|cs| cs.contains(&c)) };
         let mut recorded = None;
-        observe_rows(model, samples, &plan, |i, p, row| {
+        model.observe_rows(samples, &plan, |i, p, row| {
             let monitored = row.layer(0);
             // Lines 1-3: empty zones for monitored classes.
             let (selection, classes) = recorded.get_or_insert_with(|| {

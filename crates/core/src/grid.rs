@@ -10,7 +10,7 @@
 //! cell-wise in a single call.
 
 use crate::activation::{ActivationMonitor, MonitorOutcome};
-use crate::batch::{observe_rows, ObservationPlan};
+use crate::batch::ObservationPlan;
 use crate::builder::MonitorBuilder;
 use crate::monitor::{Monitor, MonitorReport, Verdict};
 use crate::zone::{BddZone, Zone};
@@ -139,15 +139,16 @@ impl<Z: Zone> GridMonitor<Z> {
 
     /// Checks one frame: `cell_inputs[r * cols + c]` is the feature
     /// vector the shared head sees for that cell.  The frame runs through
-    /// the shared head in one [`observe_rows`] pass (one forward pass per
-    /// 64 cells), then row `i` is judged against cell `i`'s zones.  All
-    /// cells share layer and selection (checked in
+    /// the shared head in one [`Sequential::observe_rows`] pass (one
+    /// forward pass per 64 cells), then row `i` is judged against cell
+    /// `i`'s zones.  All cells share layer and selection (checked in
     /// [`GridMonitor::from_cells`]), so the pass can be shared.
     ///
     /// # Panics
     ///
-    /// Panics if `cell_inputs.len() != rows * cols` or the cell inputs
-    /// have inconsistent widths.
+    /// Panics if `cell_inputs.len() != rows * cols`, the cell inputs
+    /// have inconsistent widths, or `head` holds a layer from outside
+    /// `naps-nn` ([`Sequential::observe_rows`]).
     pub fn check_frame(&self, head: &mut Sequential, cell_inputs: &[Tensor]) -> GridReport {
         assert_eq!(
             cell_inputs.len(),
@@ -158,7 +159,7 @@ impl<Z: Zone> GridMonitor<Z> {
         let plan = ObservationPlan::single(self.cells[0].layer());
         let mut cells = Vec::with_capacity(cell_inputs.len());
         let mut out_of_pattern_cells = Vec::new();
-        observe_rows(head, cell_inputs, &plan, |i, predicted, row| {
+        head.observe_rows(cell_inputs, &plan, |i, predicted, row| {
             let report = self.cells[i].report(predicted, &selection.pattern_from(row.layer(0)));
             if report.verdict == Verdict::OutOfPattern {
                 out_of_pattern_cells.push(i);

@@ -288,6 +288,11 @@ impl<Z: Zone> Monitor<Z> {
     }
 
     /// Batched version of [`Monitor::observe`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `model` holds a layer from outside `naps-nn`
+    /// ([`Sequential::observe_rows`]).
     pub fn observe_batch(
         &self,
         model: &mut Sequential,
@@ -311,7 +316,7 @@ impl<Z: Zone> ActivationMonitor for Monitor<Z> {
     }
 
     /// Batched judgement sharing one forward pass per 64 inputs
-    /// ([`observe_rows`](crate::batch::observe_rows)).
+    /// ([`Sequential::observe_rows`]).
     fn check_batch(&self, model: &mut Sequential, inputs: &[Tensor]) -> Vec<MonitorReport> {
         self.observe_batch(model, inputs)
             .into_iter()

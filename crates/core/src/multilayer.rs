@@ -239,6 +239,11 @@ impl<Z: Zone> LayeredMonitor<Z> {
     /// forward pass retaining only the planned layers, the common front
     /// half of [`LayeredMonitor::check_batch`] /
     /// [`LayeredMonitor::check_graded_batch`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `model` holds a layer from outside `naps-nn`
+    /// ([`Sequential::observe_rows`]).
     pub fn observe_batch(
         &self,
         model: &mut Sequential,
@@ -295,7 +300,7 @@ impl<Z: Zone> ActivationMonitor for LayeredMonitor<Z> {
     }
 
     /// Batched joint check: one forward pass per 64 inputs
-    /// ([`observe_rows`](crate::batch::observe_rows)), regardless of how
+    /// ([`Sequential::observe_rows`]), regardless of how
     /// many layers are monitored, retaining only the planned layers'
     /// activations.
     fn check_batch(&self, model: &mut Sequential, inputs: &[Tensor]) -> Vec<LayeredReport> {

@@ -1,15 +1,16 @@
 //! The reusable, allocation-free front half of layered batch checking.
 //!
 //! [`observe_layered_batch`](crate::batch::observe_layered_batch)
-//! allocates a fresh batch tensor, fresh observed tensors, and one
+//! prepares the model, a batch tensor, the observed tensors and one
 //! [`Pattern`] per row per tap on every call.  A [`PreparedObserver`]
-//! owns all of that storage and refills it in place: after warm-up to
-//! the high-water batch size, a steady-state micro-batch performs zero
-//! heap allocations between request intake and judging.  Results are
-//! bit-identical to the allocating path (pinned by the equivalence tests
-//! and the `forward` eval gate); this file is deny-listed under the
-//! analyzer's `hot_path_alloc` rule so allocating calls cannot creep
-//! back in unwaived.
+//! owns all of that storage and refills it in place against a model
+//! prepared once: after warm-up to the high-water batch size, a
+//! steady-state micro-batch performs zero heap allocations between
+//! request intake and judging.  Results are bit-identical to the
+//! allocating oracle, [`forward_observe_plan`](crate::batch::forward_observe_plan)
+//! (pinned by the equivalence tests and the `forward` eval gate); this
+//! file is deny-listed under the analyzer's `hot_path_alloc` rule so
+//! allocating calls cannot creep back in unwaived.
 
 use crate::batch::{pack_batch_into, ForwardScratch, ObservedBatch, PreparedModel};
 use crate::pattern::Pattern;
@@ -86,7 +87,7 @@ impl PreparedObserver {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::batch::{observe_layered_batch, ObservationPlan};
+    use crate::batch::{forward_observe_plan, pack_batch, ObservationPlan};
     use naps_nn::Layer;
     use naps_nn::{Dense, ModelSnapshot, Relu, Sequential};
 
@@ -141,7 +142,21 @@ mod tests {
         // Varying batch sizes exercise warm-up, reuse, and shrinking.
         for n in [4usize, 1, 3] {
             let inputs = probes(n);
-            let want = observe_layered_batch(&mut live, &inputs, &plan, taps.iter().copied());
+            // The allocating oracle: one forward over the packed batch,
+            // then each tap's pattern read off its planned layer.
+            let oracle = forward_observe_plan(&mut live, &pack_batch(&inputs), &plan);
+            let want: Vec<(usize, Vec<Pattern>)> = (0..n)
+                .map(|r| {
+                    let patterns = taps
+                        .iter()
+                        .map(|&(layer, sel)| {
+                            let slot = plan.position(layer).expect("planned");
+                            sel.pattern_from(oracle.observed[slot].row(r))
+                        })
+                        .collect();
+                    (oracle.predicted[r], patterns)
+                })
+                .collect();
             let got = obs.observe(&prepared, &inputs, taps.iter().copied());
             assert_eq!(got, &want[..], "batch size {n}");
         }

@@ -10,7 +10,7 @@
 //! monitor: a combined `InPattern` requires both abstractions to accept.
 
 use crate::activation::{ActivationMonitor, MonitorOutcome};
-use crate::batch::{observe_rows, ObservationPlan};
+use crate::batch::ObservationPlan;
 use crate::builder::MonitorBuilder;
 use crate::dbm::DbmZone;
 use crate::interval::IntervalZone;
@@ -129,13 +129,13 @@ impl<Z: Zone> ActivationMonitor for RefinedMonitor<Z> {
             .expect("one report per input")
     }
 
-    /// Batched refined judgement: one [`observe_rows`] pass, then per-row
-    /// binary and numeric verdicts.
+    /// Batched refined judgement: one [`Sequential::observe_rows`] pass,
+    /// then per-row binary and numeric verdicts.
     fn check_batch(&self, model: &mut Sequential, inputs: &[Tensor]) -> Vec<RefinedReport> {
         let selection = self.monitor.selection();
         let mut out = Vec::with_capacity(inputs.len());
         let plan = ObservationPlan::single(self.monitor.layer());
-        observe_rows(model, inputs, &plan, |_, predicted, row| {
+        model.observe_rows(inputs, &plan, |_, predicted, row| {
             let full = row.layer(0);
             let pattern = selection.pattern_from(full);
             let binary = self.monitor.check_pattern(predicted, &pattern);

@@ -91,7 +91,8 @@ pub enum EvalMode {
 ///
 /// # Panics
 ///
-/// Panics if `samples.len() != labels.len()`.
+/// Panics if `samples.len() != labels.len()` or `model` holds a layer
+/// from outside `naps-nn` ([`Sequential::observe_rows`]).
 pub fn evaluate<Z: Zone>(
     monitor: &Monitor<Z>,
     model: &mut Sequential,
@@ -105,7 +106,8 @@ pub fn evaluate<Z: Zone>(
 ///
 /// # Panics
 ///
-/// Panics if `samples.len() != labels.len()`.
+/// Panics if `samples.len() != labels.len()` or `model` holds a layer
+/// from outside `naps-nn` ([`Sequential::observe_rows`]).
 pub fn evaluate_with_mode<Z: Zone>(
     monitor: &Monitor<Z>,
     model: &mut Sequential,

@@ -7,6 +7,13 @@
 //! [`naps_core::prepared::PreparedObserver`] whose batch / carry /
 //! pattern storage is refilled in place across micro-batches.
 //!
+//! The baseline is the allocating oracle: per micro-batch, one
+//! [`naps_core::batch::forward_observe_plan`] over the packed rows (each
+//! layer's own `forward`, a fresh tensor per layer), then each monitored
+//! layer's pattern read off its planned activations.  Every in-process
+//! observer runs the prepared forward too, so the oracle is the one
+//! allocating path left to compare against.
+//!
 //! This experiment drives both paths over three fixtures at the engine's
 //! micro-batch sizes — the shared dense serving fixture and the paper's
 //! convolutional networks 1 ([`naps_nn::mnist_net`], monitored at
@@ -22,9 +29,9 @@
 use crate::config::RunConfig;
 use crate::report::{rule, write_json};
 use naps_bench::serving_fixture;
-use naps_core::batch::pack_batch;
+use naps_core::batch::{forward_observe_plan, pack_batch};
 use naps_core::prepared::PreparedObserver;
-use naps_core::{BddZone, MonitorBuilder};
+use naps_core::{BddZone, MonitorBuilder, Pattern};
 use naps_data::{digits, signs, Dataset};
 use naps_nn::{
     gtsrb_net, mnist_net, ModelSnapshot, Sequential, GTSRB_MONITOR_LAYER, MNIST_MONITOR_LAYER,
@@ -41,7 +48,8 @@ use std::time::Instant;
 pub struct ForwardRow {
     /// Rows per micro-batch.
     pub batch_size: usize,
-    /// Allocating-path rows per second (`observe_batch`).
+    /// Allocating-oracle rows per second (`forward_observe_plan` plus
+    /// per-tap `pattern_from`).
     pub allocating_qps: f64,
     /// Prepared-path rows per second (`observe_batch_prepared`).
     pub prepared_qps: f64,
@@ -248,6 +256,34 @@ fn conv_fixture(
     )
 }
 
+/// The allocating oracle of one micro-batch: one `forward_observe_plan`
+/// over the packed `chunk`, then each monitored layer's pattern read off
+/// its planned activations — the rows
+/// [`FrozenLayeredMonitor::observe_batch_prepared`] must equal.
+fn observe_allocating(
+    frozen: &FrozenLayeredMonitor,
+    model: &mut Sequential,
+    chunk: &[Tensor],
+) -> Vec<(usize, Vec<Pattern>)> {
+    let plan = frozen.plan();
+    let batch = forward_observe_plan(model, &pack_batch(chunk), plan);
+    let row = |r: usize| -> Vec<Pattern> {
+        frozen
+            .layers()
+            .iter()
+            .map(|m| {
+                let slot = plan
+                    .position(m.layer())
+                    .expect("monitored layer is planned");
+                m.selection().pattern_from(batch.observed[slot].row(r))
+            })
+            .collect()
+    };
+    (0..chunk.len())
+        .map(|r| (batch.predicted[r], row(r)))
+        .collect()
+}
+
 /// Drives the allocating and the prepared observe path over `probes` in
 /// micro-batches of each size: identity first, then allocations per
 /// micro-batch, then rows per second over alternating rounds.
@@ -282,10 +318,10 @@ fn compare(
         let n_batches = batches.len();
 
         // Equivalence first: every prepared row must equal the
-        // allocating path's on the whole workload.
+        // allocating oracle's on the whole workload.
         let mut identical = true;
         for chunk in &batches {
-            let want = frozen.observe_batch(&mut model, chunk);
+            let want = observe_allocating(&frozen, &mut model, chunk);
             let got = frozen.observe_batch_prepared(&prepared, &mut observer, chunk);
             if got != &want[..] {
                 identical = false;
@@ -297,7 +333,7 @@ fn compare(
         // sweep above, so everything it does now is steady state.
         let before = alloc_count();
         for chunk in &batches {
-            std::hint::black_box(frozen.observe_batch(&mut model, chunk));
+            std::hint::black_box(observe_allocating(&frozen, &mut model, chunk));
         }
         let allocating_allocs = alloc_count() - before;
         let before = alloc_count();
@@ -313,7 +349,7 @@ fn compare(
             || {
                 batches
                     .iter()
-                    .map(|chunk| frozen.observe_batch(&mut model, chunk).len())
+                    .map(|chunk| observe_allocating(&frozen, &mut model, chunk).len())
                     .sum::<usize>()
             },
             || {

@@ -101,8 +101,8 @@ pub fn run(cfg: &RunConfig) -> Selection {
     let sel_saliency = NeuronSelection::top_fraction_by_saliency(&saliency, fraction);
 
     // Strategy 2: activation variance over the training set.
-    let train_x = trained.train.samples.clone();
-    let (_, variance) = activation_moments(&mut trained.model, monitor_layer, &train_x, 64);
+    let (_, variance) =
+        activation_moments(&mut trained.model, monitor_layer, &trained.train.samples);
     let sel_variance = NeuronSelection::top_fraction_by_score(&variance, fraction);
 
     // Strategy 3: random quarter (single seeded draw; the JSON records

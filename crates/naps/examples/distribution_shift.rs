@@ -13,7 +13,6 @@ use naps::data::corrupt::{shift_dataset, Corruption};
 use naps::data::digits;
 use naps::monitor::{evaluate, BddZone, IntervalZone, MonitorBuilder};
 use naps::nn::{mlp, Adam, ObservationPlan, TrainConfig, Trainer};
-use naps::tensor::Tensor;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -50,11 +49,9 @@ fn main() {
     // the monitored layer's activations from each forward pass.
     let plan = ObservationPlan::single(monitored_layer);
     let mut envelope = IntervalZone::empty(32);
-    for s in &train.samples {
-        let batch = Tensor::from_vec(vec![1, s.len()], s.data().to_vec());
-        let (observed, _) = net.forward_observe_plan(&batch, &plan, false);
-        envelope.insert(observed[0].row(0));
-    }
+    net.observe_rows(&train.samples, &plan, |_, _, row| {
+        envelope.insert(row.layer(0));
+    });
 
     println!("[exposing the monitor to shifted deployment distributions]");
     let shifts: [(&str, Corruption); 5] = [
@@ -73,13 +70,11 @@ fn main() {
         let stats = evaluate(&monitor, &mut net, &shifted.samples, &shifted.labels);
         // Interval-zone violations on the same data.
         let mut violations = 0usize;
-        for s in &shifted.samples {
-            let batch = Tensor::from_vec(vec![1, s.len()], s.data().to_vec());
-            let (observed, _) = net.forward_observe_plan(&batch, &plan, false);
-            if !envelope.contains(observed[0].row(0), 0.5) {
+        net.observe_rows(&shifted.samples, &plan, |_, _, row| {
+            if !envelope.contains(row.layer(0), 0.5) {
                 violations += 1;
             }
-        }
+        });
         println!(
             "  {:<16} {:>13.1}% {:>13.1}% {:>17.1}%",
             name,

@@ -61,7 +61,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let model_snap: ModelSnapshot = serde_json::from_str(&std::fs::read_to_string(&model_path)?)?;
     let monitor_snap: MonitorSnapshot =
         serde_json::from_str(&std::fs::read_to_string(&monitor_path)?)?;
-    let mut deployed_net = model_snap.restore();
+    let mut deployed_net = model_snap.restore()?;
     let deployed_monitor = Monitor::from_snapshot(&monitor_snap)?;
 
     // Verify the deployed pair agrees with the engineering pair.

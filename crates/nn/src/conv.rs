@@ -83,7 +83,9 @@ impl Conv2d {
     /// Panics if the kernel does not fit the geometry or the parameter
     /// shapes disagree with it.
     pub fn from_parts(dims: ConvDims, w: Tensor, b: Tensor) -> Self {
-        check_parts(dims, &w, &b);
+        if let Err(reason) = check_parts(dims, &w, &b) {
+            panic!("{reason}");
+        }
         let out_c = b.len();
         Conv2d {
             dims,
@@ -160,20 +162,23 @@ impl Conv2d {
 /// Checks a convolution's parameters against its geometry — the
 /// restore and prepare paths run it on snapshot input.
 ///
-/// # Panics
+/// # Errors
 ///
-/// Panics if the kernel does not fit the geometry, `b` is not `[out_c]`
-/// or `w` is not `[out_c, in_c*k*k]`.
-pub(crate) fn check_parts(dims: ConvDims, w: &Tensor, b: &Tensor) {
-    dims.validate();
+/// Says what disagrees if the kernel does not fit the geometry, `b` is
+/// not `[out_c]` or `w` is not `[out_c, in_c*k*k]`.
+pub(crate) fn check_parts(dims: ConvDims, w: &Tensor, b: &Tensor) -> Result<(), String> {
+    dims.check()?;
     let out_c = b.len();
-    assert_eq!(b.shape(), &[out_c], "conv bias must be [out_c]");
-    assert_eq!(
-        w.shape(),
-        &[out_c, dims.cols()],
-        "conv kernel must be [out_c, in_c*k*k] = [{out_c}, {}]",
-        dims.cols()
-    );
+    if b.shape() != [out_c] {
+        return Err("conv bias must be [out_c]".to_owned());
+    }
+    if w.shape() != [out_c, dims.cols()] {
+        return Err(format!(
+            "conv kernel must be [out_c, in_c*k*k] = [{out_c}, {}]",
+            dims.cols()
+        ));
+    }
+    Ok(())
 }
 
 impl Layer for Conv2d {

@@ -50,7 +50,9 @@ impl Dense {
     ///
     /// Panics if `w` is not `[in, out]` or `b` is not `[out]`.
     pub fn from_parts(w: Tensor, b: Tensor) -> Self {
-        check_parts(&w, &b);
+        if let Err(reason) = check_parts(&w, &b) {
+            panic!("{reason}");
+        }
         let (in_features, out_features) = (w.shape()[0], w.shape()[1]);
         Dense {
             grad_w: Tensor::zeros(vec![in_features, out_features]),
@@ -87,12 +89,15 @@ impl Dense {
 /// Checks that `w` is `[in, out]` and `b` is `[out]` — the restore and
 /// prepare paths run it on snapshot input.
 ///
-/// # Panics
+/// # Errors
 ///
-/// Panics if either shape is wrong.
-pub(crate) fn check_parts(w: &Tensor, b: &Tensor) {
-    assert_eq!(w.shape().len(), 2, "weights must be 2-D");
-    assert_eq!(b.shape(), &[w.shape()[1]], "bias must be [out]");
+/// Says which shape is wrong.
+pub(crate) fn check_parts(w: &Tensor, b: &Tensor) -> Result<(), String> {
+    match w.shape() {
+        [_, out] if b.shape() == [*out] => Ok(()),
+        [_, out] => Err(format!("bias must be [out] = [{out}]")),
+        _ => Err("weights must be 2-D".to_owned()),
+    }
 }
 
 impl Layer for Dense {

@@ -8,12 +8,14 @@
 //! * trainable layers — [`Dense`], [`Conv2d`], [`MaxPool2d`],
 //!   [`BatchNorm2d`], [`Relu`], [`Flatten`] — composed with [`Sequential`];
 //! * softmax cross-entropy loss and [`Sgd`] / [`Adam`] optimizers;
-//! * **activation taps**: [`Sequential::forward_observe_plan`] runs one
-//!   forward pass that retains exactly the layers an [`ObservationPlan`]
-//!   names (plus the logits) — the in-process observers' path and the
-//!   oracle of the prepared serving path ([`PreparedModel`]) — while
-//!   [`Sequential::forward_all`] remains as the whole-depth diagnostics
-//!   tap;
+//! * **activation taps**: [`Sequential::observe_rows`] observes inputs
+//!   in 64-row passes of the prepared, allocation-free forward
+//!   ([`PreparedModel`], the one the serving engine runs), retaining
+//!   exactly the layers an [`ObservationPlan`] names (plus the logits) —
+//!   every in-process observer's path.
+//!   [`Sequential::forward_observe_plan`] is the allocating oracle that
+//!   forward is pinned bit-identical to, and [`Sequential::forward_all`]
+//!   remains as the whole-depth diagnostics tap;
 //! * **gradient saliency** (`∂n_c/∂n_i`, Section II of the paper) for
 //!   selecting the most decision-relevant neurons to monitor, including the
 //!   special case where the monitored layer feeds a linear output layer.
@@ -65,7 +67,7 @@ pub use models::{
     MNIST_MONITOR_WIDTH,
 };
 pub use norm::BatchNorm2d;
-pub use observe::ObservationPlan;
+pub use observe::{pack_batch, pack_batch_into, ObservationPlan, ObservedRow};
 pub use optim::{Adam, Optimizer, Sgd};
 pub use pool::MaxPool2d;
 pub use prepared::{ForwardScratch, PreparedModel};

@@ -41,11 +41,8 @@ impl BatchNorm2d {
     }
 
     /// A layer in inference-ready state from its per-channel parameters
-    /// and running statistics (the snapshot restore path).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the per-channel vectors disagree in length.
+    /// and running statistics (the snapshot restore path, which has run
+    /// [`check_stats`] on them).
     pub(crate) fn from_stats(
         hw: usize,
         eps: f32,
@@ -54,7 +51,6 @@ impl BatchNorm2d {
         running_mean: Vec<f32>,
         running_var: Vec<f32>,
     ) -> Self {
-        check_stats(&gamma, &beta, &running_mean, &running_var);
         let c = running_mean.len();
         BatchNorm2d {
             c,
@@ -77,23 +73,28 @@ impl BatchNorm2d {
 /// entries, `c = running_mean.len()` — the restore and prepare paths run
 /// it on snapshot input.
 ///
-/// # Panics
+/// # Errors
 ///
-/// Panics if any of them disagrees.
+/// Says which of them disagrees.
 pub(crate) fn check_stats(
     gamma: &Tensor,
     beta: &Tensor,
     running_mean: &[f32],
     running_var: &[f32],
-) {
+) -> Result<(), String> {
     let c = running_mean.len();
-    assert_eq!(gamma.shape(), &[c], "batch-norm gamma must be [c] = [{c}]");
-    assert_eq!(beta.shape(), &[c], "batch-norm beta must be [c] = [{c}]");
-    assert_eq!(
-        running_var.len(),
-        c,
-        "batch-norm running variance must have c = {c} entries"
-    );
+    if gamma.shape() != [c] {
+        return Err(format!("batch-norm gamma must be [c] = [{c}]"));
+    }
+    if beta.shape() != [c] {
+        return Err(format!("batch-norm beta must be [c] = [{c}]"));
+    }
+    if running_var.len() != c {
+        return Err(format!(
+            "batch-norm running variance must have c = {c} entries"
+        ));
+    }
+    Ok(())
 }
 
 impl Layer for BatchNorm2d {

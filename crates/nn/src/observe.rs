@@ -5,17 +5,70 @@
 //! [`forward_all`](crate::Sequential::forward_all), materialises **every**
 //! intermediate activation of the batch — fine for diagnostics, wasteful
 //! on a serving hot path where only the monitored layers matter.  An
-//! [`ObservationPlan`] names the layers to keep, and
-//! [`Sequential::forward_observe_plan`](crate::Sequential::forward_observe_plan)
-//! runs one packed forward pass that retains **only** those layers'
-//! outputs (plus the logits): no unobserved layer's activation is ever
-//! retained, so the live set is the planned layers plus the one tensor
-//! currently flowing — not the whole depth of the network.  Serving
-//! runs the same plan through [`crate::PreparedModel`], allocation-free
-//! and bit-identical to this path.
+//! [`ObservationPlan`] names the layers to keep, and a planned forward
+//! pass retains **only** those layers' outputs (plus the logits).
+//!
+//! Every in-process observer — a monitor's build replay, its live and
+//! frozen checks, [`crate::activation_moments`] — runs one pass,
+//! [`Sequential::observe_rows`]: the model is captured and prepared
+//! once per call, and at most 64 rows at a time go through the
+//! allocation-free [`crate::PreparedModel`], the same forward the
+//! serving engine runs.
+//! [`Sequential::forward_observe_plan`] is the allocating oracle the
+//! prepared forward is pinned bit-identical to; nothing observes through
+//! it in production.
 
+use crate::prepared::ForwardScratch;
 use crate::sequential::Sequential;
-use naps_tensor::Tensor;
+use crate::serialize::ModelSnapshot;
+use naps_tensor::{argmax, Tensor};
+
+/// Inputs per forward pass of [`Sequential::observe_rows`].
+const OBSERVE_BATCH: usize = 64;
+
+/// Packs per-input rows into one `[n, feat]` batch tensor.
+///
+/// # Panics
+///
+/// Panics if `inputs` is empty or the inputs have inconsistent widths.
+pub fn pack_batch(inputs: &[Tensor]) -> Tensor {
+    let mut out = Tensor::default();
+    pack_batch_into(inputs, &mut out);
+    out
+}
+
+/// Like [`pack_batch`], but writes into the caller-provided `out` tensor
+/// (resized in place; allocation-free once its capacity has reached the
+/// high-water batch size).
+///
+/// # Panics
+///
+/// Panics if `inputs` is empty or the inputs have inconsistent widths.
+pub fn pack_batch_into(inputs: &[Tensor], out: &mut Tensor) {
+    let feat = inputs[0].len();
+    out.resize_in_place(&[inputs.len(), feat]);
+    let data = out.data_mut();
+    for (i, t) in inputs.iter().enumerate() {
+        assert_eq!(t.len(), feat, "inconsistent input widths");
+        data[i * feat..(i + 1) * feat].copy_from_slice(t.data());
+    }
+}
+
+/// One input's planned activations, as [`Sequential::observe_rows`]
+/// hands them out.
+#[derive(Debug, Clone, Copy)]
+pub struct ObservedRow<'a> {
+    observed: &'a [Tensor],
+    row: usize,
+}
+
+impl<'a> ObservedRow<'a> {
+    /// The input's output of `plan.layers()[slot]` — index monitored
+    /// layers via [`ObservationPlan::position`].
+    pub fn layer(&self, slot: usize) -> &'a [f32] {
+        self.observed[slot].row(self.row)
+    }
+}
 
 /// A sorted, deduplicated set of layer indices whose activations a
 /// forward pass must retain.
@@ -80,9 +133,64 @@ impl ObservationPlan {
 }
 
 impl Sequential {
+    /// The one in-process observation pass: observes `inputs` through
+    /// the model, keeping only the `plan`ned layers, and calls
+    /// `each(index, predicted, activations)` once per input, in input
+    /// order.
+    ///
+    /// The model is captured and prepared once per call
+    /// ([`ModelSnapshot::prepare`]); then at most 64 inputs at a time are
+    /// packed into one reused batch tensor and run through
+    /// [`PreparedModel::forward_observe_into`](crate::PreparedModel::forward_observe_into)
+    /// with one [`ForwardScratch`].  So `n` inputs take ⌈n/64⌉ forward
+    /// passes, each counted by [`Sequential::forward_passes`], and no pass
+    /// holds more than 64 rows of any layer.  Every activation and
+    /// prediction is bit-identical to
+    /// [`forward_observe_plan`](Sequential::forward_observe_plan) with
+    /// `train = false`, and a row's result does not depend on the rows
+    /// packed beside it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the model holds a layer from outside this crate (a
+    /// custom [`Layer`](crate::Layer) cannot be captured, so the message
+    /// says "in-process observation needs a model of naps-nn's built-in
+    /// layers"), if the plan names a layer `>= self.len()`, or if the
+    /// inputs do not all have the model's input width.
+    pub fn observe_rows(
+        &mut self,
+        inputs: &[Tensor],
+        plan: &ObservationPlan,
+        mut each: impl FnMut(usize, usize, ObservedRow<'_>),
+    ) {
+        if inputs.is_empty() {
+            return;
+        }
+        let model = ModelSnapshot::capture(self)
+            // naps-lint: allow(typed_errors, "no model the workspace builds holds a custom layer; observing one is the documented panic")
+            .expect("in-process observation needs a model of naps-nn's built-in layers")
+            .prepare(plan);
+        let (mut batch, mut scratch, mut observed) =
+            (Tensor::default(), ForwardScratch::new(), Vec::new());
+        for (c, chunk) in inputs.chunks(OBSERVE_BATCH).enumerate() {
+            pack_batch_into(chunk, &mut batch);
+            model.forward_observe_into(&batch, &mut scratch, &mut observed);
+            self.count_pass();
+            for r in 0..chunk.len() {
+                let row = ObservedRow {
+                    observed: &observed,
+                    row: r,
+                };
+                each(c * OBSERVE_BATCH + r, argmax(scratch.logits().row(r)), row);
+            }
+        }
+    }
+
     /// Runs the network on a batch and keeps only the activations the
     /// plan asks for: returns `(observed, logits)`, where `observed[i]`
-    /// is the output of `plan.layers()[i]`.
+    /// is the output of `plan.layers()[i]`.  The allocating oracle of
+    /// [`observe_rows`](Sequential::observe_rows) and of the prepared
+    /// serving forward: each layer's own `forward` writes a fresh tensor.
     ///
     /// Agrees with [`Sequential::forward_all`] entry-for-entry on the
     /// planned layers and the logits, while retaining no unobserved
@@ -176,6 +284,34 @@ mod tests {
             }
             assert_eq!(&logits, all.last().expect("nonempty"), "{layers:?}");
         }
+    }
+
+    /// `observe_rows` hands out the oracle's rows in input order, in
+    /// ⌈n/64⌉ counted passes; no input, no pass.
+    #[test]
+    fn observe_rows_matches_the_oracle_in_64_row_passes() {
+        let mut net = net();
+        let inputs: Vec<Tensor> = (0..130)
+            .map(|i| {
+                let t = i as f32;
+                Tensor::from_vec(vec![3], vec![(t * 0.37).sin(), (t * 0.11).cos(), t * 0.01])
+            })
+            .collect();
+        let plan = ObservationPlan::new(vec![1, 3]);
+        let (want, logits) = net.forward_observe_plan(&pack_batch(&inputs), &plan, false);
+        net.reset_forward_passes();
+        let mut seen = 0;
+        net.observe_rows(&inputs, &plan, |i, predicted, row| {
+            assert_eq!(i, seen);
+            assert_eq!(predicted, argmax(logits.row(i)));
+            for (slot, layer) in want.iter().enumerate() {
+                assert_eq!(row.layer(slot), layer.row(i), "input {i}, slot {slot}");
+            }
+            seen += 1;
+        });
+        assert_eq!((seen, net.forward_passes()), (130, 3));
+        net.observe_rows(&[], &plan, |_, _, _| unreachable!("no input"));
+        assert_eq!(net.forward_passes(), 3);
     }
 
     #[test]

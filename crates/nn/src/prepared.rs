@@ -1,7 +1,11 @@
-//! The prepared, allocation-free inference path.
+//! The prepared, allocation-free inference path: the one forward every
+//! observation runs.  The serving engine prepares each replica once at
+//! construction or publish; [`Sequential::observe_rows`](crate::Sequential::observe_rows),
+//! the in-process observers' pass, prepares the model once per call.
+//! [`Sequential::forward_observe_plan`](crate::Sequential::forward_observe_plan),
+//! which allocates a fresh output tensor per layer per call, is left as
+//! the oracle this path is pinned to.
 //!
-//! [`Sequential::forward_observe_plan`](crate::Sequential::forward_observe_plan)
-//! allocates a fresh output tensor per layer per call.
 //! [`ModelSnapshot::prepare`] resolves everything that is frozen at
 //! capture time exactly once — layer kinds, weights, batch-norm scales,
 //! the observation plan, the input width, and which conv → ReLU →
@@ -27,7 +31,6 @@
 use crate::kernels::{self, PoolDims};
 use crate::observe::ObservationPlan;
 use crate::serialize::{LayerSnapshot, ModelSnapshot};
-use crate::{conv, dense, norm};
 use naps_tensor::{ConvDims, Tensor};
 
 /// One layer of a [`PreparedModel`]: weight- and kind-dispatch resolved at
@@ -129,11 +132,16 @@ impl ModelSnapshot {
     /// (an observed intermediate, batch norm between conv and ReLU) keeps.
     /// Fusion is decided here, from the plan alone.
     ///
+    /// Its input is a snapshot that [`ModelSnapshot::capture`] made, or
+    /// one that [`ModelSnapshot::restore`] accepted: `restore` returns a
+    /// snapshot's shape errors, `prepare` panics on them.
+    ///
     /// # Panics
     ///
     /// Panics if the plan names a layer `>= self.layers.len()`, or if a
-    /// dense, convolution or batch-norm layer's parameters disagree with
-    /// its shape (as [`ModelSnapshot::restore`] does).
+    /// layer's parameters disagree with its shape (the
+    /// [`SnapshotError::ShapeMismatch`](crate::SnapshotError::ShapeMismatch)
+    /// that [`ModelSnapshot::restore`] returns).
     // naps-lint: allow-fn(hot_path_alloc, "preparation is the cold publish/load half: it allocates once so the per-request half never does")
     pub fn prepare(&self, plan: &ObservationPlan) -> PreparedModel {
         if let Some(deepest) = plan.max_layer() {
@@ -143,25 +151,22 @@ impl ModelSnapshot {
                 self.layers.len()
             );
         }
+        if let Err(e) = self.check() {
+            panic!("{e}");
+        }
         let mut ops: Vec<PreparedOp> = self
             .layers
             .iter()
             .map(|l| match l {
-                LayerSnapshot::Dense { w, b } => {
-                    dense::check_parts(w, b);
-                    PreparedOp::Dense {
-                        w: w.clone(),
-                        b: b.clone(),
-                    }
-                }
-                LayerSnapshot::Conv2d { dims, w, b } => {
-                    conv::check_parts(*dims, w, b);
-                    PreparedOp::Conv {
-                        dims: *dims,
-                        w: w.clone(),
-                        b: b.clone(),
-                    }
-                }
+                LayerSnapshot::Dense { w, b } => PreparedOp::Dense {
+                    w: w.clone(),
+                    b: b.clone(),
+                },
+                LayerSnapshot::Conv2d { dims, w, b } => PreparedOp::Conv {
+                    dims: *dims,
+                    w: w.clone(),
+                    b: b.clone(),
+                },
                 LayerSnapshot::MaxPool2d { c, h, w, k } => {
                     PreparedOp::MaxPool(PoolDims::new(*c, *h, *w, *k))
                 }
@@ -172,19 +177,16 @@ impl ModelSnapshot {
                     beta,
                     running_mean,
                     running_var,
-                } => {
-                    norm::check_stats(gamma, beta, running_mean, running_var);
-                    PreparedOp::BatchNorm {
-                        hw: *hw,
-                        mean: running_mean.clone(),
-                        inv_std: running_var
-                            .iter()
-                            .map(|&v| kernels::inv_std(v, *eps))
-                            .collect(),
-                        gamma: gamma.clone(),
-                        beta: beta.clone(),
-                    }
-                }
+                } => PreparedOp::BatchNorm {
+                    hw: *hw,
+                    mean: running_mean.clone(),
+                    inv_std: running_var
+                        .iter()
+                        .map(|&v| kernels::inv_std(v, *eps))
+                        .collect(),
+                    gamma: gamma.clone(),
+                    beta: beta.clone(),
+                },
                 LayerSnapshot::Relu => PreparedOp::Relu,
                 LayerSnapshot::Flatten { .. } => PreparedOp::Identity,
             })
@@ -423,7 +425,7 @@ mod tests {
     /// to the restored `Sequential`'s inference pass.
     #[track_caller]
     fn assert_matches_sequential(snap: &ModelSnapshot, plan: &ObservationPlan, batches: &[Tensor]) {
-        let mut oracle = snap.restore();
+        let mut oracle = snap.restore().expect("restores");
         let prepared = snap.prepare(plan);
         let mut scratch = ForwardScratch::new();
         let mut observed = Vec::new();

@@ -7,12 +7,14 @@ use naps_tensor::{argmax, Tensor};
 /// A feed-forward stack of layers, applied in order.
 ///
 /// Besides plain [`forward`](Sequential::forward), the container exposes
-/// two activation taps: [`forward_observe_plan`](Sequential::forward_observe_plan)
-/// retains exactly the layers an [`crate::ObservationPlan`] names (the
-/// runtime monitors' hot path — like a forward hook in the paper's
+/// activation taps: [`observe_rows`](Sequential::observe_rows) retains
+/// exactly the layers an [`crate::ObservationPlan`] names (the runtime
+/// monitors' one observation pass — like a forward hook in the paper's
 /// PyTorch implementation, without materialising unobserved layers),
-/// and [`forward_all`](Sequential::forward_all) returns **every**
-/// intermediate activation for diagnostics and training-time tooling.
+/// [`forward_observe_plan`](Sequential::forward_observe_plan) is its
+/// allocating oracle, and [`forward_all`](Sequential::forward_all)
+/// returns **every** intermediate activation for diagnostics and
+/// training-time tooling.
 #[derive(Debug)]
 pub struct Sequential {
     layers: Vec<Box<dyn Layer>>,
@@ -31,8 +33,9 @@ impl Sequential {
     /// ([`forward`](Sequential::forward),
     /// [`forward_all`](Sequential::forward_all) and
     /// [`forward_observe_plan`](Sequential::forward_observe_plan) each
-    /// count one per call, regardless of batch size or how many layers
-    /// were observed).  Lets monitoring harnesses *measure* — not assume
+    /// count one per call, [`observe_rows`](Sequential::observe_rows) one
+    /// per 64-row chunk, regardless of batch size or how many layers were
+    /// observed).  Lets monitoring harnesses *measure* — not assume
     /// — that adding monitored layers adds no forward passes.
     pub fn forward_passes(&self) -> u64 {
         self.passes

@@ -8,12 +8,14 @@
 //! of the paper's networks round-trip.
 //! Stateful training caches are not captured: snapshots restore in
 //! inference-ready state.  A custom [`Layer`] implementation cannot be
-//! captured ([`SnapshotError::UnsupportedLayer`]).
+//! captured ([`SnapshotError::UnsupportedLayer`]), and a snapshot whose
+//! parameters disagree with their layer's shape does not restore
+//! ([`SnapshotError::ShapeMismatch`]).
 
-use crate::conv::Conv2d;
-use crate::dense::Dense;
+use crate::conv::{self, Conv2d};
+use crate::dense::{self, Dense};
 use crate::layer::{Flatten, Layer};
-use crate::norm::BatchNorm2d;
+use crate::norm::{self, BatchNorm2d};
 use crate::pool::MaxPool2d;
 use crate::relu::Relu;
 use crate::sequential::Sequential;
@@ -115,6 +117,14 @@ pub enum SnapshotError {
         /// Its position.
         index: usize,
     },
+    /// A layer's parameters disagree with its shape: a dense bias of the
+    /// wrong width, a batch norm with a short running variance.
+    ShapeMismatch {
+        /// The layer's position.
+        index: usize,
+        /// What disagrees.
+        reason: String,
+    },
 }
 
 impl fmt::Display for SnapshotError {
@@ -123,6 +133,7 @@ impl fmt::Display for SnapshotError {
             SnapshotError::UnsupportedLayer { label, index } => {
                 write!(f, "layer {index} ({label}) cannot be snapshotted")
             }
+            SnapshotError::ShapeMismatch { index, reason } => write!(f, "layer {index}: {reason}"),
         }
     }
 }
@@ -186,8 +197,44 @@ impl ModelSnapshot {
         Ok(ModelSnapshot { layers })
     }
 
+    /// Checks every layer's parameters against its shape: the one check
+    /// [`ModelSnapshot::restore`] and [`ModelSnapshot::prepare`] run on
+    /// snapshot input.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SnapshotError::ShapeMismatch`] for the first layer whose
+    /// parameters disagree with its shape.
+    pub(crate) fn check(&self) -> Result<(), SnapshotError> {
+        for (index, layer) in self.layers.iter().enumerate() {
+            match layer {
+                LayerSnapshot::Dense { w, b } => dense::check_parts(w, b),
+                LayerSnapshot::Conv2d { dims, w, b } => conv::check_parts(*dims, w, b),
+                LayerSnapshot::MaxPool2d { h, w, k, .. } if *k == 0 || k > h || k > w => {
+                    Err(format!("invalid pooling window {k}"))
+                }
+                LayerSnapshot::BatchNorm2d {
+                    gamma,
+                    beta,
+                    running_mean,
+                    running_var,
+                    ..
+                } => norm::check_stats(gamma, beta, running_mean, running_var),
+                _ => Ok(()),
+            }
+            .map_err(|reason| SnapshotError::ShapeMismatch { index, reason })?;
+        }
+        Ok(())
+    }
+
     /// Rebuilds the model.
-    pub fn restore(&self) -> Sequential {
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SnapshotError::ShapeMismatch`] if a layer's parameters
+    /// disagree with its shape.
+    pub fn restore(&self) -> Result<Sequential, SnapshotError> {
+        self.check()?;
         let layers: Vec<Box<dyn Layer>> = self
             .layers
             .iter()
@@ -222,7 +269,7 @@ impl ModelSnapshot {
                 }
             })
             .collect();
-        Sequential::new(layers)
+        Ok(Sequential::new(layers))
     }
 }
 
@@ -239,7 +286,7 @@ mod tests {
         let snap = ModelSnapshot::capture(&net).expect("capture");
         let json = serde_json::to_string(&snap).expect("serialize");
         let back: ModelSnapshot = serde_json::from_str(&json).expect("deserialize");
-        let mut restored = back.restore();
+        let mut restored = back.restore().expect("restores");
         let x = Tensor::from_vec(vec![2, 4], (0..8).map(|i| i as f32 * 0.3 - 1.0).collect());
         assert_eq!(net.forward(&x, false), restored.forward(&x, false));
     }
@@ -281,7 +328,7 @@ mod tests {
                 LayerSnapshot::Dense { .. },
             ]
         ));
-        let mut restored = snap.restore();
+        let mut restored = snap.restore().expect("restores");
         assert_eq!(restored.summary(), net.summary());
         assert_eq!(restored.forward(&x, false), net.forward(&x, false));
     }
@@ -299,7 +346,7 @@ mod tests {
             let snap = ModelSnapshot::capture(&net).expect("capture");
             let json = serde_json::to_string(&snap).expect("serialize");
             let back: ModelSnapshot = serde_json::from_str(&json).expect("deserialize");
-            let mut restored = back.restore();
+            let mut restored = back.restore().expect("restores");
             assert_eq!(restored.summary(), net.summary());
             let x = Tensor::randn(vec![2, width], 1.0, &mut rng);
             let (want, got) = (net.forward(&x, false), restored.forward(&x, false));
@@ -345,20 +392,43 @@ mod tests {
     fn custom_layers_are_rejected_with_context() {
         let net = Sequential::new(vec![Box::new(Relu::new()), Box::new(Custom)]);
         let err = ModelSnapshot::capture(&net).expect_err("custom layer unsupported");
-        let SnapshotError::UnsupportedLayer { label, index } = err;
+        let SnapshotError::UnsupportedLayer { label, index } = err else {
+            panic!("unexpected error: {err}");
+        };
         assert_eq!((label.as_str(), index), ("custom", 1));
     }
 
     /// A batch-norm snapshot whose running variance is one channel short.
     const SHORT_BN_JSON: &str = r#"{"layers":[{"BatchNorm2d":{"hw":4,"eps":1e-5,"gamma":{"shape":[2],"data":[1.0,1.0]},"beta":{"shape":[2],"data":[0.0,0.0]},"running_mean":[0.0,0.0],"running_var":[1.0]}}]}"#;
 
-    /// Malformed snapshot input fails when it is restored, not at the
-    /// first forward pass.
+    /// Malformed snapshot input fails when it is restored, with a typed
+    /// error naming the layer, not at the first forward pass.
     #[test]
-    #[should_panic(expected = "running variance must have c = 2 entries")]
     fn mismatched_batch_norm_stats_fail_at_restore() {
         let snap: ModelSnapshot = serde_json::from_str(SHORT_BN_JSON).expect("well-formed JSON");
-        let _ = snap.restore();
+        let err = snap.restore().expect_err("short running variance");
+        assert_eq!(
+            err,
+            SnapshotError::ShapeMismatch {
+                index: 0,
+                reason: "batch-norm running variance must have c = 2 entries".to_owned(),
+            }
+        );
+        assert_eq!(
+            err.to_string(),
+            "layer 0: batch-norm running variance must have c = 2 entries"
+        );
+    }
+
+    /// A dense bias one entry too wide fails to restore the same way.
+    #[test]
+    fn mismatched_dense_bias_fails_at_restore() {
+        let json = r#"{"layers":["Relu",{"Dense":{"w":{"shape":[2,1],"data":[1.0,-2.0]},"b":{"shape":[2],"data":[0.5,0.5]}}}]}"#;
+        let snap: ModelSnapshot = serde_json::from_str(json).expect("well-formed JSON");
+        assert_eq!(
+            snap.restore().expect_err("wide bias").to_string(),
+            "layer 1: bias must be [out] = [1]"
+        );
     }
 
     #[test]
@@ -386,7 +456,7 @@ mod tests {
     fn dense_only_snapshot_json_still_loads() {
         let json = r#"{"layers":[{"Dense":{"w":{"shape":[2,1],"data":[1.0,-2.0]},"b":{"shape":[1],"data":[0.5]}}},"Relu",{"Flatten":{"features":1}}]}"#;
         let snap: ModelSnapshot = serde_json::from_str(json).expect("legacy JSON loads");
-        let mut net = snap.restore();
+        let mut net = snap.restore().expect("legacy snapshot restores");
         let y = net.forward(&Tensor::from_vec(vec![1, 2], vec![3.0, 1.0]), false);
         assert_eq!(y.data(), &[1.5]);
     }

@@ -9,21 +9,19 @@
 
 use crate::observe::ObservationPlan;
 use crate::sequential::Sequential;
-use crate::train::Trainer;
 use naps_tensor::Tensor;
 
 /// Per-neuron mean and (population) variance of the output of `layer`
-/// over `samples`, evaluated in inference mode in batches.
+/// over `samples`, evaluated in inference mode.
 ///
-/// Each batch runs one forward that keeps only the output of `layer`
-/// ([`Sequential::forward_observe_plan`] with
-/// [`ObservationPlan::single`]), as `naps-core`'s monitor builder
-/// observes it.
+/// The samples go through one [`Sequential::observe_rows`] pass with
+/// [`ObservationPlan::single`], which keeps only the output of `layer`,
+/// as `naps-core`'s monitor builder observes it.
 ///
 /// # Panics
 ///
-/// Panics if `samples` is empty, `batch_size` is zero, or `layer` is out
-/// of range.
+/// Panics if `samples` is empty or `layer` is out of range, and as
+/// [`Sequential::observe_rows`] does.
 ///
 /// # Example
 ///
@@ -38,7 +36,7 @@ use naps_tensor::Tensor;
 ///     Tensor::from_vec(vec![2], vec![1.0, -1.0]),
 ///     Tensor::from_vec(vec![2], vec![-1.0, 1.0]),
 /// ];
-/// let (mean, var) = activation_moments(&mut net, 1, &xs, 8);
+/// let (mean, var) = activation_moments(&mut net, 1, &xs);
 /// assert_eq!(mean.len(), 6);
 /// assert!(var.iter().all(|&v| v >= 0.0));
 /// ```
@@ -46,36 +44,23 @@ pub fn activation_moments(
     model: &mut Sequential,
     layer: usize,
     samples: &[Tensor],
-    batch_size: usize,
 ) -> (Vec<f32>, Vec<f32>) {
     assert!(!samples.is_empty(), "empty sample set");
-    assert!(batch_size > 0, "batch size must be positive");
     assert!(layer < model.len(), "layer out of range");
 
     let mut sum: Vec<f64> = Vec::new();
     let mut sum_sq: Vec<f64> = Vec::new();
-    let mut count = 0usize;
-    let plan = ObservationPlan::single(layer);
-    let indices: Vec<usize> = (0..samples.len()).collect();
-    for chunk in indices.chunks(batch_size) {
-        let batch = Trainer::make_batch(samples, chunk);
-        let (observed, _) = model.forward_observe_plan(&batch, &plan, false);
-        let monitored = &observed[0];
-        let width = monitored.shape()[1];
-        if sum.is_empty() {
-            sum = vec![0.0; width];
-            sum_sq = vec![0.0; width];
+    model.observe_rows(samples, &ObservationPlan::single(layer), |_, _, row| {
+        let monitored = row.layer(0);
+        sum.resize(monitored.len(), 0.0);
+        sum_sq.resize(monitored.len(), 0.0);
+        for (i, &v) in monitored.iter().enumerate() {
+            let v = f64::from(v);
+            sum[i] += v;
+            sum_sq[i] += v * v;
         }
-        for r in 0..chunk.len() {
-            for (i, &v) in monitored.row(r).iter().enumerate() {
-                let v = f64::from(v);
-                sum[i] += v;
-                sum_sq[i] += v * v;
-            }
-        }
-        count += chunk.len();
-    }
-    let n = count as f64;
+    });
+    let n = samples.len() as f64;
     let mean: Vec<f32> = sum.iter().map(|&s| (s / n) as f32).collect();
     let var: Vec<f32> = sum
         .iter()
@@ -106,25 +91,25 @@ mod tests {
             Tensor::from_vec(vec![2], vec![3.0, 2.0]),
         ];
         // Layer 0 output (pre-ReLU) equals the inputs.
-        let (mean, var) = activation_moments(&mut net, 0, &xs, 1);
+        let (mean, var) = activation_moments(&mut net, 0, &xs);
         assert_eq!(mean, vec![2.0, 2.0]);
         assert_eq!(var, vec![1.0, 0.0]);
     }
 
+    /// 130 samples take three 64-row passes, and the moments are the
+    /// exact ones: chunking moves nothing.
     #[test]
     fn batching_does_not_change_moments() {
         let mut net = identity_net();
-        let xs: Vec<Tensor> = (0..7)
+        let xs: Vec<Tensor> = (0..130)
             .map(|i| Tensor::from_vec(vec![2], vec![i as f32, -(i as f32)]))
             .collect();
-        let (m1, v1) = activation_moments(&mut net, 1, &xs, 1);
-        let (m2, v2) = activation_moments(&mut net, 1, &xs, 4);
-        for (a, b) in m1.iter().zip(&m2) {
-            assert!((a - b).abs() < 1e-5);
-        }
-        for (a, b) in v1.iter().zip(&v2) {
-            assert!((a - b).abs() < 1e-4);
-        }
+        net.reset_forward_passes();
+        let (mean, var) = activation_moments(&mut net, 0, &xs);
+        assert_eq!(net.forward_passes(), 3);
+        // 0..130 has mean 64.5 and population variance (130² − 1) / 12.
+        assert_eq!(mean, vec![64.5, -64.5]);
+        assert_eq!(var, vec![1408.25, 1408.25]);
     }
 
     #[test]
@@ -134,7 +119,7 @@ mod tests {
             Tensor::from_vec(vec![2], vec![-5.0, 1.0]),
             Tensor::from_vec(vec![2], vec![-3.0, 2.0]),
         ];
-        let (mean, var) = activation_moments(&mut net, 1, &xs, 8);
+        let (mean, var) = activation_moments(&mut net, 1, &xs);
         assert_eq!(mean[0], 0.0, "ReLU clamps the negative neuron");
         assert_eq!(var[0], 0.0);
         assert!(mean[1] > 0.0 && var[1] > 0.0);
@@ -144,7 +129,7 @@ mod tests {
     #[should_panic(expected = "empty sample set")]
     fn empty_samples_panic() {
         let mut net = identity_net();
-        let _ = activation_moments(&mut net, 0, &[], 4);
+        let _ = activation_moments(&mut net, 0, &[]);
     }
 
     #[test]
@@ -152,6 +137,6 @@ mod tests {
     fn bad_layer_panics() {
         let mut net = identity_net();
         let xs = vec![Tensor::zeros(vec![2])];
-        let _ = activation_moments(&mut net, 5, &xs, 4);
+        let _ = activation_moments(&mut net, 5, &xs);
     }
 }

@@ -148,7 +148,7 @@ proptest! {
         let xs: Vec<Tensor> = (0..n)
             .map(|_| Tensor::from_vec(vec![4], vals.clone()))
             .collect();
-        let (mean, var) = activation_moments(&mut net, 0, &xs, 2);
+        let (mean, var) = activation_moments(&mut net, 0, &xs);
         for (m, v) in mean.iter().zip(&vals) {
             prop_assert!((m - v).abs() < 1e-4);
         }

@@ -45,10 +45,10 @@
 //!   the same path) wait for space, [`MonitorEngine::try_submit_with`]
 //!   returns [`SubmitError::Saturated`] instead.
 //! * **Equivalence.** Workers run the prepared, allocation-free forward
-//!   pass ([`naps_nn::PreparedModel`]), which is bit-identical to the
-//!   chunked `observe_rows` pass (`forward_observe_plan` per 64 rows) of
-//!   the sequential [`naps_core::Monitor::check_batch`] /
-//!   [`naps_core::LayeredMonitor::check_batch`], and share the same
+//!   pass ([`naps_nn::PreparedModel`]), the same forward the chunked
+//!   `Sequential::observe_rows` pass of the sequential
+//!   [`naps_core::Monitor::check_batch`] /
+//!   [`naps_core::LayeredMonitor::check_batch`] runs, and share the same
 //!   zone lookups, so verdicts are bit-identical to sequential checking
 //!   regardless of how requests interleave (asserted by the crate's
 //!   concurrency tests).

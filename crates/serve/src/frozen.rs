@@ -551,6 +551,11 @@ impl FrozenMonitor {
     /// [`Monitor::observe_batch`] (both run
     /// [`observe_single_layer_batch`]), and the front half of
     /// [`FrozenMonitor::check_batch`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `model` holds a layer from outside `naps-nn`
+    /// ([`Sequential::observe_rows`]).
     pub fn observe_batch(
         &self,
         model: &mut Sequential,
@@ -562,8 +567,13 @@ impl FrozenMonitor {
     /// Batched judgement — the same chunked observation pass as
     /// [`Monitor`]'s
     /// [`check_batch`](naps_core::ActivationMonitor::check_batch)
-    /// (`observe_rows` → per-row verdicts), so verdicts are
+    /// (`Sequential::observe_rows` → per-row verdicts), so verdicts are
     /// bit-identical to the live monitor's.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `model` holds a layer from outside `naps-nn`
+    /// ([`Sequential::observe_rows`]).
     pub fn check_batch(&self, model: &mut Sequential, inputs: &[Tensor]) -> Vec<MonitorReport> {
         let observed = self.observe_batch(model, inputs);
         let pairs: Vec<(usize, &Pattern)> = observed.iter().map(|(p, pat)| (*p, pat)).collect();
@@ -737,6 +747,11 @@ impl FrozenLayeredMonitor {
     /// pattern per monitored layer — **one** forward pass per 64 inputs
     /// retaining only the planned layers' activations, the common
     /// front half of every layered check.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `model` holds a layer from outside `naps-nn`
+    /// ([`Sequential::observe_rows`]).
     pub fn observe_batch(
         &self,
         model: &mut Sequential,
@@ -751,9 +766,9 @@ impl FrozenLayeredMonitor {
     }
 
     /// The allocation-free counterpart of
-    /// [`FrozenLayeredMonitor::observe_batch`]: runs the prepared
-    /// forward pass and refills `observer`'s reused storage, returning
-    /// the live rows.  Bit-identical to the allocating path — `model`
+    /// [`FrozenLayeredMonitor::observe_batch`]: runs a model prepared
+    /// once instead of per call and refills `observer`'s reused storage,
+    /// returning the live rows.  The same rows as `observe_batch` — `model`
     /// must have been prepared with this monitor's
     /// [`plan`](FrozenLayeredMonitor::plan) (the engine prepares both
     /// from the same published snapshot).

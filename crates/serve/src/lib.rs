@@ -27,8 +27,8 @@
 //! [`check_batch`](naps_core::ActivationMonitor::check_batch) on a
 //! [`naps_core::Monitor`] or [`naps_core::LayeredMonitor`]: every path runs
 //! forward passes retaining only the monitored layers' activations —
-//! in the engine the prepared, allocation-free pass, bit-identical to
-//! the sequential chunked `observe_rows` pass — model
+//! the prepared, allocation-free pass, in the engine and in the
+//! sequential chunked `Sequential::observe_rows` pass alike — model
 //! replicas are exact parameter copies, and frozen-snapshot queries
 //! agree with the live BDD manager query-for-query (pinned by property
 //! tests in `naps-bdd` and the concurrency suite here).

@@ -428,7 +428,8 @@ fn blocked_submitters_are_released_by_stop() {
             naps_serve::FrozenMonitor::freeze(&monitor),
             vec![naps_nn::ModelSnapshot::capture(&net)
                 .expect("mlp")
-                .restore()],
+                .restore()
+                .expect("restores")],
             EngineConfig {
                 workers: 1,
                 max_batch: 1,

@@ -2,7 +2,7 @@
 //! the prepared forward pass like any other built-in model, its input
 //! width is known, so a wrong-width request is rejected at submission
 //! instead of panicking a worker, and a model with a custom layer is
-//! refused at construction.
+//! refused at construction (and cannot be observed in-process).
 
 use naps_core::{ActivationMonitor, BddZone, Monitor, MonitorBuilder};
 use naps_nn::{mnist_net, Dense, Layer, Sequential, SnapshotError, MNIST_MONITOR_LAYER};
@@ -91,8 +91,12 @@ fn conv_engine_verdicts_match_sequential_checking() {
     // Caller-made replicas take the same prepared path.
     let frozen = FrozenMonitor::freeze(&monitor);
     let snapshot = naps_nn::ModelSnapshot::capture(&net).expect("captures");
-    let engine = MonitorEngine::with_replicas(frozen, vec![snapshot.restore()], config(1))
-        .expect("Network 1 replicas are served");
+    let engine = MonitorEngine::with_replicas(
+        frozen,
+        vec![snapshot.restore().expect("restores")],
+        config(1),
+    )
+    .expect("Network 1 replicas are served");
     let served: Vec<_> = engine
         .check_batch(&probes)
         .expect("served")
@@ -128,15 +132,25 @@ impl Layer for Scale {
     }
 }
 
-#[test]
-fn custom_layer_models_are_refused_at_construction() {
+/// A `Dense(2, 3) → Scale` net, and a monitor at its dense layer built on
+/// the built-in `Dense` prefix alone: the custom layer cannot be
+/// observed in-process either.
+fn custom_layer_fixture() -> (Sequential, Monitor<BddZone>, Vec<Tensor>) {
     let mut rng = StdRng::seed_from_u64(2);
-    let mut net = Sequential::new(vec![Box::new(Dense::new(2, 3, &mut rng)), Box::new(Scale)]);
+    let dense = Dense::new(2, 3, &mut rng);
+    let mut prefix = Sequential::new(vec![Box::new(dense.clone())]);
     let xs: Vec<Tensor> = (0..6)
         .map(|i| Tensor::from_vec(vec![2], vec![i as f32, 1.0 - i as f32]))
         .collect();
     let ys: Vec<usize> = (0..6).map(|i| i % 3).collect();
-    let monitor = MonitorBuilder::new(0, 1).build::<BddZone>(&mut net, &xs, &ys, 3);
+    let monitor = MonitorBuilder::new(0, 1).build::<BddZone>(&mut prefix, &xs, &ys, 3);
+    let net = Sequential::new(vec![Box::new(dense), Box::new(Scale)]);
+    (net, monitor, xs)
+}
+
+#[test]
+fn custom_layer_models_are_refused_at_construction() {
+    let (net, monitor, _) = custom_layer_fixture();
     match MonitorEngine::new(&monitor, &net, config(1)) {
         Err(EngineError::UnsupportedModel(SnapshotError::UnsupportedLayer { label, index })) => {
             assert_eq!((label.as_str(), index), ("scale", 1));
@@ -144,4 +158,11 @@ fn custom_layer_models_are_refused_at_construction() {
         Err(e) => panic!("unexpected error: {e}"),
         Ok(_) => panic!("a custom layer must not be served"),
     }
+}
+
+#[test]
+#[should_panic(expected = "in-process observation needs a model of naps-nn's built-in layers")]
+fn custom_layer_models_cannot_be_observed_in_process() {
+    let (mut net, monitor, xs) = custom_layer_fixture();
+    let _ = monitor.check_batch(&mut net, &xs);
 }

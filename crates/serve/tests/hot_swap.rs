@@ -82,7 +82,7 @@ fn hot_swap_under_load_is_non_disruptive_and_exact() {
 
     // The engine starts on the pre-enrichment (epoch 0) snapshot.
     let snap = naps_nn::ModelSnapshot::capture(&net).expect("mlp");
-    let replicas: Vec<Sequential> = (0..4).map(|_| snap.restore()).collect();
+    let replicas: Vec<Sequential> = (0..4).map(|_| snap.restore().expect("restores")).collect();
     let engine = Arc::new(
         MonitorEngine::with_replicas(
             frozen0,

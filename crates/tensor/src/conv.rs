@@ -55,14 +55,26 @@ impl ConvDims {
     ///
     /// Panics if the kernel is larger than the input or the stride is zero.
     pub fn validate(&self) {
-        assert!(self.s > 0, "stride must be positive");
-        assert!(
-            self.k <= self.in_h && self.k <= self.in_w,
-            "kernel {k} exceeds input {h}x{w}",
-            k = self.k,
-            h = self.in_h,
-            w = self.in_w
-        );
+        if let Err(reason) = self.check() {
+            panic!("{reason}");
+        }
+    }
+
+    /// [`ConvDims::validate`] for geometry read from outside the program.
+    ///
+    /// # Errors
+    ///
+    /// Says why if the kernel is larger than the input or the stride is
+    /// zero.
+    pub fn check(&self) -> Result<(), String> {
+        if self.s == 0 {
+            return Err("stride must be positive".to_owned());
+        }
+        let ConvDims { in_h, in_w, k, .. } = *self;
+        if k > in_h || k > in_w {
+            return Err(format!("kernel {k} exceeds input {in_h}x{in_w}"));
+        }
+        Ok(())
     }
 }
 
