@@ -16,7 +16,9 @@
 //!   [`observe_layered_batch`], and through them
 //!   [`crate::stats::evaluate_with_mode`]), [`crate::RefinedMonitor`]'s
 //!   and [`crate::GridMonitor`]'s checks.  No in-process forward pass
-//!   takes more than 64 rows;
+//!   takes more than 64 rows; a large call may split each pass across
+//!   the host's cores, and the callback still sees the rows in input
+//!   order on the calling thread;
 //! - **serving** (`naps-serve`'s engine workers) keeps one prepared model
 //!   per replica and refills one [`ObservedBatch`] in place per
 //!   micro-batch ([`ObservedBatch::refill`]).

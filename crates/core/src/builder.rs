@@ -72,7 +72,10 @@ impl MonitorBuilder {
     /// assembles the per-class comfort zones.
     ///
     /// The replay is one [`Sequential::observe_rows`] pass: one prepared
-    /// forward pass per 64 training inputs.  The monitored layer's width
+    /// forward pass per 64 training inputs, each split across the host's
+    /// cores when the model's forward work pays for it; the zones see
+    /// the inputs in training-set order either way, so the monitor does
+    /// not depend on the thread count.  The monitored layer's width
     /// is read off the first replayed input; if no [`NeuronSelection`]
     /// was supplied, all of its neurons are monitored.
     ///
@@ -97,8 +100,9 @@ impl MonitorBuilder {
     /// [`MonitorBuilder::build`] and [`MonitorBuilder::build_refined`].
     ///
     /// One [`Sequential::observe_rows`] pass observes only the monitored
-    /// layer; the
-    /// first replayed input shows the layer's width.  Every
+    /// layer, on as many threads as it picks; `record` and the zones run
+    /// on the calling thread, in training-set order.  The first replayed
+    /// input shows the layer's width.  Every
     /// monitored class gets an empty zone and an extra recorder from
     /// `empty`.  Each correctly classified input's pattern goes into its
     /// class's zone, and its full monitored row, in training-set order,

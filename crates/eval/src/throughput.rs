@@ -12,6 +12,13 @@
 //! Speedups are hardware-relative: the available parallelism is recorded
 //! alongside every row, so a 1-core CI container producing a ~1x speedup
 //! and an 8-core workstation producing ~4x are both healthy runs.
+//!
+//! The sequential baseline is `Monitor::check_batch` in chunks of the
+//! row's batch size.  It observes through `Sequential::observe_rows`,
+//! which may split a call of more than 64 rows across the host's cores
+//! when its forward work pays for a thread spawn; the fixture's ring
+//! MLP (≈ 6,400 multiply-accumulates per row) is below that line, so
+//! its baseline runs on one thread at every batch size.
 
 use crate::config::RunConfig;
 use crate::report::{rule, write_json};
@@ -24,13 +31,15 @@ use std::time::Instant;
 /// One measured configuration.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct ThroughputRow {
-    /// Engine worker threads (0 = the sequential baseline).
+    /// Engine worker threads (0 = the sequential baseline: in-process
+    /// `check_batch` calls, which fan a call of more than 64 rows out
+    /// only when its forward work pays for it).
     pub workers: usize,
     /// Micro-batch size (engine `max_batch`, or the sequential chunk).
     pub batch: usize,
     /// Queries served per second.
     pub qps: f64,
-    /// Speedup over the single-thread sequential baseline at the same
+    /// Speedup over the sequential baseline at the same
     /// batch size.
     pub speedup_vs_sequential: f64,
     /// Whether every verdict matched sequential checking bit-for-bit.

@@ -9,7 +9,8 @@
 //!   [`BatchNorm2d`], [`Relu`], [`Flatten`] — composed with [`Sequential`];
 //! * softmax cross-entropy loss and [`Sgd`] / [`Adam`] optimizers;
 //! * **activation taps**: [`Sequential::observe_rows`] observes inputs
-//!   in 64-row passes of the prepared, allocation-free forward
+//!   in 64-row passes (split across the host's cores when a call is
+//!   large enough to pay for it) of the prepared, allocation-free forward
 //!   ([`PreparedModel`], the one the serving engine runs), retaining
 //!   exactly the layers an [`ObservationPlan`] names (plus the logits) —
 //!   every in-process observer's path.

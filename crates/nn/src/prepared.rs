@@ -116,12 +116,14 @@ pub struct PreparedModel {
 }
 
 impl ModelSnapshot {
-    /// Resolves the frozen half of the forward pass once: copies every
-    /// layer's weights, turns batch-norm variances into scales and
-    /// fixes the observation plan, so that
+    /// Resolves the frozen half of the forward pass once: takes over every
+    /// layer's weights (the snapshot is consumed, so a capture followed
+    /// by a prepare copies each weight once), turns batch-norm variances
+    /// into scales and fixes the observation plan, so that
     /// [`PreparedModel::forward_observe_into`] never allocates after
     /// warm-up.  The serving publish/load path calls this exactly where it
-    /// compiles frozen zones.
+    /// compiles frozen zones; a caller that keeps the snapshot prepares a
+    /// clone of it.
     ///
     /// Each `Conv2d → Relu → MaxPool2d` run whose conv and ReLU outputs
     /// `plan` does not observe (the pool output may be observed) becomes
@@ -143,7 +145,7 @@ impl ModelSnapshot {
     /// [`SnapshotError::ShapeMismatch`](crate::SnapshotError::ShapeMismatch)
     /// that [`ModelSnapshot::restore`] returns).
     // naps-lint: allow-fn(hot_path_alloc, "preparation is the cold publish/load half: it allocates once so the per-request half never does")
-    pub fn prepare(&self, plan: &ObservationPlan) -> PreparedModel {
+    pub fn prepare(self, plan: &ObservationPlan) -> PreparedModel {
         if let Some(deepest) = plan.max_layer() {
             assert!(
                 deepest < self.layers.len(),
@@ -154,21 +156,15 @@ impl ModelSnapshot {
         if let Err(e) = self.check() {
             panic!("{e}");
         }
+        let input_len = self.layers.iter().find_map(LayerSnapshot::input_len);
         let mut ops: Vec<PreparedOp> = self
             .layers
-            .iter()
+            .into_iter()
             .map(|l| match l {
-                LayerSnapshot::Dense { w, b } => PreparedOp::Dense {
-                    w: w.clone(),
-                    b: b.clone(),
-                },
-                LayerSnapshot::Conv2d { dims, w, b } => PreparedOp::Conv {
-                    dims: *dims,
-                    w: w.clone(),
-                    b: b.clone(),
-                },
+                LayerSnapshot::Dense { w, b } => PreparedOp::Dense { w, b },
+                LayerSnapshot::Conv2d { dims, w, b } => PreparedOp::Conv { dims, w, b },
                 LayerSnapshot::MaxPool2d { c, h, w, k } => {
-                    PreparedOp::MaxPool(PoolDims::new(*c, *h, *w, *k))
+                    PreparedOp::MaxPool(PoolDims::new(c, h, w, k))
                 }
                 LayerSnapshot::BatchNorm2d {
                     hw,
@@ -178,14 +174,14 @@ impl ModelSnapshot {
                     running_mean,
                     running_var,
                 } => PreparedOp::BatchNorm {
-                    hw: *hw,
-                    mean: running_mean.clone(),
+                    hw,
+                    mean: running_mean,
                     inv_std: running_var
                         .iter()
-                        .map(|&v| kernels::inv_std(v, *eps))
+                        .map(|&v| kernels::inv_std(v, eps))
                         .collect(),
-                    gamma: gamma.clone(),
-                    beta: beta.clone(),
+                    gamma,
+                    beta,
                 },
                 LayerSnapshot::Relu => PreparedOp::Relu,
                 LayerSnapshot::Flatten { .. } => PreparedOp::Identity,
@@ -212,7 +208,7 @@ impl ModelSnapshot {
         PreparedModel {
             ops,
             plan: plan.clone(),
-            input_len: self.layers.iter().find_map(LayerSnapshot::input_len),
+            input_len,
         }
     }
 }
@@ -238,6 +234,72 @@ impl PreparedModel {
     /// `true` for the empty model (logits are then the input).
     pub fn is_empty(&self) -> bool {
         self.ops.is_empty()
+    }
+
+    /// Multiply-accumulates one input row costs: the dense and conv
+    /// products (a conv's per output position); the elementwise layers
+    /// and pooling count nothing.
+    pub fn macs_per_row(&self) -> usize {
+        self.ops
+            .iter()
+            .map(|op| match op {
+                PreparedOp::Dense { w, .. } => w.len(),
+                PreparedOp::Conv { dims, w, .. } | PreparedOp::ConvReluMaxPool { dims, w, .. } => {
+                    w.len() * dims.rows()
+                }
+                _ => 0,
+            })
+            .sum()
+    }
+
+    /// Sizes `scratch` and `observed` for passes of up to `rows` inputs
+    /// of `width` features, so that such a pass allocates nothing: each
+    /// buffer gets the high-water shape
+    /// [`forward_observe_into`](Self::forward_observe_into) would grow
+    /// it to.  A buffer that is allocated here stays in the allocator of
+    /// the calling thread, wherever the passes later run.
+    pub(crate) fn reserve(
+        &self,
+        rows: usize,
+        width: usize,
+        scratch: &mut ForwardScratch,
+        observed: &mut Vec<Tensor>,
+    ) {
+        if observed.len() != self.plan.len() {
+            observed.resize(self.plan.len(), Tensor::default());
+        }
+        let (mut width, mut carry, mut lowered, mut conv_out) = (width, 0, 0, 0);
+        for (i, op) in self.ops.iter().enumerate() {
+            width = match op {
+                PreparedOp::Dense { w, .. } => w.shape()[1],
+                PreparedOp::Conv { dims, b, .. } => {
+                    lowered = lowered.max(dims.rows() * dims.cols());
+                    b.len() * dims.rows()
+                }
+                PreparedOp::ConvReluMaxPool { dims, pool, .. } => {
+                    lowered = lowered.max(dims.rows() * dims.cols());
+                    conv_out = conv_out.max(pool.in_len());
+                    pool.out_len()
+                }
+                PreparedOp::MaxPool(pool) => pool.out_len(),
+                PreparedOp::BatchNorm { .. }
+                | PreparedOp::Relu
+                | PreparedOp::Identity
+                | PreparedOp::Folded => width,
+            };
+            match self.plan.position(i) {
+                Some(slot) => observed[slot].resize_in_place(&[rows * width]),
+                None if !matches!(op, PreparedOp::Identity | PreparedOp::Folded) => {
+                    carry = carry.max(rows * width);
+                }
+                None => {}
+            }
+        }
+        scratch.carry.resize_in_place(&[carry]);
+        scratch.spare.resize_in_place(&[carry]);
+        scratch.lowered.resize_in_place(&[lowered]);
+        scratch.conv_out.resize_in_place(&[conv_out]);
+        scratch.logits.resize_in_place(&[rows * width]);
     }
 
     /// The input width the model accepts: fixed by its first layer that
@@ -426,7 +488,7 @@ mod tests {
     #[track_caller]
     fn assert_matches_sequential(snap: &ModelSnapshot, plan: &ObservationPlan, batches: &[Tensor]) {
         let mut oracle = snap.restore().expect("restores");
-        let prepared = snap.prepare(plan);
+        let prepared = snap.clone().prepare(plan);
         let mut scratch = ForwardScratch::new();
         let mut observed = Vec::new();
         for x in batches {
@@ -499,7 +561,11 @@ mod tests {
         let batches = [1, 3, 2].map(|n| sparse_batch(n, 64, &mut rng));
         for (layers, fused) in [((0..9).collect(), 0), (vec![2, 6], 1), (vec![2, 5], 0)] {
             let plan = ObservationPlan::new(layers);
-            assert_eq!(snap.prepare(&plan).fused_blocks(), fused, "{plan:?}");
+            assert_eq!(
+                snap.clone().prepare(&plan).fused_blocks(),
+                fused,
+                "{plan:?}"
+            );
             assert_matches_sequential(&snap, &plan, &batches);
         }
     }
@@ -522,7 +588,11 @@ mod tests {
             (vec![2, 4], 1),
         ] {
             let plan = ObservationPlan::new(layers);
-            assert_eq!(mnist.prepare(&plan).fused_blocks(), fused, "{plan:?}");
+            assert_eq!(
+                mnist.clone().prepare(&plan).fused_blocks(),
+                fused,
+                "{plan:?}"
+            );
             assert_matches_sequential(&mnist, &plan, &batches);
         }
 
@@ -534,7 +604,7 @@ mod tests {
         let batches = [1, 3, 2].map(|n| sparse_batch(n, 3 * 32 * 32, &mut rng));
         for layers in [vec![0, 1, 3, 5, 12], vec![7, 9]] {
             let plan = ObservationPlan::new(layers);
-            assert_eq!(gtsrb.prepare(&plan).fused_blocks(), 0);
+            assert_eq!(gtsrb.clone().prepare(&plan).fused_blocks(), 0);
             assert_matches_sequential(&gtsrb, &plan, &batches);
         }
     }
@@ -568,6 +638,40 @@ mod tests {
             })
             .collect();
         assert_matches_sequential(&snap, &plan, &batches);
+    }
+
+    /// After `reserve`, passes of up to the reserved rows never
+    /// reallocate a buffer: the fused block's scratch, the ping-pong
+    /// carries, every observed slot and the logits keep their storage.
+    #[test]
+    fn reserved_scratch_is_never_reallocated() {
+        let mut rng = StdRng::seed_from_u64(9);
+        let mnist = ModelSnapshot::capture(&mnist_net(&mut rng)).expect("Network 1 captures");
+        let gtsrb = ModelSnapshot::capture(&gtsrb_net(&mut rng)).expect("Network 2 captures");
+        for (snap, plan, width) in [
+            (snap(), vec![1, 3], 3),
+            (mnist.clone(), vec![14], 28 * 28),
+            (mnist, vec![1, 14], 28 * 28),
+            (gtsrb, vec![7, 9], 3 * 32 * 32),
+        ] {
+            let prepared = snap.prepare(&ObservationPlan::new(plan));
+            let (mut scratch, mut observed) = (ForwardScratch::new(), Vec::new());
+            prepared.reserve(3, width, &mut scratch, &mut observed);
+            let storage = |scratch: &ForwardScratch, observed: &[Tensor]| {
+                let ptr = |t: &Tensor| t.data().as_ptr() as usize;
+                let mut carries = [ptr(&scratch.carry), ptr(&scratch.spare)];
+                carries.sort_unstable();
+                let fixed = [&scratch.lowered, &scratch.conv_out, &scratch.logits];
+                let rest = fixed.into_iter().chain(observed).map(ptr);
+                carries.into_iter().chain(rest).collect::<Vec<_>>()
+            };
+            let before = storage(&scratch, &observed);
+            for n in [3, 1, 2] {
+                let x = sparse_batch(n, width, &mut rng);
+                prepared.forward_observe_into(&x, &mut scratch, &mut observed);
+                assert_eq!(storage(&scratch, &observed), before, "{n} rows");
+            }
+        }
     }
 
     #[test]

@@ -1,6 +1,7 @@
 //! Mini-batch training loop.
 
 use crate::loss::{accuracy, softmax_cross_entropy};
+use crate::observe::pack_rows_into;
 use crate::optim::Optimizer;
 use crate::sequential::Sequential;
 use naps_tensor::Tensor;
@@ -52,24 +53,16 @@ impl Trainer {
         Trainer { config }
     }
 
-    /// Stacks `samples[indices]` into a `[n, features]` batch tensor.
+    /// Stacks `samples[indices]` into a `[n, features]` batch tensor,
+    /// through the packer that observation uses too.
     ///
     /// # Panics
     ///
     /// Panics if `indices` is empty or samples have inconsistent lengths.
     pub fn make_batch(samples: &[Tensor], indices: &[usize]) -> Tensor {
-        assert!(!indices.is_empty(), "empty batch");
-        let feat = samples[indices[0]].len();
-        let mut data = Vec::with_capacity(indices.len() * feat);
-        for &i in indices {
-            assert_eq!(
-                samples[i].len(),
-                feat,
-                "sample {i} has inconsistent feature count"
-            );
-            data.extend_from_slice(samples[i].data());
-        }
-        Tensor::from_vec(vec![indices.len(), feat], data)
+        let mut batch = Tensor::default();
+        pack_rows_into(indices.iter().map(|&i| &samples[i]), &mut batch);
+        batch
     }
 
     /// Trains `model` on `(samples, labels)`.

@@ -402,7 +402,7 @@ proptest! {
 /// Runs `x` through `snap` prepared for `plan` and returns the observed
 /// tensors followed by the logits.
 fn prepared_outputs(snap: &ModelSnapshot, plan: &ObservationPlan, x: &Tensor) -> Vec<Tensor> {
-    let prepared = snap.prepare(plan);
+    let prepared = snap.clone().prepare(plan);
     let mut scratch = ForwardScratch::new();
     let mut observed = Vec::new();
     prepared.forward_observe_into(x, &mut scratch, &mut observed);
@@ -462,7 +462,7 @@ proptest! {
         prop_assert_eq!(bits(&unfused[3]), bits(&want), "unfused prepared ops");
         for plan in [vec![], vec![2]] {
             let plan = ObservationPlan::new(plan);
-            prop_assert_eq!(snap.prepare(&plan).fused_blocks(), 1);
+            prop_assert_eq!(snap.clone().prepare(&plan).fused_blocks(), 1);
             let fused = prepared_outputs(&snap, &plan, &x);
             for got in &fused {
                 prop_assert_eq!(bits(got), bits(&want), "{:?} {:?} pool {}", plan, dims, pool_k);
@@ -470,7 +470,7 @@ proptest! {
         }
         for observed in [0, 1] {
             let plan = ObservationPlan::single(observed);
-            prop_assert_eq!(snap.prepare(&plan).fused_blocks(), 0);
+            prop_assert_eq!(snap.clone().prepare(&plan).fused_blocks(), 0);
             let got = prepared_outputs(&snap, &plan, &x);
             prop_assert_eq!(bits(&got[0]), bits(&unfused[observed]));
             prop_assert_eq!(bits(&got[1]), bits(&want));
